@@ -418,7 +418,9 @@ def _build_run_config(args, need_algos=True) -> RunConfig:
             raise ConfigError("at least one --algo is required")
         algos = tuple(parse_algo_spec(a, d, k, slots, direction) for a in algo_texts)
     else:
-        algos = (AlgoSpec("centrality", d=d, k=k, slots=slots, direction=direction),)
+        if direction:
+            raise ConfigError(f"{args.command} builds unfiltered graphs; direction is not supported")
+        algos = (AlgoSpec("centrality", d=d, k=k, slots=slots),)
 
     trace_path = pick("trace", str, None)
     gen_n = pick("gen_n", int, None)

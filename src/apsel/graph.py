@@ -61,6 +61,22 @@ class SnapshotGraph:
         self._vertices: tuple[int, ...] = tuple(self._adj)
         self._n_edges = n_edges
 
+    @classmethod
+    def _from_sorted_adjacency(
+        cls, adj: dict[int, tuple[int, ...]], n_edges: int
+    ) -> SnapshotGraph:
+        """Wrap an adjacency the caller has already validated, unchecked.
+
+        ``adj`` must have non-negative keys in ascending order, each mapped
+        to an ascending tuple of other keys, every edge listed from both
+        ends, and ``n_edges`` must be the number of undirected edges.
+        """
+        g = cls.__new__(cls)
+        g._adj = adj
+        g._vertices = tuple(adj)
+        g._n_edges = n_edges
+        return g
+
     @property
     def vertices(self) -> tuple[int, ...]:
         """All vehicle ids, ascending."""
@@ -158,18 +174,42 @@ def k_closeness(g: SnapshotGraph, v: int, k: int) -> float:
 def all_k_closeness(g: SnapshotGraph, k: int) -> tuple[dict[int, float], int]:
     """k-limited closeness for every vertex, plus total edges examined.
 
-    Each vertex is an independent depth-limited search, so the per-vertex
-    values are identical whether evaluated sequentially or concurrently;
-    this implementation runs them in ascending id order. The edge count is
-    the summed search work and feeds the computational-cost metric.
+    All sources advance together as bit-parallel BFS (Then et al., VLDB
+    2014): bit j of ``reach[i]`` is set once vertex j is within h hops of
+    vertex i, and round h ORs each vertex's set with its neighbors' sets.
+    The bits that appear in round h are the vertices at exactly h hops, so
+    farness is the sum of h times their count. The values equal k
+    independent depth-limited searches, one per vertex.
+
+    The edge count is the work those searches would do, which feeds the
+    computational-cost metric: a search from s scans the adjacency of each
+    vertex u with d(s, u) < k, so the total is the sum over u of
+    deg(u) * |R_{k-1}(u)|, where R_{k-1}(u) holds the vertices within
+    k - 1 hops of u (hop distance is symmetric).
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    values: dict[int, float] = {}
-    total_edges = 0
-    for v in g.vertices:
-        dist, scanned = bfs_distances(g, v, k)
-        farness = sum(dist.values())
-        values[v] = 1.0 / farness if farness else 0.0
-        total_edges += scanned
+    index = {v: i for i, v in enumerate(g.vertices)}
+    nbrs = [[index[u] for u in g.neighbors(v)] for v in g.vertices]
+    reach = [1 << i for i in range(len(nbrs))]
+    sizes = [1] * len(nbrs)
+    farness = [0] * len(nbrs)
+    for h in range(1, k + 1):
+        # searches expand the vertices within h - 1 hops in round h
+        total_edges = sum(len(nb) * size for nb, size in zip(nbrs, sizes))
+        grown = []
+        added = 0
+        for i, nb in enumerate(nbrs):
+            acc = reach[i]
+            for u in nb:
+                acc |= reach[u]
+            new = acc.bit_count() - sizes[i]
+            farness[i] += h * new
+            sizes[i] += new
+            added += new
+            grown.append(acc)
+        if not added:
+            break  # R_h = R_{h-1}: later rounds add nothing and expand the same sets
+        reach = grown
+    values = {v: 1.0 / f if f else 0.0 for v, f in zip(g.vertices, farness)}
     return values, total_edges

@@ -107,8 +107,13 @@ class Trace:
 
 
 def load_trace_csv(path) -> Trace:
-    """Read a trace from CSV with header time,id,x,y."""
+    """Read a trace from CSV with header time,id,x,y.
+
+    Malformed rows, including a NaN or infinite time or coordinate, raise
+    TraceFormatError naming the line.
+    """
     points = []
+    isfinite = math.isfinite
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -122,11 +127,12 @@ def load_trace_csv(path) -> Trace:
             if len(row) != 4:
                 raise TraceFormatError(f"line {lineno}: expected 4 fields, got {len(row)}")
             try:
-                points.append(
-                    TracePoint(float(row[0]), int(row[1]), float(row[2]), float(row[3]))
-                )
+                t, x, y = float(row[0]), float(row[2]), float(row[3])
+                points.append(TracePoint(t, int(row[1]), x, y))
             except ValueError as exc:
                 raise TraceFormatError(f"line {lineno}: {exc}") from exc
+            if not (isfinite(t) and isfinite(x) and isfinite(y)):
+                raise TraceFormatError(f"line {lineno}: non-finite time or coordinate {row!r}")
     if not points:
         raise TraceFormatError(f"{path}: no samples")
     return Trace(points)
@@ -168,21 +174,80 @@ class RadioParams:
             )
 
 
+# Grid cells are this much wider than the radio range, so float rounding
+# in the cell index can never put an in-range pair two cells apart.
+_CELL_SCALE = 1.01
+# A cell (x, y) is keyed by the complex number x + iy: numpy sorts and
+# searches complex numbers by real part, then imaginary part, which orders
+# cells by column, then row. These are the key steps to a cell itself and
+# to its forward neighbours (x, y+1), (x+1, y-1), (x+1, y), (x+1, y+1).
+_FORWARD = np.array([0, 1j, 1 - 1j, 1, 1 + 1j])
+# Cell coordinates must be exact integers in a float, with room for + 1.
+_MAX_CELLS = 2.0**52
+
+
 def build_udg(
     snapshot: dict[int, tuple[float, float]], radio: RadioParams = RadioParams()
 ) -> SnapshotGraph:
-    """Unit-disk graph: edge iff distance <= range, boundary included."""
+    """Unit-disk graph: edge iff distance <= range, boundary included.
+
+    Vehicles are binned into square cells a little wider than the range
+    (the fixed-radius grid of Bentley, Stanat & Williams, IPL 1977), so an
+    in-range pair shares a cell or sits in adjacent ones. Each vehicle is
+    paired only with the vehicles after it in its own cell and those in
+    the cell's four forward neighbours, all in one vectorised pass, and
+    each pair is decided by the exact ``sq <= r*r`` comparison on the
+    position difference. Cells are found by binary search over the sorted
+    cell keys, so memory grows with the number of vehicles and candidate
+    pairs, never with the extent of the coordinates.
+
+    Raises ValueError for a non-finite coordinate, a negative id, or a
+    snapshot spanning 2**52 cells or more along an axis.
+    """
     ids = sorted(snapshot)
     n = len(ids)
+    pos = np.array([snapshot[v] for v in ids], dtype=float).reshape(n, 2)
+    if not np.isfinite(pos).all():
+        bad = ids[int(np.argmin(np.isfinite(pos).all(axis=1)))]
+        raise ValueError(f"vehicle {bad} has a non-finite position {snapshot[bad]}")
+    if n and ids[0] < 0:
+        raise ValueError(f"vehicle ids must be non-negative, got {ids[0]}")
     if n < 2:
-        return SnapshotGraph(ids, [])
-    pos = np.array([snapshot[v] for v in ids], dtype=float)
-    ii, jj = np.triu_indices(n, k=1)
-    diff = pos[ii] - pos[jj]
-    sq = (diff * diff).sum(axis=1)
-    within = sq <= radio.range_r * radio.range_r
-    edges = [(ids[i], ids[j]) for i, j in zip(ii[within], jj[within])]
-    return SnapshotGraph(ids, edges)
+        return SnapshotGraph._from_sorted_adjacency({v: () for v in ids}, 0)
+
+    r = radio.range_r
+    cell = np.floor((pos - pos.min(axis=0)) / (_CELL_SCALE * r))
+    if not cell.max() < _MAX_CELLS:
+        raise ValueError(f"snapshot spans {cell.max():.3g} cells of {_CELL_SCALE * r} m")
+    key = cell.view(complex).reshape(n)
+    order = np.argsort(key, kind="stable")
+    skey = key[order]
+    # sorted positions [lo, hi) of the five cells, per vehicle; in its own
+    # cell a vehicle takes only the ones after it, so each pair comes once
+    target = skey[:, None] + _FORWARD
+    lo = np.searchsorted(skey, target)
+    hi = np.searchsorted(skey, target, side="right")
+    lo[:, 0] = np.arange(1, n + 1)
+    count = hi - lo
+    i = np.repeat(np.arange(n), count.sum(axis=1))
+    flat = count.reshape(-1)
+    j = np.arange(i.size) + np.repeat(lo.reshape(-1) - (np.cumsum(flat) - flat), flat)
+    i, j = order[i], order[j]
+    diff = pos[i] - pos[j]
+    within = (diff * diff).sum(axis=1) <= r * r
+    i, j = i[within], j[within]
+
+    src = np.concatenate((i, j))
+    dst = np.concatenate((j, i))
+    # the tuples hold the snapshot's own id objects, not fresh copies
+    nbr = [ids[k] for k in dst[np.argsort(src * n + dst, kind="stable")].tolist()]
+    ends = np.cumsum(np.bincount(src, minlength=n)).tolist()
+    adj = {}
+    start = 0
+    for v, end in zip(ids, ends):
+        adj[v] = tuple(nbr[start:end])
+        start = end
+    return SnapshotGraph._from_sorted_adjacency(adj, int(i.size))
 
 
 @dataclass(frozen=True)
@@ -245,23 +310,22 @@ def build_direction_constrained_udg(
     graph and the number of edges removed.
     """
     base = build_udg(snapshot, radio)
-    moves = displacements_at(snapshot, prev_snapshot)
-    kept = []
+    moving = {
+        v: w for v, w in displacements_at(snapshot, prev_snapshot).items() if not w.is_neutral
+    }
+    # edges come in sorted order, so every kept list stays ascending
+    kept: dict[int, list[int]] = {v: [] for v in base.vertices}
     removed = 0
     for i, j in base.edges():
-        wi = moves.get(i)
-        wj = moves.get(j)
-        if (
-            wi is None
-            or wj is None
-            or wi.is_neutral
-            or wj.is_neutral
-            or direction_angle(wi, wj) <= radio.angle_threshold
-        ):
-            kept.append((i, j))
+        wi = moving.get(i)
+        wj = moving.get(j)
+        if wi is None or wj is None or direction_angle(wi, wj) <= radio.angle_threshold:
+            kept[i].append(j)
+            kept[j].append(i)
         else:
             removed += 1
-    return SnapshotGraph(base.vertices, kept), removed
+    adj = {v: tuple(nbrs) for v, nbrs in kept.items()}
+    return SnapshotGraph._from_sorted_adjacency(adj, base.n_edges - removed), removed
 
 
 def generate_two_way_roadway(

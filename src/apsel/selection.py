@@ -147,14 +147,14 @@ def centrality_select(g: SnapshotGraph, d: int = 1, k: int = 4) -> SelectionResu
     if d < 1:
         raise ValueError(f"d must be >= 1, got {d}")
     centrality, examined = all_k_closeness(g, k)
-    remaining = set(g.vertices)
+    # scores never change, so the best remaining vehicle is always the
+    # first uncovered one in a single (score desc, id asc) ranking
+    covered: set[int] = set()
     points: list[int] = []
-    while remaining:
-        v = max(remaining, key=lambda u: (centrality[u], -u))
-        points.append(v)
-        remaining.discard(v)
-        dist, _ = bfs_distances(g, v, d)
-        remaining.difference_update(dist)
+    for v in sorted(g.vertices, key=lambda u: (-centrality[u], u)):
+        if v not in covered:
+            points.append(v)
+            covered.update(bfs_distances(g, v, d)[0])
     chosen = frozenset(points)
     return SelectionResult(
         aggregation_points=chosen,
@@ -184,24 +184,28 @@ def rb_select_with_slots(
         if not 0 <= s < frame_length:
             raise ValueError(f"slot {s} for vehicle {v} outside [0, {frame_length})")
 
+    # only occupied slots do anything; the frame ends at the tick after
+    # the last contender decides (every contender decides by its own slot)
+    by_slot: dict[int, list[int]] = {}
+    for v in g.vertices:
+        by_slot.setdefault(slots[v], []).append(v)
     contenders = set(g.vertices)
     points: set[int] = set()
     ticks = 0
-    for s in range(frame_length):
+    for s in sorted(by_slot):
         if not contenders:
             break
-        ticks += 1
-        transmitters = {v for v in contenders if slots[v] == s}
+        ticks = s + 1
+        transmitters = [v for v in by_slot[s] if v in contenders]
         if not transmitters:
             continue
         points.update(transmitters)
         contenders.difference_update(transmitters)
-        dominated = set()
-        for v in contenders:
-            heard = sum(1 for u in g.neighbors(v) if u in transmitters)
-            if heard == 1:
-                dominated.add(v)
-        contenders.difference_update(dominated)
+        heard: dict[int, int] = {}
+        for u in transmitters:
+            for v in g.neighbors(u):
+                heard[v] = heard.get(v, 0) + 1
+        contenders.difference_update(v for v, times in heard.items() if times == 1)
     chosen = frozenset(points)
     return SelectionResult(
         aggregation_points=chosen,

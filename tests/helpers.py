@@ -2,6 +2,11 @@
 
 The Floyd-Warshall oracle here deliberately avoids the package's BFS code
 path: distances come from repeated min-plus relaxation over a dense matrix.
+
+The ``*_oracle`` functions are the package's earlier straightforward
+kernels, kept as references for the fast ones: the all-pairs unit-disk
+builder, per-source BFS closeness, the ``max()``-scan greedy pick and the
+tick-by-tick reservation frame.
 """
 
 from __future__ import annotations
@@ -11,7 +16,9 @@ import random
 
 import numpy as np
 
-from apsel.graph import SnapshotGraph
+from apsel.graph import SnapshotGraph, bfs_distances
+from apsel.mobility import RadioParams
+from apsel.selection import SelectionResult, assign_to_aggregation_points
 
 
 def path_graph(n: int) -> SnapshotGraph:
@@ -125,3 +132,89 @@ def mean_degree(g: SnapshotGraph) -> float:
 
 def euclid(a: tuple[float, float], b: tuple[float, float]) -> float:
     return math.dist(a, b)
+
+
+def udg_oracle(
+    snapshot: dict[int, tuple[float, float]], radio: RadioParams = RadioParams()
+) -> SnapshotGraph:
+    """Unit-disk graph by testing all n(n-1)/2 pairs; O(n^2) memory."""
+    ids = sorted(snapshot)
+    n = len(ids)
+    if n < 2:
+        return SnapshotGraph(ids, [])
+    pos = np.array([snapshot[v] for v in ids], dtype=float)
+    ii, jj = np.triu_indices(n, k=1)
+    diff = pos[ii] - pos[jj]
+    sq = (diff * diff).sum(axis=1)
+    within = sq <= radio.range_r * radio.range_r
+    edges = [(ids[i], ids[j]) for i, j in zip(ii[within], jj[within])]
+    return SnapshotGraph(ids, edges)
+
+
+def all_k_closeness_oracle(g: SnapshotGraph, k: int) -> tuple[dict[int, float], int]:
+    """k-limited closeness by one depth-limited BFS per vertex."""
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+    values: dict[int, float] = {}
+    total_edges = 0
+    for v in g.vertices:
+        dist, scanned = bfs_distances(g, v, k)
+        farness = sum(dist.values())
+        values[v] = 1.0 / farness if farness else 0.0
+        total_edges += scanned
+    return values, total_edges
+
+
+def centrality_select_oracle(g: SnapshotGraph, d: int = 1, k: int = 4) -> SelectionResult:
+    """Greedy pick that rescans the remaining pool with max() every round."""
+    centrality, examined = all_k_closeness_oracle(g, k)
+    remaining = set(g.vertices)
+    points: list[int] = []
+    while remaining:
+        v = max(remaining, key=lambda u: (centrality[u], -u))
+        points.append(v)
+        remaining.discard(v)
+        dist, _ = bfs_distances(g, v, d)
+        remaining.difference_update(dist)
+    chosen = frozenset(points)
+    return SelectionResult(
+        aggregation_points=chosen,
+        assignment=assign_to_aggregation_points(g, chosen, d),
+        algorithm_tag=f"centrality_d{d}_k{k}",
+        edges_examined=examined,
+    )
+
+
+def rb_select_with_slots_oracle(
+    g: SnapshotGraph, slots: dict[int, int], frame_length: int
+) -> SelectionResult:
+    """Reservation frame that scans every contender on every tick."""
+    contenders = set(g.vertices)
+    points: set[int] = set()
+    ticks = 0
+    for s in range(frame_length):
+        if not contenders:
+            break
+        ticks += 1
+        transmitters = {v for v in contenders if slots[v] == s}
+        if not transmitters:
+            continue
+        points.update(transmitters)
+        contenders.difference_update(transmitters)
+        dominated = set()
+        for v in contenders:
+            heard = sum(1 for u in g.neighbors(v) if u in transmitters)
+            if heard == 1:
+                dominated.add(v)
+        contenders.difference_update(dominated)
+    chosen = frozenset(points)
+    return SelectionResult(
+        aggregation_points=chosen,
+        assignment=assign_to_aggregation_points(g, chosen, 1),
+        algorithm_tag=f"rb_T{frame_length}",
+        slots_simulated=ticks,
+    )
+
+
+def adjacency(g: SnapshotGraph) -> dict[int, tuple[int, ...]]:
+    return {v: g.neighbors(v) for v in g.vertices}

@@ -195,6 +195,17 @@ class TestConfigFile:
         assert "bad.cfg:1" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("command", ["tune", "exact"])
+    def test_direction_rejected_where_graphs_are_unfiltered(self, tmp_path, capsys, command):
+        path = small_trace(tmp_path, duration=3.0)
+        cfgfile = tmp_path / "dir.cfg"
+        cfgfile.write_text(f"trace = {path}\ndirection = true\n")
+        extra = ["--out", str(tmp_path / "tuning.csv"), "--max-iterations", "2"] if command == "tune" else []
+        rc = main([command, "--config", str(cfgfile), *extra])
+        assert rc == 1
+        assert "direction is not supported" in capsys.readouterr().err
+
+
 class TestCompareCommand:
     def test_single_algorithm_summary_matches_run(self, tmp_path):
         path = small_trace(tmp_path)

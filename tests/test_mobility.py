@@ -90,6 +90,15 @@ class TestTraceCsv:
         with pytest.raises(TraceFormatError, match="line 2"):
             load_trace_csv(path)
 
+    @pytest.mark.parametrize(
+        "bad_row", ["nan,0,5.0,5.0", "inf,5,0.0,0.0", "1.0,2,nan,0.0", "1.0,3,0.0,-inf"]
+    )
+    def test_non_finite_value_reports_line(self, tmp_path, bad_row):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"time,id,x,y\n0.0,1,0.0,0.0\n1.0,1,10.0,0.0\n{bad_row}\n")
+        with pytest.raises(TraceFormatError, match="line 4: non-finite"):
+            load_trace_csv(path)
+
     def test_empty_body_rejected(self, tmp_path):
         path = tmp_path / "empty.csv"
         path.write_text("time,id,x,y\n")
