@@ -42,7 +42,6 @@ from .mobility import (
 )
 from .selection import (
     GraphSizeError,
-    SelectionParams,
     SelectionResult,
     assign_to_aggregation_points,
     brute_force_min_dominating_set,

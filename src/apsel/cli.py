@@ -12,7 +12,8 @@ Subcommands:
 Every output is a pure function of (config, seed): rerunning a command
 with the same inputs reproduces each CSV byte for byte. Settings come
 from a plain ``key = value`` config file, command-line flags, or both;
-flags win.
+a file may set exactly the running subcommand's own flags, and flags
+win.
 """
 
 from __future__ import annotations
@@ -20,7 +21,8 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
+from typing import Callable, NamedTuple
 
 from .metrics import (
     OffloadConstants,
@@ -55,11 +57,27 @@ __all__ = [
     "run_one_algorithm",
 ]
 
-ALGO_NAMES = ("centrality", "rb", "exact")
-
 
 class ConfigError(ValueError):
     """Raised for contradictory or incomplete run settings."""
+
+
+class _Algorithm(NamedTuple):
+    keys: tuple[str, ...]  # inline parameters it reads, besides direction
+    tag: str  # output file stem, formatted with the AlgoSpec's fields
+    select: Callable  # (AlgoSpec, graph, period seed) -> SelectionResult
+
+
+# The only place that knows the algorithms. Each selector is called
+# through its module-level name at call time, never stored here, so a
+# wrapper bound to that name (as bench/tracer.py installs) sees every call.
+ALGORITHMS = {
+    "centrality": _Algorithm(
+        ("d", "k"), "centrality_d{d}_k{k}", lambda a, g, seed: centrality_select(g, a.d, a.k)
+    ),
+    "rb": _Algorithm(("slots",), "rb_T{slots}", lambda a, g, seed: rb_select(g, a.slots, seed)),
+    "exact": _Algorithm(("d",), "exact_d{d}", lambda a, g, seed: exact_min_dominating_set(g, a.d)),
+}
 
 
 @dataclass(frozen=True)
@@ -73,20 +91,15 @@ class AlgoSpec:
     direction: bool = False
 
     def __post_init__(self):
-        if self.name not in ALGO_NAMES:
-            raise ConfigError(f"unknown algorithm {self.name!r}, expected one of {ALGO_NAMES}")
+        if self.name not in ALGORITHMS:
+            known = ", ".join(ALGORITHMS)
+            raise ConfigError(f"unknown algorithm {self.name!r}, expected one of {known}")
         if self.d < 1 or self.k < 1 or self.slots < 1:
             raise ConfigError(f"d, k, slots must all be >= 1 (got {self.d}, {self.k}, {self.slots})")
 
     @property
     def tag(self) -> str:
-        if self.name == "centrality":
-            base = f"centrality_d{self.d}_k{self.k}"
-        elif self.name == "rb":
-            base = f"rb_T{self.slots}"
-        else:
-            base = f"exact_d{self.d}"
-        return base + ("_dir" if self.direction else "")
+        return ALGORITHMS[self.name].tag.format_map(vars(self)) + ("_dir" if self.direction else "")
 
 
 def _parse_bool(text: str) -> bool:
@@ -98,19 +111,27 @@ def _parse_bool(text: str) -> bool:
     raise ConfigError(f"expected a boolean, got {text!r}")
 
 
-def parse_algo_spec(text: str, d=1, k=4, slots=256, direction=False) -> AlgoSpec:
-    """Parse 'name' or 'name:key=value,...'; unset keys fall back to the
-    supplied defaults (normally the global flags)."""
+def parse_algo_spec(text: str, **defaults) -> AlgoSpec:
+    """Parse 'name' or 'name:key=value,...'.
+
+    An inline key must be one the algorithm reads (its ALGORITHMS keys,
+    or direction). Unset keys fall back to ``defaults`` (normally the
+    global flags), then to AlgoSpec's own defaults.
+    """
     name, _, params = text.strip().partition(":")
-    fields = {"d": d, "k": k, "slots": slots, "direction": direction}
+    spec = AlgoSpec(name.strip(), **defaults)
+    readable = ALGORITHMS[spec.name].keys + ("direction",)
+    inline = {}
     if params:
         for item in params.split(","):
             key, sep, value = item.partition("=")
             key = key.strip()
-            if not sep or key not in fields:
+            if not sep:
                 raise ConfigError(f"bad algorithm parameter {item!r} in {text!r}")
-            fields[key] = _parse_bool(value) if key == "direction" else int(value)
-    return AlgoSpec(name=name.strip(), **fields)
+            if key not in readable:
+                raise ConfigError(f"{spec.name} reads {', '.join(readable)}, not {key!r}")
+            inline[key] = _parse_bool(value) if key == "direction" else int(value)
+    return replace(spec, **inline)
 
 
 @dataclass(frozen=True)
@@ -123,27 +144,39 @@ class GenParams:
 
 
 @dataclass(frozen=True)
-class RunConfig:
-    algos: tuple[AlgoSpec, ...]
+class TraceConfig:
+    """The trace a command reads (a file or a generated roadway), the
+    instants it reads and the radio that links vehicles."""
+
     trace_path: str | None = None
     gen: GenParams | None = None
     radio: RadioParams = RadioParams()
     period: float = 10.0
     t_start: float | None = None
     t_end: float | None = None
-    out_dir: str = "results"
     seed: int = 0
 
     def __post_init__(self):
-        if not self.algos:
-            raise ConfigError("at least one algorithm is required")
         if self.period <= 0:
             raise ConfigError(f"period must be positive, got {self.period}")
-        if self.trace_path is None and self.gen is None:
-            raise ConfigError("either a trace path or generator parameters are required")
+        if (self.trace_path is None) == (self.gen is None):
+            raise ConfigError("exactly one of --trace and a generator (--gen-*) is required")
 
 
-def _load_trace(cfg: RunConfig) -> Trace:
+@dataclass(frozen=True)
+class RunConfig(TraceConfig):
+    """What ``run`` and ``compare`` do: the algorithms and their output directory."""
+
+    algos: tuple[AlgoSpec, ...] = ()
+    out_dir: str = "results"
+
+    def __post_init__(self):
+        if not self.algos:
+            raise ConfigError("at least one algorithm (--algo) is required")
+        super().__post_init__()
+
+
+def _load_trace(cfg: TraceConfig) -> Trace:
     if cfg.trace_path is not None:
         return load_trace_csv(cfg.trace_path)
     g = cfg.gen
@@ -152,7 +185,7 @@ def _load_trace(cfg: RunConfig) -> Trace:
     )
 
 
-def _period_boundaries(trace: Trace, cfg: RunConfig) -> list[float]:
+def _period_boundaries(trace: Trace, cfg: TraceConfig) -> list[float]:
     lo, hi = trace.span
     start = lo if cfg.t_start is None else cfg.t_start
     end = hi if cfg.t_end is None else cfg.t_end
@@ -167,15 +200,6 @@ def _period_boundaries(trace: Trace, cfg: RunConfig) -> list[float]:
         boundaries.append(t)
         i += 1
     return boundaries
-
-
-def _select(algo: AlgoSpec, graph, period_index: int, seed: int):
-    if algo.name == "centrality":
-        return centrality_select(graph, algo.d, algo.k)
-    if algo.name == "rb":
-        period_seed = (seed * 1_000_003 + period_index) % 2**63
-        return rb_select(graph, algo.slots, period_seed)
-    return exact_min_dominating_set(graph, algo.d)
 
 
 def run_one_algorithm(trace: Trace, algo: AlgoSpec, cfg: RunConfig) -> list[PeriodMetrics]:
@@ -212,7 +236,8 @@ def run_one_algorithm(trace: Trace, algo: AlgoSpec, cfg: RunConfig) -> list[Peri
             graph, _ = build_direction_constrained_udg(snapshot, prev_snapshot, cfg.radio)
         else:
             graph = build_udg(snapshot, cfg.radio)
-        result = _select(algo, graph, index, cfg.seed)
+        period_seed = (cfg.seed * 1_000_003 + index) % 2**63
+        result = ALGORITHMS[algo.name].select(algo, graph, period_seed)
         points = result.aggregation_points
         rows.append(
             PeriodMetrics(
@@ -272,68 +297,57 @@ def cmd_compare(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_gen_trace(args) -> int:
-    trace = generate_two_way_roadway(
-        args.n, args.area, args.duration, (args.speed_min, args.speed_max), seed=args.seed
-    )
-    write_trace_csv(trace, args.out)
-    print(f"{len(trace)} samples, {len(trace.vehicles)} vehicles -> {args.out}")
+def cmd_gen_trace(s: dict) -> int:
+    out = s.get("out", "trace.csv")
+    cfg = TraceConfig(gen=GenParams(**_fields(s, GenParams)), **_fields(s, TraceConfig))
+    trace = _load_trace(cfg)
+    write_trace_csv(trace, out)
+    print(f"{len(trace)} samples, {len(trace.vehicles)} vehicles -> {out}")
     return 0
 
 
-def cmd_tune(args, cfg: RunConfig) -> int:
+def cmd_tune(s: dict) -> int:
+    cfg = _trace_config(TraceConfig, s)
+    out = s.get("out", "tuning.csv")
+    # --d-max N searches d in [1, N], likewise --k-max; unset ones keep TunerConfig's box
+    box = {f"{x}_bounds": (1, s[f"{x}_max"]) for x in "dk" if f"{x}_max" in s}
+    tuner_cfg = TunerConfig(**_fields(s, TunerConfig), **box)
     trace = _load_trace(cfg)
-    times = _period_boundaries(trace, cfg)
-    tuner_cfg = TunerConfig(
-        max_iterations=args.max_iterations,
-        d_bounds=(1, args.d_max),
-        k_bounds=(1, args.k_max),
-    )
-    result = tune_parameters(trace, times, tuner_cfg, cfg.radio)
-    write_tuning_trajectory_csv(result, args.out)
+    result = tune_parameters(trace, _period_boundaries(trace, cfg), tuner_cfg, cfg.radio)
+    write_tuning_trajectory_csv(result, out)
     print(
         f"d={result.d} k={result.k} rate={result.value:.4f}"
-        f" evaluations={result.n_evaluations} -> {args.out}"
+        f" evaluations={result.n_evaluations} -> {out}"
     )
     return 0
 
 
-def cmd_exact(args, cfg: RunConfig) -> int:
+def cmd_exact(s: dict) -> int:
+    cfg = _trace_config(TraceConfig, s)
+    spec = AlgoSpec("exact", **_fields(s, AlgoSpec))
     trace = _load_trace(cfg)
-    t = trace.span[0] if args.time is None else args.time
+    t = s.get("time", trace.span[0])
     snapshot = trace.positions_at(t)
     if not snapshot:
         raise ConfigError(f"no vehicles sampled at t={t}")
     graph = build_udg(snapshot, cfg.radio)
-    result = exact_min_dominating_set(graph, args.d)
+    result = exact_min_dominating_set(graph, spec.d)
     print(f"n_aps={len(result.aggregation_points)}")
     print(f"members={sorted(result.aggregation_points)}")
     return 0
 
 
-def _read_config_file(path) -> dict[str, str]:
-    out = {}
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            key, sep, value = line.partition("=")
-            if not sep:
-                raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {raw.rstrip()!r}")
-            out[key.strip().replace("-", "_")] = value.strip()
-    return out
-
-
 def _add_source_flags(p):
     p.add_argument("--config", help="key = value settings file; flags override it")
-    p.add_argument("--trace", help="trace CSV (time,id,x,y)")
+    p.add_argument("--trace", dest="trace_path", metavar="TRACE", help="trace CSV (time,id,x,y)")
     p.add_argument("--gen-n", type=int, help="generate a roadway trace with this many vehicles")
     p.add_argument("--gen-area", type=float, help="generated roadway length in meters")
     p.add_argument("--gen-duration", type=float, help="generated trace duration in seconds")
     p.add_argument("--gen-speed-min", type=float, help="generated minimum speed in m/s")
     p.add_argument("--gen-speed-max", type=float, help="generated maximum speed in m/s")
-    p.add_argument("--radius", type=float, help="radio range in meters (default 100)")
+    p.add_argument(
+        "--radius", dest="range_r", type=float, metavar="R", help="radio range in m (default 100)"
+    )
     p.add_argument("--seed", type=int, help="RNG seed (default 0)")
 
 
@@ -343,126 +357,136 @@ def _add_run_flags(p):
         "--algo",
         action="append",
         metavar="NAME[:k=v,...]",
-        help="centrality | rb | exact, with optional d=, k=, slots=, direction=; repeatable",
+        help=" | ".join(f"{n}[:{'=,'.join(a.keys)}=]" for n, a in ALGORITHMS.items())
+        + ", each also direction=; repeatable",
     )
     p.add_argument("--d", type=int, help="domination radius in hops (default 1)")
     p.add_argument("--k", type=int, help="centrality horizon in hops (default 4)")
     p.add_argument("--slots", type=int, help="reservation frame length (default 256)")
-    p.add_argument(
-        "--direction", action="store_true", default=None, help="drop links between opposing headings"
-    )
+    p.add_argument("--direction", action="store_true", help="drop links between opposing headings")
     p.add_argument("--period", type=float, help="delivery period in seconds (default 10)")
     p.add_argument("--t-start", type=float, help="window start (default trace start)")
     p.add_argument("--t-end", type=float, help="window end (default trace end)")
-    p.add_argument("--out", help="output directory (default results)")
+    p.add_argument("--out", dest="out_dir", metavar="DIR", help="output dir (default results)")
 
 
 def _build_parser():
+    """The argument parser and each subcommand's own parser, by name.
+
+    A flag not given is absent (argparse.SUPPRESS): the config file, then
+    the dataclass defaults, fill it."""
     parser = argparse.ArgumentParser(
         prog="apsel", description="aggregation-point selection on vehicle traces"
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    _add_run_flags(sub.add_parser("run", help="per-period selection, one metrics CSV per algorithm"))
-    _add_run_flags(sub.add_parser("compare", help="run plus merged summary CSV"))
+    def command(name, help):
+        return sub.add_parser(name, help=help, argument_default=argparse.SUPPRESS)
 
-    g = sub.add_parser("gen-trace", help="write a synthetic two-way roadway trace")
-    g.add_argument("--n", type=int, default=50)
-    g.add_argument("--area", type=float, default=1000.0)
-    g.add_argument("--duration", type=float, default=60.0)
-    g.add_argument("--speed-min", type=float, default=8.0)
-    g.add_argument("--speed-max", type=float, default=14.0)
-    g.add_argument("--seed", type=int, default=0)
-    g.add_argument("--out", default="trace.csv")
+    _add_run_flags(command("run", "per-period selection, one metrics CSV per algorithm"))
+    _add_run_flags(command("compare", "run plus merged summary CSV"))
 
-    t = sub.add_parser("tune", help="search (d, k) maximizing mean aggregation rate")
+    g = command("gen-trace", "write a synthetic two-way roadway trace")
+    g.add_argument("--n", type=int)
+    g.add_argument("--area", type=float)
+    g.add_argument("--duration", type=float)
+    g.add_argument("--speed-min", type=float)
+    g.add_argument("--speed-max", type=float)
+    g.add_argument("--seed", type=int)
+    g.add_argument("--out", help="trace CSV path (default trace.csv)")
+
+    t = command("tune", "search (d, k) maximizing mean aggregation rate")
     _add_source_flags(t)
     t.add_argument("--period", type=float, help="sampling stride over the trace (default 10)")
     t.add_argument("--t-start", type=float)
     t.add_argument("--t-end", type=float)
-    t.add_argument("--max-iterations", type=int, default=500)
-    t.add_argument("--d-max", type=int, default=10)
-    t.add_argument("--k-max", type=int, default=10)
-    t.add_argument("--out", default="tuning.csv", help="trajectory CSV path")
+    t.add_argument("--max-iterations", type=int)
+    t.add_argument("--d-max", type=int)
+    t.add_argument("--k-max", type=int)
+    t.add_argument("--out", help="trajectory CSV path (default tuning.csv)")
 
-    e = sub.add_parser("exact", help="optimal point set for one snapshot")
+    e = command("exact", "optimal point set for one snapshot")
     _add_source_flags(e)
     e.add_argument("--time", type=float, help="snapshot instant (default trace start)")
-    e.add_argument("--d", type=int, default=1)
+    e.add_argument("--d", type=int)
 
-    return parser
+    return parser, sub.choices
 
 
-def _build_run_config(args, need_algos=True) -> RunConfig:
-    file_cfg = _read_config_file(args.config) if getattr(args, "config", None) else {}
+def _flag_value(action: argparse.Action, text: str):
+    """A config-file value, converted as its flag would convert it."""
+    if action.nargs == 0:  # a switch such as --direction
+        return _parse_bool(text)
+    if isinstance(action, argparse._AppendAction):  # algo: several names
+        return text.replace(";", " ").split()
+    return action.type(text) if action.type else text
 
-    def pick(name, conv, default):
-        flag = getattr(args, name, None)
-        if flag is not None:
-            return flag
-        if name in file_cfg:
-            raw = file_cfg[name]
-            return _parse_bool(raw) if conv is bool else conv(raw)
-        return default
 
-    d = pick("d", int, 1)
-    k = pick("k", int, 4)
-    slots = pick("slots", int, 256)
-    direction = pick("direction", bool, False)
+def _settings(parser: argparse.ArgumentParser, args: argparse.Namespace) -> dict:
+    """One subcommand's settings, keyed by flag destination: its explicit
+    flags over its config file. A file key must name one of the
+    subcommand's flags (dashes or underscores). A setting given nowhere
+    is absent, so the dataclass defaults apply."""
+    given = dict(vars(args))
+    path = given.pop("config", None)
+    if path is None:
+        return given
+    flags = {
+        option[2:].replace("-", "_"): action
+        for action in parser._actions
+        for option in action.option_strings
+        if option.startswith("--") and action.dest not in ("help", "config")
+    }
+    from_file = {}
+    with open(path) as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            line = raw.split("#", 1)[0].strip()
+            if not line:
+                continue
+            key, sep, value = line.partition("=")
+            key = key.strip().replace("-", "_")
+            where = f"{path}:{lineno}"
+            if not sep:
+                raise ConfigError(f"{where}: expected 'key = value', got {raw.rstrip()!r}")
+            if key not in flags:
+                raise ConfigError(f"{where}: {key} is not supported by {parser.prog}")
+            try:
+                from_file[flags[key].dest] = _flag_value(flags[key], value.strip())
+            except ValueError as exc:
+                raise ConfigError(f"{where}: {key}: {exc}") from None
+    return {**from_file, **given}
 
-    algo_texts = getattr(args, "algo", None)
-    if algo_texts is None and "algo" in file_cfg:
-        algo_texts = file_cfg["algo"].replace(";", " ").split()
-    if need_algos:
-        if not algo_texts:
-            raise ConfigError("at least one --algo is required")
-        algos = tuple(parse_algo_spec(a, d, k, slots, direction) for a in algo_texts)
-    else:
-        if direction:
-            raise ConfigError(f"{args.command} builds unfiltered graphs; direction is not supported")
-        algos = (AlgoSpec("centrality", d=d, k=k, slots=slots),)
 
-    trace_path = pick("trace", str, None)
-    gen_n = pick("gen_n", int, None)
-    gen = None
-    if gen_n is not None:
-        gen = GenParams(
-            n=gen_n,
-            area=pick("gen_area", float, 1000.0),
-            duration=pick("gen_duration", float, 60.0),
-            speed_min=pick("gen_speed_min", float, 8.0),
-            speed_max=pick("gen_speed_max", float, 14.0),
-        )
-    if trace_path is not None and gen is not None:
-        raise ConfigError("--trace and --gen-n are mutually exclusive")
+def _fields(s: dict, cls, prefix: str = "") -> dict:
+    """The settings named prefix + a field of dataclass cls, keyed by field."""
+    return {f.name: s[prefix + f.name] for f in fields(cls) if prefix + f.name in s}
 
-    return RunConfig(
-        algos=algos,
-        trace_path=trace_path,
-        gen=gen,
-        radio=RadioParams(range_r=pick("radius", float, 100.0)),
-        period=pick("period", float, 10.0),
-        t_start=pick("t_start", float, None),
-        t_end=pick("t_end", float, None),
-        out_dir=pick("out", str, "results"),
-        seed=pick("seed", int, 0),
+
+def _trace_config(cls, s: dict, **extra):
+    """A TraceConfig or RunConfig from settings; absent ones keep the defaults."""
+    gen = _fields(s, GenParams, "gen_")
+    return cls(
+        gen=GenParams(**gen) if gen else None,
+        radio=RadioParams(**_fields(s, RadioParams)),
+        **_fields(s, cls),
+        **extra,
     )
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    parser, commands = _build_parser()
+    args = parser.parse_args(argv)
     try:
-        if args.command == "run":
-            return cmd_run(_build_run_config(args))
-        if args.command == "compare":
-            return cmd_compare(_build_run_config(args))
+        s = _settings(commands[args.command], args)
         if args.command == "gen-trace":
-            return cmd_gen_trace(args)
+            return cmd_gen_trace(s)
         if args.command == "tune":
-            return cmd_tune(args, _build_run_config(args, need_algos=False))
+            return cmd_tune(s)
         if args.command == "exact":
-            return cmd_exact(args, _build_run_config(args, need_algos=False))
-        raise ConfigError(f"unknown command {args.command!r}")
+            return cmd_exact(s)
+        algos = tuple(parse_algo_spec(text, **_fields(s, AlgoSpec)) for text in s.get("algo", ()))
+        cfg = _trace_config(RunConfig, s, algos=algos)
+        return cmd_run(cfg) if args.command == "run" else cmd_compare(cfg)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -49,15 +49,12 @@ class OffloadConstants:
 
     packet_size_eps: int = 120
     delivery_period: float = 10.0
-    collect_interval: float = 5.0
 
     def __post_init__(self):
         if self.packet_size_eps <= 0:
             raise ValueError(f"packet_size_eps must be positive, got {self.packet_size_eps}")
         if self.delivery_period <= 0:
             raise ValueError(f"delivery_period must be positive, got {self.delivery_period}")
-        if self.collect_interval <= 0:
-            raise ValueError(f"collect_interval must be positive, got {self.collect_interval}")
 
 
 def aggregation_rate(n_aps: int, n_vehicles: int) -> float:

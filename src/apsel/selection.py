@@ -26,7 +26,6 @@ from .graph import SnapshotGraph, UnknownVehicleError, all_k_closeness, bfs_dist
 
 __all__ = [
     "GraphSizeError",
-    "SelectionParams",
     "SelectionResult",
     "assign_to_aggregation_points",
     "brute_force_min_dominating_set",
@@ -43,32 +42,6 @@ class GraphSizeError(ValueError):
 
 
 @dataclass(frozen=True)
-class SelectionParams:
-    """Knobs shared by the selectors.
-
-    d is the domination radius in hops, k the centrality horizon, slots
-    the reservation-frame length T, seed the RNG seed for the slotted
-    draw. max_hops only bounds d during validation.
-    """
-
-    d: int = 1
-    k: int = 4
-    slots: int = 256
-    seed: int = 0
-    max_hops: int = 10
-
-    def __post_init__(self):
-        if self.d < 1:
-            raise ValueError(f"d must be >= 1, got {self.d}")
-        if self.k < 1:
-            raise ValueError(f"k must be >= 1, got {self.k}")
-        if self.slots < 1:
-            raise ValueError(f"slots must be >= 1, got {self.slots}")
-        if self.d > self.max_hops:
-            raise ValueError(f"d={self.d} exceeds max_hops={self.max_hops}")
-
-
-@dataclass(frozen=True)
 class SelectionResult:
     """Outcome of one selection round.
 
@@ -82,9 +55,25 @@ class SelectionResult:
 
     aggregation_points: frozenset[int]
     assignment: dict[int, int] = field(default_factory=dict)
-    algorithm_tag: str = ""
     edges_examined: int = 0
     slots_simulated: int = 0
+
+
+def _nearest_points(balls: dict[int, dict[int, int]]) -> dict[int, int]:
+    """Map each non-point vehicle in some point's ball to its closest point.
+
+    balls maps each aggregation point to its {vehicle: hops} ball. Ties
+    on hop distance break toward the lowest point id.
+    """
+    best: dict[int, tuple[int, int]] = {}
+    for p, dist in balls.items():
+        for v, hops in dist.items():
+            if v in balls:
+                continue
+            key = (hops, p)
+            if v not in best or key < best[v]:
+                best[v] = key
+    return {v: p for v, (_, p) in sorted(best.items())}
 
 
 def assign_to_aggregation_points(
@@ -95,18 +84,7 @@ def assign_to_aggregation_points(
     Ties on hop distance break toward the lowest point id. Vehicles
     farther than d hops from every point are left out.
     """
-    best: dict[int, tuple[int, int]] = {}
-    for p in sorted(points):
-        if p not in g:
-            raise UnknownVehicleError(p)
-        dist, _ = bfs_distances(g, p, d)
-        for v, hops in dist.items():
-            if v == p or v in points:
-                continue
-            key = (hops, p)
-            if v not in best or key < best[v]:
-                best[v] = key
-    return {v: p for v, (_, p) in sorted(best.items())}
+    return _nearest_points({p: bfs_distances(g, p, d)[0] for p in sorted(points)})
 
 
 def verify_domination(g: SnapshotGraph, points, d: int) -> bool:
@@ -150,16 +128,16 @@ def centrality_select(g: SnapshotGraph, d: int = 1, k: int = 4) -> SelectionResu
     # scores never change, so the best remaining vehicle is always the
     # first uncovered one in a single (score desc, id asc) ranking
     covered: set[int] = set()
-    points: list[int] = []
+    balls: dict[int, dict[int, int]] = {}
     for v in sorted(g.vertices, key=lambda u: (-centrality[u], u)):
         if v not in covered:
-            points.append(v)
-            covered.update(bfs_distances(g, v, d)[0])
-    chosen = frozenset(points)
+            balls[v] = bfs_distances(g, v, d)[0]
+            covered.update(balls[v])
+    # each point lies outside every other point's ball, so these balls
+    # are exactly the searches assign_to_aggregation_points would repeat
     return SelectionResult(
-        aggregation_points=chosen,
-        assignment=assign_to_aggregation_points(g, chosen, d),
-        algorithm_tag=f"centrality_d{d}_k{k}",
+        aggregation_points=frozenset(balls),
+        assignment=_nearest_points(balls),
         edges_examined=examined,
     )
 
@@ -210,7 +188,6 @@ def rb_select_with_slots(
     return SelectionResult(
         aggregation_points=chosen,
         assignment=assign_to_aggregation_points(g, chosen, 1),
-        algorithm_tag=f"rb_T{frame_length}",
         slots_simulated=ticks,
     )
 
@@ -282,7 +259,7 @@ def exact_min_dominating_set(
             f"graph has {g.n_vertices} vertices, exact solver capped at {max_vertices}"
         )
     if not g.n_vertices:
-        return SelectionResult(frozenset(), algorithm_tag=f"exact_d{d}")
+        return SelectionResult(frozenset())
 
     closed, examined = _closed_neighborhoods(g, d)
     vertices = list(g.vertices)
@@ -318,7 +295,6 @@ def exact_min_dominating_set(
     return SelectionResult(
         aggregation_points=chosen,
         assignment=assign_to_aggregation_points(g, chosen, d),
-        algorithm_tag=f"exact_d{d}",
         edges_examined=examined,
     )
 

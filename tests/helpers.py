@@ -180,7 +180,6 @@ def centrality_select_oracle(g: SnapshotGraph, d: int = 1, k: int = 4) -> Select
     return SelectionResult(
         aggregation_points=chosen,
         assignment=assign_to_aggregation_points(g, chosen, d),
-        algorithm_tag=f"centrality_d{d}_k{k}",
         edges_examined=examined,
     )
 
@@ -211,7 +210,6 @@ def rb_select_with_slots_oracle(
     return SelectionResult(
         aggregation_points=chosen,
         assignment=assign_to_aggregation_points(g, chosen, 1),
-        algorithm_tag=f"rb_T{frame_length}",
         slots_simulated=ticks,
     )
 

@@ -49,6 +49,14 @@ class TestAlgoSpec:
         with pytest.raises(ConfigError):
             parse_algo_spec("rb:frames=9")
 
+    @pytest.mark.parametrize("text,key", [("rb:d=3,k=9", "d"), ("exact:k=9,slots=3", "k")])
+    def test_key_the_algorithm_does_not_read(self, tmp_path, capsys, text, key):
+        path = small_trace(tmp_path, duration=3.0)
+        rc = main(["run", "--trace", str(path), "--algo", text, "--out", str(tmp_path / "x")])
+        assert rc == 1
+        assert f"'{key}'" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
     def test_bad_value(self):
         with pytest.raises(ValueError):
             parse_algo_spec("rb:slots=many")
@@ -194,6 +202,37 @@ class TestConfigFile:
         assert rc == 1
         assert "bad.cfg:1" in capsys.readouterr().err
 
+
+    @pytest.mark.parametrize("command,key", [("run", "perod"), ("tune", "k")])
+    def test_key_that_is_not_a_flag_fails(self, tmp_path, capsys, monkeypatch, command, key):
+        monkeypatch.chdir(tmp_path)
+        path = small_trace(tmp_path, duration=3.0)
+        cfgfile = tmp_path / "typo.cfg"
+        cfgfile.write_text(f"{key} = 5\ntrace = {path}\n")
+        rc = main([command, "--config", str(cfgfile)])
+        assert rc == 1
+        assert f"typo.cfg:1: {key} " in capsys.readouterr().err
+
+    def test_exact_reads_d_from_file(self, tmp_path, capsys):
+        path = small_trace(tmp_path, n=12, duration=2.0, area=300.0)
+        outputs = []
+        for extra in (["--d", "1"], ["--d", "2"]):
+            assert main(["exact", "--trace", str(path), *extra]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] != outputs[1]
+        cfgfile = tmp_path / "exact.cfg"
+        cfgfile.write_text(f"trace = {path}\nd = 2\n")
+        assert main(["exact", "--config", str(cfgfile)]) == 0
+        assert capsys.readouterr().out == outputs[1]
+
+    def test_tune_writes_to_file_out(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        path = small_trace(tmp_path, duration=3.0)
+        cfgfile = tmp_path / "tune.cfg"
+        cfgfile.write_text(f"trace = {path}\nout = x.csv\nmax-iterations = 2\n")
+        assert main(["tune", "--config", str(cfgfile)]) == 0
+        assert (tmp_path / "x.csv").exists()
+        assert not (tmp_path / "tuning.csv").exists()
 
     @pytest.mark.parametrize("command", ["tune", "exact"])
     def test_direction_rejected_where_graphs_are_unfiltered(self, tmp_path, capsys, command):

@@ -70,8 +70,6 @@ class TestUploadCost:
             OffloadConstants(packet_size_eps=0)
         with pytest.raises(ValueError):
             OffloadConstants(delivery_period=0.0)
-        with pytest.raises(ValueError):
-            OffloadConstants(collect_interval=-1.0)
 
     @given(a=st.integers(0, 10_000))
     def test_linear_in_points(self, a):

@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 from apsel.graph import SnapshotGraph, UnknownVehicleError
 from apsel.selection import (
     GraphSizeError,
-    SelectionParams,
     SelectionResult,
     assign_to_aggregation_points,
     brute_force_min_dominating_set,
@@ -22,17 +21,6 @@ graph_seeds = st.integers(0, 2**32 - 1)
 
 def triangle():
     return SnapshotGraph(range(3), [(0, 1), (1, 2), (0, 2)])
-
-
-class TestParams:
-    def test_defaults_valid(self):
-        p = SelectionParams()
-        assert (p.d, p.k, p.slots) == (1, 4, 256)
-
-    @pytest.mark.parametrize("bad", [dict(d=0), dict(k=0), dict(slots=0), dict(d=11)])
-    def test_rejects_out_of_range(self, bad):
-        with pytest.raises(ValueError):
-            SelectionParams(**bad)
 
 
 class TestVerifyDomination:
@@ -97,9 +85,6 @@ class TestCentralitySelect:
     def test_empty_graph(self):
         res = centrality_select(SnapshotGraph([], []), 1, 4)
         assert res.aggregation_points == frozenset()
-
-    def test_tag(self):
-        assert centrality_select(path_graph(2), 2, 3).algorithm_tag == "centrality_d2_k3"
 
     @given(seed=graph_seeds, n=st.integers(1, 40), d=st.integers(1, 3), k=st.integers(1, 6))
     def test_output_always_dominates(self, seed, n, d, k):
