@@ -186,6 +186,9 @@ def _load_trace(cfg: TraceConfig) -> Trace:
 
 
 def _period_boundaries(trace: Trace, cfg: TraceConfig) -> list[float]:
+    """The instants start + i * period up to the window end, each replaced
+    by the sampled instant it rounds to; one that rounds to none stays as
+    computed and reads as an empty snapshot."""
     lo, hi = trace.span
     start = lo if cfg.t_start is None else cfg.t_start
     end = hi if cfg.t_end is None else cfg.t_end
@@ -195,6 +198,9 @@ def _period_boundaries(trace: Trace, cfg: TraceConfig) -> list[float]:
     i = 0
     while True:
         t = start + i * cfg.period
+        sampled = trace.instant_near(t)
+        if sampled is not None:
+            t = sampled
         if t > end + 1e-9:
             break
         boundaries.append(t)
@@ -232,7 +238,8 @@ def run_one_algorithm(trace: Trace, algo: AlgoSpec, cfg: RunConfig) -> list[Peri
             prev_points, prev_assignment = frozenset(), {}
             continue
         if algo.direction:
-            prev_snapshot = trace.positions_at(t - trace.sampling_period)
+            before = trace.instant_before(t)
+            prev_snapshot = {} if before is None else trace.positions_at(before)
             graph, _ = build_direction_constrained_udg(snapshot, prev_snapshot, cfg.radio)
         else:
             graph = build_udg(snapshot, cfg.radio)

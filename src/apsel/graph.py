@@ -171,21 +171,15 @@ def k_closeness(g: SnapshotGraph, v: int, k: int) -> float:
     return 1.0 / farness if farness else 0.0
 
 
-def all_k_closeness(g: SnapshotGraph, k: int) -> tuple[dict[int, float], int]:
-    """k-limited closeness for every vertex, plus total edges examined.
+def reach_rounds(g: SnapshotGraph, k: int) -> Iterator[tuple[list[int], list[int]]]:
+    """Bit-parallel BFS from every vertex at once, one round per hop.
 
-    All sources advance together as bit-parallel BFS (Then et al., VLDB
-    2014): bit j of ``reach[i]`` is set once vertex j is within h hops of
-    vertex i, and round h ORs each vertex's set with its neighbors' sets.
-    The bits that appear in round h are the vertices at exactly h hops, so
-    farness is the sum of h times their count. The values equal k
-    independent depth-limited searches, one per vertex.
-
-    The edge count is the work those searches would do, which feeds the
-    computational-cost metric: a search from s scans the adjacency of each
-    vertex u with d(s, u) < k, so the total is the sum over u of
-    deg(u) * |R_{k-1}(u)|, where R_{k-1}(u) holds the vertices within
-    k - 1 hops of u (hop distance is symmetric).
+    Vertices are numbered by their position in ``g.vertices``. Yields
+    ``(reach, sizes)`` for h = 0, 1, ..., k: bit j of ``reach[i]`` is set
+    iff vertex j lies within h hops of vertex i, and ``sizes[i]`` counts
+    those bits. Round h ORs each vertex's set with its neighbors' sets
+    (Then et al., VLDB 2014). Once a round adds nothing, every later
+    round would repeat it, so the same two lists are yielded again.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
@@ -193,23 +187,46 @@ def all_k_closeness(g: SnapshotGraph, k: int) -> tuple[dict[int, float], int]:
     nbrs = [[index[u] for u in g.neighbors(v)] for v in g.vertices]
     reach = [1 << i for i in range(len(nbrs))]
     sizes = [1] * len(nbrs)
-    farness = [0] * len(nbrs)
+    yield reach, sizes
     for h in range(1, k + 1):
-        # searches expand the vertices within h - 1 hops in round h
-        total_edges = sum(len(nb) * size for nb, size in zip(nbrs, sizes))
         grown = []
-        added = 0
         for i, nb in enumerate(nbrs):
             acc = reach[i]
             for u in nb:
                 acc |= reach[u]
-            new = acc.bit_count() - sizes[i]
-            farness[i] += h * new
-            sizes[i] += new
-            added += new
             grown.append(acc)
-        if not added:
-            break  # R_h = R_{h-1}: later rounds add nothing and expand the same sets
-        reach = grown
+        grown_sizes = [r.bit_count() for r in grown]
+        if grown_sizes == sizes:
+            for _ in range(h, k + 1):
+                yield reach, sizes
+            return
+        reach, sizes = grown, grown_sizes
+        yield reach, sizes
+
+
+def edges_examined(g: SnapshotGraph, sizes: list[int]) -> int:
+    """Adjacency entries scanned by one depth-limited search per vertex.
+
+    ``sizes`` holds |R_{k-1}(u)| for each vertex u by position, from
+    ``reach_rounds``. A search from s cut off at k hops scans the
+    adjacency of each u with d(s, u) < k, and hop distance is symmetric,
+    so the total is the sum over u of deg(u) * |R_{k-1}(u)|.
+    """
+    return sum(len(g.neighbors(v)) * size for v, size in zip(g.vertices, sizes))
+
+
+def all_k_closeness(g: SnapshotGraph, k: int) -> tuple[dict[int, float], int]:
+    """k-limited closeness for every vertex, plus total edges examined.
+
+    The bits that first appear in round h of ``reach_rounds`` are the
+    vertices at exactly h hops, so farness is the sum of h times their
+    count. The values equal k independent depth-limited searches, one per
+    vertex, and the edge count is the work those searches would do, which
+    feeds the computational-cost metric.
+    """
+    rounds = [sizes for _, sizes in reach_rounds(g, k)]
+    farness = [0] * g.n_vertices
+    for h in range(1, k + 1):
+        farness = [f + h * (s - p) for f, s, p in zip(farness, rounds[h], rounds[h - 1])]
     values = {v: 1.0 / f if f else 0.0 for v, f in zip(g.vertices, farness)}
-    return values, total_edges
+    return values, edges_examined(g, rounds[k - 1])

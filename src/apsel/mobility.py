@@ -12,6 +12,7 @@ direction-neutral and keeps all its links.
 
 from __future__ import annotations
 
+import bisect
 import csv
 import math
 import random
@@ -38,6 +39,10 @@ __all__ = [
 ]
 
 TRACE_HEADER = ["time", "id", "x", "y"]
+# Two times closer than this fraction of the sampling period name the same
+# instant: period boundaries are sums of float steps, and trace times are
+# decimals read from text, so the two rarely agree to the last bit.
+TIME_TOLERANCE = 1e-6
 
 
 class TraceFormatError(ValueError):
@@ -101,6 +106,22 @@ class Trace:
 
     def positions_at(self, t: float) -> dict[int, tuple[float, float]]:
         return dict(self._by_time.get(t, {}))
+
+    def instant_near(self, t: float) -> float | None:
+        """The sampled instant nearest t, or None if it lies more than
+        TIME_TOLERANCE sampling periods away."""
+        i = bisect.bisect_left(self._times, t)
+        near = min(self._times[max(i - 1, 0) : i + 1], key=lambda s: abs(s - t))
+        return near if abs(near - t) <= TIME_TOLERANCE * self._period else None
+
+    def instant_before(self, t: float) -> float | None:
+        """The sampled instant preceding t, or None if there is none within
+        one sampling period (give or take TIME_TOLERANCE of one) before t."""
+        i = bisect.bisect_left(self._times, t)
+        if not i:
+            return None
+        before = self._times[i - 1]
+        return before if t - before <= (1 + TIME_TOLERANCE) * self._period else None
 
     def __len__(self):
         return len(self._points)

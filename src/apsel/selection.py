@@ -22,7 +22,14 @@ import random
 from collections import deque
 from dataclasses import dataclass, field
 
-from .graph import SnapshotGraph, UnknownVehicleError, all_k_closeness, bfs_distances
+from .graph import (
+    SnapshotGraph,
+    UnknownVehicleError,
+    all_k_closeness,
+    bfs_distances,
+    edges_examined,
+    reach_rounds,
+)
 
 __all__ = [
     "GraphSizeError",
@@ -51,12 +58,15 @@ class SelectionResult:
     computing whatever the selector needed (0 for the slotted draw,
     which does no graph search). slots_simulated is the number of
     reservation ticks processed (0 for the non-slotted selectors).
+    search_nodes is the number of branch-and-bound nodes the exact
+    solver visited, its root included (0 for the other selectors).
     """
 
     aggregation_points: frozenset[int]
     assignment: dict[int, int] = field(default_factory=dict)
     edges_examined: int = 0
     slots_simulated: int = 0
+    search_nodes: int = 0
 
 
 def _nearest_points(balls: dict[int, dict[int, int]]) -> dict[int, int]:
@@ -217,31 +227,6 @@ def _closed_neighborhoods(
     return closed, examined
 
 
-def _greedy_cover(vertices, closed) -> list[int]:
-    uncovered = set(vertices)
-    picked = []
-    while uncovered:
-        v = max(vertices, key=lambda u: (len(closed[u] & uncovered), -u))
-        picked.append(v)
-        uncovered -= closed[v]
-    return picked
-
-
-def _disjoint_packing_bound(uncovered, closed, order) -> int:
-    """Count uncovered vertices with pairwise-disjoint closed neighborhoods.
-
-    Any dominating set needs one point per packed vertex, so the count
-    lower-bounds the optimum restricted to what is still uncovered.
-    """
-    blocked: set[int] = set()
-    count = 0
-    for v in order:
-        if v in uncovered and not (closed[v] & blocked):
-            count += 1
-            blocked |= closed[v]
-    return count
-
-
 def exact_min_dominating_set(
     g: SnapshotGraph, d: int = 1, max_vertices: int = 200
 ) -> SelectionResult:
@@ -249,8 +234,9 @@ def exact_min_dominating_set(
 
     Branches on the uncovered vertex with the fewest potential coverers,
     prunes with a disjoint-neighborhood packing bound, and starts from
-    the greedy cover as incumbent. Worst case is exponential, hence the
-    max_vertices guard.
+    the greedy cover as incumbent. Vertex sets are int bitsets over
+    positions in ``g.vertices``, so bit order is id order. Worst case is
+    exponential, hence the max_vertices guard.
     """
     if d < 1:
         raise ValueError(f"d must be >= 1, got {d}")
@@ -261,41 +247,76 @@ def exact_min_dominating_set(
     if not g.n_vertices:
         return SelectionResult(frozenset())
 
-    closed, examined = _closed_neighborhoods(g, d)
-    vertices = list(g.vertices)
-    # coverers[v] = vertices whose closed neighborhood includes v
-    coverers: dict[int, list[int]] = {v: [] for v in vertices}
-    for u in vertices:
-        for v in closed[u]:
-            coverers[v].append(u)
-    for v in vertices:
-        coverers[v].sort()
+    rounds = list(reach_rounds(g, d))
+    # hop distance is symmetric, so a vertex's d-hop ball is also the set
+    # of vertices whose ball covers it: its coverers
+    balls, ball_sizes = rounds[d]
+    n = len(balls)
 
-    best = _greedy_cover(vertices, closed)
-    pack_order = sorted(vertices, key=lambda v: (len(closed[v]), v))
+    # greedy incumbent: the largest gain, lowest id on ties
+    best: list[int] = []
+    uncovered = (1 << n) - 1
+    candidates = list(range(n))
+    while uncovered:
+        gains = [(balls[i] & uncovered).bit_count() for i in candidates]
+        top = candidates[gains.index(max(gains))]
+        best.append(top)
+        uncovered &= ~balls[top]
+        candidates = [i for i, gain in zip(candidates, gains) if gain]
 
-    def branch(chosen: list[int], uncovered: set[int]):
-        nonlocal best
+    # the uncovered vertex with the fewest coverers is the first uncovered
+    # one in this order, which is also the packing bound's greedy order
+    order = sorted(range(n), key=lambda i: (ball_sizes[i], i))
+    nodes = 0
+
+    def branch(chosen: list[int], uncovered: int):
+        nonlocal best, nodes
+        nodes += 1
         if not uncovered:
             if len(chosen) < len(best):
                 best = list(chosen)
             return
-        if len(chosen) + _disjoint_packing_bound(uncovered, closed, pack_order) >= len(
-            best
-        ):
-            return
-        pivot = min(uncovered, key=lambda v: (len(coverers[v]), v))
-        for u in coverers[pivot]:
+        # every point set needs one point per uncovered vertex whose ball
+        # meets no other packed ball; prune once that reaches the incumbent
+        room = len(best) - len(chosen)
+        pivot = -1
+        packed = blocked = 0
+        for i in order:
+            if uncovered >> i & 1 and not balls[i] & blocked:
+                if pivot < 0:
+                    pivot = i
+                packed += 1
+                if packed >= room:
+                    return
+                blocked |= balls[i]
+        coverers = balls[pivot]
+        while coverers:
+            low = coverers & -coverers
+            u = low.bit_length() - 1
             chosen.append(u)
-            branch(chosen, uncovered - closed[u])
+            branch(chosen, uncovered & ~balls[u])
             chosen.pop()
+            coverers ^= low
 
-    branch([], set(vertices))
-    chosen = frozenset(best)
+    branch([], (1 << n) - 1)
+
+    # a non-point's closest points are the first round whose reach meets
+    # the point set; the lowest bit among them is the lowest id
+    vertices = g.vertices
+    points = sum(1 << i for i in best)
+    assignment = {}
+    for i in range(n):
+        if not points >> i & 1:
+            for reach, _ in rounds[1:]:
+                hit = reach[i] & points
+                if hit:
+                    assignment[vertices[i]] = vertices[(hit & -hit).bit_length() - 1]
+                    break
     return SelectionResult(
-        aggregation_points=chosen,
-        assignment=assign_to_aggregation_points(g, chosen, d),
-        edges_examined=examined,
+        aggregation_points=frozenset(vertices[i] for i in best),
+        assignment=assignment,
+        edges_examined=edges_examined(g, rounds[d - 1][1]),
+        search_nodes=nodes,
     )
 
 

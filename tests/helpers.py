@@ -5,8 +5,8 @@ path: distances come from repeated min-plus relaxation over a dense matrix.
 
 The ``*_oracle`` functions are the package's earlier straightforward
 kernels, kept as references for the fast ones: the all-pairs unit-disk
-builder, per-source BFS closeness, the ``max()``-scan greedy pick and the
-tick-by-tick reservation frame.
+builder, per-source BFS closeness, the ``max()``-scan greedy pick, the
+tick-by-tick reservation frame and the set-based exact branch and bound.
 """
 
 from __future__ import annotations
@@ -18,7 +18,12 @@ import numpy as np
 
 from apsel.graph import SnapshotGraph, bfs_distances
 from apsel.mobility import RadioParams
-from apsel.selection import SelectionResult, assign_to_aggregation_points
+from apsel.selection import (
+    GraphSizeError,
+    SelectionResult,
+    _closed_neighborhoods,
+    assign_to_aggregation_points,
+)
 
 
 def path_graph(n: int) -> SnapshotGraph:
@@ -76,6 +81,15 @@ def geometric_snapshot(
     return {
         i: (rng.uniform(0.0, area_side), rng.uniform(0.0, area_side)) for i in range(n)
     }
+
+
+def two_lane_strip(
+    n: int, length: float, seed: int
+) -> dict[int, tuple[float, float]]:
+    """n vehicles uniform along a two-lane road 4 m wide, even ids in the
+    lower lane: the benchmark's sparse exact snapshots at length 3000."""
+    rng = random.Random(seed)
+    return {v: (rng.uniform(0.0, length), 2.0 if v % 2 else -2.0) for v in range(n)}
 
 
 def hop_matrix(g: SnapshotGraph) -> tuple[list[int], np.ndarray]:
@@ -211,6 +225,92 @@ def rb_select_with_slots_oracle(
         aggregation_points=chosen,
         assignment=assign_to_aggregation_points(g, chosen, 1),
         slots_simulated=ticks,
+    )
+
+
+def _greedy_cover(vertices, closed) -> list[int]:
+    uncovered = set(vertices)
+    picked = []
+    while uncovered:
+        v = max(vertices, key=lambda u: (len(closed[u] & uncovered), -u))
+        picked.append(v)
+        uncovered -= closed[v]
+    return picked
+
+
+def _disjoint_packing_bound(uncovered, closed, order) -> int:
+    """Count uncovered vertices with pairwise-disjoint closed neighborhoods.
+
+    Any dominating set needs one point per packed vertex, so the count
+    lower-bounds the optimum restricted to what is still uncovered.
+    """
+    blocked: set[int] = set()
+    count = 0
+    for v in order:
+        if v in uncovered and not (closed[v] & blocked):
+            count += 1
+            blocked |= closed[v]
+    return count
+
+
+def exact_min_dominating_set_oracle(
+    g: SnapshotGraph, d: int = 1, max_vertices: int = 200
+) -> SelectionResult:
+    """Minimum d-hop dominating set via set-cover branch and bound.
+
+    Branches on the uncovered vertex with the fewest potential coverers,
+    prunes with a disjoint-neighborhood packing bound, and starts from
+    the greedy cover as incumbent. Worst case is exponential, hence the
+    max_vertices guard. Vertex sets are Python sets; search_nodes counts
+    the branch calls, so the fast solver's search tree can be compared.
+    """
+    if d < 1:
+        raise ValueError(f"d must be >= 1, got {d}")
+    if g.n_vertices > max_vertices:
+        raise GraphSizeError(
+            f"graph has {g.n_vertices} vertices, exact solver capped at {max_vertices}"
+        )
+    if not g.n_vertices:
+        return SelectionResult(frozenset())
+
+    closed, examined = _closed_neighborhoods(g, d)
+    vertices = list(g.vertices)
+    # coverers[v] = vertices whose closed neighborhood includes v
+    coverers: dict[int, list[int]] = {v: [] for v in vertices}
+    for u in vertices:
+        for v in closed[u]:
+            coverers[v].append(u)
+    for v in vertices:
+        coverers[v].sort()
+
+    best = _greedy_cover(vertices, closed)
+    pack_order = sorted(vertices, key=lambda v: (len(closed[v]), v))
+    nodes = 0
+
+    def branch(chosen: list[int], uncovered: set[int]):
+        nonlocal best, nodes
+        nodes += 1
+        if not uncovered:
+            if len(chosen) < len(best):
+                best = list(chosen)
+            return
+        if len(chosen) + _disjoint_packing_bound(uncovered, closed, pack_order) >= len(
+            best
+        ):
+            return
+        pivot = min(uncovered, key=lambda v: (len(coverers[v]), v))
+        for u in coverers[pivot]:
+            chosen.append(u)
+            branch(chosen, uncovered - closed[u])
+            chosen.pop()
+
+    branch([], set(vertices))
+    chosen = frozenset(best)
+    return SelectionResult(
+        aggregation_points=chosen,
+        assignment=assign_to_aggregation_points(g, chosen, d),
+        edges_examined=examined,
+        search_nodes=nodes,
     )
 
 

@@ -142,6 +142,43 @@ class TestRunCommand:
         assert middle.n_notifications == 1  # the lone point at t=0 steps down
         assert rows[2].n_notifications == 1  # and is elected anew at t=20
 
+    @staticmethod
+    def decimal_time_trace(tmp_path):
+        """6 vehicles at 10 Hz for 3 s, times written as 0.1, 0.2, 0.3, ...:
+        even ids drive east and odd ids west, all within range throughout."""
+        pts = [
+            TracePoint(round(i / 10, 1), v, (v // 2) * 5.0 + 30.0 * (v % 2) + (-1) ** v * i, 4.0 * (v % 2))
+            for i in range(31)
+            for v in range(6)
+        ]
+        path = tmp_path / "decimal.csv"
+        write_trace_csv(Trace(pts), path)
+        assert "\n0.3,0," in path.read_text()
+        return path
+
+    def test_decimal_times_resolve_to_samples(self, tmp_path):
+        # 0 + 3 * 0.1 is 0.30000000000000004, not the sampled 0.3
+        path = self.decimal_time_trace(tmp_path)
+        out = tmp_path / "res"
+        rc = main(["run", "--trace", str(path), "--algo", "centrality", "--period", "0.1",
+                   "--out", str(out)])
+        assert rc == 0
+        rows = read_period_metrics_csv(out / "centrality_d1_k4.csv")
+        assert [r.time for r in rows] == [round(i / 10, 1) for i in range(31)]
+        assert [r.n_vehicles for r in rows] == [6] * 31
+
+    def test_direction_finds_predecessor_of_decimal_time(self, tmp_path):
+        path = self.decimal_time_trace(tmp_path)
+        out = tmp_path / "res"
+        rc = main(["compare", "--trace", str(path), "--algo", "centrality",
+                   "--algo", "centrality:direction=true", "--period", "0.1", "--out", str(out)])
+        assert rc == 0
+        plain = read_period_metrics_csv(out / "centrality_d1_k4.csv")
+        kept = read_period_metrics_csv(out / "centrality_d1_k4_dir.csv")
+        # t = 0 has no predecessor; afterwards the 9 opposing links go
+        assert [p.n_edges - k.n_edges for p, k in zip(plain, kept)] == [0] + [9] * 30
+        assert [r.n_edges for r in kept] == [15] + [6] * 30
+
     def test_window_flags(self, tmp_path):
         path = small_trace(tmp_path, duration=41.0)
         out = tmp_path / "res"

@@ -1,8 +1,9 @@
 """The fast snapshot kernels against the straightforward ones they replaced.
 
 Each kernel (grid unit-disk builder, bit-parallel closeness, sort-once
-greedy pick, slot-bucketed reservation frame) must give exactly what its
-oracle in ``helpers`` gives, counters included.
+greedy pick, slot-bucketed reservation frame, bitset exact branch and
+bound) must give exactly what its oracle in ``helpers`` gives, counters
+included.
 """
 
 import math
@@ -11,7 +12,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from apsel.graph import SnapshotGraph, all_k_closeness
@@ -22,14 +23,23 @@ from apsel.mobility import (
     direction_angle,
     displacements_at,
 )
-from apsel.selection import centrality_select, rb_select_with_slots
+from apsel.selection import (
+    _closed_neighborhoods,
+    centrality_select,
+    exact_min_dominating_set,
+    rb_select_with_slots,
+)
 from helpers import (
+    _greedy_cover,
     adjacency,
     all_k_closeness_oracle,
     centrality_select_oracle,
     cycle_graph,
+    exact_min_dominating_set_oracle,
     geometric_snapshot,
     rb_select_with_slots_oracle,
+    star_graph,
+    two_lane_strip,
     udg_oracle,
 )
 
@@ -208,6 +218,59 @@ class TestBucketedReservationFrame:
         assert res.aggregation_points == {0, 1, 2}
         assert res.slots_simulated == 3
         assert res == rb_select_with_slots_oracle(g, {0: 0, 1: 2, 2: 0}, 4)
+
+
+@st.composite
+def exact_cases(draw):
+    """Unit-disk snapshots for the exact solver, relabelled with random
+    ids: two-lane strips as sparse as the benchmark's (often disconnected)
+    or denser, and uniform squares from one cluster to scattered."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(0, 36))
+    if draw(st.booleans()):
+        snap = two_lane_strip(n, rng.choice([600.0, 1500.0, 3000.0]), rng.randrange(10**6))
+    else:
+        snap = geometric_snapshot(n, rng.choice([150.0, 400.0, 1000.0]), rng.randrange(10**6))
+    ids = rng.sample(range(1000), n)
+    return udg_oracle({ids[v]: xy for v, xy in snap.items()})
+
+
+def greedy_is_optimal(g: SnapshotGraph, d: int, optimum: frozenset[int]) -> bool:
+    closed, _ = _closed_neighborhoods(g, d)
+    return len(_greedy_cover(list(g.vertices), closed)) == len(optimum)
+
+
+class TestBitsetExact:
+    @given(g=exact_cases(), d=st.integers(1, 3))
+    @example(g=SnapshotGraph([]), d=1)
+    @example(g=SnapshotGraph([7]), d=2)
+    @example(g=SnapshotGraph([5, 3, 9, 1], [(5, 3), (9, 1)]), d=1)
+    def test_matches_set_based_search(self, g, d):
+        # points, assignment, edges_examined and the node count all agree
+        assert exact_min_dominating_set(g, d) == exact_min_dominating_set_oracle(g, d)
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_benchmark_strips_include_covers_greedy_misses(self, d):
+        """The witness is the greedy cover only when that cover is optimal;
+        strips where it is not exercise the search itself."""
+        misses = 0
+        for seed in range(60):
+            g = udg_oracle(two_lane_strip(36, 3000.0, seed))
+            res = exact_min_dominating_set(g, d)
+            assert res == exact_min_dominating_set_oracle(g, d)
+            misses += not greedy_is_optimal(g, d, res.aggregation_points)
+        assert misses >= 3
+
+    def test_search_nodes(self):
+        # the star's centre covers everything and the root packs one ball
+        assert exact_min_dominating_set(star_graph(5), 1).search_nodes == 1
+        # greedy covers the 7-cycle with 3 points but the root packs only
+        # the balls of 0 and 3, so the search has to branch to prove 3
+        res = exact_min_dominating_set(cycle_graph(7), 1)
+        assert len(res.aggregation_points) == 3
+        assert res.search_nodes > 1
+        assert res == exact_min_dominating_set_oracle(cycle_graph(7), 1)
+        assert centrality_select(cycle_graph(7)).search_nodes == 0
 
 
 def test_20k_vehicle_snapshot_builds_in_bounded_memory():

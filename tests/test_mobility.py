@@ -63,6 +63,18 @@ class TestTrace:
         tr = Trace([TracePoint(0.0, 0, 0.0, 0.0), TracePoint(2.0, 0, 1.0, 0.0)])
         assert snapshot_at(tr, 1.0) == {}
 
+    def test_instants_resolve_within_tolerance(self):
+        tr = Trace([TracePoint(t, 0, 0.0, 0.0) for t in (0.0, 0.5, 1.0, 3.0)])
+        assert tr.instant_near(0.5 + 1e-9) == 0.5
+        assert tr.instant_near(3.0 + 1e-9) == 3.0
+        assert tr.instant_near(0.0 - 1e-9) == 0.0
+        assert tr.instant_near(0.51) is None
+        assert tr.instant_near(2.0) is None
+        # a predecessor counts only one sampling period back
+        assert tr.instant_before(1.0) == 0.5
+        assert tr.instant_before(3.0) is None
+        assert tr.instant_before(0.0) is None
+
 
 class TestTraceCsv:
     def test_round_trip(self, tmp_path):
