@@ -12,29 +12,23 @@ from .graph import (
     UnknownVehicleError,
     all_k_closeness,
     bfs_distances,
-    d_hop_neighborhood,
-    k_closeness,
 )
 from .metrics import (
-    OffloadConstants,
     PeriodMetrics,
     RunMetrics,
     aggregation_rate,
     notification_count,
-    reelection_count,
     routing_update_count,
     summarize_run,
     upload_cost,
 )
 from .mobility import (
-    DisplacementVector,
     RadioParams,
     Trace,
     TraceFormatError,
     TracePoint,
     build_direction_constrained_udg,
     build_udg,
-    direction_angle,
     generate_two_way_roadway,
     load_trace_csv,
     snapshot_at,

@@ -25,7 +25,6 @@ from dataclasses import dataclass, fields, replace
 from typing import Callable, NamedTuple
 
 from .metrics import (
-    OffloadConstants,
     PeriodMetrics,
     aggregation_rate,
     notification_count,
@@ -188,7 +187,8 @@ def _load_trace(cfg: TraceConfig) -> Trace:
 def _period_boundaries(trace: Trace, cfg: TraceConfig) -> list[float]:
     """The instants start + i * period up to the window end, each replaced
     by the sampled instant it rounds to; one that rounds to none stays as
-    computed and reads as an empty snapshot."""
+    computed and reads as an empty snapshot. Raises ConfigError when no
+    boundary rounds to a sampled instant."""
     lo, hi = trace.span
     start = lo if cfg.t_start is None else cfg.t_start
     end = hi if cfg.t_end is None else cfg.t_end
@@ -201,10 +201,15 @@ def _period_boundaries(trace: Trace, cfg: TraceConfig) -> list[float]:
         sampled = trace.instant_near(t)
         if sampled is not None:
             t = sampled
-        if t > end + 1e-9:
+        if t > end + trace.time_slack(end):
             break
         boundaries.append(t)
         i += 1
+    # a boundary that rounds to no sampled instant equals none of them
+    if set(boundaries).isdisjoint(trace.times):
+        raise ConfigError(
+            f"no period boundary in [{start}, {end}] every {cfg.period} s is a sampled instant"
+        )
     return boundaries
 
 
@@ -214,7 +219,6 @@ def run_one_algorithm(trace: Trace, algo: AlgoSpec, cfg: RunConfig) -> list[Peri
     Zero-vehicle periods emit a row with blank rate so the time series
     stays aligned across algorithms.
     """
-    consts = OffloadConstants(delivery_period=cfg.period)
     rows = []
     prev_points: frozenset[int] = frozenset()
     prev_assignment: dict[int, int] = {}
@@ -253,7 +257,7 @@ def run_one_algorithm(trace: Trace, algo: AlgoSpec, cfg: RunConfig) -> list[Peri
                 n_edges=graph.n_edges,
                 n_aps=len(points),
                 aggregation_rate=aggregation_rate(len(points), graph.n_vertices),
-                upload_cost_bps=upload_cost(len(points), consts),
+                upload_cost_bps=upload_cost(len(points), cfg.period),
                 edges_examined=result.edges_examined,
                 n_notifications=notification_count(prev_points, points),
                 n_routing_updates=routing_update_count(prev_assignment, result.assignment),
@@ -333,11 +337,11 @@ def cmd_exact(s: dict) -> int:
     cfg = _trace_config(TraceConfig, s)
     spec = AlgoSpec("exact", **_fields(s, AlgoSpec))
     trace = _load_trace(cfg)
-    t = s.get("time", trace.span[0])
-    snapshot = trace.positions_at(t)
-    if not snapshot:
-        raise ConfigError(f"no vehicles sampled at t={t}")
-    graph = build_udg(snapshot, cfg.radio)
+    requested = s.get("time", trace.span[0])
+    t = trace.instant_near(requested)
+    if t is None:
+        raise ConfigError(f"no vehicles sampled at t={requested}")
+    graph = build_udg(trace.positions_at(t), cfg.radio)
     result = exact_min_dominating_set(graph, spec.d)
     print(f"n_aps={len(result.aggregation_points)}")
     print(f"members={sorted(result.aggregation_points)}")

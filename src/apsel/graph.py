@@ -151,26 +151,6 @@ def bfs_distances(
     return dist, edges_examined
 
 
-def d_hop_neighborhood(g: SnapshotGraph, v: int, d: int) -> set[int]:
-    """Vertices within 1..d hops of ``v``, excluding ``v`` itself."""
-    dist, _ = bfs_distances(g, v, d)
-    del dist[v]
-    return set(dist)
-
-
-def k_closeness(g: SnapshotGraph, v: int, k: int) -> float:
-    """Closeness centrality of ``v`` restricted to its k-hop neighborhood.
-
-    Reciprocal of the farness accumulated over vertices at 1..k hops.
-    A vertex with no neighbor within k hops has centrality 0, so the value
-    is total over the whole snapshot and isolated vehicles need no special
-    casing downstream.
-    """
-    dist, _ = bfs_distances(g, v, k)
-    farness = sum(dist.values())
-    return 1.0 / farness if farness else 0.0
-
-
 def reach_rounds(g: SnapshotGraph, k: int) -> Iterator[tuple[list[int], list[int]]]:
     """Bit-parallel BFS from every vertex at once, one round per hop.
 

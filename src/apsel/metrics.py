@@ -16,13 +16,11 @@ from dataclasses import dataclass
 from statistics import mean
 
 __all__ = [
-    "OffloadConstants",
     "PeriodMetrics",
     "RunMetrics",
     "aggregation_rate",
     "notification_count",
     "read_period_metrics_csv",
-    "reelection_count",
     "routing_update_count",
     "summarize_run",
     "upload_cost",
@@ -42,19 +40,8 @@ METRICS_HEADER = [
     "n_routing_updates",
 ]
 
-
-@dataclass(frozen=True)
-class OffloadConstants:
-    """packet_size_eps in bytes, periods in seconds."""
-
-    packet_size_eps: int = 120
-    delivery_period: float = 10.0
-
-    def __post_init__(self):
-        if self.packet_size_eps <= 0:
-            raise ValueError(f"packet_size_eps must be positive, got {self.packet_size_eps}")
-        if self.delivery_period <= 0:
-            raise ValueError(f"delivery_period must be positive, got {self.delivery_period}")
+# Every vehicle's status packet, in bytes.
+PACKET_SIZE_BYTES = 120
 
 
 def aggregation_rate(n_aps: int, n_vehicles: int) -> float:
@@ -66,11 +53,14 @@ def aggregation_rate(n_aps: int, n_vehicles: int) -> float:
     return 1.0 - n_aps / n_vehicles
 
 
-def upload_cost(n_aps: int, consts: OffloadConstants = OffloadConstants()) -> float:
-    """Cellular upload in bytes per second: one packet per point per period."""
+def upload_cost(n_aps: int, delivery_period: float = 10.0) -> float:
+    """Cellular upload in bytes per second: one packet per point per
+    delivery period (in seconds)."""
     if n_aps < 0:
         raise ValueError(f"n_aps must be >= 0, got {n_aps}")
-    return n_aps * consts.packet_size_eps / consts.delivery_period
+    if delivery_period <= 0:
+        raise ValueError(f"delivery_period must be positive, got {delivery_period}")
+    return n_aps * PACKET_SIZE_BYTES / delivery_period
 
 
 def notification_count(prev_points, cur_points) -> int:
@@ -90,25 +80,6 @@ def routing_update_count(prev_assignment: dict[int, int], cur_assignment: dict[i
         if v not in prev_assignment or prev_assignment[v] != p:
             updates += 1
     return updates
-
-
-def reelection_count(history) -> tuple[dict[int, int], float]:
-    """How often each vehicle kept its aggregation-point role.
-
-    history is the sequence of point sets over consecutive periods. A
-    reelection is a vehicle present in two adjacent sets. Returns the
-    per-vehicle counts (every vehicle ever elected gets an entry) and
-    their mean, 0.0 when nothing was ever elected.
-    """
-    history = [set(s) for s in history]
-    if not history:
-        raise ValueError("history must contain at least one period")
-    ever = sorted(set().union(*history))
-    counts = dict.fromkeys(ever, 0)
-    for prev, cur in zip(history, history[1:]):
-        for v in prev & cur:
-            counts[v] += 1
-    return counts, (mean(counts.values()) if counts else 0.0)
 
 
 @dataclass(frozen=True)

@@ -16,22 +16,19 @@ import bisect
 import csv
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .graph import SnapshotGraph
 
 __all__ = [
-    "DisplacementVector",
     "RadioParams",
     "Trace",
     "TraceFormatError",
     "TracePoint",
     "build_direction_constrained_udg",
     "build_udg",
-    "direction_angle",
-    "displacements_at",
     "generate_two_way_roadway",
     "load_trace_csv",
     "snapshot_at",
@@ -43,6 +40,9 @@ TRACE_HEADER = ["time", "id", "x", "y"]
 # instant: period boundaries are sums of float steps, and trace times are
 # decimals read from text, so the two rarely agree to the last bit.
 TIME_TOLERANCE = 1e-6
+# Links between moving vehicles whose headings differ by more than this
+# many degrees are dropped by the direction filter.
+ANGLE_THRESHOLD = 45.0
 
 
 class TraceFormatError(ValueError):
@@ -107,21 +107,26 @@ class Trace:
     def positions_at(self, t: float) -> dict[int, tuple[float, float]]:
         return dict(self._by_time.get(t, {}))
 
+    def time_slack(self, t: float) -> float:
+        """How far from t a time may lie and still name the same instant: TIME_TOLERANCE
+        sampling periods plus a few ulps of t, which outgrow the first at epoch-scale t."""
+        return TIME_TOLERANCE * self._period + 4 * math.ulp(t)
+
     def instant_near(self, t: float) -> float | None:
-        """The sampled instant nearest t, or None if it lies more than
-        TIME_TOLERANCE sampling periods away."""
+        """The sampled instant nearest t, or None if it lies farther than
+        time_slack(t) away."""
         i = bisect.bisect_left(self._times, t)
         near = min(self._times[max(i - 1, 0) : i + 1], key=lambda s: abs(s - t))
-        return near if abs(near - t) <= TIME_TOLERANCE * self._period else None
+        return near if abs(near - t) <= self.time_slack(t) else None
 
     def instant_before(self, t: float) -> float | None:
         """The sampled instant preceding t, or None if there is none within
-        one sampling period (give or take TIME_TOLERANCE of one) before t."""
+        one sampling period (give or take time_slack(t)) before t."""
         i = bisect.bisect_left(self._times, t)
         if not i:
             return None
         before = self._times[i - 1]
-        return before if t - before <= (1 + TIME_TOLERANCE) * self._period else None
+        return before if t - before <= self._period + self.time_slack(t) else None
 
     def __len__(self):
         return len(self._points)
@@ -181,18 +186,13 @@ def snapshot_at(trace: Trace, t: float) -> dict[int, tuple[float, float]]:
 
 @dataclass(frozen=True)
 class RadioParams:
-    """range_r in meters, angle_threshold in degrees."""
+    """range_r in meters."""
 
     range_r: float = 100.0
-    angle_threshold: float = 45.0
 
     def __post_init__(self):
         if self.range_r <= 0:
             raise ValueError(f"range_r must be positive, got {self.range_r}")
-        if not 0 <= self.angle_threshold <= 180:
-            raise ValueError(
-                f"angle_threshold must be in [0, 180], got {self.angle_threshold}"
-            )
 
 
 # Grid cells are this much wider than the radio range, so float rounding
@@ -271,53 +271,6 @@ def build_udg(
     return SnapshotGraph._from_sorted_adjacency(adj, int(i.size))
 
 
-@dataclass(frozen=True)
-class DisplacementVector:
-    """Movement of one vehicle over one sampling step."""
-
-    dx: float
-    dy: float
-    magnitude: float = field(init=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "magnitude", math.hypot(self.dx, self.dy))
-
-    @property
-    def is_neutral(self) -> bool:
-        return self.magnitude == 0.0
-
-
-def direction_angle(wi: DisplacementVector, wj: DisplacementVector) -> float:
-    """Angle in degrees between two displacement vectors, in [0, 180].
-
-    atan2 of the cross/dot pair keeps boundary cases exact: parallel
-    axis-aligned vs diagonal unit vectors come out at 45.0, not a hair
-    above it.
-    """
-    if wi.is_neutral or wj.is_neutral:
-        raise ValueError("direction angle undefined for a zero displacement")
-    dot = wi.dx * wj.dx + wi.dy * wj.dy
-    cross = wi.dx * wj.dy - wi.dy * wj.dx
-    return math.degrees(math.atan2(abs(cross), dot))
-
-
-def displacements_at(
-    snapshot: dict[int, tuple[float, float]],
-    prev_snapshot: dict[int, tuple[float, float]],
-) -> dict[int, DisplacementVector]:
-    """Per-vehicle displacement since the previous snapshot.
-
-    Vehicles absent from the previous snapshot get no entry, which the
-    direction filter treats as neutral.
-    """
-    out = {}
-    for v, (x, y) in snapshot.items():
-        if v in prev_snapshot:
-            px, py = prev_snapshot[v]
-            out[v] = DisplacementVector(x - px, y - py)
-    return out
-
-
 def build_direction_constrained_udg(
     snapshot: dict[int, tuple[float, float]],
     prev_snapshot: dict[int, tuple[float, float]],
@@ -325,26 +278,36 @@ def build_direction_constrained_udg(
 ) -> tuple[SnapshotGraph, int]:
     """Unit-disk graph minus links between oppositely-heading vehicles.
 
-    An edge survives when either endpoint is direction-neutral (no
-    previous sample, or zero displacement) or the angle between the two
-    displacement vectors is at most the threshold. Returns the filtered
-    graph and the number of edges removed.
+    A vehicle's heading is its displacement since prev_snapshot; it is
+    direction-neutral when it has no previous sample or did not move. An
+    edge survives when either endpoint is neutral or the angle between
+    the two displacements is at most ANGLE_THRESHOLD. The angle is
+    atan2(|cross|, dot), which keeps boundary cases exact: an
+    axis-aligned and a diagonal heading come out at 45.0, not a hair
+    above it. Returns the filtered graph and the number of edges removed.
     """
     base = build_udg(snapshot, radio)
-    moving = {
-        v: w for v, w in displacements_at(snapshot, prev_snapshot).items() if not w.is_neutral
-    }
+    moving = {}
+    for v, (x, y) in snapshot.items():
+        if v in prev_snapshot:
+            px, py = prev_snapshot[v]
+            dx, dy = x - px, y - py
+            if dx or dy:
+                moving[v] = (dx, dy)
     # edges come in sorted order, so every kept list stays ascending
     kept: dict[int, list[int]] = {v: [] for v in base.vertices}
     removed = 0
     for i, j in base.edges():
-        wi = moving.get(i)
-        wj = moving.get(j)
-        if wi is None or wj is None or direction_angle(wi, wj) <= radio.angle_threshold:
-            kept[i].append(j)
-            kept[j].append(i)
-        else:
-            removed += 1
+        if i in moving and j in moving:
+            (xi, yi), (xj, yj) = moving[i], moving[j]
+            cross = xi * yj - yi * xj
+            angle = math.degrees(math.atan2(abs(cross), xi * xj + yi * yj))
+            # a NaN angle fails this test, so such an edge is dropped
+            if not angle <= ANGLE_THRESHOLD:
+                removed += 1
+                continue
+        kept[i].append(j)
+        kept[j].append(i)
     adj = {v: tuple(nbrs) for v, nbrs in kept.items()}
     return SnapshotGraph._from_sorted_adjacency(adj, base.n_edges - removed), removed
 

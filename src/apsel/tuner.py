@@ -12,7 +12,7 @@ last word.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -33,24 +33,26 @@ __all__ = [
 TRAJECTORY_HEADER = ["iteration", "d", "k", "objective"]
 
 
+# The usual Nelder-Mead coefficients, and the objective spread that ends the search.
+REFLECTION = 1.0
+EXPANSION = 2.0
+CONTRACTION = 0.5
+SHRINK = 0.5
+TOLERANCE = 1e-10
+
+
 @dataclass(frozen=True)
 class TunerConfig:
-    """Simplex coefficients and the integer search box.
+    """The iteration budget and the integer search box.
 
-    Defaults follow the usual Nelder-Mead choices: reflection 1,
-    expansion 2, contraction 0.5, shrink 0.5, at most 500 iterations.
-    d is capped at 10 hops; k's ceiling is in principle the network
-    diameter, 10 covers every trace this package generates.
+    At most 500 iterations by default. d is capped at 10 hops; k's
+    ceiling is in principle the network diameter, 10 covers every trace
+    this package generates.
     """
 
     max_iterations: int = 500
     d_bounds: tuple[int, int] = (1, 10)
     k_bounds: tuple[int, int] = (1, 10)
-    reflection: float = 1.0
-    expansion: float = 2.0
-    contraction: float = 0.5
-    shrink: float = 0.5
-    tolerance: float = 1e-10
 
     def __post_init__(self):
         if self.max_iterations < 1:
@@ -58,12 +60,6 @@ class TunerConfig:
         for name, (lo, hi) in (("d_bounds", self.d_bounds), ("k_bounds", self.k_bounds)):
             if lo < 1 or hi < lo:
                 raise ValueError(f"{name} must satisfy 1 <= lo <= hi, got ({lo}, {hi})")
-        if self.reflection <= 0 or self.expansion <= 1 or not 0 < self.contraction < 1:
-            raise ValueError("coefficients must satisfy reflection>0, expansion>1, 0<contraction<1")
-        if not 0 < self.shrink < 1:
-            raise ValueError(f"shrink must be in (0, 1), got {self.shrink}")
-        if self.tolerance < 0:
-            raise ValueError(f"tolerance must be >= 0, got {self.tolerance}")
 
 
 @dataclass(frozen=True)
@@ -82,20 +78,22 @@ def _clamp(x, bounds):
     return tuple(float(min(max(v, lo), hi)) for v, (lo, hi) in zip(x, bounds))
 
 
-def nelder_mead(objective, initial_simplex, config: TunerConfig = TunerConfig(), bounds=None) -> NelderMeadResult:
+def nelder_mead(objective, initial_simplex, max_iterations: int = 500, bounds=None) -> NelderMeadResult:
     """Minimize `objective` from the given (p+1)-point simplex.
 
     Candidate points (including the initial vertices) are clamped into
     `bounds` before evaluation, so the objective is never probed
     outside the box. Stops when the objective spread across the simplex
-    stays below config.tolerance for two consecutive simplex states (a
-    flat initial simplex stops at once) or max_iterations is reached.
+    stays below TOLERANCE for two consecutive simplex states (a flat
+    initial simplex stops at once) or max_iterations is reached.
     The persistence requirement matters: a large simplex can land all
     its vertices on one contour of the objective for a single step, and
     stopping there would freeze the search far from any optimum. The
     trajectory records the incumbent best after every iteration, row 0
     being the initial best.
     """
+    if max_iterations < 1:
+        raise ValueError(f"max_iterations must be >= 1, got {max_iterations}")
     simplex = [_clamp(tuple(float(v) for v in x), bounds) for x in initial_simplex]
     p = len(simplex[0])
     if len(simplex) != p + 1 or any(len(x) != p for x in simplex):
@@ -117,30 +115,30 @@ def nelder_mead(objective, initial_simplex, config: TunerConfig = TunerConfig(),
     trajectory = [(0, pts[0][1], pts[0][0])]
 
     iteration = 0
-    prev_below = pts[-1][0] - pts[0][0] < config.tolerance
+    prev_below = pts[-1][0] - pts[0][0] < TOLERANCE
     converged = prev_below
-    while not converged and iteration < config.max_iterations:
+    while not converged and iteration < max_iterations:
         iteration += 1
         best_v, _ = pts[0]
         worst_v, worst_x = pts[-1]
         second_worst_v = pts[-2][0]
         centroid = np.mean([np.array(x) for _, x in pts[:-1]], axis=0)
 
-        reflected = _clamp(centroid + config.reflection * (centroid - np.array(worst_x)), bounds)
+        reflected = _clamp(centroid + REFLECTION * (centroid - np.array(worst_x)), bounds)
         fr = f(reflected)
         if best_v <= fr < second_worst_v:
             pts[-1] = (fr, reflected)
         elif fr < best_v:
-            expanded = _clamp(centroid + config.expansion * (centroid - np.array(worst_x)), bounds)
+            expanded = _clamp(centroid + EXPANSION * (centroid - np.array(worst_x)), bounds)
             fe = f(expanded)
             pts[-1] = (fe, expanded) if fe < fr else (fr, reflected)
         else:
-            if fr < worst_v:  # outside contraction
-                contracted = _clamp(centroid + config.contraction * (np.array(reflected) - centroid), bounds)
+            if fr < worst_v:  # outside: contract toward the reflected point
+                contracted = _clamp(centroid + CONTRACTION * (np.array(reflected) - centroid), bounds)
                 fc = f(contracted)
                 accept = fc <= fr
-            else:  # inside contraction
-                contracted = _clamp(centroid - config.contraction * (centroid - np.array(worst_x)), bounds)
+            else:  # inside: contract toward the worst point
+                contracted = _clamp(centroid - CONTRACTION * (centroid - np.array(worst_x)), bounds)
                 fc = f(contracted)
                 accept = fc < worst_v
             if accept:
@@ -149,12 +147,12 @@ def nelder_mead(objective, initial_simplex, config: TunerConfig = TunerConfig(),
                 best_x = np.array(pts[0][1])
                 shrunk = [pts[0]]
                 for _, x in pts[1:]:
-                    nx = _clamp(best_x + config.shrink * (np.array(x) - best_x), bounds)
+                    nx = _clamp(best_x + SHRINK * (np.array(x) - best_x), bounds)
                     shrunk.append((f(nx), nx))
                 pts = shrunk
         pts.sort()
         trajectory.append((iteration, pts[0][1], pts[0][0]))
-        below = pts[-1][0] - pts[0][0] < config.tolerance
+        below = pts[-1][0] - pts[0][0] < TOLERANCE
         converged = below and prev_below
         prev_below = below
 
@@ -239,7 +237,7 @@ def tune_integer_objective(objective, config: TunerConfig = TunerConfig()) -> Tu
     iterations_used = 0
     best_pair = None
     while iterations_used < config.max_iterations:
-        budget = replace(config, max_iterations=config.max_iterations - iterations_used)
+        budget = config.max_iterations - iterations_used
         res = nelder_mead(surrogate, _unit_simplex(base, d_hi, k_hi), budget, bounds=bounds)
         for it, x, v in res.trajectory:
             if it == 0 and trajectory:

@@ -5,14 +5,16 @@ path: distances come from repeated min-plus relaxation over a dense matrix.
 
 The ``*_oracle`` functions are the package's earlier straightforward
 kernels, kept as references for the fast ones: the all-pairs unit-disk
-builder, per-source BFS closeness, the ``max()``-scan greedy pick, the
-tick-by-tick reservation frame and the set-based exact branch and bound.
+builder, the heading comparison through displacement vectors, per-source
+BFS closeness, the ``max()``-scan greedy pick, the tick-by-tick
+reservation frame and the set-based exact branch and bound.
 """
 
 from __future__ import annotations
 
 import math
 import random
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -163,6 +165,53 @@ def udg_oracle(
     within = sq <= radio.range_r * radio.range_r
     edges = [(ids[i], ids[j]) for i, j in zip(ii[within], jj[within])]
     return SnapshotGraph(ids, edges)
+
+
+@dataclass(frozen=True)
+class DisplacementVector:
+    """Movement of one vehicle over one sampling step."""
+
+    dx: float
+    dy: float
+    magnitude: float = field(init=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "magnitude", math.hypot(self.dx, self.dy))
+
+    @property
+    def is_neutral(self) -> bool:
+        return self.magnitude == 0.0
+
+
+def direction_angle(wi: DisplacementVector, wj: DisplacementVector) -> float:
+    """Angle in degrees between two displacement vectors, in [0, 180].
+
+    atan2 of the cross/dot pair keeps boundary cases exact: parallel
+    axis-aligned vs diagonal unit vectors come out at 45.0, not a hair
+    above it.
+    """
+    if wi.is_neutral or wj.is_neutral:
+        raise ValueError("direction angle undefined for a zero displacement")
+    dot = wi.dx * wj.dx + wi.dy * wj.dy
+    cross = wi.dx * wj.dy - wi.dy * wj.dx
+    return math.degrees(math.atan2(abs(cross), dot))
+
+
+def displacements_at(
+    snapshot: dict[int, tuple[float, float]],
+    prev_snapshot: dict[int, tuple[float, float]],
+) -> dict[int, DisplacementVector]:
+    """Per-vehicle displacement since the previous snapshot.
+
+    Vehicles absent from the previous snapshot get no entry, which the
+    direction filter treats as neutral.
+    """
+    out = {}
+    for v, (x, y) in snapshot.items():
+        if v in prev_snapshot:
+            px, py = prev_snapshot[v]
+            out[v] = DisplacementVector(x - px, y - py)
+    return out
 
 
 def all_k_closeness_oracle(g: SnapshotGraph, k: int) -> tuple[dict[int, float], int]:

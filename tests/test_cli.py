@@ -2,6 +2,8 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from apsel.cli import (
     AlgoSpec,
@@ -143,22 +145,28 @@ class TestRunCommand:
         assert rows[2].n_notifications == 1  # and is elected anew at t=20
 
     @staticmethod
-    def decimal_time_trace(tmp_path):
-        """6 vehicles at 10 Hz for 3 s, times written as 0.1, 0.2, 0.3, ...:
-        even ids drive east and odd ids west, all within range throughout."""
+    def decimal_time_trace(tmp_path, shift=0.0):
+        """6 vehicles at 10 Hz for 3 s, times written as shift + 0.1,
+        shift + 0.2, ... to one decimal: even ids drive east and odd ids
+        west, all within range throughout."""
         pts = [
-            TracePoint(round(i / 10, 1), v, (v // 2) * 5.0 + 30.0 * (v % 2) + (-1) ** v * i, 4.0 * (v % 2))
+            TracePoint(
+                float(f"{shift + i / 10:.1f}"),
+                v,
+                (v // 2) * 5.0 + 30.0 * (v % 2) + (-1) ** v * i,
+                4.0 * (v % 2),
+            )
             for i in range(31)
             for v in range(6)
         ]
         path = tmp_path / "decimal.csv"
         write_trace_csv(Trace(pts), path)
-        assert "\n0.3,0," in path.read_text()
         return path
 
     def test_decimal_times_resolve_to_samples(self, tmp_path):
         # 0 + 3 * 0.1 is 0.30000000000000004, not the sampled 0.3
         path = self.decimal_time_trace(tmp_path)
+        assert "\n0.3,0," in path.read_text()
         out = tmp_path / "res"
         rc = main(["run", "--trace", str(path), "--algo", "centrality", "--period", "0.1",
                    "--out", str(out)])
@@ -179,6 +187,31 @@ class TestRunCommand:
         assert [p.n_edges - k.n_edges for p, k in zip(plain, kept)] == [0] + [9] * 30
         assert [r.n_edges for r in kept] == [15] + [6] * 30
 
+    @given(
+        shift=st.one_of(
+            st.sampled_from([0.0, 1e3, 1e6, 1e9]),
+            st.integers(0, 10**8).map(lambda j: 1.6e9 + j),
+        )
+    )
+    @settings(max_examples=20, deadline=None)
+    def test_time_shift_changes_only_the_time_column(self, tmp_path_factory, shift):
+        # at epoch-scale times one ulp (2.4e-7 s near 1.6e9) exceeds a
+        # millionth of the 0.1 s sampling period
+        def columns(shift):
+            tmp = tmp_path_factory.mktemp("shift")
+            path = self.decimal_time_trace(tmp, shift)
+            out = tmp / "res"
+            rc = main(["compare", "--trace", str(path), "--algo", "centrality",
+                       "--algo", "centrality:direction=true", "--period", "0.1",
+                       "--out", str(out)])
+            assert rc == 0
+            return {
+                name: [line.split(",")[1:] for line in (out / name).read_text().splitlines()]
+                for name in ("centrality_d1_k4.csv", "centrality_d1_k4_dir.csv", "summary.csv")
+            }
+
+        assert columns(shift) == columns(0.0)
+
     def test_window_flags(self, tmp_path):
         path = small_trace(tmp_path, duration=41.0)
         out = tmp_path / "res"
@@ -189,6 +222,15 @@ class TestRunCommand:
         assert rc == 0
         rows = read_period_metrics_csv(out / "rb_T256.csv")
         assert [r.time for r in rows] == [10.0, 20.0, 30.0]
+
+    def test_window_without_sampled_boundary_fails(self, tmp_path, capsys):
+        path = tmp_path / "trace.csv"
+        assert main(["gen-trace", "--n", "10", "--duration", "10", "--out", str(path)]) == 0
+        out = tmp_path / "res"
+        rc = main(["run", "--trace", str(path), "--algo", "centrality", "--t-start", "0.5",
+                   "--period", "1", "--out", str(out)])
+        assert rc == 1
+        assert "sampled instant" in capsys.readouterr().err
 
     def test_window_outside_span_fails(self, tmp_path, capsys):
         path = small_trace(tmp_path, duration=21.0)
@@ -351,6 +393,18 @@ class TestExactCommand:
         n_aps = int(out.splitlines()[0].split("=")[1])
         trace = load_trace_csv(path)
         g = build_udg(trace.positions_at(0.0), RadioParams())
+        assert n_aps == len(brute_force_min_dominating_set(g, 1))
+
+    def test_time_resolves_to_nearest_sample(self, tmp_path, capsys):
+        # written from i * 0.1, the fourth instant reads 0.30000000000000004
+        pts = [TracePoint(i * 0.1, v, 40.0 * v + i, 0.0) for i in range(5) for v in range(8)]
+        path = tmp_path / "trace.csv"
+        write_trace_csv(Trace(pts), path)
+        assert "\n0.30000000000000004,0," in path.read_text()
+        rc = main(["exact", "--trace", str(path), "--time", "0.3"])
+        assert rc == 0
+        n_aps = int(capsys.readouterr().out.splitlines()[0].split("=")[1])
+        g = build_udg(load_trace_csv(path).positions_at(3 * 0.1), RadioParams())
         assert n_aps == len(brute_force_min_dominating_set(g, 1))
 
     def test_unsampled_instant_fails(self, tmp_path, capsys):

@@ -7,8 +7,6 @@ from apsel.graph import (
     UnknownVehicleError,
     all_k_closeness,
     bfs_distances,
-    d_hop_neighborhood,
-    k_closeness,
 )
 from helpers import (
     full_closeness_from_matrix,
@@ -99,34 +97,20 @@ class TestBfsDistances:
             assert dist == expected
 
 
-class TestDHopNeighborhood:
-    def test_path_interior(self):
-        assert d_hop_neighborhood(path_graph(4), 1, 1) == {0, 2}
-
-    def test_path_full_reach(self):
-        assert d_hop_neighborhood(path_graph(4), 0, 3) == {1, 2, 3}
-
-    def test_disconnected_vertex(self):
-        g = SnapshotGraph([0, 1, 2], [(0, 1)])
-        assert d_hop_neighborhood(g, 2, 5) == set()
-
-    def test_unknown_vertex(self):
-        with pytest.raises(UnknownVehicleError):
-            d_hop_neighborhood(path_graph(3), 42, 1)
-
-
 class TestKCloseness:
     def test_center_of_p3(self):
-        assert k_closeness(path_graph(3), 1, 2) == 0.5
+        values, _ = all_k_closeness(path_graph(3), 2)
+        assert values[1] == 0.5
 
     def test_p5_end_at_k2(self):
         # hand BFS on the path: distances 1 and 2 within reach
-        assert k_closeness(path_graph(5), 0, 2) == pytest.approx(1.0 / 3.0)
+        values, _ = all_k_closeness(path_graph(5), 2)
+        assert values[0] == pytest.approx(1.0 / 3.0)
 
     def test_isolated_vertex_is_zero(self):
         g = SnapshotGraph([0], [])
         for k in (1, 3, 10):
-            assert k_closeness(g, 0, k) == 0.0
+            assert all_k_closeness(g, k)[0] == {0: 0.0}
 
     def test_star_k1(self):
         g = star_graph(4)

@@ -16,13 +16,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from apsel.graph import SnapshotGraph, all_k_closeness
-from apsel.mobility import (
-    RadioParams,
-    build_direction_constrained_udg,
-    build_udg,
-    direction_angle,
-    displacements_at,
-)
+from apsel.mobility import RadioParams, build_direction_constrained_udg, build_udg
 from apsel.selection import (
     _closed_neighborhoods,
     centrality_select,
@@ -35,6 +29,8 @@ from helpers import (
     all_k_closeness_oracle,
     centrality_select_oracle,
     cycle_graph,
+    direction_angle,
+    displacements_at,
     exact_min_dominating_set_oracle,
     geometric_snapshot,
     rb_select_with_slots_oracle,
@@ -174,7 +170,7 @@ class TestGridUdg:
             wi, wj = moves.get(i), moves.get(j)
             if wi is None or wj is None or wi.is_neutral or wj.is_neutral:
                 return True
-            return direction_angle(wi, wj) <= radio.angle_threshold
+            return direction_angle(wi, wj) <= 45.0
 
         base = udg_oracle(snap, radio)
         ref = SnapshotGraph(snap, [e for e in base.edges() if same_heading(*e)])

@@ -4,12 +4,10 @@ from hypothesis import strategies as st
 
 from apsel.metrics import (
     METRICS_HEADER,
-    OffloadConstants,
     PeriodMetrics,
     aggregation_rate,
     notification_count,
     read_period_metrics_csv,
-    reelection_count,
     routing_update_count,
     summarize_run,
     upload_cost,
@@ -60,16 +58,13 @@ class TestUploadCost:
         assert upload_cost(0) == 0.0
 
     def test_custom_constants(self):
-        c = OffloadConstants(packet_size_eps=200, delivery_period=4.0)
-        assert upload_cost(3, c) == 150.0
+        assert upload_cost(3, delivery_period=4.0) == 90.0
 
     def test_validation(self):
         with pytest.raises(ValueError):
             upload_cost(-1)
         with pytest.raises(ValueError):
-            OffloadConstants(packet_size_eps=0)
-        with pytest.raises(ValueError):
-            OffloadConstants(delivery_period=0.0)
+            upload_cost(1, delivery_period=0.0)
 
     @given(a=st.integers(0, 10_000))
     def test_linear_in_points(self, a):
@@ -97,35 +92,6 @@ class TestChurnCounters:
 
     def test_departures_free(self):
         assert routing_update_count({1: 0, 2: 0}, {}) == 0
-
-
-class TestReelections:
-    def test_consecutive_membership(self):
-        hist = [{1, 2}, {1, 3}, {1, 2}]
-        counts, avg = reelection_count(hist)
-        assert counts == {1: 2, 2: 0, 3: 0}
-        assert avg == pytest.approx(2 / 3)
-
-    def test_single_period_all_zero(self):
-        counts, avg = reelection_count([{4, 7}])
-        assert counts == {4: 0, 7: 0}
-        assert avg == 0.0
-
-    def test_no_elections_ever(self):
-        counts, avg = reelection_count([set(), set()])
-        assert counts == {}
-        assert avg == 0.0
-
-    def test_empty_history_rejected(self):
-        with pytest.raises(ValueError):
-            reelection_count([])
-
-    @given(hist=st.lists(small_sets, min_size=1, max_size=8))
-    def test_counts_bounded_by_periods(self, hist):
-        counts, avg = reelection_count(hist)
-        for c in counts.values():
-            assert 0 <= c <= len(hist) - 1
-        assert avg >= 0.0
 
 
 def _sample_rows():

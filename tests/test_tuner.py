@@ -6,6 +6,10 @@ from hypothesis import strategies as st
 
 from apsel.mobility import Trace, TracePoint, generate_two_way_roadway
 from apsel.tuner import (
+    CONTRACTION,
+    EXPANSION,
+    REFLECTION,
+    SHRINK,
     TRAJECTORY_HEADER,
     TunerConfig,
     nelder_mead,
@@ -31,7 +35,7 @@ class TestConfig:
         c = TunerConfig()
         assert c.max_iterations == 500
         assert c.d_bounds == (1, 10) and c.k_bounds == (1, 10)
-        assert (c.reflection, c.expansion, c.contraction, c.shrink) == (1.0, 2.0, 0.5, 0.5)
+        assert (REFLECTION, EXPANSION, CONTRACTION, SHRINK) == (1.0, 2.0, 0.5, 0.5)
 
     @pytest.mark.parametrize(
         "bad",
@@ -39,11 +43,6 @@ class TestConfig:
             dict(max_iterations=0),
             dict(d_bounds=(0, 5)),
             dict(k_bounds=(5, 2)),
-            dict(reflection=0.0),
-            dict(expansion=1.0),
-            dict(contraction=1.0),
-            dict(shrink=0.0),
-            dict(tolerance=-1.0),
         ],
     )
     def test_validation(self, bad):
@@ -96,10 +95,11 @@ class TestNelderMead:
         assert all(b <= a for a, b in zip(values, values[1:]))
 
     def test_iteration_cap(self):
-        cfg = TunerConfig(max_iterations=3)
-        res = nelder_mead(rosenbrock, [(-1.2, 1.0), (-0.2, 1.0), (-1.2, 2.0)], cfg)
+        res = nelder_mead(rosenbrock, [(-1.2, 1.0), (-0.2, 1.0), (-1.2, 2.0)], max_iterations=3)
         assert res.iterations == 3
         assert not res.converged
+        with pytest.raises(ValueError):
+            nelder_mead(rosenbrock, UNIT_SIMPLEX, max_iterations=0)
 
     @given(
         cx=st.floats(-3, 3, allow_nan=False),
