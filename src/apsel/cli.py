@@ -270,10 +270,12 @@ def run_one_algorithm(trace: Trace, algo: AlgoSpec, cfg: RunConfig) -> list[Peri
 
 def _execute_algorithms(cfg: RunConfig):
     trace = _load_trace(cfg)
+    # every algorithm runs, and so checks the window, before --out is made:
+    # a run that fails leaves no empty directory behind
+    runs = [(algo, run_one_algorithm(trace, algo, cfg)) for algo in cfg.algos]
     os.makedirs(cfg.out_dir, exist_ok=True)
     outputs = []
-    for algo in cfg.algos:
-        rows = run_one_algorithm(trace, algo, cfg)
+    for algo, rows in runs:
         path = os.path.join(cfg.out_dir, f"{algo.tag}.csv")
         write_period_metrics_csv(rows, path)
         outputs.append((algo, rows, path))

@@ -18,8 +18,6 @@ import math
 import random
 from dataclasses import dataclass
 
-import numpy as np
-
 from .graph import SnapshotGraph
 
 __all__ = [
@@ -198,12 +196,8 @@ class RadioParams:
 # Grid cells are this much wider than the radio range, so float rounding
 # in the cell index can never put an in-range pair two cells apart.
 _CELL_SCALE = 1.01
-# A cell (x, y) is keyed by the complex number x + iy: numpy sorts and
-# searches complex numbers by real part, then imaginary part, which orders
-# cells by column, then row. These are the key steps to a cell itself and
-# to its forward neighbours (x, y+1), (x+1, y-1), (x+1, y), (x+1, y+1).
-_FORWARD = np.array([0, 1j, 1 - 1j, 1, 1 + 1j])
-# Cell coordinates must be exact integers in a float, with room for + 1.
+# A snapshot may span fewer cells than this along an axis: past 2**52 the
+# float quotients that give the cell indices have no fractional bits left.
 _MAX_CELLS = 2.0**52
 
 
@@ -214,61 +208,71 @@ def build_udg(
 
     Vehicles are binned into square cells a little wider than the range
     (the fixed-radius grid of Bentley, Stanat & Williams, IPL 1977), so an
-    in-range pair shares a cell or sits in adjacent ones. Each vehicle is
-    paired only with the vehicles after it in its own cell and those in
-    the cell's four forward neighbours, all in one vectorised pass, and
-    each pair is decided by the exact ``sq <= r*r`` comparison on the
-    position difference. Cells are found by binary search over the sorted
-    cell keys, so memory grows with the number of vehicles and candidate
-    pairs, never with the extent of the coordinates.
+    in-range pair shares a cell or sits in adjacent ones. A dict maps each
+    occupied cell to its vehicles; each cell's vehicles are paired with one
+    another and with those of its four forward neighbours, so every
+    candidate pair is tested once, by the exact ``dx*dx + dy*dy <= r*r``
+    comparison on coordinates converted with ``float()``. Time and memory
+    grow with the vehicles and candidate pairs, never with the extent of
+    the coordinates.
 
     Raises ValueError for a non-finite coordinate, a negative id, or a
     snapshot spanning 2**52 cells or more along an axis.
     """
     ids = sorted(snapshot)
-    n = len(ids)
-    pos = np.array([snapshot[v] for v in ids], dtype=float).reshape(n, 2)
-    if not np.isfinite(pos).all():
-        bad = ids[int(np.argmin(np.isfinite(pos).all(axis=1)))]
-        raise ValueError(f"vehicle {bad} has a non-finite position {snapshot[bad]}")
-    if n and ids[0] < 0:
+    pos = [snapshot[v] for v in ids]
+    xs = [float(x) for x, _ in pos]
+    ys = [float(y) for _, y in pos]
+    isfinite = math.isfinite
+    for v, x, y in zip(ids, xs, ys):
+        if not (isfinite(x) and isfinite(y)):
+            raise ValueError(f"vehicle {v} has a non-finite position {snapshot[v]}")
+    if ids and ids[0] < 0:
         raise ValueError(f"vehicle ids must be non-negative, got {ids[0]}")
-    if n < 2:
+    if len(ids) < 2:
         return SnapshotGraph._from_sorted_adjacency({v: () for v in ids}, 0)
 
     r = radio.range_r
-    cell = np.floor((pos - pos.min(axis=0)) / (_CELL_SCALE * r))
-    if not cell.max() < _MAX_CELLS:
-        raise ValueError(f"snapshot spans {cell.max():.3g} cells of {_CELL_SCALE * r} m")
-    key = cell.view(complex).reshape(n)
-    order = np.argsort(key, kind="stable")
-    skey = key[order]
-    # sorted positions [lo, hi) of the five cells, per vehicle; in its own
-    # cell a vehicle takes only the ones after it, so each pair comes once
-    target = skey[:, None] + _FORWARD
-    lo = np.searchsorted(skey, target)
-    hi = np.searchsorted(skey, target, side="right")
-    lo[:, 0] = np.arange(1, n + 1)
-    count = hi - lo
-    i = np.repeat(np.arange(n), count.sum(axis=1))
-    flat = count.reshape(-1)
-    j = np.arange(i.size) + np.repeat(lo.reshape(-1) - (np.cumsum(flat) - flat), flat)
-    i, j = order[i], order[j]
-    diff = pos[i] - pos[j]
-    within = (diff * diff).sum(axis=1) <= r * r
-    i, j = i[within], j[within]
+    w = _CELL_SCALE * r
+    x0, y0 = min(xs), min(ys)
+    span = max((max(xs) - x0) / w, (max(ys) - y0) / w)
+    if not span < _MAX_CELLS:
+        raise ValueError(f"snapshot spans {span:.3g} cells of {w} m")
+    floor = math.floor
+    nbrs: list[list] = [[] for _ in ids]
+    cells: dict[tuple[int, int], list] = {}
+    for v, x, y, out in zip(ids, xs, ys, nbrs):
+        key = (floor((x - x0) / w), floor((y - y0) / w))
+        cell = cells.get(key)
+        if cell is None:
+            cells[key] = [(x, y, v, out)]
+        else:
+            cell.append((x, y, v, out))
 
-    src = np.concatenate((i, j))
-    dst = np.concatenate((j, i))
-    # the tuples hold the snapshot's own id objects, not fresh copies
-    nbr = [ids[k] for k in dst[np.argsort(src * n + dst, kind="stable")].tolist()]
-    ends = np.cumsum(np.bincount(src, minlength=n)).tolist()
-    adj = {}
-    start = 0
-    for v, end in zip(ids, ends):
-        adj[v] = tuple(nbr[start:end])
-        start = end
-    return SnapshotGraph._from_sorted_adjacency(adj, int(i.size))
+    rr = r * r
+    get = cells.get
+    none: list = []
+    for (cx, cy), here in cells.items():
+        # the cell's own vehicles, then those of its forward neighbours;
+        # each vehicle of the cell is paired with every candidate after it
+        candidates = (
+            here
+            + get((cx, cy + 1), none)
+            + get((cx + 1, cy - 1), none)
+            + get((cx + 1, cy), none)
+            + get((cx + 1, cy + 1), none)
+        )
+        for a, (xa, ya, va, outa) in enumerate(here, start=1):
+            for xb, yb, vb, outb in candidates[a:]:
+                dx = xa - xb
+                dy = ya - yb
+                if dx * dx + dy * dy <= rr:
+                    outa.append(vb)
+                    outb.append(va)
+    # the lists hold the snapshot's own id objects, so sorting them gives
+    # ascending tuples of those objects, not fresh copies
+    adj = {v: tuple(sorted(out)) for v, out in zip(ids, nbrs)}
+    return SnapshotGraph._from_sorted_adjacency(adj, sum(map(len, nbrs)) // 2)
 
 
 def build_direction_constrained_udg(

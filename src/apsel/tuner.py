@@ -12,9 +12,9 @@ last word.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
-
-import numpy as np
+from fractions import Fraction
 
 from .metrics import aggregation_rate
 from .mobility import RadioParams, Trace, build_udg, snapshot_at
@@ -78,14 +78,39 @@ def _clamp(x, bounds):
     return tuple(float(min(max(v, lo), hi)) for v, (lo, hi) in zip(x, bounds))
 
 
+def _move(origin, coef, head, tail, bounds):
+    """The point origin + coef * (head - tail), elementwise, clamped into bounds."""
+    return _clamp([o + coef * (h - t) for o, h, t in zip(origin, head, tail)], bounds)
+
+
+def _affine_rank(points) -> int:
+    """Exact dimension of the affine hull of float points: Gaussian
+    elimination over Fractions on the edge vectors from the first point."""
+    first = [Fraction(v) for v in points[0]]
+    m = [[Fraction(v) - f for v, f in zip(x, first)] for x in points[1:]]
+    rank = 0
+    for col in range(len(first)):
+        pivot = next((i for i in range(rank, len(m)) if m[i][col]), None)
+        if pivot is None:
+            continue
+        m[rank], m[pivot] = m[pivot], m[rank]
+        for i in range(rank + 1, len(m)):
+            f = m[i][col] / m[rank][col]
+            m[i] = [a - f * b for a, b in zip(m[i], m[rank])]
+        rank += 1
+    return rank
+
+
 def nelder_mead(objective, initial_simplex, max_iterations: int = 500, bounds=None) -> NelderMeadResult:
     """Minimize `objective` from the given (p+1)-point simplex.
 
     Candidate points (including the initial vertices) are clamped into
     `bounds` before evaluation, so the objective is never probed
-    outside the box. Stops when the objective spread across the simplex
-    stays below TOLERANCE for two consecutive simplex states (a flat
-    initial simplex stops at once) or max_iterations is reached.
+    outside the box. A clamped simplex whose edge vectors have exact rank
+    below p is degenerate and rejected. Stops when the objective spread
+    across the simplex stays below TOLERANCE for two consecutive simplex
+    states (a flat initial simplex stops at once) or max_iterations is
+    reached.
     The persistence requirement matters: a large simplex can land all
     its vertices on one contour of the objective for a single step, and
     stopping there would freeze the search far from any optimum. The
@@ -98,9 +123,9 @@ def nelder_mead(objective, initial_simplex, max_iterations: int = 500, bounds=No
     p = len(simplex[0])
     if len(simplex) != p + 1 or any(len(x) != p for x in simplex):
         raise ValueError(f"need {p + 1} points of dimension {p}")
-    base = np.array(simplex[0])
-    spread_matrix = np.array([np.array(x) - base for x in simplex[1:]])
-    if np.linalg.matrix_rank(spread_matrix) < p:
+    if not all(math.isfinite(v) for x in simplex for v in x):
+        raise ValueError("initial simplex has a non-finite coordinate")
+    if _affine_rank(simplex) < p:
         raise ValueError("degenerate initial simplex")
 
     evaluations = 0
@@ -119,35 +144,41 @@ def nelder_mead(objective, initial_simplex, max_iterations: int = 500, bounds=No
     converged = prev_below
     while not converged and iteration < max_iterations:
         iteration += 1
-        best_v, _ = pts[0]
+        best_v, best_x = pts[0]
         worst_v, worst_x = pts[-1]
         second_worst_v = pts[-2][0]
-        centroid = np.mean([np.array(x) for _, x in pts[:-1]], axis=0)
+        # each column summed from 0.0, then divided, as np.mean does: a
+        # column of -0.0 entries has centroid 0.0, not -0.0
+        total = [0.0] * p
+        for _, x in pts[:-1]:
+            total = [a + b for a, b in zip(total, x)]
+        centroid = [a / p for a in total]
 
-        reflected = _clamp(centroid + REFLECTION * (centroid - np.array(worst_x)), bounds)
+        reflected = _move(centroid, REFLECTION, centroid, worst_x, bounds)
         fr = f(reflected)
         if best_v <= fr < second_worst_v:
             pts[-1] = (fr, reflected)
         elif fr < best_v:
-            expanded = _clamp(centroid + EXPANSION * (centroid - np.array(worst_x)), bounds)
+            expanded = _move(centroid, EXPANSION, centroid, worst_x, bounds)
             fe = f(expanded)
             pts[-1] = (fe, expanded) if fe < fr else (fr, reflected)
         else:
             if fr < worst_v:  # outside: contract toward the reflected point
-                contracted = _clamp(centroid + CONTRACTION * (np.array(reflected) - centroid), bounds)
+                contracted = _move(centroid, CONTRACTION, reflected, centroid, bounds)
                 fc = f(contracted)
                 accept = fc <= fr
             else:  # inside: contract toward the worst point
-                contracted = _clamp(centroid - CONTRACTION * (centroid - np.array(worst_x)), bounds)
+                # the same bits as centroid - CONTRACTION * (centroid - worst),
+                # because no centroid entry is -0.0
+                contracted = _move(centroid, CONTRACTION, worst_x, centroid, bounds)
                 fc = f(contracted)
                 accept = fc < worst_v
             if accept:
                 pts[-1] = (fc, contracted)
             else:
-                best_x = np.array(pts[0][1])
                 shrunk = [pts[0]]
                 for _, x in pts[1:]:
-                    nx = _clamp(best_x + SHRINK * (np.array(x) - best_x), bounds)
+                    nx = _move(best_x, SHRINK, x, best_x, bounds)
                     shrunk.append((f(nx), nx))
                 pts = shrunk
         pts.sort()
@@ -168,7 +199,7 @@ def nelder_mead(objective, initial_simplex, max_iterations: int = 500, bounds=No
 
 def _round_to_grid(x: float, lo: int, hi: int) -> int:
     # round-half-up keeps the mapping monotone; banker's rounding does not
-    v = int(np.floor(x + 0.5))
+    v = math.floor(x + 0.5)
     return min(max(v, lo), hi)
 
 

@@ -7,7 +7,8 @@ The ``*_oracle`` functions are the package's earlier straightforward
 kernels, kept as references for the fast ones: the all-pairs unit-disk
 builder, the heading comparison through displacement vectors, per-source
 BFS closeness, the ``max()``-scan greedy pick, the tick-by-tick
-reservation frame and the set-based exact branch and bound.
+reservation frame, the set-based exact branch and bound and the
+Nelder-Mead search on numpy 2-vectors. numpy is a test dependency only.
 """
 
 from __future__ import annotations
@@ -25,6 +26,15 @@ from apsel.selection import (
     SelectionResult,
     _closed_neighborhoods,
     assign_to_aggregation_points,
+)
+from apsel.tuner import (
+    CONTRACTION,
+    EXPANSION,
+    REFLECTION,
+    SHRINK,
+    TOLERANCE,
+    NelderMeadResult,
+    _clamp,
 )
 
 
@@ -365,3 +375,91 @@ def exact_min_dominating_set_oracle(
 
 def adjacency(g: SnapshotGraph) -> dict[int, tuple[int, ...]]:
     return {v: g.neighbors(v) for v in g.vertices}
+
+
+def nelder_mead_oracle(objective, initial_simplex, max_iterations: int = 500, bounds=None) -> NelderMeadResult:
+    """Minimize `objective` from the given (p+1)-point simplex.
+
+    Candidate points (including the initial vertices) are clamped into
+    `bounds` before evaluation, so the objective is never probed
+    outside the box. Stops when the objective spread across the simplex
+    stays below TOLERANCE for two consecutive simplex states (a flat
+    initial simplex stops at once) or max_iterations is reached.
+    The persistence requirement matters: a large simplex can land all
+    its vertices on one contour of the objective for a single step, and
+    stopping there would freeze the search far from any optimum. The
+    trajectory records the incumbent best after every iteration, row 0
+    being the initial best.
+    """
+    if max_iterations < 1:
+        raise ValueError(f"max_iterations must be >= 1, got {max_iterations}")
+    simplex = [_clamp(tuple(float(v) for v in x), bounds) for x in initial_simplex]
+    p = len(simplex[0])
+    if len(simplex) != p + 1 or any(len(x) != p for x in simplex):
+        raise ValueError(f"need {p + 1} points of dimension {p}")
+    base = np.array(simplex[0])
+    spread_matrix = np.array([np.array(x) - base for x in simplex[1:]])
+    if np.linalg.matrix_rank(spread_matrix) < p:
+        raise ValueError("degenerate initial simplex")
+
+    evaluations = 0
+
+    def f(x):
+        nonlocal evaluations
+        evaluations += 1
+        return objective(x)
+
+    pts = [(f(x), x) for x in simplex]
+    pts.sort()
+    trajectory = [(0, pts[0][1], pts[0][0])]
+
+    iteration = 0
+    prev_below = pts[-1][0] - pts[0][0] < TOLERANCE
+    converged = prev_below
+    while not converged and iteration < max_iterations:
+        iteration += 1
+        best_v, _ = pts[0]
+        worst_v, worst_x = pts[-1]
+        second_worst_v = pts[-2][0]
+        centroid = np.mean([np.array(x) for _, x in pts[:-1]], axis=0)
+
+        reflected = _clamp(centroid + REFLECTION * (centroid - np.array(worst_x)), bounds)
+        fr = f(reflected)
+        if best_v <= fr < second_worst_v:
+            pts[-1] = (fr, reflected)
+        elif fr < best_v:
+            expanded = _clamp(centroid + EXPANSION * (centroid - np.array(worst_x)), bounds)
+            fe = f(expanded)
+            pts[-1] = (fe, expanded) if fe < fr else (fr, reflected)
+        else:
+            if fr < worst_v:  # outside: contract toward the reflected point
+                contracted = _clamp(centroid + CONTRACTION * (np.array(reflected) - centroid), bounds)
+                fc = f(contracted)
+                accept = fc <= fr
+            else:  # inside: contract toward the worst point
+                contracted = _clamp(centroid - CONTRACTION * (centroid - np.array(worst_x)), bounds)
+                fc = f(contracted)
+                accept = fc < worst_v
+            if accept:
+                pts[-1] = (fc, contracted)
+            else:
+                best_x = np.array(pts[0][1])
+                shrunk = [pts[0]]
+                for _, x in pts[1:]:
+                    nx = _clamp(best_x + SHRINK * (np.array(x) - best_x), bounds)
+                    shrunk.append((f(nx), nx))
+                pts = shrunk
+        pts.sort()
+        trajectory.append((iteration, pts[0][1], pts[0][0]))
+        below = pts[-1][0] - pts[0][0] < TOLERANCE
+        converged = below and prev_below
+        prev_below = below
+
+    return NelderMeadResult(
+        point=pts[0][1],
+        value=pts[0][0],
+        iterations=iteration,
+        evaluations=evaluations,
+        converged=converged,
+        trajectory=tuple(trajectory),
+    )

@@ -231,13 +231,16 @@ class TestRunCommand:
                    "--period", "1", "--out", str(out)])
         assert rc == 1
         assert "sampled instant" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_window_outside_span_fails(self, tmp_path, capsys):
         path = small_trace(tmp_path, duration=21.0)
+        out = tmp_path / "x"
         rc = main(["run", "--trace", str(path), "--algo", "rb", "--t-end", "99",
-                   "--out", str(tmp_path / "x")])
+                   "--out", str(out)])
         assert rc == 1
         assert "span" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_missing_trace_fails(self, tmp_path, capsys):
         rc = main(["run", "--trace", str(tmp_path / "nope.csv"), "--algo", "rb",

@@ -155,6 +155,22 @@ class TestGridUdg:
         with pytest.raises(ValueError):
             build_udg({-1: (0.0, 0.0), 2: (1.0, 0.0)})
 
+    def test_integer_and_numpy_scalar_coordinates(self):
+        snap = geometric_snapshot(300, 800.0, seed=7)
+        ref = adjacency(build_udg(snap))
+        as_int = {v: (round(x), round(y)) for v, (x, y) in snap.items()}
+        assert adjacency(build_udg(as_int)) == adjacency(udg_oracle(as_int))
+        as_numpy = {v: (np.float64(x), np.float32(y)) for v, (x, y) in snap.items()}
+        assert adjacency(build_udg(as_numpy)) == adjacency(udg_oracle(as_numpy))
+        assert adjacency(build_udg({v: tuple(map(np.float64, xy)) for v, xy in snap.items()})) == ref
+
+    def test_neighbours_are_the_snapshots_own_ids(self):
+        snap = {10**20 + v: (float(v), 0.0) for v in range(8)}  # ints that are not cached
+        g = build_udg(snap)
+        own = {id(v) for v in snap}
+        assert all(id(u) in own for v in g.vertices for u in g.neighbors(v))
+        assert adjacency(g) == adjacency(udg_oracle(snap))
+
     @given(case=snapshots(), seed=st.integers(0, 2**32 - 1))
     def test_direction_filter_matches_oracle_graph(self, case, seed):
         snap, radio = case

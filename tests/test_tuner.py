@@ -1,7 +1,9 @@
 import itertools
+import math
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from apsel.mobility import Trace, TracePoint, generate_two_way_roadway
@@ -12,11 +14,13 @@ from apsel.tuner import (
     SHRINK,
     TRAJECTORY_HEADER,
     TunerConfig,
+    _round_to_grid,
     nelder_mead,
     tune_integer_objective,
     tune_parameters,
     write_tuning_trajectory_csv,
 )
+from helpers import nelder_mead_oracle
 
 
 def quadratic(x):
@@ -72,6 +76,33 @@ class TestNelderMead:
         with pytest.raises(ValueError, match="degenerate"):
             nelder_mead(quadratic, [(0, 0), (1, 1), (2, 2)])
 
+    @pytest.mark.parametrize(
+        "simplex,bounds",
+        [
+            ([(0.0, 0.0), (1.0, 1.0), (2.0, 2.0)], None),
+            ([(0.1, 0.3), (0.1, 0.3), (5.0, -1.0)], None),
+            ([(0.0, 0.0), (1.0, 5.0), (2.0, 9.0)], [(0.0, 10.0), (0.0, 0.0)]),
+            ([(3.0,), (3.0,)], None),
+            ([(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0)], None),
+        ],
+    )
+    def test_exactly_flat_simplex_rejected(self, simplex, bounds):
+        with pytest.raises(ValueError, match="degenerate"):
+            nelder_mead(quadratic, simplex, bounds=bounds)
+
+    @pytest.mark.parametrize("top", [2.0 + 1e-13, math.nextafter(2.0, 3.0)])
+    def test_nearly_flat_simplex_accepted(self, top):
+        """The rank is exact: a simplex one ulp off a line spans the plane.
+        numpy's matrix_rank tolerance called the one-ulp simplex degenerate."""
+        simplex = [(0.0, 0.0), (1.0, 1.0), (2.0, top)]
+        res = nelder_mead(quadratic, simplex)
+        assert res.value < min(quadratic(x) for x in simplex)
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_non_finite_simplex_rejected(self, bad):
+        with pytest.raises(ValueError, match="non-finite"):
+            nelder_mead(quadratic, [(0.0, 0.0), (1.0, 0.0), (bad, 1.0)])
+
     def test_wrong_point_count_rejected(self):
         with pytest.raises(ValueError):
             nelder_mead(quadratic, [(0, 0), (1, 0)])
@@ -110,6 +141,90 @@ class TestNelderMead:
         res = nelder_mead(lambda x: (x[0] - cx) ** 2 + (x[1] - cy) ** 2, UNIT_SIMPLEX)
         assert abs(res.point[0] - cx) < 1e-3
         assert abs(res.point[1] - cy) < 1e-3
+
+
+# coordinates that include both zeros, so sign-of-zero slips show
+COORD = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-10, 10, allow_nan=False))
+# the tuner's box is [1, 10] on each axis; whole and half coordinates put
+# vertices and centroids on rounding ties
+GRID_COORD = st.one_of(
+    st.sampled_from([-0.0, 2.5, 10.0]), st.integers(0, 11).map(float), st.floats(0, 11)
+)
+
+
+def exactly(res):
+    """Every field of a NelderMeadResult, with -0.0 told apart from 0.0."""
+    return repr((res.point, res.value, res.iterations, res.evaluations, res.converged, res.trajectory))
+
+
+def assert_matches_oracle(objective, simplex, oracle_objective=None, **kwargs):
+    try:
+        expected = nelder_mead_oracle(oracle_objective or objective, simplex, **kwargs)
+    except ValueError:
+        assume(False)  # degenerate within numpy's rank tolerance
+    assert exactly(nelder_mead(objective, simplex, **kwargs)) == exactly(expected)
+
+
+@st.composite
+def boxed_simplices(draw):
+    """A box at least half a unit wide on each axis, and a simplex drawn
+    around it: vertices inside, on a face, on a zero, or outside."""
+    bounds = []
+    for _ in range(2):
+        lo = draw(COORD)
+        bounds.append((lo, lo + draw(st.floats(0.5, 10))))
+    coord = [
+        st.one_of(st.sampled_from([0.0, -0.0, lo, hi]), st.floats(lo - 2, hi + 2))
+        for lo, hi in bounds
+    ]
+    simplex = draw(st.lists(st.tuples(*coord), min_size=3, max_size=3))
+    return bounds, simplex
+
+
+class TestNelderMeadOracle:
+    """The tuple arithmetic reproduces the numpy 2-vector search bit for bit."""
+
+    @given(data=st.data(), p=st.integers(1, 3), max_iterations=st.integers(1, 150))
+    @settings(max_examples=80)
+    def test_shifted_quadratics(self, data, p, max_iterations):
+        centre = data.draw(st.tuples(*[COORD] * p))
+        simplex = data.draw(st.lists(st.tuples(*[COORD] * p), min_size=p + 1, max_size=p + 1))
+        objective = lambda x: sum((a - c) ** 2 for a, c in zip(x, centre))
+        assert_matches_oracle(objective, simplex, max_iterations=max_iterations)
+
+    @given(
+        d0=st.integers(1, 10),
+        k0=st.integers(1, 10),
+        simplex=st.lists(st.tuples(GRID_COORD, GRID_COORD), min_size=3, max_size=3),
+        max_iterations=st.integers(1, 100),
+    )
+    @settings(max_examples=80)
+    def test_rounded_integer_surrogate(self, d0, k0, simplex, max_iterations):
+        def cell(x):
+            return (_round_to_grid(x[0], 1, 10), _round_to_grid(x[1], 1, 10))
+
+        def cell_np(x):
+            return tuple(min(max(int(np.floor(v + 0.5)), 1), 10) for v in x)
+
+        def surrogate(grid):
+            return lambda x: 2.0 * (grid(x)[0] - d0) ** 2 + 1.3 * (grid(x)[1] - k0) ** 2
+
+        assert_matches_oracle(
+            surrogate(cell),
+            simplex,
+            surrogate(cell_np),
+            max_iterations=max_iterations,
+            bounds=[(1.0, 10.0), (1.0, 10.0)],
+        )
+
+    @given(case=boxed_simplices(), centre=st.tuples(COORD, COORD))
+    # a centroid column of -0.0 entries: np.mean sums from 0.0 and gives 0.0
+    @example(case=([(0.0, 2.0), (-0.0, 1.0)], [(0.0, 0.0), (0.0, 1.0), (1.0, -0.0)]), centre=(2.0, 0.0))
+    @settings(max_examples=80)
+    def test_clamped_boxes(self, case, centre):
+        bounds, simplex = case
+        objective = lambda x: (x[0] - centre[0]) ** 2 + 3.0 * (x[1] - centre[1]) ** 2
+        assert_matches_oracle(objective, simplex, max_iterations=150, bounds=bounds)
 
 
 def grid_argmax(f, config=TunerConfig()):
