@@ -242,9 +242,9 @@ def run_one_algorithm(trace: Trace, algo: AlgoSpec, cfg: RunConfig) -> list[Peri
             prev_points, prev_assignment = frozenset(), {}
             continue
         if algo.direction:
-            before = trace.instant_before(t)
-            prev_snapshot = {} if before is None else trace.positions_at(before)
-            graph, _ = build_direction_constrained_udg(snapshot, prev_snapshot, cfg.radio)
+            graph, _ = build_direction_constrained_udg(
+                snapshot, trace.positions_before(t), cfg.radio
+            )
         else:
             graph = build_udg(snapshot, cfg.radio)
         period_seed = (cfg.seed * 1_000_003 + index) % 2**63

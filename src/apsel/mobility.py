@@ -1,13 +1,14 @@
 """Vehicle traces and how snapshots of them become communication graphs.
 
-A trace is a time-ordered list of (time, vehicle, x, y) samples. At any
-sampled instant the vehicles' positions induce a unit-disk graph: two
-vehicles are linked iff their Euclidean distance is at most the radio
-range (boundary inclusive). The direction-constrained variant
-additionally drops links between vehicles heading more than 45 degrees
-apart, judged from their displacement over the previous sampling step;
-a vehicle with no previous sample or zero displacement is
-direction-neutral and keeps all its links.
+A trace is a set of (time, vehicle, x, y) samples, held per sampled
+instant. At any sampled instant the vehicles' positions induce a
+unit-disk graph: two vehicles are linked iff their Euclidean distance is
+at most the radio range (boundary inclusive). The direction-constrained
+variant additionally drops links between vehicles heading more than 45
+degrees apart, each judged from its displacement since its own latest
+sample within the previous sampling period; a vehicle with no such
+sample or zero displacement is direction-neutral and keeps all its
+links.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import bisect
 import csv
 import math
 import random
+import statistics
 from dataclasses import dataclass
 
 from .graph import SnapshotGraph
@@ -56,35 +58,55 @@ class TracePoint:
 
 
 class Trace:
-    """Immutable, time-sorted sequence of position samples.
+    """Immutable position samples, held as one map per sampled instant.
 
-    Duplicate (time, vehicle) pairs are rejected. sampling_period is
-    inferred as the smallest positive gap between distinct sample
-    times (1.0 when the trace has a single instant).
+    The columns are ``time -> {vehicle: (x, y)}`` with instants ascending
+    and vehicle ids ascending within each instant, the ascending
+    ``times`` and the sample count; no object is kept per sample, and
+    ``points`` builds the (time, vehicle)-ordered TracePoints on demand.
+    Duplicate (time, vehicle) pairs are rejected, naming the smallest
+    such pair. sampling_period is inferred as the median gap between
+    consecutive sampled instants (the lower middle one for an even
+    count; 1.0 when the trace has a single instant), so a stray sample
+    just after an instant does not shrink it.
     """
 
     def __init__(self, points):
-        pts = sorted(points, key=lambda p: (p.time, p.vehicle))
-        if not pts:
-            raise TraceFormatError("trace has no samples")
         by_time: dict[float, dict[int, tuple[float, float]]] = {}
-        for p in pts:
+        duplicates = []
+        n = 0
+        for p in points:
             at = by_time.setdefault(p.time, {})
             if p.vehicle in at:
-                raise TraceFormatError(
-                    f"duplicate sample for vehicle {p.vehicle} at t={p.time}"
-                )
+                duplicates.append((p.time, p.vehicle))
             at[p.vehicle] = (p.x, p.y)
-        self._points = tuple(pts)
+            n += 1
+        if not n:
+            raise TraceFormatError("trace has no samples")
+        _check_duplicates(duplicates)
+        self._set_columns(_in_order(by_time), n)
+
+    @classmethod
+    def _from_columns(cls, by_time: dict[float, dict[int, tuple[float, float]]], n_samples: int) -> Trace:
+        """Trusted constructor: by_time is non-empty, holds n_samples samples
+        and is already ordered, instants and then vehicle ids ascending."""
+        trace = cls.__new__(cls)
+        trace._set_columns(by_time, n_samples)
+        return trace
+
+    def _set_columns(self, by_time, n_samples):
         self._by_time = by_time
-        times = sorted(by_time)
-        self._times = tuple(times)
+        self._n = n_samples
+        times = tuple(by_time)
+        self._times = times
         gaps = [b - a for a, b in zip(times, times[1:])]
-        self._period = min(gaps) if gaps else 1.0
+        self._period = statistics.median_low(gaps) if gaps else 1.0
 
     @property
     def points(self) -> tuple[TracePoint, ...]:
-        return self._points
+        return tuple(
+            TracePoint(t, v, x, y) for t, at in self._by_time.items() for v, (x, y) in at.items()
+        )
 
     @property
     def times(self) -> tuple[float, ...]:
@@ -100,7 +122,7 @@ class Trace:
 
     @property
     def vehicles(self) -> tuple[int, ...]:
-        return tuple(sorted({p.vehicle for p in self._points}))
+        return tuple(sorted(set().union(*self._by_time.values())))
 
     def positions_at(self, t: float) -> dict[int, tuple[float, float]]:
         return dict(self._by_time.get(t, {}))
@@ -117,26 +139,60 @@ class Trace:
         near = min(self._times[max(i - 1, 0) : i + 1], key=lambda s: abs(s - t))
         return near if abs(near - t) <= self.time_slack(t) else None
 
-    def instant_before(self, t: float) -> float | None:
-        """The sampled instant preceding t, or None if there is none within
-        one sampling period (give or take time_slack(t)) before t."""
-        i = bisect.bisect_left(self._times, t)
-        if not i:
-            return None
-        before = self._times[i - 1]
-        return before if t - before <= self._period + self.time_slack(t) else None
+    def positions_before(self, t: float) -> dict[int, tuple[float, float]]:
+        """Each vehicle's latest position among the sampled instants before
+        t that lie no more than one sampling period (give or take
+        time_slack(t)) before it; a vehicle sampled at none of them is
+        left out."""
+        times = self._times
+        i = j = bisect.bisect_left(times, t)
+        reach = self._period + self.time_slack(t)
+        while j and t - times[j - 1] <= reach:
+            j -= 1
+        prev: dict[int, tuple[float, float]] = {}
+        for s in times[j:i]:
+            prev.update(self._by_time[s])
+        return prev
 
     def __len__(self):
-        return len(self._points)
+        return self._n
+
+
+def _check_duplicates(duplicates) -> None:
+    """Raise for the smallest duplicated (time, vehicle) pair, if any."""
+    if duplicates:
+        t, v = min(duplicates)
+        raise TraceFormatError(f"duplicate sample for vehicle {v} at t={t}")
+
+
+def _in_order(by_time: dict) -> dict:
+    """by_time with its instants ascending and the vehicle ids ascending
+    within each instant; already ordered maps are returned as they are."""
+    times = list(by_time)
+    if times != sorted(times):
+        by_time = {t: by_time[t] for t in sorted(times)}
+    for t, at in by_time.items():
+        ids = list(at)
+        if ids != sorted(ids):
+            by_time[t] = {v: at[v] for v in sorted(ids)}
+    return by_time
 
 
 def load_trace_csv(path) -> Trace:
     """Read a trace from CSV with header time,id,x,y.
 
-    Malformed rows, including a NaN or infinite time or coordinate, raise
-    TraceFormatError naming the line.
+    Each record is parsed straight into the trace's per-instant maps, in
+    any row order; blank lines are skipped. Malformed records raise
+    TraceFormatError naming the line, checked in this order: the field
+    count, then float(time), float(x), float(y) and int(id), then a NaN
+    or infinite time or coordinate. A header other than time,id,x,y is
+    reported before any record; a file with no samples, and then a
+    duplicated (time, vehicle) pair, only once the whole file is read,
+    naming the smallest such pair.
     """
-    points = []
+    by_time: dict[float, dict[int, tuple[float, float]]] = {}
+    duplicates = []
+    n = 0
     isfinite = math.isfinite
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -145,29 +201,42 @@ def load_trace_csv(path) -> Trace:
             raise TraceFormatError(
                 f"expected header {','.join(TRACE_HEADER)!r}, got {header!r}"
             )
+        # consecutive records mostly share their time field: reuse its
+        # parsed value and its instant's map
+        last_field, t, at = None, 0.0, {}
         for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
             if len(row) != 4:
+                if not row:
+                    continue
                 raise TraceFormatError(f"line {lineno}: expected 4 fields, got {len(row)}")
+            field, v, x, y = row
             try:
-                t, x, y = float(row[0]), float(row[2]), float(row[3])
-                points.append(TracePoint(t, int(row[1]), x, y))
+                if field != last_field:
+                    t = float(field)
+                x, y, v = float(x), float(y), int(v)
             except ValueError as exc:
                 raise TraceFormatError(f"line {lineno}: {exc}") from exc
             if not (isfinite(t) and isfinite(x) and isfinite(y)):
                 raise TraceFormatError(f"line {lineno}: non-finite time or coordinate {row!r}")
-    if not points:
+            if field != last_field:
+                last_field = field
+                at = by_time.setdefault(t, {})
+            if v in at:
+                duplicates.append((t, v))
+            at[v] = (x, y)
+            n += 1
+    if not n:
         raise TraceFormatError(f"{path}: no samples")
-    return Trace(points)
+    _check_duplicates(duplicates)
+    return Trace._from_columns(_in_order(by_time), n)
 
 
 def write_trace_csv(trace: Trace, path) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(TRACE_HEADER)
-        for p in trace.points:
-            writer.writerow([repr(p.time), p.vehicle, repr(p.x), repr(p.y)])
+        for t, at in trace._by_time.items():
+            writer.writerows([repr(t), v, repr(x), repr(y)] for v, (x, y) in at.items())
 
 
 def snapshot_at(trace: Trace, t: float) -> dict[int, tuple[float, float]]:
@@ -343,10 +412,10 @@ def generate_two_way_roadway(
     lanes = {0: mid - 2.0, 1: mid + 2.0}  # 4 m lane separation
     starts = [rng.uniform(0.0, area_side) for _ in range(n_vehicles)]
     speeds = [rng.uniform(lo, hi) for _ in range(n_vehicles)]
-    points = []
+    by_time = {}
     for t in range(int(duration)):
+        at = by_time[float(t)] = {}
         for v in range(n_vehicles):
             heading = 1.0 if v % 2 == 0 else -1.0
-            x = starts[v] + heading * speeds[v] * t
-            points.append(TracePoint(float(t), v, x, lanes[v % 2]))
-    return Trace(points)
+            at[v] = (starts[v] + heading * speeds[v] * t, lanes[v % 2])
+    return Trace._from_columns(by_time, n_vehicles * len(by_time))

@@ -5,22 +5,25 @@ path: distances come from repeated min-plus relaxation over a dense matrix.
 
 The ``*_oracle`` functions are the package's earlier straightforward
 kernels, kept as references for the fast ones: the all-pairs unit-disk
-builder, the heading comparison through displacement vectors, per-source
-BFS closeness, the ``max()``-scan greedy pick, the tick-by-tick
+builder, the trace loader that built one TracePoint per sample, the
+heading comparison through displacement vectors, per-source BFS
+closeness, the ``max()``-scan greedy pick, the tick-by-tick
 reservation frame, the set-based exact branch and bound and the
 Nelder-Mead search on numpy 2-vectors. numpy is a test dependency only.
 """
 
 from __future__ import annotations
 
+import csv
 import math
 import random
+import statistics
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from apsel.graph import SnapshotGraph, bfs_distances
-from apsel.mobility import RadioParams
+from apsel.mobility import TRACE_HEADER, RadioParams, TraceFormatError, TracePoint
 from apsel.selection import (
     GraphSizeError,
     SelectionResult,
@@ -175,6 +178,85 @@ def udg_oracle(
     within = sq <= radio.range_r * radio.range_r
     edges = [(ids[i], ids[j]) for i, j in zip(ii[within], jj[within])]
     return SnapshotGraph(ids, edges)
+
+
+class TraceOracle:
+    """The earlier Trace: every sample a TracePoint, sorted and kept next to
+    the per-instant map. Only the sampling period follows the package's
+    current rule, the median gap between consecutive instants."""
+
+    def __init__(self, points):
+        pts = sorted(points, key=lambda p: (p.time, p.vehicle))
+        if not pts:
+            raise TraceFormatError("trace has no samples")
+        by_time: dict[float, dict[int, tuple[float, float]]] = {}
+        for p in pts:
+            at = by_time.setdefault(p.time, {})
+            if p.vehicle in at:
+                raise TraceFormatError(
+                    f"duplicate sample for vehicle {p.vehicle} at t={p.time}"
+                )
+            at[p.vehicle] = (p.x, p.y)
+        self._points = tuple(pts)
+        self._by_time = by_time
+        times = sorted(by_time)
+        self._times = tuple(times)
+        gaps = [b - a for a, b in zip(times, times[1:])]
+        self._period = statistics.median_low(gaps) if gaps else 1.0
+
+    @property
+    def points(self) -> tuple[TracePoint, ...]:
+        return self._points
+
+    @property
+    def times(self) -> tuple[float, ...]:
+        return self._times
+
+    @property
+    def sampling_period(self) -> float:
+        return self._period
+
+    @property
+    def vehicles(self) -> tuple[int, ...]:
+        return tuple(sorted({p.vehicle for p in self._points}))
+
+    def positions_at(self, t: float) -> dict[int, tuple[float, float]]:
+        return dict(self._by_time.get(t, {}))
+
+    def __len__(self):
+        return len(self._points)
+
+
+def load_trace_csv_oracle(path) -> TraceOracle:
+    """Read a trace from CSV with header time,id,x,y.
+
+    Malformed rows, including a NaN or infinite time or coordinate, raise
+    TraceFormatError naming the line.
+    """
+    points = []
+    isfinite = math.isfinite
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header != TRACE_HEADER:
+            raise TraceFormatError(
+                f"expected header {','.join(TRACE_HEADER)!r}, got {header!r}"
+            )
+        for lineno, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != 4:
+                raise TraceFormatError(f"line {lineno}: expected 4 fields, got {len(row)}")
+            try:
+                t, x, y = float(row[0]), float(row[2]), float(row[3])
+                points.append(TracePoint(t, int(row[1]), x, y))
+            except ValueError as exc:
+                raise TraceFormatError(f"line {lineno}: {exc}") from exc
+            if not (isfinite(t) and isfinite(x) and isfinite(y)):
+                raise TraceFormatError(f"line {lineno}: non-finite time or coordinate {row!r}")
+    if not points:
+        raise TraceFormatError(f"{path}: no samples")
+    return TraceOracle(points)
 
 
 @dataclass(frozen=True)

@@ -212,6 +212,69 @@ class TestRunCommand:
 
         assert columns(shift) == columns(0.0)
 
+    def test_stray_sample_keeps_the_direction_filter(self, tmp_path):
+        # two opposing lanes at 1 Hz plus one extra sample of vehicle 0 at
+        # t=5.001: the smallest gap between instants is then 0.001 s, and a
+        # period inferred from it left no vehicle a heading
+        pts = [
+            TracePoint(float(t), v, 20.0 * (v // 2) + (3.0 * t if v % 2 == 0 else -3.0 * t), 4.0 * (v % 2))
+            for t in range(11)
+            for v in range(6)
+        ]
+        pts.append(TracePoint(5.001, 0, 3.0 * 5.001, 0.0))
+        path = tmp_path / "stray.csv"
+        write_trace_csv(Trace(pts), path)
+        out = tmp_path / "res"
+        rc = main(["compare", "--trace", str(path), "--algo", "centrality:direction=true",
+                   "--period", "1", "--out", str(out)])
+        assert rc == 0
+        kept = read_period_metrics_csv(out / "centrality_d1_k4_dir.csv")
+        assert [r.time for r in kept] == [float(t) for t in range(11)]
+        # only the six same-lane links survive once every vehicle has a heading
+        assert [r.n_edges for r in kept[1:]] == [6] * 10
+
+    @given(
+        n=st.integers(2, 7),
+        steps=st.integers(3, 25),
+        start=st.sampled_from([0.0, 0.05, 7.3, 1e3 + 0.1]),
+        seed=st.integers(0, 10**6),
+    )
+    @settings(max_examples=15, deadline=None)
+    def test_rounded_decimal_times_give_the_same_metrics(self, tmp_path_factory, n, steps, start, seed):
+        """A 10 Hz trace whose times are float sums (0.1 + 0.2 is
+        0.30000000000000004) gives the same metrics whether the times are
+        written in full or rounded to 6 decimals."""
+        import random
+
+        rng = random.Random(seed)
+        lanes = [rng.randrange(2) for _ in range(n)]
+        x0 = [rng.uniform(0.0, 150.0) for _ in range(n)]
+        speed = [rng.uniform(0.5, 1.5) * (1 - 2 * lane) for lane in lanes]
+        times, t = [], start
+        for _ in range(steps):
+            times.append(t)
+            t += 0.1
+
+        def columns(decimals):
+            pts = [
+                TracePoint(t if decimals is None else round(t, decimals), v, x0[v] + speed[v] * i, 4.0 * lanes[v])
+                for i, t in enumerate(times)
+                for v in range(n)
+            ]
+            tmp = tmp_path_factory.mktemp("rounded")
+            path = tmp / "trace.csv"
+            write_trace_csv(Trace(pts), path)
+            out = tmp / "res"
+            rc = main(["run", "--trace", str(path), "--algo", "centrality",
+                       "--algo", "centrality:direction=true", "--period", "0.1", "--out", str(out)])
+            assert rc == 0
+            return {
+                name: [line.split(",")[1:] for line in (out / name).read_text().splitlines()]
+                for name in ("centrality_d1_k4.csv", "centrality_d1_k4_dir.csv")
+            }
+
+        assert columns(6) == columns(None)
+
     def test_window_flags(self, tmp_path):
         path = small_trace(tmp_path, duration=41.0)
         out = tmp_path / "res"

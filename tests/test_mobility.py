@@ -1,4 +1,6 @@
+import gc
 import math
+import tracemalloc
 
 import pytest
 from hypothesis import given
@@ -16,7 +18,14 @@ from apsel.mobility import (
     snapshot_at,
     write_trace_csv,
 )
-from helpers import DisplacementVector, direction_angle, displacements_at, euclid
+from helpers import (
+    DisplacementVector,
+    TraceOracle,
+    direction_angle,
+    displacements_at,
+    euclid,
+    load_trace_csv_oracle,
+)
 
 finite = st.floats(-1e4, 1e4, allow_nan=False, allow_infinity=False)
 
@@ -61,16 +70,16 @@ class TestTrace:
         assert snapshot_at(tr, 1.0) == {}
 
     def test_instants_resolve_within_tolerance(self):
-        tr = Trace([TracePoint(t, 0, 0.0, 0.0) for t in (0.0, 0.5, 1.0, 3.0)])
+        tr = Trace([TracePoint(t, 0, t, 0.0) for t in (0.0, 0.5, 1.0, 3.0)])
         assert tr.instant_near(0.5 + 1e-9) == 0.5
         assert tr.instant_near(3.0 + 1e-9) == 3.0
         assert tr.instant_near(0.0 - 1e-9) == 0.0
         assert tr.instant_near(0.51) is None
         assert tr.instant_near(2.0) is None
         # a predecessor counts only one sampling period back
-        assert tr.instant_before(1.0) == 0.5
-        assert tr.instant_before(3.0) is None
-        assert tr.instant_before(0.0) is None
+        assert tr.positions_before(1.0) == {0: (0.5, 0.0)}
+        assert tr.positions_before(3.0) == {}
+        assert tr.positions_before(0.0) == {}
 
 
 class TestTraceCsv:
@@ -113,6 +122,114 @@ class TestTraceCsv:
         path.write_text("time,id,x,y\n")
         with pytest.raises(TraceFormatError, match="no samples"):
             load_trace_csv(path)
+
+
+# time fields as a trace file may spell them: integers, short decimals
+# and full float reprs
+time_fields = st.one_of(
+    st.integers(0, 40).map(str),
+    st.integers(0, 400).map(lambda i: f"{i / 10:.1f}"),
+    st.floats(0.0, 40.0, allow_nan=False).map(repr),
+)
+coordinate_fields = st.one_of(
+    st.integers(-5000, 5000).map(str), finite.map(repr)
+)
+records = st.tuples(time_fields, st.integers(0, 25).map(str), coordinate_fields, coordinate_fields)
+
+
+def trace_text(rows, blank_every=0) -> str:
+    lines = ["time,id,x,y"]
+    for i, row in enumerate(rows):
+        if blank_every and i % blank_every == 0:
+            lines.append("")
+        lines.append(",".join(row))
+    return "\n".join(lines) + "\n"
+
+
+def assert_same_trace(trace, oracle):
+    assert trace.times == oracle.times
+    assert trace.sampling_period == oracle.sampling_period
+    assert len(trace) == len(oracle)
+    assert trace.vehicles == oracle.vehicles
+    assert trace.points == oracle.points
+    for t in oracle.times:
+        assert list(trace.positions_at(t).items()) == list(oracle.positions_at(t).items())
+
+
+def load_error(load, path) -> str:
+    with pytest.raises(TraceFormatError) as info:
+        load(path)
+    return str(info.value)
+
+
+class TestLoaderOracle:
+    """The columnar loader against the earlier one-object-per-sample loader."""
+
+    @given(
+        rows=st.lists(records, min_size=1, max_size=60, unique_by=lambda r: (float(r[0]), int(r[1]))),
+        blank_every=st.integers(0, 7),
+    )
+    def test_same_trace(self, tmp_path_factory, rows, blank_every):
+        path = tmp_path_factory.mktemp("oracle") / "trace.csv"
+        path.write_text(trace_text(rows, blank_every))
+        assert_same_trace(load_trace_csv(path), load_trace_csv_oracle(path))
+        points = [TracePoint(float(t), int(v), float(x), float(y)) for t, v, x, y in rows]
+        assert_same_trace(Trace(points), TraceOracle(points))
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "t,vid,x,y\n0,1,0,0\n",
+            "",
+            "time,id,x,y\n0.0,1,0.0,0.0\n1.0,1,0.0\n",
+            "time,id,x,y\n0.0,1,0.0,0.0,9\n",
+            "time,id,x,y\nabc,1,0.0,0.0\n",
+            "time,id,x,y\n0.0,1,1.2.3,0.0\n",
+            "time,id,x,y\n0.0,1,0.0,zz\n",
+            "time,id,x,y\n0.0,oops,0.0,0.0\n",
+            "time,id,x,y\n0.0,1.5,0.0,0.0\n",
+            # parse order: float(time), float(x), float(y), int(id), then finiteness
+            "time,id,x,y\nabc,oops,zz,zz\n",
+            "time,id,x,y\n1.0,oops,2.0,zz\n",
+            "time,id,x,y\nnan,oops,0.0,0.0\n",
+            "time,id,x,y\nnan,0,5.0,5.0\n",
+            "time,id,x,y\n1.0,2,inf,0.0\n",
+            "time,id,x,y\n1.0,3,0.0,-inf\n",
+            "time,id,x,y\n",
+            "time,id,x,y\n\n\n",
+            "time,id,x,y\n2.0,4,0,0\n0.5,7,0,0\n2.0,4,1,1\n0.5,7,1,1\n",
+            "time,id,x,y\n0.0,1,0,0\n0.0,1,1,1\n1.0,x,0,0\n",
+            "time,id,x,y\n0.0,1,0,0\n-0.0,1,1,1\n0,1,2,2\n",
+        ],
+        ids=[
+            "header", "no-header", "3-fields", "5-fields", "bad-time", "bad-x", "bad-y",
+            "bad-id", "decimal-id", "time-first", "y-before-id", "id-before-finite", "nan-time",
+            "inf-x", "minus-inf-y", "empty-body", "blank-body", "two-duplicates",
+            "duplicate-then-malformed", "triple-sample",
+        ],
+    )
+    def test_same_rejection(self, tmp_path, text):
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        assert load_error(load_trace_csv, path) == load_error(load_trace_csv_oracle, path)
+
+
+def test_loaded_trace_keeps_no_object_per_sample(tmp_path):
+    """A loaded trace holds each sample as one entry of its instant's map;
+    a frozen TracePoint per sample, as before, cost about 273 bytes."""
+    path = tmp_path / "trace.csv"
+    write_trace_csv(generate_two_way_roadway(200, 2000.0, 100.0, seed=5), path)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        trace = load_trace_csv(path)
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(trace) == 20_000
+    assert retained / len(trace) < 180
 
 
 class TestBuildUdg:
