@@ -32,9 +32,14 @@ class SnapshotGraph:
     Adjacency lists are stored sorted by id so iteration order, and any
     tie-breaking that depends on it downstream, is deterministic. Self-loops
     are rejected; duplicate edges collapse to one.
+
+    The vertices and edges never change. The graph only memoizes derived
+    hop-ball sizes for ``all_k_closeness``, so that scoring it again runs
+    no further search; the sizes are kept, never the reach sets, and the
+    memo dies with the graph.
     """
 
-    __slots__ = ("_adj", "_vertices", "_n_edges")
+    __slots__ = ("_adj", "_vertices", "_n_edges", "_ball_sizes")
 
     def __init__(self, vertices: Iterable[int], edges: Iterable[tuple[int, int]] = ()):
         adj: dict[int, set[int]] = {}
@@ -60,6 +65,8 @@ class SnapshotGraph:
         }
         self._vertices: tuple[int, ...] = tuple(self._adj)
         self._n_edges = n_edges
+        # _ball_sizes[h][i]: vertices within h hops of vertex i, h = 0, 1, ...
+        self._ball_sizes: list[list[int]] = []
 
     @classmethod
     def _from_sorted_adjacency(
@@ -75,6 +82,7 @@ class SnapshotGraph:
         g._adj = adj
         g._vertices = tuple(adj)
         g._n_edges = n_edges
+        g._ball_sizes = []
         return g
 
     @property
@@ -203,8 +211,16 @@ def all_k_closeness(g: SnapshotGraph, k: int) -> tuple[dict[int, float], int]:
     count. The values equal k independent depth-limited searches, one per
     vertex, and the edge count is the work those searches would do, which
     feeds the computational-cost metric.
+
+    The per-round sizes are memoized on ``g``: a call whose k the memo
+    already covers runs no search, and a larger k reruns the rounds from
+    round 0 and replaces the memo. Each call returns a new values dict.
     """
-    rounds = [sizes for _, sizes in reach_rounds(g, k)]
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+    rounds = g._ball_sizes
+    if len(rounds) <= k:
+        rounds = g._ball_sizes = [sizes for _, sizes in reach_rounds(g, k)]
     farness = [0] * g.n_vertices
     for h in range(1, k + 1):
         farness = [f + h * (s - p) for f, s, p in zip(farness, rounds[h], rounds[h - 1])]

@@ -64,18 +64,22 @@ class Trace:
     and vehicle ids ascending within each instant, the ascending
     ``times`` and the sample count; no object is kept per sample, and
     ``points`` builds the (time, vehicle)-ordered TracePoints on demand.
-    Duplicate (time, vehicle) pairs are rejected, naming the smallest
-    such pair. sampling_period is inferred as the median gap between
-    consecutive sampled instants (the lower middle one for an even
-    count; 1.0 when the trace has a single instant), so a stray sample
-    just after an instant does not shrink it.
+    A NaN or infinite time or coordinate is rejected, and so are
+    duplicate (time, vehicle) pairs, naming the smallest such pair.
+    sampling_period is inferred as the median gap between consecutive
+    sampled instants (the lower middle one for an even count; 1.0 when
+    the trace has a single instant), so a stray sample just after an
+    instant does not shrink it.
     """
 
     def __init__(self, points):
         by_time: dict[float, dict[int, tuple[float, float]]] = {}
         duplicates = []
         n = 0
+        isfinite = math.isfinite
         for p in points:
+            if not (isfinite(p.time) and isfinite(p.x) and isfinite(p.y)):
+                raise TraceFormatError(f"non-finite time or coordinate {p!r}")
             at = by_time.setdefault(p.time, {})
             if p.vehicle in at:
                 duplicates.append((p.time, p.vehicle))
@@ -183,7 +187,8 @@ def load_trace_csv(path) -> Trace:
 
     Each record is parsed straight into the trace's per-instant maps, in
     any row order; blank lines are skipped. Malformed records raise
-    TraceFormatError naming the line, checked in this order: the field
+    TraceFormatError naming the physical line on which the record ends
+    (a quoted field may span lines), checked in this order: the field
     count, then float(time), float(x), float(y) and int(id), then a NaN
     or infinite time or coordinate. A header other than time,id,x,y is
     reported before any record; a file with no samples, and then a
@@ -204,20 +209,22 @@ def load_trace_csv(path) -> Trace:
         # consecutive records mostly share their time field: reuse its
         # parsed value and its instant's map
         last_field, t, at = None, 0.0, {}
-        for lineno, row in enumerate(reader, start=2):
+        for row in reader:
             if len(row) != 4:
                 if not row:
                     continue
-                raise TraceFormatError(f"line {lineno}: expected 4 fields, got {len(row)}")
+                raise TraceFormatError(f"line {reader.line_num}: expected 4 fields, got {len(row)}")
             field, v, x, y = row
             try:
                 if field != last_field:
                     t = float(field)
                 x, y, v = float(x), float(y), int(v)
             except ValueError as exc:
-                raise TraceFormatError(f"line {lineno}: {exc}") from exc
+                raise TraceFormatError(f"line {reader.line_num}: {exc}") from exc
             if not (isfinite(t) and isfinite(x) and isfinite(y)):
-                raise TraceFormatError(f"line {lineno}: non-finite time or coordinate {row!r}")
+                raise TraceFormatError(
+                    f"line {reader.line_num}: non-finite time or coordinate {row!r}"
+                )
             if field != last_field:
                 last_field = field
                 at = by_time.setdefault(t, {})

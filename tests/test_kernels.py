@@ -15,14 +15,21 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from apsel.graph import SnapshotGraph, all_k_closeness
-from apsel.mobility import RadioParams, build_direction_constrained_udg, build_udg
+import apsel.graph
+from apsel.graph import SnapshotGraph, all_k_closeness, reach_rounds
+from apsel.mobility import (
+    RadioParams,
+    build_direction_constrained_udg,
+    build_udg,
+    generate_two_way_roadway,
+)
 from apsel.selection import (
     _closed_neighborhoods,
     centrality_select,
     exact_min_dominating_set,
     rb_select_with_slots,
 )
+from apsel.tuner import TunerConfig, tune_parameters
 from helpers import (
     _greedy_cover,
     adjacency,
@@ -199,6 +206,40 @@ class TestBitsetCloseness:
     @given(g=graphs(), k=st.integers(1, 6))
     def test_values_and_edges_examined_match_bfs(self, g, k):
         assert all_k_closeness(g, k) == all_k_closeness_oracle(g, k)
+
+    @given(g=graphs(), ks=st.lists(st.integers(1, 6), min_size=2, max_size=8))
+    @example(g=cycle_graph(9), ks=[1, 3, 2, 2, 4, 1])
+    def test_memo_matches_bfs_for_any_sequence_of_k(self, g, ks):
+        for k in ks:
+            assert all_k_closeness(g, k) == all_k_closeness_oracle(g, k)
+
+    def test_returned_values_are_the_callers_own(self):
+        g = cycle_graph(7)
+        first, _ = all_k_closeness(g, 2)
+        expected = dict(first)
+        first.clear()
+        assert all_k_closeness(g, 2)[0] == expected
+        assert all_k_closeness(g, 1) == all_k_closeness_oracle(g, 1)
+
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_k_below_one_rejected_with_memo_filled(self, k):
+        g = cycle_graph(5)
+        all_k_closeness(g, 3)
+        with pytest.raises(ValueError, match="k must be >= 1"):
+            all_k_closeness(g, k)
+
+    def test_tuner_searches_each_graph_once(self, monkeypatch):
+        calls = []
+
+        def counted(g, k):
+            calls.append(g)
+            return reach_rounds(g, k)
+
+        monkeypatch.setattr(apsel.graph, "reach_rounds", counted)
+        trace = generate_two_way_roadway(30, 400.0, 5.0, seed=3)
+        res = tune_parameters(trace, config=TunerConfig(d_bounds=(1, 2), k_bounds=(1, 2)))
+        assert res.n_evaluations > 1
+        assert len(calls) == len({id(g) for g in calls}) == len(trace.times)
 
 
 class TestSortOnceGreedy:

@@ -52,6 +52,20 @@ class TestTrace:
         with pytest.raises(TraceFormatError):
             Trace([])
 
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            TracePoint(math.nan, 0, 0.0, 0.0),
+            TracePoint(-math.inf, 0, 0.0, 0.0),
+            TracePoint(0.0, 0, math.inf, 0.0),
+            TracePoint(0.0, 0, 0.0, math.nan),
+        ],
+    )
+    def test_non_finite_sample_rejected(self, bad):
+        points = [bad, TracePoint(1.0, 0, 0.0, 0.0), TracePoint(0.0, 1, 0.0, 0.0)]
+        with pytest.raises(TraceFormatError, match="non-finite time or coordinate"):
+            Trace(points)
+
     def test_sampling_period_inferred(self):
         tr = Trace([TracePoint(t, 0, 0.0, 0.0) for t in (0.0, 0.5, 1.0, 3.0)])
         assert tr.sampling_period == 0.5
@@ -115,6 +129,13 @@ class TestTraceCsv:
         path = tmp_path / "bad.csv"
         path.write_text(f"time,id,x,y\n0.0,1,0.0,0.0\n1.0,1,10.0,0.0\n{bad_row}\n")
         with pytest.raises(TraceFormatError, match="line 4: non-finite"):
+            load_trace_csv(path)
+
+    def test_line_numbers_count_lines_inside_quoted_fields(self, tmp_path):
+        # the first record spans lines 2-3, so the bad id sits on line 4
+        path = tmp_path / "bad.csv"
+        path.write_text('time,id,x,y\n"0.0\n",1,0,0\n1.0,x,0,0\n')
+        with pytest.raises(TraceFormatError, match="^line 4: "):
             load_trace_csv(path)
 
     def test_empty_body_rejected(self, tmp_path):
