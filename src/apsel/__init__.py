@@ -38,7 +38,6 @@ from .selection import (
     GraphSizeError,
     SelectionResult,
     assign_to_aggregation_points,
-    brute_force_min_dominating_set,
     centrality_select,
     exact_min_dominating_set,
     rb_select,

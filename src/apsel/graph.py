@@ -39,7 +39,7 @@ class SnapshotGraph:
     memo dies with the graph.
     """
 
-    __slots__ = ("_adj", "_vertices", "_n_edges", "_ball_sizes")
+    __slots__ = ("_adj", "_vertices", "_n_edges", "_ball_sizes", "_balls_converged")
 
     def __init__(self, vertices: Iterable[int], edges: Iterable[tuple[int, int]] = ()):
         adj: dict[int, set[int]] = {}
@@ -66,7 +66,9 @@ class SnapshotGraph:
         self._vertices: tuple[int, ...] = tuple(self._adj)
         self._n_edges = n_edges
         # _ball_sizes[h][i]: vertices within h hops of vertex i, h = 0, 1, ...
+        # once _balls_converged, its last round repeats for every larger h
         self._ball_sizes: list[list[int]] = []
+        self._balls_converged = False
 
     @classmethod
     def _from_sorted_adjacency(
@@ -83,6 +85,7 @@ class SnapshotGraph:
         g._vertices = tuple(adj)
         g._n_edges = n_edges
         g._ball_sizes = []
+        g._balls_converged = False
         return g
 
     @property
@@ -214,15 +217,25 @@ def all_k_closeness(g: SnapshotGraph, k: int) -> tuple[dict[int, float], int]:
 
     The per-round sizes are memoized on ``g``: a call whose k the memo
     already covers runs no search, and a larger k reruns the rounds from
-    round 0 and replaces the memo. Each call returns a new values dict.
+    round 0 and replaces the memo. Only distinct rounds are kept: the
+    rounds stop at the first one that adds nothing, and every larger k
+    reads the last kept round. Each call returns a new values dict.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     rounds = g._ball_sizes
-    if len(rounds) <= k:
-        rounds = g._ball_sizes = [sizes for _, sizes in reach_rounds(g, k)]
+    if len(rounds) <= k and not g._balls_converged:
+        rounds = []
+        for _, sizes in reach_rounds(g, k):
+            # a converged search yields its last sizes list again
+            if rounds and sizes is rounds[-1]:
+                g._balls_converged = True
+                break
+            rounds.append(sizes)
+        g._ball_sizes = rounds
+    last = len(rounds) - 1
     farness = [0] * g.n_vertices
-    for h in range(1, k + 1):
+    for h in range(1, min(k, last) + 1):
         farness = [f + h * (s - p) for f, s, p in zip(farness, rounds[h], rounds[h - 1])]
     values = {v: 1.0 / f if f else 0.0 for v, f in zip(g.vertices, farness)}
-    return values, edges_examined(g, rounds[k - 1])
+    return values, edges_examined(g, rounds[min(k - 1, last)])

@@ -11,13 +11,11 @@ vehicles to their nearest point.
   in which vehicles pick random transmission slots and collisions keep
   contenders in the race.
 * ``exact_min_dominating_set`` finds a true minimum via set-cover
-  branch and bound; ``brute_force_min_dominating_set`` is the tiny-n
-  reference used to validate it.
+  branch and bound, one connected component at a time.
 """
 
 from __future__ import annotations
 
-import itertools
 import random
 from collections import deque
 from dataclasses import dataclass, field
@@ -35,7 +33,6 @@ __all__ = [
     "GraphSizeError",
     "SelectionResult",
     "assign_to_aggregation_points",
-    "brute_force_min_dominating_set",
     "centrality_select",
     "exact_min_dominating_set",
     "rb_select",
@@ -59,7 +56,9 @@ class SelectionResult:
     which does no graph search). slots_simulated is the number of
     reservation ticks processed (0 for the non-slotted selectors).
     search_nodes is the number of branch-and-bound nodes the exact
-    solver visited, its root included (0 for the other selectors).
+    solver visited: the sum over its per-component searches, each root
+    and each re-search for the witness included (0 for the other
+    selectors).
     """
 
     aggregation_points: frozenset[int]
@@ -215,70 +214,75 @@ def rb_select(g: SnapshotGraph, slots: int = 256, seed: int = 0) -> SelectionRes
     return rb_select_with_slots(g, assigned, slots)
 
 
-def _closed_neighborhoods(
-    g: SnapshotGraph, d: int
-) -> tuple[dict[int, frozenset[int]], int]:
-    examined = 0
-    closed = {}
-    for v in g.vertices:
-        dist, scanned = bfs_distances(g, v, d)
-        examined += scanned
-        closed[v] = frozenset(dist)
-    return closed, examined
+def _components(balls: list[int]) -> list[tuple[int, list[int]]]:
+    """Connected components as (bitset, ascending positions) pairs.
 
-
-def exact_min_dominating_set(
-    g: SnapshotGraph, d: int = 1, max_vertices: int = 200
-) -> SelectionResult:
-    """Minimum d-hop dominating set via set-cover branch and bound.
-
-    Branches on the uncovered vertex with the fewest potential coverers,
-    prunes with a disjoint-neighborhood packing bound, and starts from
-    the greedy cover as incumbent. Vertex sets are int bitsets over
-    positions in ``g.vertices``, so bit order is id order. Worst case is
-    exponential, hence the max_vertices guard.
+    Each ball holds its vertex's neighbors, so taking the union of the
+    balls of everything reached so far, until nothing new is reached,
+    closes a vertex's ball into its component. Components come out in
+    order of their lowest position.
     """
-    if d < 1:
-        raise ValueError(f"d must be >= 1, got {d}")
-    if g.n_vertices > max_vertices:
-        raise GraphSizeError(
-            f"graph has {g.n_vertices} vertices, exact solver capped at {max_vertices}"
-        )
-    if not g.n_vertices:
-        return SelectionResult(frozenset())
+    components = []
+    seen = 0
+    for i in range(len(balls)):
+        if seen >> i & 1:
+            continue
+        component = 0
+        members = []
+        frontier = 1 << i
+        while frontier:
+            component |= frontier
+            grown = 0
+            while frontier:
+                low = frontier & -frontier
+                u = low.bit_length() - 1
+                members.append(u)
+                grown |= balls[u]
+                frontier ^= low
+            frontier = grown & ~component
+        seen |= component
+        members.sort()
+        components.append((component, members))
+    return components
 
-    rounds = list(reach_rounds(g, d))
-    # hop distance is symmetric, so a vertex's d-hop ball is also the set
-    # of vertices whose ball covers it: its coverers
-    balls, ball_sizes = rounds[d]
-    n = len(balls)
 
-    # greedy incumbent: the largest gain, lowest id on ties
+def _greedy_cover(balls: list[int], component: int, members: list[int]) -> list[int]:
+    """Cover a component greedily: the largest gain, lowest id on ties."""
     best: list[int] = []
-    uncovered = (1 << n) - 1
-    candidates = list(range(n))
+    uncovered = component
+    candidates = members
     while uncovered:
         gains = [(balls[i] & uncovered).bit_count() for i in candidates]
         top = candidates[gains.index(max(gains))]
         best.append(top)
         uncovered &= ~balls[top]
         candidates = [i for i, gain in zip(candidates, gains) if gain]
+    return best
 
-    # the uncovered vertex with the fewest coverers is the first uncovered
-    # one in this order, which is also the packing bound's greedy order
-    order = sorted(range(n), key=lambda i: (ball_sizes[i], i))
+
+def _search(
+    balls: list[int], order: list[int], component: int, bound: int
+) -> tuple[list[int] | None, int]:
+    """Branch and bound for a cover of one component smaller than ``bound``.
+
+    Returns the last cover that beat the bound, or None if none did, and
+    the number of nodes visited. ``order`` lists the component's
+    vertices by (ball size, id).
+    """
+    best = None
     nodes = 0
 
     def branch(chosen: list[int], uncovered: int):
-        nonlocal best, nodes
+        nonlocal best, bound, nodes
         nodes += 1
         if not uncovered:
-            if len(chosen) < len(best):
+            if len(chosen) < bound:
                 best = list(chosen)
+                bound = len(best)
             return
         # every point set needs one point per uncovered vertex whose ball
         # meets no other packed ball; prune once that reaches the incumbent
-        room = len(best) - len(chosen)
+        room = bound - len(chosen)
         pivot = -1
         packed = blocked = 0
         for i in order:
@@ -298,16 +302,89 @@ def exact_min_dominating_set(
             chosen.pop()
             coverers ^= low
 
-    branch([], (1 << n) - 1)
+    branch([], component)
+    return best, nodes
+
+
+def exact_min_dominating_set(
+    g: SnapshotGraph, d: int = 1, max_vertices: int = 200
+) -> SelectionResult:
+    """Minimum d-hop dominating set via set-cover branch and bound.
+
+    Each connected component is solved on its own. Its search branches
+    on the uncovered vertex with the fewest potential coverers, prunes
+    with a disjoint-neighborhood packing bound, and starts from the
+    component's greedy cover as incumbent. Vertex sets are int bitsets
+    over positions in ``g.vertices``, so bit order is id order. Worst
+    case is exponential in the largest component, hence the
+    max_vertices guard, which still counts the whole graph.
+
+    The witness is the one a single search over the whole graph returns.
+    If every component's greedy cover is optimal, it is the union of the
+    greedy covers. Otherwise each component contributes its first
+    minimum cover in branch order, which takes one more search, bounded
+    by greedy size + 1, for each component whose greedy cover already is
+    optimal and has two or more points (a one-point cover is the lowest
+    id whose ball holds the whole component either way). This holds
+    because components do not interact: the whole-graph branch order
+    restricted to one component is that component's own order, and a
+    valid lower bound never prunes the first minimum cover while the
+    incumbent is larger, so once any component improves on greedy the
+    whole-graph search ends on the first minimum cover of every
+    component.
+    """
+    if d < 1:
+        raise ValueError(f"d must be >= 1, got {d}")
+    if g.n_vertices > max_vertices:
+        raise GraphSizeError(
+            f"graph has {g.n_vertices} vertices, exact solver capped at {max_vertices}"
+        )
+    if not g.n_vertices:
+        return SelectionResult(frozenset())
+
+    rounds = list(reach_rounds(g, d))
+    # hop distance is symmetric, so a vertex's d-hop ball is also the set
+    # of vertices whose ball covers it: its coverers
+    balls, ball_sizes = rounds[d]
+    n = len(balls)
+    nodes = 0
+    covers = []
+    searched = []  # (position in covers, component, order, improved)
+    for component, members in _components(balls):
+        top = max(members, key=ball_sizes.__getitem__)
+        if ball_sizes[top] == len(members):
+            # greedy takes the lowest id whose ball is the whole component,
+            # and the search's root packs one ball against one point
+            covers.append([top])
+            nodes += 1
+            continue
+        greedy = _greedy_cover(balls, component, members)
+        # the uncovered vertex with the fewest coverers is the first
+        # uncovered one in (ball size, id) order, which is also the
+        # packing bound's greedy order
+        order = sorted(members, key=ball_sizes.__getitem__)
+        cover, count = _search(balls, order, component, len(greedy))
+        nodes += count
+        searched.append((len(covers), component, order, cover is not None))
+        covers.append(cover or greedy)
+    if any(improved for *_, improved in searched):
+        for c, component, order, improved in searched:
+            if not improved:
+                # greedy is optimal here: search again for the first
+                # minimum cover in branch order
+                covers[c], count = _search(balls, order, component, len(covers[c]) + 1)
+                nodes += count
+    best = [i for cover in covers for i in cover]
 
     # a non-point's closest points are the first round whose reach meets
     # the point set; the lowest bit among them is the lowest id
     vertices = g.vertices
     points = sum(1 << i for i in best)
+    reaches = [reach for reach, _ in rounds[1:]]
     assignment = {}
     for i in range(n):
         if not points >> i & 1:
-            for reach, _ in rounds[1:]:
+            for reach in reaches:
                 hit = reach[i] & points
                 if hit:
                     assignment[vertices[i]] = vertices[(hit & -hit).bit_length() - 1]
@@ -318,33 +395,3 @@ def exact_min_dominating_set(
         edges_examined=edges_examined(g, rounds[d - 1][1]),
         search_nodes=nodes,
     )
-
-
-def brute_force_min_dominating_set(
-    g: SnapshotGraph, d: int = 1, max_vertices: int = 20
-) -> frozenset[int]:
-    """Smallest d-hop dominating set by exhaustive subset search.
-
-    Checks subsets in increasing size, lexicographic order within a
-    size, so returns a deterministic witness. Only usable on tiny
-    graphs; exists to validate the branch-and-bound solver.
-    """
-    if d < 1:
-        raise ValueError(f"d must be >= 1, got {d}")
-    if g.n_vertices > max_vertices:
-        raise GraphSizeError(
-            f"graph has {g.n_vertices} vertices, brute force capped at {max_vertices}"
-        )
-    vertices = list(g.vertices)
-    if not vertices:
-        return frozenset()
-    closed, _ = _closed_neighborhoods(g, d)
-    everyone = set(vertices)
-    for size in range(1, len(vertices) + 1):
-        for combo in itertools.combinations(vertices, size):
-            covered = set()
-            for v in combo:
-                covered |= closed[v]
-            if covered == everyone:
-                return frozenset(combo)
-    raise AssertionError("full vertex set always dominates")  # pragma: no cover

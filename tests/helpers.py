@@ -10,11 +10,14 @@ heading comparison through displacement vectors, per-source BFS
 closeness, the ``max()``-scan greedy pick, the tick-by-tick
 reservation frame, the set-based exact branch and bound and the
 Nelder-Mead search on numpy 2-vectors. numpy is a test dependency only.
+``brute_force_min_dominating_set`` is the exhaustive tiny-n witness
+that validates the exact solver.
 """
 
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 import random
 import statistics
@@ -27,7 +30,6 @@ from apsel.mobility import TRACE_HEADER, RadioParams, TraceFormatError, TracePoi
 from apsel.selection import (
     GraphSizeError,
     SelectionResult,
-    _closed_neighborhoods,
     assign_to_aggregation_points,
 )
 from apsel.tuner import (
@@ -367,6 +369,48 @@ def rb_select_with_slots_oracle(
         assignment=assign_to_aggregation_points(g, chosen, 1),
         slots_simulated=ticks,
     )
+
+
+def _closed_neighborhoods(
+    g: SnapshotGraph, d: int
+) -> tuple[dict[int, frozenset[int]], int]:
+    examined = 0
+    closed = {}
+    for v in g.vertices:
+        dist, scanned = bfs_distances(g, v, d)
+        examined += scanned
+        closed[v] = frozenset(dist)
+    return closed, examined
+
+
+def brute_force_min_dominating_set(
+    g: SnapshotGraph, d: int = 1, max_vertices: int = 20
+) -> frozenset[int]:
+    """Smallest d-hop dominating set by exhaustive subset search.
+
+    Checks subsets in increasing size, lexicographic order within a
+    size, so returns a deterministic witness. Only usable on tiny
+    graphs; exists to validate the branch-and-bound solver.
+    """
+    if d < 1:
+        raise ValueError(f"d must be >= 1, got {d}")
+    if g.n_vertices > max_vertices:
+        raise GraphSizeError(
+            f"graph has {g.n_vertices} vertices, brute force capped at {max_vertices}"
+        )
+    vertices = list(g.vertices)
+    if not vertices:
+        return frozenset()
+    closed, _ = _closed_neighborhoods(g, d)
+    everyone = set(vertices)
+    for size in range(1, len(vertices) + 1):
+        for combo in itertools.combinations(vertices, size):
+            covered = set()
+            for v in combo:
+                covered |= closed[v]
+            if covered == everyone:
+                return frozenset(combo)
+    raise AssertionError("full vertex set always dominates")  # pragma: no cover
 
 
 def _greedy_cover(vertices, closed) -> list[int]:

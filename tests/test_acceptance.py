@@ -19,7 +19,6 @@ from apsel.mobility import (
     generate_two_way_roadway,
 )
 from apsel.selection import (
-    brute_force_min_dominating_set,
     centrality_select,
     exact_min_dominating_set,
     rb_select,
@@ -28,6 +27,7 @@ from apsel.selection import (
 )
 from apsel.tuner import TunerConfig, nelder_mead, tune_integer_objective
 from helpers import (
+    brute_force_min_dominating_set,
     connected_gnp_graph,
     full_closeness_from_matrix,
     geometric_snapshot,

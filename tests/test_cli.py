@@ -16,7 +16,8 @@ from apsel.cli import (
 )
 from apsel.metrics import read_period_metrics_csv
 from apsel.mobility import RadioParams, Trace, TracePoint, build_udg, load_trace_csv, write_trace_csv
-from apsel.selection import brute_force_min_dominating_set, verify_domination
+from apsel.selection import verify_domination
+from helpers import brute_force_min_dominating_set
 
 
 def small_trace(tmp_path, n=20, duration=31.0, seed=3, area=400.0):

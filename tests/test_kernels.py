@@ -3,9 +3,12 @@
 Each kernel (grid unit-disk builder, bit-parallel closeness, sort-once
 greedy pick, slot-bucketed reservation frame, bitset exact branch and
 bound) must give exactly what its oracle in ``helpers`` gives, counters
-included.
+included. The one exception is the exact search's node count on a
+disconnected graph, which the bitset solver searches one component at a
+time and the oracle in one piece.
 """
 
+import dataclasses
 import math
 import random
 import tracemalloc
@@ -16,7 +19,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import apsel.graph
-from apsel.graph import SnapshotGraph, all_k_closeness, reach_rounds
+from apsel.graph import SnapshotGraph, all_k_closeness, bfs_distances, reach_rounds
 from apsel.mobility import (
     RadioParams,
     build_direction_constrained_udg,
@@ -24,13 +27,13 @@ from apsel.mobility import (
     generate_two_way_roadway,
 )
 from apsel.selection import (
-    _closed_neighborhoods,
     centrality_select,
     exact_min_dominating_set,
     rb_select_with_slots,
 )
 from apsel.tuner import TunerConfig, tune_parameters
 from helpers import (
+    _closed_neighborhoods,
     _greedy_cover,
     adjacency,
     all_k_closeness_oracle,
@@ -40,6 +43,7 @@ from helpers import (
     displacements_at,
     exact_min_dominating_set_oracle,
     geometric_snapshot,
+    path_graph,
     rb_select_with_slots_oracle,
     star_graph,
     two_lane_strip,
@@ -213,6 +217,28 @@ class TestBitsetCloseness:
         for k in ks:
             assert all_k_closeness(g, k) == all_k_closeness_oracle(g, k)
 
+    def test_k_past_convergence_keeps_distinct_rounds(self):
+        # a 300-vertex path's balls stop growing after 299 rounds
+        g = path_graph(300)
+        values, examined = all_k_closeness(g, 299)
+        assert (values, examined) == all_k_closeness_oracle(g, 299)
+        assert examined == 179_398
+        at_300 = all_k_closeness(g, 300)
+        assert at_300[1] == 179_400
+        assert len(g._ball_sizes) == 300
+        for k in [100_000, 301, 1000]:
+            fresh = path_graph(300)
+            assert all_k_closeness(fresh, k) == all_k_closeness(g, k) == at_300
+            assert len(fresh._ball_sizes) == len(g._ball_sizes) == 300
+        assert all_k_closeness(g, 299) == (values, examined)
+        assert all_k_closeness(g, 2) == all_k_closeness_oracle(g, 2)
+
+    @pytest.mark.parametrize("g", [SnapshotGraph([]), SnapshotGraph([4, 2]), cycle_graph(9)])
+    def test_converged_memo_matches_bfs(self, g):
+        for k in [50, 1, 6, 3, 100]:
+            assert all_k_closeness(g, k) == all_k_closeness_oracle(g, k)
+        assert len(g._ball_sizes) == {0: 1, 2: 1, 9: 5}[g.n_vertices]
+
     def test_returned_values_are_the_callers_own(self):
         g = cycle_graph(7)
         first, _ = all_k_closeness(g, 2)
@@ -288,9 +314,46 @@ def exact_cases(draw):
     return udg_oracle({ids[v]: xy for v, xy in snap.items()})
 
 
+@st.composite
+def disjoint_unions(draw):
+    """Disjoint unions of 2-4 random graphs, at most 20 vertices in all,
+    with ids shuffled so that the parts interleave in id order."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    sizes = draw(st.lists(st.integers(1, 8), min_size=2, max_size=4).filter(lambda s: sum(s) <= 20))
+    edges, start = [], 0
+    for size in sizes:
+        p = rng.choice([0.2, 0.4, 0.7])
+        edges += [
+            (start + i, start + j) for i in range(size) for j in range(i + 1, size) if rng.random() < p
+        ]
+        start += size
+    ids = rng.sample(range(100), start)
+    return SnapshotGraph(ids, [(ids[i], ids[j]) for i, j in edges])
+
+
 def greedy_is_optimal(g: SnapshotGraph, d: int, optimum: frozenset[int]) -> bool:
     closed, _ = _closed_neighborhoods(g, d)
     return len(_greedy_cover(list(g.vertices), closed)) == len(optimum)
+
+
+def is_connected(g: SnapshotGraph) -> bool:
+    return not g.n_vertices or len(bfs_distances(g, g.vertices[0], g.n_vertices)[0]) == g.n_vertices
+
+
+def assert_matches_set_based_search(g: SnapshotGraph, d: int) -> None:
+    """Points, assignment and edges_examined agree with the whole-graph
+    search; so does the node count on a connected graph, where both
+    solvers run the same single search."""
+    res, ref = exact_min_dominating_set(g, d), exact_min_dominating_set_oracle(g, d)
+    if not is_connected(g):
+        res, ref = dataclasses.replace(res, search_nodes=0), dataclasses.replace(ref, search_nodes=0)
+    assert res == ref
+
+
+# the paths 0-6-2-1 and 3-7-4-8-5: greedy covers the first optimally with
+# {0, 2} but not the second, so the first path's witness is its first
+# minimum cover in branch order, {0, 1}
+TWO_PATHS = SnapshotGraph(range(9), [(0, 6), (6, 2), (2, 1), (3, 7), (7, 4), (4, 8), (8, 5)])
 
 
 class TestBitsetExact:
@@ -299,8 +362,29 @@ class TestBitsetExact:
     @example(g=SnapshotGraph([7]), d=2)
     @example(g=SnapshotGraph([5, 3, 9, 1], [(5, 3), (9, 1)]), d=1)
     def test_matches_set_based_search(self, g, d):
-        # points, assignment, edges_examined and the node count all agree
-        assert exact_min_dominating_set(g, d) == exact_min_dominating_set_oracle(g, d)
+        assert_matches_set_based_search(g, d)
+
+    @given(g=disjoint_unions(), d=st.integers(1, 3))
+    @example(g=TWO_PATHS, d=1)
+    def test_disjoint_unions_match_set_based_search(self, g, d):
+        assert_matches_set_based_search(g, d)
+
+    def test_component_with_optimal_greedy_gives_first_minimum_cover(self):
+        assert exact_min_dominating_set(TWO_PATHS, 1).aggregation_points == {0, 1, 3, 8}
+
+    def test_disjoint_copies_search_each_copy_once(self):
+        # the path 0-2-1-3-4: greedy picks 1, 0 and 3, but 2 points suffice
+        one = SnapshotGraph(range(5), [(0, 2), (2, 1), (1, 3), (3, 4)])
+        nodes = exact_min_dominating_set(one, 1).search_nodes
+        assert nodes > 1
+        for k in range(2, 5):
+            # copy j renames vertex v to v * k + j, so the copies interleave
+            g = SnapshotGraph(
+                [v * k + j for v in range(5) for j in range(k)],
+                [(a * k + j, b * k + j) for a, b in one.edges() for j in range(k)],
+            )
+            assert exact_min_dominating_set(g, 1).search_nodes == k * nodes
+            assert_matches_set_based_search(g, 1)
 
     @pytest.mark.parametrize("d", [1, 2])
     def test_benchmark_strips_include_covers_greedy_misses(self, d):
@@ -309,8 +393,8 @@ class TestBitsetExact:
         misses = 0
         for seed in range(60):
             g = udg_oracle(two_lane_strip(36, 3000.0, seed))
+            assert_matches_set_based_search(g, d)
             res = exact_min_dominating_set(g, d)
-            assert res == exact_min_dominating_set_oracle(g, d)
             misses += not greedy_is_optimal(g, d, res.aggregation_points)
         assert misses >= 3
 

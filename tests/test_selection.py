@@ -7,14 +7,21 @@ from apsel.selection import (
     GraphSizeError,
     SelectionResult,
     assign_to_aggregation_points,
-    brute_force_min_dominating_set,
     centrality_select,
     exact_min_dominating_set,
     rb_select,
     rb_select_with_slots,
     verify_domination,
 )
-from helpers import cycle_graph, gnp_graph, grid_graph, is_independent_set, path_graph, star_graph
+from helpers import (
+    brute_force_min_dominating_set,
+    cycle_graph,
+    gnp_graph,
+    grid_graph,
+    is_independent_set,
+    path_graph,
+    star_graph,
+)
 
 graph_seeds = st.integers(0, 2**32 - 1)
 
