@@ -15,9 +15,12 @@ import sys
 sys.path.insert(0, "src")
 
 from apsel.mobility import RadioParams, build_udg
-from apsel.selection import centrality_select, exact_min_dominating_set, rb_select
-
-EXACT_CAP = 200
+from apsel.selection import (
+    MAX_EXACT_VERTICES,
+    centrality_select,
+    exact_min_dominating_set,
+    rb_select,
+)
 
 
 def strip_snapshot(n, length, width, seed):
@@ -42,7 +45,7 @@ def sweep(counts, length, width, radius, seeds):
             rates["centrality_d3"].append(1 - len(c3.aggregation_points) / n)
             rb = rb_select(g, 256, seed)
             rates["rb"].append(1 - len(rb.aggregation_points) / n)
-            if n <= EXACT_CAP:
+            if n <= MAX_EXACT_VERTICES:
                 ex = exact_min_dominating_set(g, 1)
                 rates["exact_d1"].append(1 - len(ex.aggregation_points) / n)
         table.append((n, degree, rates, edges_examined))

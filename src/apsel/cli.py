@@ -24,6 +24,7 @@ import sys
 from dataclasses import dataclass, fields, replace
 from typing import Callable, NamedTuple
 
+from .graph import SnapshotGraph
 from .metrics import (
     PeriodMetrics,
     aggregation_rate,
@@ -43,7 +44,7 @@ from .mobility import (
     load_trace_csv,
     write_trace_csv,
 )
-from .selection import centrality_select, exact_min_dominating_set, rb_select
+from .selection import SelectionResult, centrality_select, exact_min_dominating_set, rb_select
 from .tuner import TunerConfig, tune_parameters, write_tuning_trajectory_csv
 
 __all__ = [
@@ -224,39 +225,27 @@ def run_one_algorithm(trace: Trace, algo: AlgoSpec, cfg: RunConfig) -> list[Peri
     prev_assignment: dict[int, int] = {}
     for index, t in enumerate(_period_boundaries(trace, cfg)):
         snapshot = trace.positions_at(t)
-        if not snapshot:
-            rows.append(
-                PeriodMetrics(
-                    time=t,
-                    n_vehicles=0,
-                    n_edges=0,
-                    n_aps=0,
-                    aggregation_rate=None,
-                    upload_cost_bps=0.0,
-                    edges_examined=0,
-                    n_notifications=notification_count(prev_points, frozenset()),
-                    n_routing_updates=0,
-                    n_reelections=0,
+        if snapshot:
+            if algo.direction:
+                graph, _ = build_direction_constrained_udg(
+                    snapshot, trace.positions_before(t), cfg.radio
                 )
-            )
-            prev_points, prev_assignment = frozenset(), {}
-            continue
-        if algo.direction:
-            graph, _ = build_direction_constrained_udg(
-                snapshot, trace.positions_before(t), cfg.radio
-            )
+            else:
+                graph = build_udg(snapshot, cfg.radio)
+            period_seed = (cfg.seed * 1_000_003 + index) % 2**63
+            result = ALGORITHMS[algo.name].select(algo, graph, period_seed)
         else:
-            graph = build_udg(snapshot, cfg.radio)
-        period_seed = (cfg.seed * 1_000_003 + index) % 2**63
-        result = ALGORITHMS[algo.name].select(algo, graph, period_seed)
+            # an empty period builds no graph and runs no selector
+            graph, result = SnapshotGraph(()), SelectionResult(frozenset())
         points = result.aggregation_points
+        n = graph.n_vertices
         rows.append(
             PeriodMetrics(
                 time=t,
-                n_vehicles=graph.n_vertices,
+                n_vehicles=n,
                 n_edges=graph.n_edges,
                 n_aps=len(points),
-                aggregation_rate=aggregation_rate(len(points), graph.n_vertices),
+                aggregation_rate=aggregation_rate(len(points), n) if n else None,
                 upload_cost_bps=upload_cost(len(points), cfg.period),
                 edges_examined=result.edges_examined,
                 n_notifications=notification_count(prev_points, points),

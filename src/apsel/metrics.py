@@ -12,7 +12,7 @@ cellular uplink.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from statistics import mean
 
 __all__ = [
@@ -26,18 +26,6 @@ __all__ = [
     "upload_cost",
     "write_period_metrics_csv",
     "write_run_summary_csv",
-]
-
-METRICS_HEADER = [
-    "time",
-    "n_vehicles",
-    "n_edges",
-    "n_aps",
-    "aggregation_rate",
-    "upload_cost_bps",
-    "edges_examined",
-    "n_notifications",
-    "n_routing_updates",
 ]
 
 # Every vehicle's status packet, in bytes.
@@ -104,24 +92,23 @@ class PeriodMetrics:
     n_reelections: int = 0
 
 
-def write_period_metrics_csv(rows, path) -> None:
+METRICS_HEADER = [f.name for f in fields(PeriodMetrics) if f.name != "n_reelections"]
+
+
+def _write_csv(path, header, rows) -> None:
+    """Write header and then one row per object, its attributes in header order.
+
+    csv.writer writes each value as str(value), which for a float (numpy
+    scalars included) is its shortest repr, and writes None as "".
+    """
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(METRICS_HEADER)
-        for r in rows:
-            writer.writerow(
-                [
-                    repr(r.time),
-                    r.n_vehicles,
-                    r.n_edges,
-                    r.n_aps,
-                    "" if r.aggregation_rate is None else repr(r.aggregation_rate),
-                    repr(r.upload_cost_bps),
-                    r.edges_examined,
-                    r.n_notifications,
-                    r.n_routing_updates,
-                ]
-            )
+        writer.writerow(header)
+        writer.writerows([getattr(r, name) for name in header] for r in rows)
+
+
+def write_period_metrics_csv(rows, path) -> None:
+    _write_csv(path, METRICS_HEADER, rows)
 
 
 def read_period_metrics_csv(path) -> list[PeriodMetrics]:
@@ -181,31 +168,8 @@ def summarize_run(algorithm: str, rows) -> RunMetrics:
     )
 
 
+SUMMARY_HEADER = [f.name for f in fields(RunMetrics)]
+
+
 def write_run_summary_csv(summaries, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(
-            [
-                "algorithm",
-                "n_periods",
-                "mean_aggregation_rate",
-                "mean_upload_cost_bps",
-                "mean_reelections",
-                "total_notifications",
-                "total_routing_updates",
-                "total_edges_examined",
-            ]
-        )
-        for s in summaries:
-            writer.writerow(
-                [
-                    s.algorithm,
-                    s.n_periods,
-                    repr(s.mean_aggregation_rate),
-                    repr(s.mean_upload_cost_bps),
-                    repr(s.mean_reelections),
-                    s.total_notifications,
-                    s.total_routing_updates,
-                    s.total_edges_examined,
-                ]
-            )
+    _write_csv(path, SUMMARY_HEADER, summaries)

@@ -243,7 +243,8 @@ def write_trace_csv(trace: Trace, path) -> None:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(TRACE_HEADER)
         for t, at in trace._by_time.items():
-            writer.writerows([repr(t), v, repr(x), repr(y)] for v, (x, y) in at.items())
+            # str() of a float, numpy scalars included, is its shortest repr
+            writer.writerows([t, v, x, y] for v, (x, y) in at.items())
 
 
 def snapshot_at(trace: Trace, t: float) -> dict[int, tuple[float, float]]:

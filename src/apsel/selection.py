@@ -3,7 +3,9 @@
 Three selectors share one contract: given a snapshot, return a set of
 aggregation points such that every vehicle is an aggregation point or
 within d hops of one, together with an assignment of the remaining
-vehicles to their nearest point.
+vehicles to their nearest point. One function,
+``assign_to_aggregation_points``, makes that assignment for all three:
+fewest hops first, then the lowest point id.
 
 * ``centrality_select`` ranks vehicles by hop-limited closeness and
   greedily picks maximizers, deleting each winner's d-hop neighborhood.
@@ -41,6 +43,10 @@ __all__ = [
 ]
 
 
+# The most vertices exact_min_dominating_set accepts, counted over the whole graph.
+MAX_EXACT_VERTICES = 200
+
+
 class GraphSizeError(ValueError):
     """Raised when an exponential-time routine is asked for too large a graph."""
 
@@ -50,15 +56,15 @@ class SelectionResult:
     """Outcome of one selection round.
 
     assignment maps each non-aggregation-point vehicle to the point it
-    reports to; vehicles with no reachable point within d hops are
-    absent. edges_examined counts adjacency entries scanned while
-    computing whatever the selector needed (0 for the slotted draw,
-    which does no graph search). slots_simulated is the number of
-    reservation ticks processed (0 for the non-slotted selectors).
-    search_nodes is the number of branch-and-bound nodes the exact
-    solver visited: the sum over its per-component searches, each root
-    and each re-search for the witness included (0 for the other
-    selectors).
+    reports to, as ``assign_to_aggregation_points`` computes it for every
+    selector; vehicles with no reachable point within d hops are absent.
+    edges_examined counts adjacency entries scanned while computing
+    whatever the selector needed (0 for the slotted draw, which does no
+    graph search). slots_simulated is the number of reservation ticks
+    processed (0 for the non-slotted selectors). search_nodes is the
+    number of branch-and-bound nodes the exact solver visited: the sum
+    over its per-component searches, each root and each re-search for
+    the witness included (0 for the other selectors).
     """
 
     aggregation_points: frozenset[int]
@@ -68,32 +74,43 @@ class SelectionResult:
     search_nodes: int = 0
 
 
-def _nearest_points(balls: dict[int, dict[int, int]]) -> dict[int, int]:
-    """Map each non-point vehicle in some point's ball to its closest point.
-
-    balls maps each aggregation point to its {vehicle: hops} ball. Ties
-    on hop distance break toward the lowest point id.
-    """
-    best: dict[int, tuple[int, int]] = {}
-    for p, dist in balls.items():
-        for v, hops in dist.items():
-            if v in balls:
-                continue
-            key = (hops, p)
-            if v not in best or key < best[v]:
-                best[v] = key
-    return {v: p for v, (_, p) in sorted(best.items())}
-
-
 def assign_to_aggregation_points(
     g: SnapshotGraph, points: frozenset[int] | set[int], d: int
 ) -> dict[int, int]:
     """Map each covered non-point vehicle to its closest aggregation point.
 
-    Ties on hop distance break toward the lowest point id. Vehicles
-    farther than d hops from every point are left out.
+    Ties on hop distance break toward the lowest point id, and vehicles
+    farther than d hops from every point are left out; the result is in
+    ascending vehicle id.
+
+    One breadth-first search runs from all points at once, for at most d
+    rounds, and labels every vehicle it reaches with a point (Erwig's
+    graph Voronoi diagram): a vehicle first reached in round h takes the
+    lowest label among its neighbours reached in round h-1. That label is
+    the lowest id among the vehicle's closest points, by induction on h:
+    a closest point of w at h hops lies h-1 hops from some neighbour of w
+    that was reached in round h-1, and every closest point of such a
+    neighbour is h hops from w, so w's closest points are exactly the
+    union of those neighbours' closest points.
     """
-    return _nearest_points({p: bfs_distances(g, p, d)[0] for p in sorted(points)})
+    if d < 1:
+        raise ValueError(f"d must be >= 1, got {d}")
+    for p in points:
+        if p not in g:
+            raise UnknownVehicleError(p)
+    nearest = {p: p for p in points}
+    frontier = dict(nearest)
+    for _ in range(d):
+        reached: dict[int, int] = {}
+        for u, p in frontier.items():
+            for w in g.neighbors(u):
+                if w not in nearest and (w not in reached or p < reached[w]):
+                    reached[w] = p
+        if not reached:
+            break
+        nearest.update(reached)
+        frontier = reached
+    return {v: p for v, p in sorted(nearest.items()) if v != p}
 
 
 def verify_domination(g: SnapshotGraph, points, d: int) -> bool:
@@ -137,16 +154,15 @@ def centrality_select(g: SnapshotGraph, d: int = 1, k: int = 4) -> SelectionResu
     # scores never change, so the best remaining vehicle is always the
     # first uncovered one in a single (score desc, id asc) ranking
     covered: set[int] = set()
-    balls: dict[int, dict[int, int]] = {}
+    points = []
     for v in sorted(g.vertices, key=lambda u: (-centrality[u], u)):
         if v not in covered:
-            balls[v] = bfs_distances(g, v, d)[0]
-            covered.update(balls[v])
-    # each point lies outside every other point's ball, so these balls
-    # are exactly the searches assign_to_aggregation_points would repeat
+            points.append(v)
+            covered.update(bfs_distances(g, v, d)[0])
+    chosen = frozenset(points)
     return SelectionResult(
-        aggregation_points=frozenset(balls),
-        assignment=_nearest_points(balls),
+        aggregation_points=chosen,
+        assignment=assign_to_aggregation_points(g, chosen, d),
         edges_examined=examined,
     )
 
@@ -306,9 +322,7 @@ def _search(
     return best, nodes
 
 
-def exact_min_dominating_set(
-    g: SnapshotGraph, d: int = 1, max_vertices: int = 200
-) -> SelectionResult:
+def exact_min_dominating_set(g: SnapshotGraph, d: int = 1) -> SelectionResult:
     """Minimum d-hop dominating set via set-cover branch and bound.
 
     Each connected component is solved on its own. Its search branches
@@ -317,7 +331,7 @@ def exact_min_dominating_set(
     component's greedy cover as incumbent. Vertex sets are int bitsets
     over positions in ``g.vertices``, so bit order is id order. Worst
     case is exponential in the largest component, hence the
-    max_vertices guard, which still counts the whole graph.
+    MAX_EXACT_VERTICES guard, which still counts the whole graph.
 
     The witness is the one a single search over the whole graph returns.
     If every component's greedy cover is optimal, it is the union of the
@@ -335,9 +349,9 @@ def exact_min_dominating_set(
     """
     if d < 1:
         raise ValueError(f"d must be >= 1, got {d}")
-    if g.n_vertices > max_vertices:
+    if g.n_vertices > MAX_EXACT_VERTICES:
         raise GraphSizeError(
-            f"graph has {g.n_vertices} vertices, exact solver capped at {max_vertices}"
+            f"graph has {g.n_vertices} vertices, exact solver capped at {MAX_EXACT_VERTICES}"
         )
     if not g.n_vertices:
         return SelectionResult(frozenset())
@@ -346,7 +360,6 @@ def exact_min_dominating_set(
     # hop distance is symmetric, so a vertex's d-hop ball is also the set
     # of vertices whose ball covers it: its coverers
     balls, ball_sizes = rounds[d]
-    n = len(balls)
     nodes = 0
     covers = []
     searched = []  # (position in covers, component, order, improved)
@@ -374,24 +387,10 @@ def exact_min_dominating_set(
                 # minimum cover in branch order
                 covers[c], count = _search(balls, order, component, len(covers[c]) + 1)
                 nodes += count
-    best = [i for cover in covers for i in cover]
-
-    # a non-point's closest points are the first round whose reach meets
-    # the point set; the lowest bit among them is the lowest id
-    vertices = g.vertices
-    points = sum(1 << i for i in best)
-    reaches = [reach for reach, _ in rounds[1:]]
-    assignment = {}
-    for i in range(n):
-        if not points >> i & 1:
-            for reach in reaches:
-                hit = reach[i] & points
-                if hit:
-                    assignment[vertices[i]] = vertices[(hit & -hit).bit_length() - 1]
-                    break
+    chosen = frozenset(g.vertices[i] for cover in covers for i in cover)
     return SelectionResult(
-        aggregation_points=frozenset(vertices[i] for i in best),
-        assignment=assignment,
+        aggregation_points=chosen,
+        assignment=assign_to_aggregation_points(g, chosen, d),
         edges_examined=edges_examined(g, rounds[d - 1][1]),
         search_nodes=nodes,
     )

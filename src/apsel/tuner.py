@@ -64,6 +64,12 @@ class TunerConfig:
 
 @dataclass(frozen=True)
 class NelderMeadResult:
+    """Where a Nelder-Mead search stopped.
+
+    converged means the objective spread across the simplex collapsed
+    below TOLERANCE, not that point is a minimum (see ``nelder_mead``).
+    """
+
     point: tuple[float, ...]
     value: float
     iterations: int
@@ -113,9 +119,13 @@ def nelder_mead(objective, initial_simplex, max_iterations: int = 500, bounds=No
     reached.
     The persistence requirement matters: a large simplex can land all
     its vertices on one contour of the objective for a single step, and
-    stopping there would freeze the search far from any optimum. The
-    trajectory records the incumbent best after every iteration, row 0
-    being the initial best.
+    stopping there would freeze the search far from any optimum.
+    converged reports only that the spread collapsed, not that the point
+    is a minimum: on (x-1)^2 + (y-2)^2 the nearly flat start
+    [(0, 0), (1, 1), (2, nextafter(2, 3))] converges at (1.5, 1.5),
+    value 0.5, while the minimum is 0 at (1, 2). The trajectory records
+    the incumbent best after every iteration, row 0 being the initial
+    best.
     """
     if max_iterations < 1:
         raise ValueError(f"max_iterations must be >= 1, got {max_iterations}")
@@ -334,5 +344,4 @@ def write_tuning_trajectory_csv(result: TuneResult, path) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(TRAJECTORY_HEADER)
-        for it, d, k, obj in result.trajectory:
-            writer.writerow([it, d, k, repr(obj)])
+        writer.writerows(result.trajectory)

@@ -8,8 +8,9 @@ kernels, kept as references for the fast ones: the all-pairs unit-disk
 builder, the trace loader that built one TracePoint per sample, the
 heading comparison through displacement vectors, per-source BFS
 closeness, the ``max()``-scan greedy pick, the tick-by-tick
-reservation frame, the set-based exact branch and bound and the
-Nelder-Mead search on numpy 2-vectors. numpy is a test dependency only.
+reservation frame, the set-based exact branch and bound, the
+per-point BFS assignment to the nearest point and the Nelder-Mead search
+on numpy 2-vectors. numpy is a test dependency only.
 ``brute_force_min_dominating_set`` is the exhaustive tiny-n witness
 that validates the exact solver.
 """
@@ -27,11 +28,7 @@ import numpy as np
 
 from apsel.graph import SnapshotGraph, bfs_distances
 from apsel.mobility import TRACE_HEADER, RadioParams, TraceFormatError, TracePoint
-from apsel.selection import (
-    GraphSizeError,
-    SelectionResult,
-    assign_to_aggregation_points,
-)
+from apsel.selection import GraphSizeError, SelectionResult
 from apsel.tuner import (
     CONTRACTION,
     EXPANSION,
@@ -322,6 +319,34 @@ def all_k_closeness_oracle(g: SnapshotGraph, k: int) -> tuple[dict[int, float], 
     return values, total_edges
 
 
+def _nearest_points(balls: dict[int, dict[int, int]]) -> dict[int, int]:
+    """Map each non-point vehicle in some point's ball to its closest point.
+
+    balls maps each aggregation point to its {vehicle: hops} ball. Ties
+    on hop distance break toward the lowest point id.
+    """
+    best: dict[int, tuple[int, int]] = {}
+    for p, dist in balls.items():
+        for v, hops in dist.items():
+            if v in balls:
+                continue
+            key = (hops, p)
+            if v not in best or key < best[v]:
+                best[v] = key
+    return {v: p for v, (_, p) in sorted(best.items())}
+
+
+def assign_to_aggregation_points_oracle(
+    g: SnapshotGraph, points: frozenset[int] | set[int], d: int
+) -> dict[int, int]:
+    """Map each covered non-point vehicle to its closest aggregation point.
+
+    Ties on hop distance break toward the lowest point id. Vehicles
+    farther than d hops from every point are left out.
+    """
+    return _nearest_points({p: bfs_distances(g, p, d)[0] for p in sorted(points)})
+
+
 def centrality_select_oracle(g: SnapshotGraph, d: int = 1, k: int = 4) -> SelectionResult:
     """Greedy pick that rescans the remaining pool with max() every round."""
     centrality, examined = all_k_closeness_oracle(g, k)
@@ -336,7 +361,7 @@ def centrality_select_oracle(g: SnapshotGraph, d: int = 1, k: int = 4) -> Select
     chosen = frozenset(points)
     return SelectionResult(
         aggregation_points=chosen,
-        assignment=assign_to_aggregation_points(g, chosen, d),
+        assignment=assign_to_aggregation_points_oracle(g, chosen, d),
         edges_examined=examined,
     )
 
@@ -366,7 +391,7 @@ def rb_select_with_slots_oracle(
     chosen = frozenset(points)
     return SelectionResult(
         aggregation_points=chosen,
-        assignment=assign_to_aggregation_points(g, chosen, 1),
+        assignment=assign_to_aggregation_points_oracle(g, chosen, 1),
         slots_simulated=ticks,
     )
 
@@ -493,7 +518,7 @@ def exact_min_dominating_set_oracle(
     chosen = frozenset(best)
     return SelectionResult(
         aggregation_points=chosen,
-        assignment=assign_to_aggregation_points(g, chosen, d),
+        assignment=assign_to_aggregation_points_oracle(g, chosen, d),
         edges_examined=examined,
         search_nodes=nodes,
     )

@@ -1,6 +1,7 @@
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,7 +15,7 @@ from apsel.cli import (
     parse_algo_spec,
     run_one_algorithm,
 )
-from apsel.metrics import read_period_metrics_csv
+from apsel.metrics import read_period_metrics_csv, write_period_metrics_csv
 from apsel.mobility import RadioParams, Trace, TracePoint, build_udg, load_trace_csv, write_trace_csv
 from apsel.selection import verify_domination
 from helpers import brute_force_min_dominating_set
@@ -144,6 +145,17 @@ class TestRunCommand:
         assert middle.aggregation_rate is None
         assert middle.n_notifications == 1  # the lone point at t=0 steps down
         assert rows[2].n_notifications == 1  # and is elected anew at t=20
+
+    def test_numpy_scalar_trace_writes_readable_metrics(self, tmp_path):
+        # period times come from the trace's times, here numpy scalars
+        pts = [TracePoint(np.float64(t), v, 30.0 * v, 0.0) for t in (0.0, 10.0) for v in range(3)]
+        spec = AlgoSpec("centrality")
+        cfg = RunConfig(algos=(spec,), trace_path="unused.csv", out_dir=str(tmp_path))
+        path = tmp_path / "centrality.csv"
+        write_period_metrics_csv(run_one_algorithm(Trace(pts), spec, cfg), path)
+        rows = read_period_metrics_csv(path)
+        assert [r.time for r in rows] == [0.0, 10.0]
+        assert [r.n_aps for r in rows] == [1, 1]
 
     @staticmethod
     def decimal_time_trace(tmp_path, shift=0.0):

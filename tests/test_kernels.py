@@ -1,11 +1,12 @@
 """The fast snapshot kernels against the straightforward ones they replaced.
 
-Each kernel (grid unit-disk builder, bit-parallel closeness, sort-once
-greedy pick, slot-bucketed reservation frame, bitset exact branch and
-bound) must give exactly what its oracle in ``helpers`` gives, counters
-included. The one exception is the exact search's node count on a
-disconnected graph, which the bitset solver searches one component at a
-time and the oracle in one piece.
+Each kernel (multi-source nearest-point assignment, grid unit-disk
+builder, bit-parallel closeness, sort-once greedy pick, slot-bucketed
+reservation frame, bitset exact branch and bound) must give exactly what
+its oracle in ``helpers`` gives, counters included. The one exception
+is the exact search's node count on a disconnected graph, which the
+bitset solver searches one component at a time and the oracle in one
+piece.
 """
 
 import dataclasses
@@ -27,6 +28,7 @@ from apsel.mobility import (
     generate_two_way_roadway,
 )
 from apsel.selection import (
+    assign_to_aggregation_points,
     centrality_select,
     exact_min_dominating_set,
     rb_select_with_slots,
@@ -37,6 +39,7 @@ from helpers import (
     _greedy_cover,
     adjacency,
     all_k_closeness_oracle,
+    assign_to_aggregation_points_oracle,
     centrality_select_oracle,
     cycle_graph,
     direction_angle,
@@ -105,6 +108,27 @@ def graphs(draw):
         edges = []
     ids = rng.sample(range(1000), n)
     return SnapshotGraph(ids, [(ids[i], ids[j]) for i, j in edges])
+
+
+@st.composite
+def graphs_with_points(draw):
+    """A graph from graphs() and any subset of its vertices as points,
+    which need not dominate it."""
+    g = draw(graphs())
+    points = draw(st.frozensets(st.sampled_from(g.vertices))) if g.n_vertices else frozenset()
+    return g, points
+
+
+class TestNearestPointAssignment:
+    @given(case=graphs_with_points(), d=st.integers(1, 3))
+    # 4 ties at two hops between 1 and 8, and {1, 8} iterates as [8, 1]:
+    # the answer is {2: 1, 3: 8, 4: 1}
+    @example(case=(SnapshotGraph(range(1, 9), [(1, 2), (8, 3), (2, 4), (3, 4)]), frozenset({1, 8})), d=2)
+    def test_matches_per_point_search(self, case, d):
+        g, points = case
+        assert assign_to_aggregation_points(g, points, d) == assign_to_aggregation_points_oracle(
+            g, points, d
+        )
 
 
 class TestGridUdg:

@@ -2,6 +2,7 @@ import gc
 import math
 import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -103,6 +104,17 @@ class TestTraceCsv:
         write_trace_csv(tr, path)
         back = load_trace_csv(path)
         assert back.points == tr.points
+
+    def test_numpy_scalar_samples_round_trip(self, tmp_path):
+        # under numpy 2, repr(np.float64(1.5)) is "np.float64(1.5)"
+        pts = [
+            TracePoint(np.float64(0.0), 0, np.float64(1.5), 0.0),
+            TracePoint(np.float64(1.0), np.int64(1), 2.0, np.float64(-0.25)),
+        ]
+        path = tmp_path / "trace.csv"
+        write_trace_csv(Trace(pts), path)
+        assert path.read_text() == "time,id,x,y\n0.0,0,1.5,0.0\n1.0,1,2.0,-0.25\n"
+        assert load_trace_csv(path).points == Trace(pts).points
 
     def test_header_enforced(self, tmp_path):
         path = tmp_path / "bad.csv"

@@ -4,6 +4,7 @@ from hypothesis import strategies as st
 
 from apsel.graph import SnapshotGraph, UnknownVehicleError
 from apsel.selection import (
+    MAX_EXACT_VERTICES,
     GraphSizeError,
     SelectionResult,
     assign_to_aggregation_points,
@@ -66,6 +67,15 @@ class TestAssignment:
     def test_uncovered_vehicle_left_out(self):
         g = SnapshotGraph([0, 1, 2], [(0, 1)])
         assert assign_to_aggregation_points(g, {0}, 1) == {1: 0}
+
+    def test_unknown_point(self):
+        with pytest.raises(UnknownVehicleError):
+            assign_to_aggregation_points(path_graph(3), {9}, 1)
+
+    @pytest.mark.parametrize("d", [0, -1])
+    def test_radius_below_one_rejected(self, d):
+        with pytest.raises(ValueError):
+            assign_to_aggregation_points(path_graph(3), set(), d)
 
 
 class TestCentralitySelect:
@@ -178,11 +188,10 @@ class TestExactSolver:
         assert res.aggregation_points == frozenset()
 
     def test_size_guard(self):
-        g = gnp_graph(15, 0.3, 1)
         with pytest.raises(GraphSizeError):
-            exact_min_dominating_set(g, 1, max_vertices=10)
+            exact_min_dominating_set(SnapshotGraph(range(MAX_EXACT_VERTICES + 1)), 1)
         with pytest.raises(GraphSizeError):
-            brute_force_min_dominating_set(g, 1, max_vertices=10)
+            brute_force_min_dominating_set(gnp_graph(15, 0.3, 1), 1, max_vertices=10)
 
     @given(seed=graph_seeds, n=st.integers(1, 11), p=st.sampled_from([0.2, 0.5]), d=st.integers(1, 3))
     @settings(max_examples=80)
