@@ -7,12 +7,20 @@ adjacency entries it scanned so callers can account for computational cost.
 
 Distance mappings omit unreachable vertices: ``v`` has an entry iff it lies
 within the requested hop cutoff of the source (the source itself at 0).
+
+Every graph also numbers its vertices by position: vertex i is
+``g.vertices[i]``, the i-th smallest id, and ``g.adjacency[i]`` lists the
+positions of its neighbours, ascending. The builders produce this
+numbering and the kernels (closeness, selection) read it, so no kernel
+maps ids to positions itself. When the ids are exactly 0..n-1, positions
+and ids coincide and both views share the same tuples.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from collections.abc import Iterable, Iterator
+from operator import eq, mul
 
 
 class UnknownVehicleError(KeyError):
@@ -29,7 +37,8 @@ class UnknownVehicleError(KeyError):
 class SnapshotGraph:
     """Undirected vehicle graph at one instant, immutable after construction.
 
-    Adjacency lists are stored sorted by id so iteration order, and any
+    Adjacency lists are stored sorted by id, both by id (``neighbors``)
+    and by position (``adjacency``), so iteration order, and any
     tie-breaking that depends on it downstream, is deterministic. Self-loops
     are rejected; duplicate edges collapse to one.
 
@@ -39,7 +48,7 @@ class SnapshotGraph:
     memo dies with the graph.
     """
 
-    __slots__ = ("_adj", "_vertices", "_n_edges", "_ball_sizes", "_balls_converged")
+    __slots__ = ("_adj", "_adjacency", "_vertices", "_n_edges", "_ball_sizes", "_balls_converged")
 
     def __init__(self, vertices: Iterable[int], edges: Iterable[tuple[int, int]] = ()):
         adj: dict[int, set[int]] = {}
@@ -60,38 +69,53 @@ class SnapshotGraph:
                 adj[i].add(j)
                 adj[j].add(i)
                 n_edges += 1
-        self._adj: dict[int, tuple[int, ...]] = {
-            v: tuple(sorted(nbrs)) for v, nbrs in sorted(adj.items())
-        }
-        self._vertices: tuple[int, ...] = tuple(self._adj)
+        vertices = tuple(sorted(adj))
+        index = {v: i for i, v in enumerate(vertices)}
+        adjacency = tuple(tuple(sorted([index[u] for u in adj[v]])) for v in vertices)
+        self._set_adjacency(vertices, adjacency, n_edges)
+
+    @classmethod
+    def _from_sorted_adjacency(
+        cls, vertices: tuple[int, ...], adjacency: tuple[tuple[int, ...], ...], n_edges: int
+    ) -> SnapshotGraph:
+        """Wrap a position-numbered adjacency the caller has already
+        validated, unchecked.
+
+        ``vertices`` must be distinct non-negative ids in ascending order,
+        ``adjacency[i]`` an ascending tuple of the positions of vertex i's
+        neighbours, every edge listed from both ends, and ``n_edges`` the
+        number of undirected edges.
+        """
+        g = cls.__new__(cls)
+        g._set_adjacency(vertices, adjacency, n_edges)
+        return g
+
+    def _set_adjacency(self, vertices, adjacency, n_edges) -> None:
+        # the id adjacency shares the position tuples when the ids are
+        # 0..n-1; otherwise each neighbour is mapped to its id here, once
+        self._vertices: tuple[int, ...] = vertices
+        self._adjacency: tuple[tuple[int, ...], ...] = adjacency
+        if _numbered_by_position(vertices):
+            self._adj: dict[int, tuple[int, ...]] = dict(zip(vertices, adjacency))
+        else:
+            self._adj = {
+                v: tuple([vertices[j] for j in nbrs]) for v, nbrs in zip(vertices, adjacency)
+            }
         self._n_edges = n_edges
         # _ball_sizes[h][i]: vertices within h hops of vertex i, h = 0, 1, ...
         # once _balls_converged, its last round repeats for every larger h
         self._ball_sizes: list[list[int]] = []
         self._balls_converged = False
 
-    @classmethod
-    def _from_sorted_adjacency(
-        cls, adj: dict[int, tuple[int, ...]], n_edges: int
-    ) -> SnapshotGraph:
-        """Wrap an adjacency the caller has already validated, unchecked.
-
-        ``adj`` must have non-negative keys in ascending order, each mapped
-        to an ascending tuple of other keys, every edge listed from both
-        ends, and ``n_edges`` must be the number of undirected edges.
-        """
-        g = cls.__new__(cls)
-        g._adj = adj
-        g._vertices = tuple(adj)
-        g._n_edges = n_edges
-        g._ball_sizes = []
-        g._balls_converged = False
-        return g
-
     @property
     def vertices(self) -> tuple[int, ...]:
         """All vehicle ids, ascending."""
         return self._vertices
+
+    @property
+    def adjacency(self) -> tuple[tuple[int, ...], ...]:
+        """Entry i: the positions in ``vertices`` of vertex i's neighbours, ascending."""
+        return self._adjacency
 
     @property
     def n_vertices(self) -> int:
@@ -131,6 +155,13 @@ class SnapshotGraph:
         return f"SnapshotGraph(n_vertices={self.n_vertices}, n_edges={self.n_edges})"
 
 
+def _numbered_by_position(vertices: tuple[int, ...]) -> bool:
+    """True iff the ascending ids are 0..n-1, each equal to its position."""
+    return not vertices or (
+        vertices[-1] == len(vertices) - 1 and all(map(eq, vertices, range(len(vertices))))
+    )
+
+
 def bfs_distances(
     g: SnapshotGraph, source: int, cutoff: int
 ) -> tuple[dict[int, int], int]:
@@ -165,7 +196,7 @@ def bfs_distances(
 def reach_rounds(g: SnapshotGraph, k: int) -> Iterator[tuple[list[int], list[int]]]:
     """Bit-parallel BFS from every vertex at once, one round per hop.
 
-    Vertices are numbered by their position in ``g.vertices``. Yields
+    Vertices are numbered by position, as in ``g.adjacency``. Yields
     ``(reach, sizes)`` for h = 0, 1, ..., k: bit j of ``reach[i]`` is set
     iff vertex j lies within h hops of vertex i, and ``sizes[i]`` counts
     those bits. Round h ORs each vertex's set with its neighbors' sets
@@ -174,8 +205,7 @@ def reach_rounds(g: SnapshotGraph, k: int) -> Iterator[tuple[list[int], list[int
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    index = {v: i for i, v in enumerate(g.vertices)}
-    nbrs = [[index[u] for u in g.neighbors(v)] for v in g.vertices]
+    nbrs = g.adjacency
     reach = [1 << i for i in range(len(nbrs))]
     sizes = [1] * len(nbrs)
     yield reach, sizes
@@ -203,7 +233,7 @@ def edges_examined(g: SnapshotGraph, sizes: list[int]) -> int:
     adjacency of each u with d(s, u) < k, and hop distance is symmetric,
     so the total is the sum over u of deg(u) * |R_{k-1}(u)|.
     """
-    return sum(len(g.neighbors(v)) * size for v, size in zip(g.vertices, sizes))
+    return sum(map(mul, map(len, g.adjacency), sizes))
 
 
 def all_k_closeness(g: SnapshotGraph, k: int) -> tuple[dict[int, float], int]:

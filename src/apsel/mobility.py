@@ -19,6 +19,7 @@ import math
 import random
 import statistics
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .graph import SnapshotGraph
 
@@ -243,8 +244,9 @@ def write_trace_csv(trace: Trace, path) -> None:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(TRACE_HEADER)
         for t, at in trace._by_time.items():
-            # str() of a float, numpy scalars included, is its shortest repr
-            writer.writerows([t, v, x, y] for v, (x, y) in at.items())
+            # str() of a float is its shortest repr; float() first, so that a
+            # float32 coordinate is written as the float64 it reads back as
+            writer.writerows([t, v, float(x), float(y)] for v, (x, y) in at.items())
 
 
 def snapshot_at(trace: Trace, t: float) -> dict[int, tuple[float, float]]:
@@ -270,11 +272,12 @@ class RadioParams:
             raise ValueError(f"range_r must be positive, got {self.range_r}")
 
 
-# Grid cells are this much wider than the radio range, so float rounding
-# in the cell index can never put an in-range pair two cells apart.
-_CELL_SCALE = 1.01
-# A snapshot may span fewer cells than this along an axis: past 2**52 the
-# float quotients that give the cell indices have no fractional bits left.
+# Strips are this much taller than the radio range, so that an in-range
+# pair shares a strip or sits in adjacent ones.
+_STRIP_SCALE = 1.01
+# A snapshot may span fewer strip heights than this along either axis:
+# past 2**52 the float quotient that gives a strip index has no
+# fractional bits left.
 _MAX_CELLS = 2.0**52
 
 
@@ -283,73 +286,112 @@ def build_udg(
 ) -> SnapshotGraph:
     """Unit-disk graph: edge iff distance <= range, boundary included.
 
-    Vehicles are binned into square cells a little wider than the range
-    (the fixed-radius grid of Bentley, Stanat & Williams, IPL 1977), so an
-    in-range pair shares a cell or sits in adjacent ones. A dict maps each
-    occupied cell to its vehicles; each cell's vehicles are paired with one
-    another and with those of its four forward neighbours, so every
-    candidate pair is tested once, by the exact ``dx*dx + dy*dy <= r*r``
-    comparison on coordinates converted with ``float()``. Time and memory
-    grow with the vehicles and candidate pairs, never with the extent of
-    the coordinates.
+    A row-strip sweep finds the candidate pairs (the fixed-radius idea of
+    Bentley, Stanat & Williams, IPL 1977). Each vehicle goes into the
+    horizontal strip ``floor((y - y0) / w)`` of height w = 1.01 r, and each
+    strip is sorted by x. A vehicle is paired with the vehicles after it
+    in its own strip, and with a two-pointer window of each strip above
+    whose lowest vehicle lies within w of this strip's highest one: in
+    practice the next strip. Every candidate pair is tested once, by the
+    exact ``dx*dx + dy*dy <= r*r`` comparison on coordinates converted
+    with ``float()``. Time and memory grow with the vehicles and
+    candidate pairs, never with the extent of the coordinates.
 
+    No in-range pair is skipped, at any coordinate magnitude. Every skip
+    rests on a rounded difference D of two coordinates exceeding w: the
+    scan along a strip stops at the first b with ``xb - xa > w``, the
+    window into a strip above drops b once ``xa - xb > w``, and the strips
+    above stop at the first with ``bottom - top > w``. D is, up to its
+    exact sign, the dx or dy that the distance test squares; for every
+    later vehicle, further along in x or in a higher strip, rounding is
+    monotone and the strip index is monotone in y, so that vehicle's own
+    difference is at least D. As w = fl(1.01 r) exceeds r by far more
+    than the rounding of a square, |D| > w gives fl(D*D) > fl(r*r), and
+    adding the other, non-negative square cannot round the sum below
+    fl(D*D), so the pair fails the test. This needs r*r to neither
+    overflow nor underflow (r between about 1.5e-154 and 1.3e154 m), but
+    not an exact strip index.
+
+    Positions follow ascending id, as in ``SnapshotGraph.adjacency``.
     Raises ValueError for a non-finite coordinate, a negative id, or a
-    snapshot spanning 2**52 cells or more along an axis.
+    snapshot spanning 2**52 strip heights or more along an axis.
     """
     ids = sorted(snapshot)
     pos = [snapshot[v] for v in ids]
     xs = [float(x) for x, _ in pos]
     ys = [float(y) for _, y in pos]
     isfinite = math.isfinite
-    for v, x, y in zip(ids, xs, ys):
-        if not (isfinite(x) and isfinite(y)):
-            raise ValueError(f"vehicle {v} has a non-finite position {snapshot[v]}")
+    if not (all(map(isfinite, xs)) and all(map(isfinite, ys))):
+        for v, x, y in zip(ids, xs, ys):
+            if not (isfinite(x) and isfinite(y)):
+                raise ValueError(f"vehicle {v} has a non-finite position {snapshot[v]}")
     if ids and ids[0] < 0:
         raise ValueError(f"vehicle ids must be non-negative, got {ids[0]}")
-    if len(ids) < 2:
-        return SnapshotGraph._from_sorted_adjacency({v: () for v in ids}, 0)
+    vertices = tuple(ids)
+    n = len(ids)
+    if n < 2:
+        return SnapshotGraph._from_sorted_adjacency(vertices, ((),) * n, 0)
 
     r = radio.range_r
-    w = _CELL_SCALE * r
+    w = _STRIP_SCALE * r
     x0, y0 = min(xs), min(ys)
     span = max((max(xs) - x0) / w, (max(ys) - y0) / w)
     if not span < _MAX_CELLS:
         raise ValueError(f"snapshot spans {span:.3g} cells of {w} m")
     floor = math.floor
-    nbrs: list[list] = [[] for _ in ids]
-    cells: dict[tuple[int, int], list] = {}
-    for v, x, y, out in zip(ids, xs, ys, nbrs):
-        key = (floor((x - x0) / w), floor((y - y0) / w))
-        cell = cells.get(key)
-        if cell is None:
-            cells[key] = [(x, y, v, out)]
+    nbrs: list[list[int]] = [[] for _ in ids]
+    by_key: dict[int, list] = {}
+    for vehicle in zip(xs, ys, range(n), nbrs):
+        key = floor((vehicle[1] - y0) / w)
+        strip = by_key.get(key)
+        if strip is None:
+            by_key[key] = [vehicle]
         else:
-            cell.append((x, y, v, out))
+            strip.append(vehicle)
+    # each strip's (x, y, position, neighbours) tuples, ascending in x
+    strips = [sorted(by_key[key]) for key in sorted(by_key)]
+    bottoms = [min(map(itemgetter(1), strip)) for strip in strips]
+    tops = [max(map(itemgetter(1), strip)) for strip in strips]
 
     rr = r * r
-    get = cells.get
-    none: list = []
-    for (cx, cy), here in cells.items():
-        # the cell's own vehicles, then those of its forward neighbours;
-        # each vehicle of the cell is paired with every candidate after it
-        candidates = (
-            here
-            + get((cx, cy + 1), none)
-            + get((cx + 1, cy - 1), none)
-            + get((cx + 1, cy), none)
-            + get((cx + 1, cy + 1), none)
-        )
-        for a, (xa, ya, va, outa) in enumerate(here, start=1):
-            for xb, yb, vb, outb in candidates[a:]:
+    for s, strip in enumerate(strips):
+        m = len(strip)
+        hi = 1
+        for a, (xa, ya, pa, outa) in enumerate(strip, start=1):
+            if hi < a:
+                hi = a
+            while hi < m and strip[hi][0] - xa <= w:
+                hi += 1
+            for xb, yb, pb, outb in strip[a:hi]:
                 dx = xa - xb
                 dy = ya - yb
                 if dx * dx + dy * dy <= rr:
-                    outa.append(vb)
-                    outb.append(va)
-    # the lists hold the snapshot's own id objects, so sorting them gives
-    # ascending tuples of those objects, not fresh copies
-    adj = {v: tuple(sorted(out)) for v, out in zip(ids, nbrs)}
-    return SnapshotGraph._from_sorted_adjacency(adj, sum(map(len, nbrs)) // 2)
+                    outa.append(pb)
+                    outb.append(pa)
+        for t in range(s + 1, len(strips)):
+            if bottoms[t] - tops[s] > w:
+                break
+            above = strips[t]
+            m = len(above)
+            lo = hi = 0
+            for xa, ya, pa, outa in strip:
+                while lo < m and xa - above[lo][0] > w:
+                    lo += 1
+                if hi < lo:
+                    hi = lo
+                while hi < m and above[hi][0] - xa <= w:
+                    hi += 1
+                for xb, yb, pb, outb in above[lo:hi]:
+                    dx = xa - xb
+                    dy = ya - yb
+                    if dx * dx + dy * dy <= rr:
+                        outa.append(pb)
+                        outb.append(pa)
+    for out in nbrs:
+        out.sort()
+    return SnapshotGraph._from_sorted_adjacency(
+        vertices, tuple(map(tuple, nbrs)), sum(map(len, nbrs)) // 2
+    )
 
 
 def build_direction_constrained_udg(
@@ -365,32 +407,44 @@ def build_direction_constrained_udg(
     the two displacements is at most ANGLE_THRESHOLD. The angle is
     atan2(|cross|, dot), which keeps boundary cases exact: an
     axis-aligned and a diagonal heading come out at 45.0, not a hair
-    above it. Returns the filtered graph and the number of edges removed.
+    above it. The filter runs on ``build_udg``'s position adjacency.
+    Returns the filtered graph and the number of edges removed.
     """
     base = build_udg(snapshot, radio)
-    moving = {}
-    for v, (x, y) in snapshot.items():
+    moving = []
+    for v in base.vertices:
+        heading = None
         if v in prev_snapshot:
+            x, y = snapshot[v]
             px, py = prev_snapshot[v]
             dx, dy = x - px, y - py
             if dx or dy:
-                moving[v] = (dx, dy)
-    # edges come in sorted order, so every kept list stays ascending
-    kept: dict[int, list[int]] = {v: [] for v in base.vertices}
+                heading = (dx, dy)
+        moving.append(heading)
+    # each edge is judged from its lower end, in ascending order, so every
+    # kept list stays ascending
+    kept: list[list[int]] = [[] for _ in moving]
     removed = 0
-    for i, j in base.edges():
-        if i in moving and j in moving:
-            (xi, yi), (xj, yj) = moving[i], moving[j]
-            cross = xi * yj - yi * xj
-            angle = math.degrees(math.atan2(abs(cross), xi * xj + yi * yj))
-            # a NaN angle fails this test, so such an edge is dropped
-            if not angle <= ANGLE_THRESHOLD:
-                removed += 1
+    for i, (nbrs, mi, out) in enumerate(zip(base.adjacency, moving, kept)):
+        for j in nbrs:
+            if j <= i:
                 continue
-        kept[i].append(j)
-        kept[j].append(i)
-    adj = {v: tuple(nbrs) for v, nbrs in kept.items()}
-    return SnapshotGraph._from_sorted_adjacency(adj, base.n_edges - removed), removed
+            mj = moving[j]
+            if mi is not None and mj is not None:
+                (xi, yi), (xj, yj) = mi, mj
+                cross = xi * yj - yi * xj
+                angle = math.degrees(math.atan2(abs(cross), xi * xj + yi * yj))
+                # a NaN angle fails this test, so such an edge is dropped
+                if not angle <= ANGLE_THRESHOLD:
+                    removed += 1
+                    continue
+            out.append(j)
+            kept[j].append(i)
+    adjacency = tuple([tuple(out) for out in kept])
+    return (
+        SnapshotGraph._from_sorted_adjacency(base.vertices, adjacency, base.n_edges - removed),
+        removed,
+    )
 
 
 def generate_two_way_roadway(

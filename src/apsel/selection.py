@@ -19,6 +19,7 @@ fewest hops first, then the lowest point id.
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -26,7 +27,6 @@ from .graph import (
     SnapshotGraph,
     UnknownVehicleError,
     all_k_closeness,
-    bfs_distances,
     edges_examined,
     reach_rounds,
 )
@@ -92,25 +92,39 @@ def assign_to_aggregation_points(
     that was reached in round h-1, and every closest point of such a
     neighbour is h hops from w, so w's closest points are exactly the
     union of those neighbours' closest points.
+
+    The search runs on positions, which follow ascending id. Its frontier
+    stays in ascending label order: the points start in ascending order,
+    and each round lists the vehicles it reaches in the order of the
+    frontier vehicles that reached them. So the first label to reach a
+    vehicle is the lowest among its neighbours in the previous round.
     """
     if d < 1:
         raise ValueError(f"d must be >= 1, got {d}")
+    vertices = g.vertices
+    adjacency = g.adjacency
+    frontier = []
     for p in points:
         if p not in g:
             raise UnknownVehicleError(p)
-    nearest = {p: p for p in points}
-    frontier = dict(nearest)
+        frontier.append(bisect_left(vertices, p))
+    frontier.sort()
+    # label[i]: the position of vertex i's point, -1 while unreached
+    label = [-1] * len(vertices)
+    for i in frontier:
+        label[i] = i
     for _ in range(d):
-        reached: dict[int, int] = {}
-        for u, p in frontier.items():
-            for w in g.neighbors(u):
-                if w not in nearest and (w not in reached or p < reached[w]):
-                    reached[w] = p
+        reached = []
+        for u in frontier:
+            p = label[u]
+            for w in adjacency[u]:
+                if label[w] < 0:
+                    label[w] = p
+                    reached.append(w)
         if not reached:
             break
-        nearest.update(reached)
         frontier = reached
-    return {v: p for v, p in sorted(nearest.items()) if v != p}
+    return {vertices[i]: vertices[p] for i, p in enumerate(label) if p >= 0 and p != i}
 
 
 def verify_domination(g: SnapshotGraph, points, d: int) -> bool:
@@ -152,14 +166,35 @@ def centrality_select(g: SnapshotGraph, d: int = 1, k: int = 4) -> SelectionResu
         raise ValueError(f"d must be >= 1, got {d}")
     centrality, examined = all_k_closeness(g, k)
     # scores never change, so the best remaining vehicle is always the
-    # first uncovered one in a single (score desc, id asc) ranking
-    covered: set[int] = set()
+    # first uncovered one in a single (score desc, id asc) ranking; the
+    # values come in position order and the sort is stable
+    scores = list(centrality.values())
+    adjacency = g.adjacency
+    covered = [False] * len(scores)
+    # seen[j]: the last point whose search reached vertex j
+    seen = [-1] * len(scores)
     points = []
-    for v in sorted(g.vertices, key=lambda u: (-centrality[u], u)):
-        if v not in covered:
-            points.append(v)
-            covered.update(bfs_distances(g, v, d)[0])
-    chosen = frozenset(points)
+    for i in sorted(range(len(scores)), key=scores.__getitem__, reverse=True):
+        if covered[i]:
+            continue
+        points.append(i)
+        covered[i] = True
+        if d == 1:
+            for j in adjacency[i]:
+                covered[j] = True
+            continue
+        seen[i] = i
+        frontier = [i]
+        for _ in range(d):
+            reached = []
+            for u in frontier:
+                for j in adjacency[u]:
+                    if seen[j] != i:
+                        seen[j] = i
+                        covered[j] = True
+                        reached.append(j)
+            frontier = reached
+    chosen = frozenset(g.vertices[i] for i in points)
     return SelectionResult(
         aggregation_points=chosen,
         assignment=assign_to_aggregation_points(g, chosen, d),

@@ -1,12 +1,14 @@
 """The fast snapshot kernels against the straightforward ones they replaced.
 
-Each kernel (multi-source nearest-point assignment, grid unit-disk
+Each kernel (multi-source nearest-point assignment, row-strip unit-disk
 builder, bit-parallel closeness, sort-once greedy pick, slot-bucketed
 reservation frame, bitset exact branch and bound) must give exactly what
 its oracle in ``helpers`` gives, counters included. The one exception
 is the exact search's node count on a disconnected graph, which the
 bitset solver searches one component at a time and the oracle in one
-piece.
+piece. The strategies draw both arbitrary ids and the ids 0..n-1, so the
+position-numbered adjacency is checked where it shares the id adjacency's
+tuples and where it maps each neighbour.
 """
 
 import dataclasses
@@ -20,6 +22,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import apsel.graph
+import apsel.mobility
 from apsel.graph import SnapshotGraph, all_k_closeness, bfs_distances, reach_rounds
 from apsel.mobility import (
     RadioParams,
@@ -54,6 +57,21 @@ from helpers import (
 )
 
 ORIGINS = [0.0, -3_000.0, 1e9, -1e9]
+# at 1e15 one ulp (0.125) exceeds the strips' margin over a 1 m range (0.01 m)
+FAR_ORIGIN, FAR_RANGE = 1e15, 1.0
+
+
+def position_numbered(g: SnapshotGraph) -> tuple[tuple[int, ...], ...]:
+    """The id adjacency mapped through positions in ``g.vertices``."""
+    position = {v: i for i, v in enumerate(g.vertices)}
+    return tuple(tuple(position[u] for u in g.neighbors(v)) for v in g.vertices)
+
+
+def assert_adjacency_by_position(g: SnapshotGraph) -> None:
+    assert g.adjacency == position_numbered(g)
+    if g.vertices == tuple(range(g.n_vertices)):
+        # ids 0..n-1: both views hold the very same tuples
+        assert all(g.adjacency[v] is g.neighbors(v) for v in g.vertices)
 
 
 @st.composite
@@ -65,7 +83,8 @@ def snapshots(draw):
     vehicles on one spot.
     """
     r = draw(st.sampled_from([1.0, 100.0, 250.0]))
-    ox, oy = draw(st.sampled_from(ORIGINS)), draw(st.sampled_from(ORIGINS))
+    origins = ORIGINS + [FAR_ORIGIN]
+    ox, oy = draw(st.sampled_from(origins)), draw(st.sampled_from(origins))
     side = r * draw(st.sampled_from([0.3, 3.0, 20.0]))
     rng = random.Random(draw(st.integers(0, 2**32 - 1)))
     points: list[tuple[float, float]] = []
@@ -83,13 +102,15 @@ def snapshots(draw):
             points.append(rng.choice(points))
         else:
             points.append((ox + rng.uniform(0, r / 2), oy + rng.uniform(0, r / 2)))
-    ids = rng.sample(range(10 * len(points) + 1), len(points))
+    spread = 10 * len(points) + 1 if draw(st.booleans()) else len(points)
+    ids = rng.sample(range(spread), len(points))
     return dict(zip(ids, points)), RadioParams(range_r=r)
 
 
 @st.composite
 def graphs(draw):
-    """Small graphs with arbitrary ids: random, geometric, or tie-heavy."""
+    """Small graphs with arbitrary ids or ids 0..n-1: random, geometric,
+    or tie-heavy."""
     rng = random.Random(draw(st.integers(0, 2**32 - 1)))
     n = draw(st.integers(0, 30))
     kind = draw(st.sampled_from(["gnp", "geometric", "cycles", "empty"]))
@@ -106,7 +127,7 @@ def graphs(draw):
         edges = [(c + i, c + (i + 1) % size) for c in range(0, n, size) for i in range(size)]
     else:
         edges = []
-    ids = rng.sample(range(1000), n)
+    ids = rng.sample(range(1000) if draw(st.booleans()) else range(n), n)
     return SnapshotGraph(ids, [(ids[i], ids[j]) for i, j in edges])
 
 
@@ -124,6 +145,9 @@ class TestNearestPointAssignment:
     # 4 ties at two hops between 1 and 8, and {1, 8} iterates as [8, 1]:
     # the answer is {2: 1, 3: 8, 4: 1}
     @example(case=(SnapshotGraph(range(1, 9), [(1, 2), (8, 3), (2, 4), (3, 4)]), frozenset({1, 8})), d=2)
+    # 5 ties at two hops between 1 (through 9) and 2 (through 3); the
+    # second round must visit 9 before 3, in label order, not id order
+    @example(case=(SnapshotGraph([1, 2, 3, 5, 9], [(1, 9), (2, 3), (9, 5), (3, 5)]), frozenset({1, 2})), d=2)
     def test_matches_per_point_search(self, case, d):
         g, points = case
         assert assign_to_aggregation_points(g, points, d) == assign_to_aggregation_points_oracle(
@@ -162,6 +186,58 @@ class TestGridUdg:
         g = build_udg(snap)
         assert g.neighbors(0) == tuple(range(1, 13))
         assert adjacency(g) == adjacency(udg_oracle(snap))
+
+    def test_exact_range_where_an_ulp_exceeds_the_margin(self):
+        # coordinates near 1e15 are multiples of 0.125, so no diagonal pair
+        # lies exactly 1 m apart; axis pairs do, and 1.125 m is one step past
+        o, r = FAR_ORIGIN, FAR_RANGE
+        offsets = [(0.0, 0.0), (1.0, 0.0), (2.125, 0.0), (1.0, 1.0), (1.625, 1.75), (0.0, 2.125)]
+        assert math.ulp(o) > 0.01 * r
+        assert all((o + dx) - o == dx and (o + dy) - o == dy for dx, dy in offsets)
+        snap = {v: (o + dx, o + dy) for v, (dx, dy) in enumerate(offsets)}
+        g = build_udg(snap, RadioParams(range_r=r))
+        assert sorted(g.edges()) == [(0, 1), (1, 3), (3, 4)]
+        assert adjacency(g) == adjacency(udg_oracle(snap, RadioParams(range_r=r)))
+
+    @pytest.mark.parametrize("origin", ORIGINS)
+    def test_exact_range_across_a_strip_boundary(self, origin):
+        # vehicle 0 sets the lowest y, so strip k starts at origin + k * w;
+        # each pair sits exactly r apart across one such boundary, on the
+        # axis or as a 60-80-100 triangle leaning either way
+        r = 100.0
+        w = apsel.mobility._STRIP_SCALE * r
+        assert w == 101.0
+        snap = {0: (origin, origin)}
+        pairs = []
+        for k, (dx, dy) in enumerate([(0, 100), (60, 80), (-60, 80), (80, 60), (-80, 60)], start=1):
+            x, y = origin + 1000.0 * k, origin + w * k
+            a, b = 2 * k - 1, 2 * k
+            snap[a] = (x, y - dy / 2)
+            snap[b] = (x + dx, y + dy / 2)
+            pairs.append((a, b))
+        # and one pair just past the range
+        snap[11] = (origin + 7000.0, origin + w - 50.0)
+        snap[12] = (origin + 7000.0, origin + w + 50.0001)
+        g = build_udg(snap, RadioParams(range_r=r))
+        assert sorted(g.edges()) == pairs
+        assert adjacency(g) == adjacency(udg_oracle(snap, RadioParams(range_r=r)))
+
+    def test_pair_whose_difference_rounds_to_the_range(self):
+        # -2**-53 - 1.0 rounds to -1.0, so the test puts 0-1 in range though
+        # 1.0 lies past -2**-53 + 1.0; a scan must stop on the rounded
+        # difference, not on a rounded sum. 2-3 does the same across the
+        # boundary between the first two strips, at y = 1.01.
+        w = apsel.mobility._STRIP_SCALE * FAR_RANGE
+        assert 1.0 > -(2**-53) + FAR_RANGE
+        snap = {
+            0: (-(2**-53), 0.0),
+            1: (1.0, 0.0),
+            2: (-(2**-53), math.nextafter(w, 0.0)),
+            3: (1.0, w),
+        }
+        g = build_udg(snap, RadioParams(range_r=FAR_RANGE))
+        assert sorted(g.edges()) == [(0, 1), (2, 3)]
+        assert adjacency(g) == adjacency(udg_oracle(snap, RadioParams(range_r=FAR_RANGE)))
 
     def test_coincident_vehicles_and_one_cell(self):
         snap = {v: (7.0, -7.0) for v in range(5)}
@@ -228,6 +304,23 @@ class TestGridUdg:
         g, removed = build_direction_constrained_udg(snap, prev, radio)
         assert adjacency(g) == adjacency(ref)
         assert (g.n_edges, removed) == (ref.n_edges, base.n_edges - ref.n_edges)
+
+
+class TestPositionAdjacency:
+    @given(g=graphs())
+    def test_constructor(self, g):
+        assert_adjacency_by_position(g)
+
+    @given(case=snapshots())
+    def test_builder(self, case):
+        assert_adjacency_by_position(build_udg(*case))
+
+    @given(case=snapshots(), seed=st.integers(0, 2**32 - 1))
+    def test_direction_filter(self, case, seed):
+        snap, radio = case
+        rng = random.Random(seed)
+        prev = {v: (x - rng.choice([-1.0, 1.0]), y) for v, (x, y) in snap.items() if rng.random() < 0.8}
+        assert_adjacency_by_position(build_direction_constrained_udg(snap, prev, radio)[0])
 
 
 class TestBitsetCloseness:
@@ -435,7 +528,7 @@ class TestBitsetExact:
 
 
 def test_20k_vehicle_snapshot_builds_in_bounded_memory():
-    """The all-pairs builder needs about 2.8 GB at 10k vehicles; the grid
+    """The all-pairs builder needs about 2.8 GB at 10k vehicles; the sweep
     must build 20k (mean degree about 10) well inside 200 MB."""
     n, r, mean_degree = 20_000, 100.0, 10.0
     side = math.sqrt(n * math.pi * r * r / mean_degree)

@@ -116,6 +116,15 @@ class TestTraceCsv:
         assert path.read_text() == "time,id,x,y\n0.0,0,1.5,0.0\n1.0,1,2.0,-0.25\n"
         assert load_trace_csv(path).points == Trace(pts).points
 
+    def test_float32_samples_round_trip_exactly(self, tmp_path):
+        numpy = pytest.importorskip("numpy")
+        # str(numpy.float32(0.1)) is "0.1", which reads back as a different float64
+        x, y = numpy.float32(0.1), numpy.float32(-2.3)
+        path = tmp_path / "trace.csv"
+        write_trace_csv(Trace([TracePoint(0.0, 0, x, y)]), path)
+        assert load_trace_csv(path).positions_at(0.0) == {0: (float(x), float(y))}
+        assert float(x) == 0.10000000149011612
+
     def test_header_enforced(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("t,vid,x,y\n0,1,0,0\n")
