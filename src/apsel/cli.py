@@ -19,6 +19,7 @@ win.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from dataclasses import dataclass, fields, replace
@@ -157,8 +158,12 @@ class TraceConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.period <= 0:
-            raise ConfigError(f"period must be positive, got {self.period}")
+        if not 0 < self.period < math.inf:
+            raise ConfigError(f"period must be positive and finite, got {self.period}")
+        for name in ("t_start", "t_end"):
+            t = getattr(self, name)
+            if t is not None and not math.isfinite(t):
+                raise ConfigError(f"{name} must be finite, got {t}")
         if (self.trace_path is None) == (self.gen is None):
             raise ConfigError("exactly one of --trace and a generator (--gen-*) is required")
 

@@ -13,13 +13,15 @@ Every graph also numbers its vertices by position: vertex i is
 positions of its neighbours, ascending. The builders produce this
 numbering and the kernels (closeness, selection) read it, so no kernel
 maps ids to positions itself. When the ids are exactly 0..n-1, positions
-and ids coincide and both views share the same tuples.
+and ids coincide and both views share the same tuples. On large graphs
+closeness runs its rounds in a breadth-first numbering of its own and
+maps the results back to positions.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable, Iterator, Sequence
 from operator import eq, mul
 
 
@@ -193,25 +195,27 @@ def bfs_distances(
     return dist, edges_examined
 
 
-def reach_rounds(g: SnapshotGraph, k: int) -> Iterator[tuple[list[int], list[int]]]:
+def reach_rounds(
+    adjacency: Sequence[Sequence[int]], k: int
+) -> Iterator[tuple[list[int], list[int]]]:
     """Bit-parallel BFS from every vertex at once, one round per hop.
 
-    Vertices are numbered by position, as in ``g.adjacency``. Yields
-    ``(reach, sizes)`` for h = 0, 1, ..., k: bit j of ``reach[i]`` is set
-    iff vertex j lies within h hops of vertex i, and ``sizes[i]`` counts
-    those bits. Round h ORs each vertex's set with its neighbors' sets
-    (Then et al., VLDB 2014). Once a round adds nothing, every later
-    round would repeat it, so the same two lists are yielded again.
+    ``adjacency[i]`` lists the numbers of vertex i's neighbours, as
+    ``g.adjacency`` does by position. Yields ``(reach, sizes)`` for
+    h = 0, 1, ..., k: bit j of ``reach[i]`` is set iff vertex j lies
+    within h hops of vertex i, and ``sizes[i]`` counts those bits. Round h
+    ORs each vertex's set with its neighbors' sets (Then et al., VLDB
+    2014). Once a round adds nothing, every later round would repeat it,
+    so the same two lists are yielded again.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    nbrs = g.adjacency
-    reach = [1 << i for i in range(len(nbrs))]
-    sizes = [1] * len(nbrs)
+    reach = [1 << i for i in range(len(adjacency))]
+    sizes = [1] * len(adjacency)
     yield reach, sizes
     for h in range(1, k + 1):
         grown = []
-        for i, nb in enumerate(nbrs):
+        for i, nb in enumerate(adjacency):
             acc = reach[i]
             for u in nb:
                 acc |= reach[u]
@@ -225,6 +229,31 @@ def reach_rounds(g: SnapshotGraph, k: int) -> Iterator[tuple[list[int], list[int
         yield reach, sizes
 
 
+def breadth_first_order(adjacency: Sequence[Sequence[int]]) -> list[int]:
+    """Every vertex once, in breadth-first order (Cuthill & McKee, 1969).
+
+    Each component is searched from its lowest number, in ascending order
+    of that number, and each vertex's neighbours are taken in ascending
+    order. Adjacent vertices land at most one BFS level apart, so a
+    k-hop ball spans at most 2k + 1 consecutive levels of the order.
+    """
+    seen = bytearray(len(adjacency))
+    order: list[int] = []
+    for start in range(len(adjacency)):
+        if seen[start]:
+            continue
+        seen[start] = 1
+        head = len(order)
+        order.append(start)
+        while head < len(order):
+            for u in adjacency[order[head]]:
+                if not seen[u]:
+                    seen[u] = 1
+                    order.append(u)
+            head += 1
+    return order
+
+
 def edges_examined(g: SnapshotGraph, sizes: list[int]) -> int:
     """Adjacency entries scanned by one depth-limited search per vertex.
 
@@ -236,6 +265,32 @@ def edges_examined(g: SnapshotGraph, sizes: list[int]) -> int:
     return sum(map(mul, map(len, g.adjacency), sizes))
 
 
+def _renumbered(adjacency: Sequence[Sequence[int]]) -> tuple[list[int], list[tuple[int, ...]]]:
+    """``rank[i]``, the index of vertex i in ``breadth_first_order``, and
+    the adjacency with every vertex numbered by its rank."""
+    order = breadth_first_order(adjacency)
+    rank = [0] * len(order)
+    for new, old in enumerate(order):
+        rank[old] = new
+    return rank, [tuple(map(rank.__getitem__, adjacency[old])) for old in order]
+
+
+# all_k_closeness renumbers a graph breadth-first when n * k reaches this.
+# Python ints are dense, so reach set i costs about its highest bit / 30
+# digits to OR: in position order that is n bits for nearly every vertex,
+# in breadth-first order about i plus the width of a few BFS levels, half
+# as much on average. The O(n + E) search and remap only pay for
+# themselves on larger graphs and deeper rounds. Renumbered time over
+# position-order time, 2-D uniform snapshots at mean degree 10
+# (bench/workloads.city_rows), median CPU of 9-15 alternating calls:
+#
+#   k = 1:  n = 8000 1.16   12000 0.94-0.96   16000 0.77
+#   k = 2:  n = 4000 1.02   6000  0.89        8000  0.79
+#   k = 4:  n = 2000 1.14   3000  0.95-1.01   4000  0.80
+#   k = 8:  n = 1500 1.15   2000  1.05        3000  0.95
+RENUMBER_MIN_WORK = 12_000
+
+
 def all_k_closeness(g: SnapshotGraph, k: int) -> tuple[dict[int, float], int]:
     """k-limited closeness for every vertex, plus total edges examined.
 
@@ -244,6 +299,11 @@ def all_k_closeness(g: SnapshotGraph, k: int) -> tuple[dict[int, float], int]:
     count. The values equal k independent depth-limited searches, one per
     vertex, and the edge count is the work those searches would do, which
     feeds the computational-cost metric.
+
+    When ``g.n_vertices * k`` is at least ``RENUMBER_MIN_WORK``, the
+    rounds run on ``g.adjacency`` renumbered by ``breadth_first_order``
+    and each round's sizes are mapped back to positions. Ball sizes do not
+    depend on the numbering, so neither does any result.
 
     The per-round sizes are memoized on ``g``: a call whose k the memo
     already covers runs no search, and a larger k reruns the rounds from
@@ -255,13 +315,19 @@ def all_k_closeness(g: SnapshotGraph, k: int) -> tuple[dict[int, float], int]:
         raise ValueError(f"k must be >= 1, got {k}")
     rounds = g._ball_sizes
     if len(rounds) <= k and not g._balls_converged:
+        adjacency = g.adjacency
+        renumber = len(adjacency) * k >= RENUMBER_MIN_WORK
+        if renumber:
+            rank, adjacency = _renumbered(adjacency)
         rounds = []
-        for _, sizes in reach_rounds(g, k):
+        for _, sizes in reach_rounds(adjacency, k):
             # a converged search yields its last sizes list again
             if rounds and sizes is rounds[-1]:
                 g._balls_converged = True
                 break
             rounds.append(sizes)
+        if renumber:
+            rounds = [list(map(sizes.__getitem__, rank)) for sizes in rounds]
         g._ball_sizes = rounds
     last = len(rounds) - 1
     farness = [0] * g.n_vertices

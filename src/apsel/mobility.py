@@ -18,6 +18,7 @@ import csv
 import math
 import random
 import statistics
+import sys
 from dataclasses import dataclass
 from operator import itemgetter
 
@@ -263,13 +264,23 @@ def snapshot_at(trace: Trace, t: float) -> dict[int, tuple[float, float]]:
 
 @dataclass(frozen=True)
 class RadioParams:
-    """range_r in meters."""
+    """range_r in meters.
+
+    ``build_udg`` links a pair iff ``dx*dx + dy*dy <= r*r``, so r*r must
+    be a finite normal float: r lies within about [1.5e-154, 1.3e154].
+    Outside it the square rounds to 0 or to inf and the test no longer
+    measures distance.
+    """
 
     range_r: float = 100.0
 
     def __post_init__(self):
-        if self.range_r <= 0:
-            raise ValueError(f"range_r must be positive, got {self.range_r}")
+        r = self.range_r
+        if not (r > 0 and sys.float_info.min <= r * r < math.inf):
+            raise ValueError(
+                f"range_r must be positive with a finite normal square"
+                f" (about 1.5e-154 to 1.3e154), got {r}"
+            )
 
 
 # Strips are this much taller than the radio range, so that an in-range

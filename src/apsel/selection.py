@@ -391,7 +391,7 @@ def exact_min_dominating_set(g: SnapshotGraph, d: int = 1) -> SelectionResult:
     if not g.n_vertices:
         return SelectionResult(frozenset())
 
-    rounds = list(reach_rounds(g, d))
+    rounds = list(reach_rounds(g.adjacency, d))
     # hop distance is symmetric, so a vertex's d-hop ball is also the set
     # of vertices whose ball covers it: its coverers
     balls, ball_sizes = rounds[d]

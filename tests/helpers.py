@@ -7,7 +7,7 @@ The ``*_oracle`` functions are the package's earlier straightforward
 kernels, kept as references for the fast ones: the all-pairs unit-disk
 builder, the trace loader that built one TracePoint per sample, the
 heading comparison through displacement vectors, per-source BFS
-closeness, the ``max()``-scan greedy pick, the tick-by-tick
+closeness, a queue-based breadth-first order, the ``max()``-scan greedy pick, the tick-by-tick
 reservation frame, the set-based exact branch and bound, the
 per-point BFS assignment to the nearest point and the Nelder-Mead search
 on numpy 2-vectors. numpy is a test dependency only.
@@ -22,6 +22,7 @@ import itertools
 import math
 import random
 import statistics
+from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -317,6 +318,27 @@ def all_k_closeness_oracle(g: SnapshotGraph, k: int) -> tuple[dict[int, float], 
         values[v] = 1.0 / farness if farness else 0.0
         total_edges += scanned
     return values, total_edges
+
+
+def breadth_first_order_oracle(g: SnapshotGraph) -> list[int]:
+    """Positions in the order a queue-based search visits them: each
+    component from its lowest unvisited id, neighbours by ascending id."""
+    position = {v: i for i, v in enumerate(g.vertices)}
+    order: list[int] = []
+    seen: set[int] = set()
+    for source in g.vertices:
+        if source in seen:
+            continue
+        seen.add(source)
+        queue = deque([source])
+        while queue:
+            v = queue.popleft()
+            order.append(position[v])
+            for u in g.neighbors(v):
+                if u not in seen:
+                    seen.add(u)
+                    queue.append(u)
+    return order
 
 
 def _nearest_points(balls: dict[int, dict[int, int]]) -> dict[int, int]:

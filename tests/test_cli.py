@@ -1,3 +1,4 @@
+import math
 import subprocess
 import sys
 
@@ -11,6 +12,7 @@ from apsel.cli import (
     ConfigError,
     GenParams,
     RunConfig,
+    TraceConfig,
     main,
     parse_algo_spec,
     run_one_algorithm,
@@ -78,6 +80,41 @@ class TestRunConfig:
     def test_rejects_bad_period(self):
         with pytest.raises(ConfigError):
             RunConfig(algos=(AlgoSpec("rb"),), gen=GenParams(), period=0.0)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("period", math.nan),
+            ("period", math.inf),
+            ("t_start", math.nan),
+            ("t_start", -math.inf),
+            ("t_end", math.nan),
+            ("t_end", math.inf),
+        ],
+    )
+    def test_rejects_non_finite_period_and_window(self, field, value):
+        # a NaN boundary never passes the window end, so the boundary
+        # list grew until the process was killed
+        with pytest.raises(ConfigError, match=f"{field} must be"):
+            TraceConfig(gen=GenParams(), **{field: value})
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run", "--period", "nan", "--algo", "rb"],
+            ["run", "--period", "inf", "--algo", "rb"],
+            ["run", "--t-start", "nan", "--algo", "rb"],
+            ["run", "--t-end", "nan", "--algo", "rb"],
+            ["tune", "--period", "nan"],
+            ["run", "--radius", "nan", "--algo", "rb"],
+            ["run", "--radius", "inf", "--algo", "rb"],
+        ],
+    )
+    def test_non_finite_flags_fail_at_parse(self, tmp_path, capsys, argv):
+        out = tmp_path / "out"
+        assert main([*argv, "--gen-n", "5", "--out", str(out)]) == 1
+        assert "must be" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestRunCommand:

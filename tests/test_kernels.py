@@ -8,7 +8,9 @@ is the exact search's node count on a disconnected graph, which the
 bitset solver searches one component at a time and the oracle in one
 piece. The strategies draw both arbitrary ids and the ids 0..n-1, so the
 position-numbered adjacency is checked where it shares the id adjacency's
-tuples and where it maps each neighbour.
+tuples and where it maps each neighbour. The closeness tests run twice:
+as the size threshold leaves them, and with the breadth-first
+renumbering forced on for every graph.
 """
 
 import dataclasses
@@ -23,7 +25,13 @@ from hypothesis import strategies as st
 
 import apsel.graph
 import apsel.mobility
-from apsel.graph import SnapshotGraph, all_k_closeness, bfs_distances, reach_rounds
+from apsel.graph import (
+    SnapshotGraph,
+    all_k_closeness,
+    bfs_distances,
+    breadth_first_order,
+    reach_rounds,
+)
 from apsel.mobility import (
     RadioParams,
     build_direction_constrained_udg,
@@ -43,6 +51,7 @@ from helpers import (
     adjacency,
     all_k_closeness_oracle,
     assign_to_aggregation_points_oracle,
+    breadth_first_order_oracle,
     centrality_select_oracle,
     cycle_graph,
     direction_angle,
@@ -374,15 +383,85 @@ class TestBitsetCloseness:
     def test_tuner_searches_each_graph_once(self, monkeypatch):
         calls = []
 
-        def counted(g, k):
-            calls.append(g)
-            return reach_rounds(g, k)
+        def counted(adjacency, k):
+            calls.append(adjacency)
+            return reach_rounds(adjacency, k)
 
         monkeypatch.setattr(apsel.graph, "reach_rounds", counted)
         trace = generate_two_way_roadway(30, 400.0, 5.0, seed=3)
         res = tune_parameters(trace, config=TunerConfig(d_bounds=(1, 2), k_bounds=(1, 2)))
         assert res.n_evaluations > 1
         assert len(calls) == len({id(g) for g in calls}) == len(trace.times)
+
+
+class TestRenumberedCloseness(TestBitsetCloseness):
+    """Every closeness test again, with the breadth-first numbering on for
+    every graph, however small."""
+
+    @pytest.fixture(autouse=True, scope="class")
+    def renumber_every_graph(self):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(apsel.graph, "RENUMBER_MIN_WORK", 1)
+            yield
+
+    # hypothesis binds a property test to one class, so the two oracle
+    # comparisons are restated rather than inherited
+    @given(g=graphs(), k=st.integers(1, 6))
+    def test_values_and_edges_examined_match_bfs(self, g, k):
+        assert all_k_closeness(g, k) == all_k_closeness_oracle(g, k)
+
+    @given(g=graphs(), ks=st.lists(st.integers(1, 6), min_size=2, max_size=8))
+    @example(g=cycle_graph(9), ks=[1, 3, 2, 2, 4, 1])
+    def test_memo_matches_bfs_for_any_sequence_of_k(self, g, ks):
+        for k in ks:
+            assert all_k_closeness(g, k) == all_k_closeness_oracle(g, k)
+
+    def test_rounds_run_in_breadth_first_numbering(self, monkeypatch):
+        seen = []
+
+        def spy(adjacency, k):
+            seen.append(adjacency)
+            return reach_rounds(adjacency, k)
+
+        monkeypatch.setattr(apsel.graph, "reach_rounds", spy)
+        # the path 0-3-1-5-2-4 is numbered along the path; neighbour
+        # lists keep their position order, so 2's reads (4, 5) -> (5, 3)
+        g = SnapshotGraph(range(6), [(0, 3), (3, 1), (1, 5), (5, 2), (2, 4)])
+        assert all_k_closeness(g, 2) == all_k_closeness_oracle(g, 2)
+        assert seen == [[(1,), (0, 2), (1, 3), (2, 4), (5, 3), (4,)]]
+        # the memo holds the sizes by position again
+        assert g._ball_sizes[1] == [1 + g.degree(v) for v in g.vertices]
+
+
+class TestBreadthFirstOrder:
+    @given(g=graphs())
+    def test_matches_queue_search(self, g):
+        order = breadth_first_order(g.adjacency)
+        assert sorted(order) == list(range(g.n_vertices))
+        assert order == breadth_first_order_oracle(g)
+
+    def test_components_and_isolated_vertices(self):
+        # components {1, 4, 8}, {2, 9} and {3, 5, 7}; 0 and 6 are isolated
+        g = SnapshotGraph(range(10), [(8, 1), (4, 8), (9, 2), (7, 3), (7, 5)])
+        assert breadth_first_order(g.adjacency) == [0, 1, 8, 4, 2, 9, 3, 7, 5, 6]
+        h = SnapshotGraph([40, 10, 30, 20, 50], [(50, 10)])
+        assert breadth_first_order(h.adjacency) == [0, 4, 1, 2, 3]
+        assert breadth_first_order(()) == []
+
+    def test_closeness_renumbers_once_n_times_k_reaches_the_threshold(self, monkeypatch):
+        sizes = []
+
+        def counted(adjacency):
+            sizes.append(len(adjacency))
+            return breadth_first_order(adjacency)
+
+        monkeypatch.setattr(apsel.graph, "breadth_first_order", counted)
+        m = apsel.graph.RENUMBER_MIN_WORK
+        for n, k in [(m - 1, 1), (m, 1), (m // 3 - 1, 3), ((m + 2) // 3, 3)]:
+            g = SnapshotGraph(range(n))
+            all_k_closeness(g, k)
+            assert g._ball_sizes == [[1] * n]
+        assert sizes == [m, (m + 2) // 3]
 
 
 class TestSortOnceGreedy:
@@ -545,3 +624,24 @@ def test_20k_vehicle_snapshot_builds_in_bounded_memory():
     for v in random.Random(0).sample(range(n), 200):
         diff = pos - pos[v]
         assert g.degree(v) == int(((diff * diff).sum(axis=1) <= r * r).sum()) - 1
+
+
+def test_20k_vehicle_centrality_in_bounded_memory(monkeypatch):
+    """Centrality d=1, k=4 on 20k vehicles at mean degree 10. Scored in
+    breadth-first numbering, the reach sets peak at about 60 MB under
+    tracemalloc; in position order they peaked at about 102 MB. The ball
+    sizes equal those of position order."""
+    n, r, mean_degree = 20_000, 100.0, 10.0
+    side = math.sqrt(n * math.pi * r * r / mean_degree)
+    g = build_udg(geometric_snapshot(n, side, seed=20), RadioParams(range_r=r))
+    tracemalloc.start()
+    try:
+        centrality_select(g, 1, 4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 80 * 2**20
+    monkeypatch.setattr(apsel.graph, "RENUMBER_MIN_WORK", math.inf)
+    by_position = SnapshotGraph._from_sorted_adjacency(g.vertices, g.adjacency, g.n_edges)
+    assert all_k_closeness(by_position, 4) == all_k_closeness(g, 4)
+    assert by_position._ball_sizes == g._ball_sizes

@@ -22,10 +22,12 @@ from apsel.mobility import (
 from helpers import (
     DisplacementVector,
     TraceOracle,
+    adjacency,
     direction_angle,
     displacements_at,
     euclid,
     load_trace_csv_oracle,
+    udg_oracle,
 )
 
 finite = st.floats(-1e4, 1e4, allow_nan=False, allow_infinity=False)
@@ -291,6 +293,24 @@ class TestBuildUdg:
     def test_radio_validation(self):
         with pytest.raises(ValueError):
             RadioParams(range_r=0.0)
+
+    @pytest.mark.parametrize(
+        "r",
+        # 1e-170 squares to 0.0, 1e-160 to a subnormal, 1e200 and 1.4e154 to inf
+        [math.nan, math.inf, -math.inf, -1.0, 1e-170, 1e-160, 1.4e154, 1e200],
+    )
+    def test_radio_rejects_range_without_normal_square(self, r):
+        with pytest.raises(ValueError, match="range_r must be"):
+            RadioParams(range_r=r)
+
+    @pytest.mark.parametrize("r", [1.5e-154, 1e-100, 1e100, 1.3e154])
+    def test_extreme_accepted_ranges_match_oracle(self, r):
+        snap = {0: (0.0, 0.0), 1: (r, 0.0), 2: (r, r), 3: (-r * (1 + 1e-15), 0.0), 4: (0.5 * r, 0.5 * r)}
+        radio = RadioParams(range_r=r)
+        g = build_udg(snap, radio)
+        with np.errstate(over="ignore"):  # far pairs square to inf near the top
+            assert adjacency(g) == adjacency(udg_oracle(snap, radio))
+        assert sorted(g.edges()) == [(0, 1), (0, 4), (1, 2), (1, 4), (2, 4)]
 
     @given(
         seed=st.integers(0, 10_000),
