@@ -24,6 +24,7 @@ from .metrics import (
 )
 from .mobility import (
     RadioParams,
+    Snapshot,
     Trace,
     TraceFormatError,
     TracePoint,

@@ -143,6 +143,21 @@ class GenParams:
     speed_min: float = 8.0
     speed_max: float = 14.0
 
+    def __post_init__(self):
+        if self.n < 1:
+            raise ConfigError(f"gen n must be >= 1, got {self.n}")
+        for name in ("area", "duration", "speed_min", "speed_max"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ConfigError(f"gen {name} must be finite, got {value}")
+        if self.duration < 1:
+            raise ConfigError(f"gen duration must be >= 1, got {self.duration}")
+        if not 0 < self.speed_min <= self.speed_max:
+            raise ConfigError(
+                f"gen speeds must satisfy 0 < speed_min <= speed_max,"
+                f" got {self.speed_min} and {self.speed_max}"
+            )
+
 
 @dataclass(frozen=True)
 class TraceConfig:

@@ -275,7 +275,9 @@ def _renumbered(adjacency: Sequence[Sequence[int]]) -> tuple[list[int], list[tup
     return rank, [tuple(map(rank.__getitem__, adjacency[old])) for old in order]
 
 
-# all_k_closeness renumbers a graph breadth-first when n * k reaches this.
+# all_k_closeness renumbers a graph breadth-first when n * min(k, 4) reaches
+# this. Deeper rounds gain less per vertex, so k counts only up to 4: every
+# row of the table below then falls on its faster side.
 # Python ints are dense, so reach set i costs about its highest bit / 30
 # digits to OR: in position order that is n bits for nearly every vertex,
 # in breadth-first order about i plus the width of a few BFS levels, half
@@ -300,7 +302,7 @@ def all_k_closeness(g: SnapshotGraph, k: int) -> tuple[dict[int, float], int]:
     vertex, and the edge count is the work those searches would do, which
     feeds the computational-cost metric.
 
-    When ``g.n_vertices * k`` is at least ``RENUMBER_MIN_WORK``, the
+    When ``g.n_vertices * min(k, 4)`` is at least ``RENUMBER_MIN_WORK``, the
     rounds run on ``g.adjacency`` renumbered by ``breadth_first_order``
     and each round's sizes are mapped back to positions. Ball sizes do not
     depend on the numbering, so neither does any result.
@@ -316,7 +318,7 @@ def all_k_closeness(g: SnapshotGraph, k: int) -> tuple[dict[int, float], int]:
     rounds = g._ball_sizes
     if len(rounds) <= k and not g._balls_converged:
         adjacency = g.adjacency
-        renumber = len(adjacency) * k >= RENUMBER_MIN_WORK
+        renumber = len(adjacency) * min(k, 4) >= RENUMBER_MIN_WORK
         if renumber:
             rank, adjacency = _renumbered(adjacency)
         rounds = []

@@ -1,14 +1,14 @@
 """Vehicle traces and how snapshots of them become communication graphs.
 
-A trace is a set of (time, vehicle, x, y) samples, held per sampled
-instant. At any sampled instant the vehicles' positions induce a
-unit-disk graph: two vehicles are linked iff their Euclidean distance is
-at most the radio range (boundary inclusive). The direction-constrained
-variant additionally drops links between vehicles heading more than 45
-degrees apart, each judged from its displacement since its own latest
-sample within the previous sampling period; a vehicle with no such
-sample or zero displacement is direction-neutral and keeps all its
-links.
+A trace is a set of (time, vehicle, x, y) samples, held as typed-array
+columns per sampled instant. At any sampled instant the vehicles'
+positions induce a unit-disk graph: two vehicles are linked iff their
+Euclidean distance is at most the radio range (boundary inclusive).
+The direction-constrained variant additionally drops links between
+vehicles heading more than 45 degrees apart, each judged from its
+displacement since its own latest sample within the previous sampling
+period; a vehicle with no such sample or zero displacement is
+direction-neutral and keeps all its links.
 """
 
 from __future__ import annotations
@@ -19,13 +19,17 @@ import math
 import random
 import statistics
 import sys
+from array import array
+from collections.abc import ItemsView, Mapping
 from dataclasses import dataclass
-from operator import itemgetter
+from itertools import islice
+from operator import ge, itemgetter
 
 from .graph import SnapshotGraph
 
 __all__ = [
     "RadioParams",
+    "Snapshot",
     "Trace",
     "TraceFormatError",
     "TracePoint",
@@ -59,51 +63,173 @@ class TracePoint:
     y: float
 
 
-class Trace:
-    """Immutable position samples, held as one map per sampled instant.
+class Snapshot(Mapping):
+    """Read-only ``{vehicle: (x, y)}`` view of one sampled instant.
 
-    The columns are ``time -> {vehicle: (x, y)}`` with instants ascending
-    and vehicle ids ascending within each instant, the ascending
-    ``times`` and the sample count; no object is kept per sample, and
-    ``points`` builds the (time, vehicle)-ordered TracePoints on demand.
-    A NaN or infinite time or coordinate is rejected, and so are
-    duplicate (time, vehicle) pairs, naming the smallest such pair.
-    sampling_period is inferred as the median gap between consecutive
-    sampled instants (the lower middle one for an even count; 1.0 when
-    the trace has a single instant), so a stray sample just after an
-    instant does not shrink it.
+    The ids are held ascending in one ``array('q')`` and the coordinates
+    in two ``array('d')`` columns, so a sample costs 24 bytes and no
+    object. Iteration and ``items()`` follow ascending id; a lookup is a
+    binary search. It compares equal to the dict of its items.
+    ``Trace`` makes them and shares the columns, never copies them.
+    """
+
+    __slots__ = ("_ids", "_xs", "_ys")
+
+    def __init__(self, ids: array, xs: array, ys: array):
+        self._ids, self._xs, self._ys = ids, xs, ys
+
+    def _position(self, v) -> int:
+        ids = self._ids
+        try:
+            i = bisect.bisect_left(ids, v)
+        except TypeError:  # a key no id compares with
+            return -1
+        return i if i < len(ids) and ids[i] == v else -1
+
+    def __getitem__(self, v) -> tuple[float, float]:
+        i = self._position(v)
+        if i < 0:
+            raise KeyError(v)
+        return self._xs[i], self._ys[i]
+
+    def __contains__(self, v) -> bool:
+        return self._position(v) >= 0
+
+    def __iter__(self):
+        return iter(self._ids)
+
+    def __len__(self) -> int:
+        return len(self._ids)
+
+    def items(self) -> _SnapshotItems:
+        return _SnapshotItems(self)
+
+    def __repr__(self) -> str:
+        return f"Snapshot({dict(self.items())!r})"
+
+
+class _SnapshotItems(ItemsView):
+    __slots__ = ()
+
+    def __iter__(self):
+        s = self._mapping
+        return zip(s._ids, zip(s._xs, s._ys))
+
+
+_EMPTY = Snapshot(array("q"), array("d"), array("d"))
+
+
+class _Filling:
+    """One instant's samples in arrival order while a trace is read."""
+
+    __slots__ = ("time", "ids", "xs", "ys", "spelling", "spellings")
+
+    def __init__(self, time):
+        self.time = self.spelling = time
+        self.ids, self.xs, self.ys = array("q"), array("d"), array("d")
+        # (arrival index, time) where the samples from that index on carry
+        # a time that reads differently from the last one (-0.0 after 0.0)
+        self.spellings: list = []
+
+    def spelled(self, t) -> None:
+        """The next samples carry time t, which equals this instant's."""
+        if t is not self.spelling and str(t) != str(self.spelling):
+            self.spellings.append((len(self.ids), t))
+            self.spelling = t
+
+    def time_of(self, i: int):
+        """The time as written on the sample that arrived i-th."""
+        t = self.time
+        for start, spelling in self.spellings:
+            if start > i:
+                break
+            t = spelling
+        return t
+
+    def snapshot(self) -> Snapshot:
+        """The samples ordered by id. Raises for the smallest duplicated
+        id, naming the time written on its second sample."""
+        ids, xs, ys = self.ids, self.xs, self.ys
+        listed = ids.tolist()
+        if any(map(ge, listed, islice(listed, 1, None))):
+            # a stable sort: the second of two equal ids arrived second
+            order = sorted(range(len(listed)), key=listed.__getitem__)
+            for a, b in zip(order, islice(order, 1, None)):
+                if listed[a] == listed[b]:
+                    raise TraceFormatError(
+                        f"duplicate sample for vehicle {listed[b]} at t={self.time_of(b)}"
+                    )
+            ids = array("q", map(listed.__getitem__, order))
+            xs = array("d", map(xs.__getitem__, order))
+            ys = array("d", map(ys.__getitem__, order))
+        return Snapshot(ids, xs, ys)
+
+
+def _filling(instants: dict[float, _Filling], t) -> _Filling:
+    """The columns being filled for the instant at time t."""
+    at = instants.get(t)
+    if at is None:
+        at = instants[t] = _Filling(t)
+    else:
+        at.spelled(t)
+    return at
+
+
+def _frozen(instants: dict[float, _Filling]) -> dict[float, Snapshot]:
+    """Each instant's snapshot, instants ascending. Raises for the smallest
+    duplicated (time, vehicle) pair."""
+    return {t: instants[t].snapshot() for t in sorted(instants)}
+
+
+def _id_error(v) -> str:
+    return f"vehicle id {v!r} is not a signed 64-bit integer"
+
+
+class Trace:
+    """Immutable position samples, held as columns per sampled instant.
+
+    Each instant keeps its vehicle ids ascending in one ``array('q')``
+    and their x and y in two ``array('d')``, about 26 bytes per sample
+    with no object per sample; ``positions_at`` hands out a read-only
+    ``Snapshot`` view of them, and ``points`` builds the
+    (time, vehicle)-ordered TracePoints on demand. A NaN or infinite time
+    or coordinate is rejected, so is an id that is not a signed 64-bit
+    integer, and so are duplicate (time, vehicle) pairs, naming the
+    smallest such pair. sampling_period is inferred as the median gap
+    between consecutive sampled instants (the lower middle one for an
+    even count; 1.0 when the trace has a single instant), so a stray
+    sample just after an instant does not shrink it.
     """
 
     def __init__(self, points):
-        by_time: dict[float, dict[int, tuple[float, float]]] = {}
-        duplicates = []
-        n = 0
+        instants: dict[float, _Filling] = {}
         isfinite = math.isfinite
         for p in points:
-            if not (isfinite(p.time) and isfinite(p.x) and isfinite(p.y)):
+            t = p.time
+            if not (isfinite(t) and isfinite(p.x) and isfinite(p.y)):
                 raise TraceFormatError(f"non-finite time or coordinate {p!r}")
-            at = by_time.setdefault(p.time, {})
-            if p.vehicle in at:
-                duplicates.append((p.time, p.vehicle))
-            at[p.vehicle] = (p.x, p.y)
-            n += 1
-        if not n:
+            at = _filling(instants, t)
+            try:
+                at.ids.append(p.vehicle)
+            except (OverflowError, TypeError):
+                raise TraceFormatError(f"{_id_error(p.vehicle)}: {p!r}") from None
+            at.xs.append(p.x)
+            at.ys.append(p.y)
+        if not instants:
             raise TraceFormatError("trace has no samples")
-        _check_duplicates(duplicates)
-        self._set_columns(_in_order(by_time), n)
+        self._set_instants(_frozen(instants))
 
     @classmethod
-    def _from_columns(cls, by_time: dict[float, dict[int, tuple[float, float]]], n_samples: int) -> Trace:
-        """Trusted constructor: by_time is non-empty, holds n_samples samples
-        and is already ordered, instants and then vehicle ids ascending."""
+    def _from_instants(cls, instants: dict[float, Snapshot]) -> Trace:
+        """Trusted constructor: instants is non-empty and ascending in time."""
         trace = cls.__new__(cls)
-        trace._set_columns(by_time, n_samples)
+        trace._set_instants(instants)
         return trace
 
-    def _set_columns(self, by_time, n_samples):
-        self._by_time = by_time
-        self._n = n_samples
-        times = tuple(by_time)
+    def _set_instants(self, instants):
+        self._instants = instants
+        self._n = sum(map(len, instants.values()))
+        times = tuple(instants)
         self._times = times
         gaps = [b - a for a, b in zip(times, times[1:])]
         self._period = statistics.median_low(gaps) if gaps else 1.0
@@ -111,7 +237,9 @@ class Trace:
     @property
     def points(self) -> tuple[TracePoint, ...]:
         return tuple(
-            TracePoint(t, v, x, y) for t, at in self._by_time.items() for v, (x, y) in at.items()
+            TracePoint(t, v, x, y)
+            for t, at in self._instants.items()
+            for v, x, y in zip(at._ids, at._xs, at._ys)
         )
 
     @property
@@ -128,10 +256,10 @@ class Trace:
 
     @property
     def vehicles(self) -> tuple[int, ...]:
-        return tuple(sorted(set().union(*self._by_time.values())))
+        return tuple(sorted(set().union(*(at._ids for at in self._instants.values()))))
 
-    def positions_at(self, t: float) -> dict[int, tuple[float, float]]:
-        return dict(self._by_time.get(t, {}))
+    def positions_at(self, t: float) -> Snapshot:
+        return self._instants.get(t, _EMPTY)
 
     def time_slack(self, t: float) -> float:
         """How far from t a time may lie and still name the same instant: TIME_TOLERANCE
@@ -157,49 +285,27 @@ class Trace:
             j -= 1
         prev: dict[int, tuple[float, float]] = {}
         for s in times[j:i]:
-            prev.update(self._by_time[s])
+            prev.update(self._instants[s].items())
         return prev
 
     def __len__(self):
         return self._n
 
 
-def _check_duplicates(duplicates) -> None:
-    """Raise for the smallest duplicated (time, vehicle) pair, if any."""
-    if duplicates:
-        t, v = min(duplicates)
-        raise TraceFormatError(f"duplicate sample for vehicle {v} at t={t}")
-
-
-def _in_order(by_time: dict) -> dict:
-    """by_time with its instants ascending and the vehicle ids ascending
-    within each instant; already ordered maps are returned as they are."""
-    times = list(by_time)
-    if times != sorted(times):
-        by_time = {t: by_time[t] for t in sorted(times)}
-    for t, at in by_time.items():
-        ids = list(at)
-        if ids != sorted(ids):
-            by_time[t] = {v: at[v] for v in sorted(ids)}
-    return by_time
-
-
 def load_trace_csv(path) -> Trace:
     """Read a trace from CSV with header time,id,x,y.
 
-    Each record is parsed straight into the trace's per-instant maps, in
-    any row order; blank lines are skipped. Malformed records raise
+    Each record is parsed straight into its instant's columns, in any row
+    order; blank lines are skipped. Malformed records raise
     TraceFormatError naming the physical line on which the record ends
     (a quoted field may span lines), checked in this order: the field
     count, then float(time), float(x), float(y) and int(id), then a NaN
-    or infinite time or coordinate. A header other than time,id,x,y is
-    reported before any record; a file with no samples, and then a
-    duplicated (time, vehicle) pair, only once the whole file is read,
-    naming the smallest such pair.
+    or infinite time or coordinate, then an id outside the signed 64-bit
+    range. A header other than time,id,x,y is reported before any record;
+    a file with no samples, and then a duplicated (time, vehicle) pair,
+    only once the whole file is read, naming the smallest such pair.
     """
-    by_time: dict[float, dict[int, tuple[float, float]]] = {}
-    duplicates = []
-    n = 0
+    instants: dict[float, _Filling] = {}
     isfinite = math.isfinite
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -209,48 +315,51 @@ def load_trace_csv(path) -> Trace:
                 f"expected header {','.join(TRACE_HEADER)!r}, got {header!r}"
             )
         # consecutive records mostly share their time field: reuse its
-        # parsed value and its instant's map
-        last_field, t, at = None, 0.0, {}
+        # parsed value and its instant's columns
+        last_field, t = None, 0.0
         for row in reader:
             if len(row) != 4:
                 if not row:
                     continue
                 raise TraceFormatError(f"line {reader.line_num}: expected 4 fields, got {len(row)}")
             field, v, x, y = row
+            new_time = field != last_field
             try:
-                if field != last_field:
+                if new_time:
                     t = float(field)
                 x, y, v = float(x), float(y), int(v)
             except ValueError as exc:
                 raise TraceFormatError(f"line {reader.line_num}: {exc}") from exc
-            if not (isfinite(t) and isfinite(x) and isfinite(y)):
+            # t changes only with its field, so it is checked only then
+            if not (isfinite(x) and isfinite(y)) or new_time and not isfinite(t):
                 raise TraceFormatError(
                     f"line {reader.line_num}: non-finite time or coordinate {row!r}"
                 )
-            if field != last_field:
+            if new_time:
                 last_field = field
-                at = by_time.setdefault(t, {})
-            if v in at:
-                duplicates.append((t, v))
-            at[v] = (x, y)
-            n += 1
-    if not n:
+                at = _filling(instants, t)
+                add_id, add_x, add_y = at.ids.append, at.xs.append, at.ys.append
+            try:
+                add_id(v)
+            except OverflowError:
+                raise TraceFormatError(f"line {reader.line_num}: {_id_error(v)}") from None
+            add_x(x)
+            add_y(y)
+    if not instants:
         raise TraceFormatError(f"{path}: no samples")
-    _check_duplicates(duplicates)
-    return Trace._from_columns(_in_order(by_time), n)
+    return Trace._from_instants(_frozen(instants))
 
 
 def write_trace_csv(trace: Trace, path) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(TRACE_HEADER)
-        for t, at in trace._by_time.items():
-            # str() of a float is its shortest repr; float() first, so that a
-            # float32 coordinate is written as the float64 it reads back as
-            writer.writerows([t, v, float(x), float(y)] for v, (x, y) in at.items())
+        for t, at in trace._instants.items():
+            # the columns hold float64, whose str() is the shortest repr
+            writer.writerows([t, v, x, y] for v, x, y in zip(at._ids, at._xs, at._ys))
 
 
-def snapshot_at(trace: Trace, t: float) -> dict[int, tuple[float, float]]:
+def snapshot_at(trace: Trace, t: float) -> Snapshot:
     """Positions of all vehicles sampled exactly at time t.
 
     Raises outside the trace's time span; an in-span instant with no
@@ -292,9 +401,17 @@ _STRIP_SCALE = 1.01
 _MAX_CELLS = 2.0**52
 
 
-def build_udg(
-    snapshot: dict[int, tuple[float, float]], radio: RadioParams = RadioParams()
-) -> SnapshotGraph:
+def _columns(snapshot: Mapping) -> tuple[list, list[float], list[float]]:
+    """The snapshot's ids ascending, and their x and y as floats in the
+    same order: a Snapshot's columns as they are, a plain mapping sorted."""
+    if isinstance(snapshot, Snapshot):
+        return snapshot._ids.tolist(), snapshot._xs.tolist(), snapshot._ys.tolist()
+    ids = sorted(snapshot)
+    pos = [snapshot[v] for v in ids]
+    return ids, [float(x) for x, _ in pos], [float(y) for _, y in pos]
+
+
+def build_udg(snapshot: Mapping, radio: RadioParams = RadioParams()) -> SnapshotGraph:
     """Unit-disk graph: edge iff distance <= range, boundary included.
 
     A row-strip sweep finds the candidate pairs (the fixed-radius idea of
@@ -323,14 +440,14 @@ def build_udg(
     overflow nor underflow (r between about 1.5e-154 and 1.3e154 m), but
     not an exact strip index.
 
-    Positions follow ascending id, as in ``SnapshotGraph.adjacency``.
-    Raises ValueError for a non-finite coordinate, a negative id, or a
-    snapshot spanning 2**52 strip heights or more along an axis.
+    The snapshot is a ``Snapshot`` view, whose columns are read as they
+    are, or any ``{id: (x, y)}`` mapping, which is first put into the same
+    ascending-id columns. Positions follow ascending id, as in
+    ``SnapshotGraph.adjacency``. Raises ValueError for a non-finite
+    coordinate, a negative id, or a snapshot spanning 2**52 strip heights
+    or more along an axis.
     """
-    ids = sorted(snapshot)
-    pos = [snapshot[v] for v in ids]
-    xs = [float(x) for x, _ in pos]
-    ys = [float(y) for _, y in pos]
+    ids, xs, ys = _columns(snapshot)
     isfinite = math.isfinite
     if not (all(map(isfinite, xs)) and all(map(isfinite, ys))):
         for v, x, y in zip(ids, xs, ys):
@@ -406,9 +523,7 @@ def build_udg(
 
 
 def build_direction_constrained_udg(
-    snapshot: dict[int, tuple[float, float]],
-    prev_snapshot: dict[int, tuple[float, float]],
-    radio: RadioParams = RadioParams(),
+    snapshot: Mapping, prev_snapshot: Mapping, radio: RadioParams = RadioParams()
 ) -> tuple[SnapshotGraph, int]:
     """Unit-disk graph minus links between oppositely-heading vehicles.
 
@@ -418,17 +533,18 @@ def build_direction_constrained_udg(
     the two displacements is at most ANGLE_THRESHOLD. The angle is
     atan2(|cross|, dot), which keeps boundary cases exact: an
     axis-aligned and a diagonal heading come out at 45.0, not a hair
-    above it. The filter runs on ``build_udg``'s position adjacency.
+    above it. The filter runs on ``build_udg``'s position adjacency, and
+    displacements are taken in float64, like its distances.
     Returns the filtered graph and the number of edges removed.
     """
     base = build_udg(snapshot, radio)
+    ids, xs, ys = _columns(snapshot)
     moving = []
-    for v in base.vertices:
+    for v, x, y in zip(ids, xs, ys):
         heading = None
-        if v in prev_snapshot:
-            x, y = snapshot[v]
-            px, py = prev_snapshot[v]
-            dx, dy = x - px, y - py
+        prev = prev_snapshot.get(v)
+        if prev is not None:
+            dx, dy = x - float(prev[0]), y - float(prev[1])
             if dx or dy:
                 heading = (dx, dy)
         moving.append(heading)
@@ -475,20 +591,24 @@ def generate_two_way_roadway(
     """
     if n_vehicles < 1:
         raise ValueError(f"n_vehicles must be >= 1, got {n_vehicles}")
-    if duration < 1:
-        raise ValueError(f"duration must be >= 1, got {duration}")
+    if not math.isfinite(area_side):
+        raise ValueError(f"area_side must be finite, got {area_side}")
+    if not (math.isfinite(duration) and duration >= 1):
+        raise ValueError(f"duration must be finite and >= 1, got {duration}")
     lo, hi = speed_range
-    if not 0 < lo <= hi:
+    if not 0 < lo <= hi < math.inf:
         raise ValueError(f"bad speed_range {speed_range}")
     rng = random.Random(seed)
     mid = area_side / 2.0
-    lanes = {0: mid - 2.0, 1: mid + 2.0}  # 4 m lane separation
+    lanes = (mid - 2.0, mid + 2.0)  # 4 m lane separation
     starts = [rng.uniform(0.0, area_side) for _ in range(n_vehicles)]
     speeds = [rng.uniform(lo, hi) for _ in range(n_vehicles)]
-    by_time = {}
-    for t in range(int(duration)):
-        at = by_time[float(t)] = {}
-        for v in range(n_vehicles):
-            heading = 1.0 if v % 2 == 0 else -1.0
-            at[v] = (starts[v] + heading * speeds[v] * t, lanes[v % 2])
-    return Trace._from_columns(by_time, n_vehicles * len(by_time))
+    velocities = [(1.0 if v % 2 == 0 else -1.0) * speed for v, speed in enumerate(speeds)]
+    # every instant holds the same ids and lane ordinates, so they share those columns
+    ids = array("q", range(n_vehicles))
+    ys = array("d", [lanes[v % 2] for v in range(n_vehicles)])
+    instants = {
+        float(t): Snapshot(ids, array("d", [x + u * t for x, u in zip(starts, velocities)]), ys)
+        for t in range(int(duration))
+    }
+    return Trace._from_instants(instants)

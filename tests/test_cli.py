@@ -116,6 +116,44 @@ class TestRunConfig:
         assert "must be" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            # an infinite duration raised an uncaught OverflowError from int()
+            ["--gen-duration", "inf"],
+            ["--gen-duration", "nan"],
+            ["--gen-duration", "0.5"],
+            # an infinite area failed only inside build_udg
+            ["--gen-area", "inf"],
+            ["--gen-area", "nan"],
+            ["--gen-speed-max", "inf"],
+            ["--gen-speed-min", "nan"],
+            ["--gen-speed-min", "0"],
+            ["--gen-speed-min", "20"],
+            ["--gen-n", "0"],
+        ],
+    )
+    def test_bad_generator_flags_fail_at_parse(self, tmp_path, capsys, flags):
+        out = tmp_path / "out"
+        assert main(["run", "--gen-n", "5", *flags, "--algo", "rb", "--out", str(out)]) == 1
+        assert "error: gen " in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("n", 0),
+            ("area", math.inf),
+            ("duration", math.nan),
+            ("duration", 0.0),
+            ("speed_min", -1.0),
+            ("speed_max", math.inf),
+        ],
+    )
+    def test_gen_params_validated(self, field, value):
+        with pytest.raises(ConfigError, match="gen "):
+            GenParams(**{field: value})
+
 
 class TestRunCommand:
     def test_three_snapshot_trace_gives_three_rows(self, tmp_path):

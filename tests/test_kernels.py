@@ -457,11 +457,20 @@ class TestBreadthFirstOrder:
 
         monkeypatch.setattr(apsel.graph, "breadth_first_order", counted)
         m = apsel.graph.RENUMBER_MIN_WORK
-        for n, k in [(m - 1, 1), (m, 1), (m // 3 - 1, 3), ((m + 2) // 3, 3)]:
+        # k counts only up to 4: at k=8 the line sits at m // 4, not m // 8
+        for n, k in [
+            (m - 1, 1),
+            (m, 1),
+            (m // 3 - 1, 3),
+            ((m + 2) // 3, 3),
+            (m // 8, 8),
+            (m // 4 - 1, 8),
+            (m // 4, 8),
+        ]:
             g = SnapshotGraph(range(n))
             all_k_closeness(g, k)
             assert g._ball_sizes == [[1] * n]
-        assert sizes == [m, (m + 2) // 3]
+        assert sizes == [m, (m + 2) // 3, m // 4]
 
 
 class TestSortOnceGreedy:

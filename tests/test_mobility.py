@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from apsel.mobility import (
     RadioParams,
+    Snapshot,
     Trace,
     TraceFormatError,
     TracePoint,
@@ -259,8 +260,8 @@ class TestLoaderOracle:
 
 
 def test_loaded_trace_keeps_no_object_per_sample(tmp_path):
-    """A loaded trace holds each sample as one entry of its instant's map;
-    a frozen TracePoint per sample, as before, cost about 273 bytes."""
+    """A loaded trace keeps no object per sample; a frozen TracePoint per
+    sample, as before, cost about 273 bytes."""
     path = tmp_path / "trace.csv"
     write_trace_csv(generate_two_way_roadway(200, 2000.0, 100.0, seed=5), path)
     gc.collect()
@@ -274,6 +275,120 @@ def test_loaded_trace_keeps_no_object_per_sample(tmp_path):
         tracemalloc.stop()
     assert len(trace) == 20_000
     assert retained / len(trace) < 180
+
+
+def test_loaded_trace_holds_typed_columns(tmp_path):
+    """Each instant's ids and coordinates sit in typed arrays, 24 bytes of
+    data per sample; a map of (x, y) tuples per instant, as before, kept
+    about 151 bytes."""
+    path = tmp_path / "trace.csv"
+    write_trace_csv(generate_two_way_roadway(200, 2000.0, 100.0, seed=5), path)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        trace = load_trace_csv(path)
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(trace) == 20_000
+    assert retained / len(trace) < 40
+
+
+class TestIdRange:
+    """Ids are held as signed 64-bit integers."""
+
+    @pytest.mark.parametrize("v", [2**63, -(2**63) - 1, 10**30])
+    def test_file_id_outside_int64_names_line(self, tmp_path, v):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"time,id,x,y\n0.0,1,0.0,0.0\n\n0.0,{v},1.0,1.0\n")
+        with pytest.raises(TraceFormatError, match=f"^line 4: vehicle id {v} is not a signed 64-bit integer$"):
+            load_trace_csv(path)
+
+    def test_file_id_is_checked_after_finiteness(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"time,id,x,y\n1.0,{2**64},inf,0.0\n")
+        with pytest.raises(TraceFormatError, match="^line 2: non-finite"):
+            load_trace_csv(path)
+
+    @pytest.mark.parametrize("v", [2**63, -(2**63) - 1, 1.5, "7"])
+    def test_point_id_outside_int64_rejected(self, v):
+        points = [TracePoint(0.0, 0, 0.0, 0.0), TracePoint(0.0, v, 1.0, 1.0)]
+        with pytest.raises(TraceFormatError, match="vehicle id .* is not a signed 64-bit integer"):
+            Trace(points)
+
+    def test_extreme_ids_round_trip(self, tmp_path):
+        lo, hi = -(2**63), 2**63 - 1
+        tr = Trace([TracePoint(0.0, hi, 1.0, 0.0), TracePoint(0.0, lo, 0.0, 0.0)])
+        assert tr.vehicles == (lo, hi)
+        path = tmp_path / "trace.csv"
+        write_trace_csv(tr, path)
+        assert load_trace_csv(path).points == tr.points
+
+
+def test_duplicate_point_names_the_time_written_on_the_second_sample():
+    points = [TracePoint(0.0, 1, 0.0, 0.0), TracePoint(-0.0, 1, 1.0, 1.0), TracePoint(0, 1, 2.0, 2.0)]
+    with pytest.raises(TraceFormatError) as new:
+        Trace(points)
+    with pytest.raises(TraceFormatError) as old:
+        TraceOracle(points)
+    assert str(new.value) == str(old.value) == "duplicate sample for vehicle 1 at t=-0.0"
+
+
+# coordinates as a caller may hold them: Python floats, float32 and
+# float64 numpy scalars
+coordinate_kinds = st.sampled_from([float, np.float32, np.float64])
+samples = st.lists(
+    st.tuples(st.sampled_from([0.0, 1.0]), st.integers(0, 2**40), finite, finite, coordinate_kinds),
+    min_size=1,
+    max_size=40,
+    unique_by=lambda s: (s[0], s[1]),
+)
+
+
+class TestSnapshotView:
+    """positions_at's read-only view against the plain dicts it replaced."""
+
+    @given(samples=samples, r=st.floats(100.0, 5000.0))
+    def test_view_matches_dicts_and_oracles(self, samples, r):
+        # ids arrive in any order and with gaps
+        points = [TracePoint(t, v, kind(x), kind(y)) for t, v, x, y, kind in samples]
+        trace, oracle = Trace(points), TraceOracle(points)
+        radio = RadioParams(range_r=r)
+        before = trace.positions_at(0.0)
+        for t in oracle.times:
+            view, expected = trace.positions_at(t), oracle.positions_at(t)
+            assert isinstance(view, Snapshot)
+            plain = dict(view.items())
+            assert view == expected and expected == view
+            assert list(view) == sorted(expected) == [v for v, _ in view.items()]
+            assert len(view) == len(expected)
+            assert all(v in view and view[v] == expected[v] for v in expected)
+            absent = max(expected) + 1
+            assert absent not in view and -1 not in view and "x" not in view
+            with pytest.raises(KeyError):
+                view[absent]
+            g = build_udg(view, radio)
+            assert g.vertices == build_udg(plain, radio).vertices == tuple(sorted(expected))
+            assert adjacency(g) == adjacency(build_udg(plain, radio))
+            assert adjacency(g) == adjacency(udg_oracle(expected, radio))
+            for prev in (before, dict(before.items()), {}):
+                filtered, removed = build_direction_constrained_udg(view, prev, radio)
+                from_dicts, removed_dicts = build_direction_constrained_udg(plain, dict(prev), radio)
+                assert adjacency(filtered) == adjacency(from_dicts)
+                assert removed == removed_dicts
+
+    def test_read_only(self):
+        view = generate_two_way_roadway(3, 500.0, 2.0).positions_at(0.0)
+        with pytest.raises(TypeError):
+            view[0] = (0.0, 0.0)
+        assert repr(view).startswith("Snapshot({0: (")
+
+    def test_unsampled_instant_is_an_empty_view(self):
+        tr = Trace([TracePoint(0.0, 0, 0.0, 0.0), TracePoint(2.0, 0, 1.0, 0.0)])
+        empty = tr.positions_at(1.0)
+        assert empty == {} and not empty and len(empty) == 0 and list(empty.items()) == []
 
 
 class TestBuildUdg:
@@ -453,6 +568,22 @@ class TestRoadwayGenerator:
             generate_two_way_roadway(3, duration=0.0)
         with pytest.raises(ValueError):
             generate_two_way_roadway(3, speed_range=(5.0, 2.0))
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"duration": math.inf},
+            {"duration": math.nan},
+            {"area_side": math.inf},
+            {"area_side": math.nan},
+            {"speed_range": (8.0, math.inf)},
+        ],
+    )
+    def test_non_finite_parameters_rejected(self, kwargs):
+        # an infinite duration raised OverflowError from int(), and an
+        # infinite area failed only inside build_udg
+        with pytest.raises(ValueError, match="must be finite|bad speed_range"):
+            generate_two_way_roadway(3, **kwargs)
 
 
 def test_displacements_skip_new_arrivals():
