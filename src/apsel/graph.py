@@ -12,17 +12,19 @@ Every graph also numbers its vertices by position: vertex i is
 ``g.vertices[i]``, the i-th smallest id, and ``g.adjacency[i]`` lists the
 positions of its neighbours, ascending. The builders produce this
 numbering and the kernels (closeness, selection) read it, so no kernel
-maps ids to positions itself. When the ids are exactly 0..n-1, positions
-and ids coincide and both views share the same tuples. On large graphs
-closeness runs its rounds in a breadth-first numbering of its own and
-maps the results back to positions.
+maps ids to positions itself. It is the only adjacency a graph stores:
+ids appear only where a caller passes one in or gets one back, and
+``position_of`` maps an id to its position. On large graphs closeness
+runs its rounds in a breadth-first numbering of its own and maps the
+results back to positions.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import deque
 from collections.abc import Iterable, Iterator, Sequence
-from operator import eq, mul
+from operator import mul
 
 
 class UnknownVehicleError(KeyError):
@@ -36,13 +38,24 @@ class UnknownVehicleError(KeyError):
         return f"unknown vehicle id {self.vehicle}"
 
 
+def position_of(ids: Sequence[int], v) -> int:
+    """The index of ``v`` in the ascending ``ids``, or -1 if ``v`` is not
+    one of them, including a key that no id compares with."""
+    try:
+        i = bisect_left(ids, v)
+    except TypeError:
+        return -1
+    return i if i < len(ids) and ids[i] == v else -1
+
+
 class SnapshotGraph:
     """Undirected vehicle graph at one instant, immutable after construction.
 
-    Adjacency lists are stored sorted by id, both by id (``neighbors``)
-    and by position (``adjacency``), so iteration order, and any
-    tie-breaking that depends on it downstream, is deterministic. Self-loops
-    are rejected; duplicate edges collapse to one.
+    ``adjacency[i]`` lists the positions of vertex i's neighbours,
+    ascending, and the id views (``neighbors``, ``in``, ``has_edge``,
+    ``edges``) are read from it, so iteration order, and any tie-breaking
+    that depends on it downstream, is deterministic. Self-loops are
+    rejected; duplicate edges collapse to one.
 
     The vertices and edges never change. The graph only memoizes derived
     hop-ball sizes for ``all_k_closeness``, so that scoring it again runs
@@ -50,12 +63,14 @@ class SnapshotGraph:
     memo dies with the graph.
     """
 
-    __slots__ = ("_adj", "_adjacency", "_vertices", "_n_edges", "_ball_sizes", "_balls_converged")
+    __slots__ = ("_adjacency", "_vertices", "_n_edges", "_ball_sizes", "_balls_converged")
 
     def __init__(self, vertices: Iterable[int], edges: Iterable[tuple[int, int]] = ()):
         adj: dict[int, set[int]] = {}
-        for v in vertices:
-            v = int(v)
+        for given in vertices:
+            v = int(given)
+            if v != given:
+                raise ValueError(f"vehicle ids must be integers, got {given!r}")
             if v < 0:
                 raise ValueError(f"vehicle ids must be non-negative, got {v}")
             adj.setdefault(v, set())
@@ -72,9 +87,8 @@ class SnapshotGraph:
                 adj[j].add(i)
                 n_edges += 1
         vertices = tuple(sorted(adj))
-        index = {v: i for i, v in enumerate(vertices)}
-        adjacency = tuple(tuple(sorted([index[u] for u in adj[v]])) for v in vertices)
-        self._set_adjacency(vertices, adjacency, n_edges)
+        adjacency = (sorted([position_of(vertices, u) for u in adj[v]]) for v in vertices)
+        self._store(vertices, tuple(map(tuple, adjacency)), n_edges)
 
     @classmethod
     def _from_sorted_adjacency(
@@ -89,20 +103,12 @@ class SnapshotGraph:
         number of undirected edges.
         """
         g = cls.__new__(cls)
-        g._set_adjacency(vertices, adjacency, n_edges)
+        g._store(vertices, adjacency, n_edges)
         return g
 
-    def _set_adjacency(self, vertices, adjacency, n_edges) -> None:
-        # the id adjacency shares the position tuples when the ids are
-        # 0..n-1; otherwise each neighbour is mapped to its id here, once
+    def _store(self, vertices, adjacency, n_edges) -> None:
         self._vertices: tuple[int, ...] = vertices
         self._adjacency: tuple[tuple[int, ...], ...] = adjacency
-        if _numbered_by_position(vertices):
-            self._adj: dict[int, tuple[int, ...]] = dict(zip(vertices, adjacency))
-        else:
-            self._adj = {
-                v: tuple([vertices[j] for j in nbrs]) for v, nbrs in zip(vertices, adjacency)
-            }
         self._n_edges = n_edges
         # _ball_sizes[h][i]: vertices within h hops of vertex i, h = 0, 1, ...
         # once _balls_converged, its last round repeats for every larger h
@@ -127,41 +133,40 @@ class SnapshotGraph:
     def n_edges(self) -> int:
         return self._n_edges
 
+    def _row(self, v: int) -> tuple[int, ...]:
+        i = position_of(self._vertices, v)
+        if i < 0:
+            raise UnknownVehicleError(v)
+        return self._adjacency[i]
+
     def __contains__(self, v: int) -> bool:
-        return v in self._adj
+        return position_of(self._vertices, v) >= 0
 
     def __len__(self) -> int:
         return len(self._vertices)
 
     def neighbors(self, v: int) -> tuple[int, ...]:
         """Direct (1-hop) neighbors of ``v``, ascending."""
-        try:
-            return self._adj[v]
-        except KeyError:
-            raise UnknownVehicleError(v) from None
+        vertices = self._vertices
+        return tuple([vertices[j] for j in self._row(v)])
 
     def degree(self, v: int) -> int:
-        return len(self.neighbors(v))
+        return len(self._row(v))
 
     def has_edge(self, i: int, j: int) -> bool:
-        return j in self._adj.get(i, ())
+        a = position_of(self._vertices, i)
+        return a >= 0 and position_of(self._vertices, j) in self._adjacency[a]  # -1 is in no row
 
     def edges(self) -> Iterator[tuple[int, int]]:
         """Each undirected edge once, as (i, j) with i < j, in sorted order."""
-        for v, nbrs in self._adj.items():
-            for u in nbrs:
-                if v < u:
-                    yield (v, u)
+        vertices = self._vertices
+        for a, (v, row) in enumerate(zip(vertices, self._adjacency)):
+            for b in row:
+                if a < b:
+                    yield (v, vertices[b])
 
     def __repr__(self) -> str:
         return f"SnapshotGraph(n_vertices={self.n_vertices}, n_edges={self.n_edges})"
-
-
-def _numbered_by_position(vertices: tuple[int, ...]) -> bool:
-    """True iff the ascending ids are 0..n-1, each equal to its position."""
-    return not vertices or (
-        vertices[-1] == len(vertices) - 1 and all(map(eq, vertices, range(len(vertices))))
-    )
 
 
 def bfs_distances(

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from itertools import islice
 from operator import ge, itemgetter
 
-from .graph import SnapshotGraph
+from .graph import SnapshotGraph, position_of
 
 __all__ = [
     "RadioParams",
@@ -78,22 +78,14 @@ class Snapshot(Mapping):
     def __init__(self, ids: array, xs: array, ys: array):
         self._ids, self._xs, self._ys = ids, xs, ys
 
-    def _position(self, v) -> int:
-        ids = self._ids
-        try:
-            i = bisect.bisect_left(ids, v)
-        except TypeError:  # a key no id compares with
-            return -1
-        return i if i < len(ids) and ids[i] == v else -1
-
     def __getitem__(self, v) -> tuple[float, float]:
-        i = self._position(v)
+        i = position_of(self._ids, v)
         if i < 0:
             raise KeyError(v)
         return self._xs[i], self._ys[i]
 
     def __contains__(self, v) -> bool:
-        return self._position(v) >= 0
+        return position_of(self._ids, v) >= 0
 
     def __iter__(self):
         return iter(self._ids)

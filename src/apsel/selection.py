@@ -19,7 +19,6 @@ fewest hops first, then the lowest point id.
 from __future__ import annotations
 
 import random
-from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -28,6 +27,7 @@ from .graph import (
     UnknownVehicleError,
     all_k_closeness,
     edges_examined,
+    position_of,
     reach_rounds,
 )
 
@@ -105,9 +105,10 @@ def assign_to_aggregation_points(
     adjacency = g.adjacency
     frontier = []
     for p in points:
-        if p not in g:
+        i = position_of(vertices, p)
+        if i < 0:
             raise UnknownVehicleError(p)
-        frontier.append(bisect_left(vertices, p))
+        frontier.append(i)
     frontier.sort()
     # label[i]: the position of vertex i's point, -1 while unreached
     label = [-1] * len(vertices)
@@ -215,36 +216,37 @@ def rb_select_with_slots(
     """
     if frame_length < 1:
         raise ValueError(f"frame_length must be >= 1, got {frame_length}")
-    for v in g.vertices:
+    vertices = g.vertices
+    # only occupied slots do anything; the frame ends at the tick after
+    # the last contender decides (every contender decides by its own slot)
+    by_slot: dict[int, list[int]] = {}
+    for i, v in enumerate(vertices):
         if v not in slots:
             raise ValueError(f"no slot assigned to vehicle {v}")
+        by_slot.setdefault(slots[v], []).append(i)
     for v, s in slots.items():
         if not 0 <= s < frame_length:
             raise ValueError(f"slot {s} for vehicle {v} outside [0, {frame_length})")
 
-    # only occupied slots do anything; the frame ends at the tick after
-    # the last contender decides (every contender decides by its own slot)
-    by_slot: dict[int, list[int]] = {}
-    for v in g.vertices:
-        by_slot.setdefault(slots[v], []).append(v)
-    contenders = set(g.vertices)
-    points: set[int] = set()
+    adjacency = g.adjacency
+    contenders = set(range(len(vertices)))
+    points: list[int] = []
     ticks = 0
     for s in sorted(by_slot):
         if not contenders:
             break
         ticks = s + 1
-        transmitters = [v for v in by_slot[s] if v in contenders]
+        transmitters = [i for i in by_slot[s] if i in contenders]
         if not transmitters:
             continue
-        points.update(transmitters)
+        points += transmitters
         contenders.difference_update(transmitters)
         heard: dict[int, int] = {}
         for u in transmitters:
-            for v in g.neighbors(u):
-                heard[v] = heard.get(v, 0) + 1
-        contenders.difference_update(v for v, times in heard.items() if times == 1)
-    chosen = frozenset(points)
+            for j in adjacency[u]:
+                heard[j] = heard.get(j, 0) + 1
+        contenders.difference_update(j for j, times in heard.items() if times == 1)
+    chosen = frozenset(map(vertices.__getitem__, points))
     return SelectionResult(
         aggregation_points=chosen,
         assignment=assign_to_aggregation_points(g, chosen, 1),

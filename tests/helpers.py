@@ -163,21 +163,28 @@ def euclid(a: tuple[float, float], b: tuple[float, float]) -> float:
     return math.dist(a, b)
 
 
-def udg_oracle(
+def udg_edges_oracle(
     snapshot: dict[int, tuple[float, float]], radio: RadioParams = RadioParams()
-) -> SnapshotGraph:
-    """Unit-disk graph by testing all n(n-1)/2 pairs; O(n^2) memory."""
+) -> list[tuple[int, int]]:
+    """Unit-disk edges (i, j), i < j, by testing all n(n-1)/2 pairs;
+    O(n^2) memory."""
     ids = sorted(snapshot)
     n = len(ids)
     if n < 2:
-        return SnapshotGraph(ids, [])
+        return []
     pos = np.array([snapshot[v] for v in ids], dtype=float)
     ii, jj = np.triu_indices(n, k=1)
     diff = pos[ii] - pos[jj]
     sq = (diff * diff).sum(axis=1)
     within = sq <= radio.range_r * radio.range_r
-    edges = [(ids[i], ids[j]) for i, j in zip(ii[within], jj[within])]
-    return SnapshotGraph(ids, edges)
+    return [(ids[i], ids[j]) for i, j in zip(ii[within], jj[within])]
+
+
+def udg_oracle(
+    snapshot: dict[int, tuple[float, float]], radio: RadioParams = RadioParams()
+) -> SnapshotGraph:
+    """Unit-disk graph from ``udg_edges_oracle``."""
+    return SnapshotGraph(sorted(snapshot), udg_edges_oracle(snapshot, radio))
 
 
 class TraceOracle:

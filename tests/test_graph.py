@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -47,6 +48,25 @@ class TestSnapshotGraph:
     def test_negative_id_rejected(self):
         with pytest.raises(ValueError):
             SnapshotGraph([-1, 0], [])
+
+    @pytest.mark.parametrize("ids", [[0.5, 0.7], ["3", 4], [1, np.float64(2.5)]])
+    def test_non_integer_id_rejected(self, ids):
+        # int() would fold 0.5 and 0.7 into one vehicle 0, and '3' into 3
+        with pytest.raises(ValueError, match="integers"):
+            SnapshotGraph(ids, [])
+
+    def test_integral_ids_become_int(self):
+        g = SnapshotGraph([np.int64(2), 3.0, np.float64(5.0)], [(2, 3.0)])
+        assert g.vertices == (2, 3, 5)
+        assert all(type(v) is int for v in g.vertices)
+        assert g.neighbors(3) == (2,)
+
+    def test_key_no_id_compares_with_is_absent(self):
+        g = triangle()
+        assert [1] not in g and "a" not in g and None not in g
+        assert not g.has_edge([1], 0) and not g.has_edge(0, "a")
+        with pytest.raises(UnknownVehicleError):
+            g.neighbors("a")
 
     def test_edges_iterates_each_once(self):
         g = triangle()

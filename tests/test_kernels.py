@@ -6,14 +6,15 @@ reservation frame, bitset exact branch and bound) must give exactly what
 its oracle in ``helpers`` gives, counters included. The one exception
 is the exact search's node count on a disconnected graph, which the
 bitset solver searches one component at a time and the oracle in one
-piece. The strategies draw both arbitrary ids and the ids 0..n-1, so the
-position-numbered adjacency is checked where it shares the id adjacency's
-tuples and where it maps each neighbour. The closeness tests run twice:
+piece. The strategies draw both arbitrary ids and the ids 0..n-1, and the
+position-numbered adjacency, with every id view read from it, is checked
+against the id edges a graph was built from. The closeness tests run twice:
 as the size threshold leaves them, and with the breadth-first
 renumbering forced on for every graph.
 """
 
 import dataclasses
+import gc
 import math
 import random
 import tracemalloc
@@ -27,6 +28,7 @@ import apsel.graph
 import apsel.mobility
 from apsel.graph import (
     SnapshotGraph,
+    UnknownVehicleError,
     all_k_closeness,
     bfs_distances,
     breadth_first_order,
@@ -62,6 +64,7 @@ from helpers import (
     rb_select_with_slots_oracle,
     star_graph,
     two_lane_strip,
+    udg_edges_oracle,
     udg_oracle,
 )
 
@@ -70,17 +73,46 @@ ORIGINS = [0.0, -3_000.0, 1e9, -1e9]
 FAR_ORIGIN, FAR_RANGE = 1e15, 1.0
 
 
-def position_numbered(g: SnapshotGraph) -> tuple[tuple[int, ...], ...]:
-    """The id adjacency mapped through positions in ``g.vertices``."""
-    position = {v: i for i, v in enumerate(g.vertices)}
-    return tuple(tuple(position[u] for u in g.neighbors(v)) for v in g.vertices)
+def assert_adjacency_by_position(g: SnapshotGraph, ids, edges) -> None:
+    """``g`` against the ids and id edges it was built from: its
+    position adjacency, and every id view read from it."""
+    ids = sorted(set(ids))
+    position = {v: i for i, v in enumerate(ids)}
+    pairs = {(u, v) for e in edges for u, v in (e, e[::-1])}
+    rows: list[list[int]] = [[] for _ in ids]
+    for u, v in sorted(pairs):
+        rows[position[u]].append(position[v])
+    assert g.vertices == tuple(ids)
+    assert g.adjacency == tuple(map(tuple, rows))
+    assert g.n_edges == len(pairs) // 2
+    assert list(g.edges()) == sorted((u, v) for u, v in pairs if u < v)
+    for v, row in zip(ids, rows):
+        assert v in g
+        assert g.neighbors(v) == tuple(ids[j] for j in row)
+        assert g.degree(v) == len(row)
+    assert {(u, v) for u in ids for v in ids if g.has_edge(u, v)} == pairs
+    gaps = [v for v in range(len(ids) + 1) if v not in position]
+    for absent in (-1, gaps[0], max(ids, default=0) + 1):
+        assert absent not in g
+        assert not any(g.has_edge(absent, v) or g.has_edge(v, absent) for v in ids)
+        with pytest.raises(UnknownVehicleError):
+            g.neighbors(absent)
+        with pytest.raises(UnknownVehicleError):
+            g.degree(absent)
 
 
-def assert_adjacency_by_position(g: SnapshotGraph) -> None:
-    assert g.adjacency == position_numbered(g)
-    if g.vertices == tuple(range(g.n_vertices)):
-        # ids 0..n-1: both views hold the very same tuples
-        assert all(g.adjacency[v] is g.neighbors(v) for v in g.vertices)
+def direction_filtered_edges(snap, prev, radio) -> list[tuple[int, int]]:
+    """The unit-disk edges whose ends head at most 45 degrees apart, or
+    either of which is direction-neutral."""
+    moves = displacements_at(snap, prev)
+
+    def same_heading(i, j):
+        wi, wj = moves.get(i), moves.get(j)
+        if wi is None or wj is None or wi.is_neutral or wj.is_neutral:
+            return True
+        return direction_angle(wi, wj) <= 45.0
+
+    return [e for e in udg_edges_oracle(snap, radio) if same_heading(*e)]
 
 
 @st.composite
@@ -117,9 +149,9 @@ def snapshots(draw):
 
 
 @st.composite
-def graphs(draw):
-    """Small graphs with arbitrary ids or ids 0..n-1: random, geometric,
-    or tie-heavy."""
+def graph_parts(draw):
+    """The ids and id edges of a small graph with arbitrary ids or ids
+    0..n-1: random, geometric, or tie-heavy."""
     rng = random.Random(draw(st.integers(0, 2**32 - 1)))
     n = draw(st.integers(0, 30))
     kind = draw(st.sampled_from(["gnp", "geometric", "cycles", "empty"]))
@@ -137,7 +169,12 @@ def graphs(draw):
     else:
         edges = []
     ids = rng.sample(range(1000) if draw(st.booleans()) else range(n), n)
-    return SnapshotGraph(ids, [(ids[i], ids[j]) for i, j in edges])
+    return ids, [(ids[i], ids[j]) for i, j in edges]
+
+
+def graphs():
+    """Graphs built from ``graph_parts``."""
+    return graph_parts().map(lambda parts: SnapshotGraph(*parts))
 
 
 @st.composite
@@ -300,36 +337,32 @@ class TestGridUdg:
             for v, (x, y) in snap.items()
             if rng.random() < 0.8
         }
-        moves = displacements_at(snap, prev)
-
-        def same_heading(i, j):
-            wi, wj = moves.get(i), moves.get(j)
-            if wi is None or wj is None or wi.is_neutral or wj.is_neutral:
-                return True
-            return direction_angle(wi, wj) <= 45.0
-
-        base = udg_oracle(snap, radio)
-        ref = SnapshotGraph(snap, [e for e in base.edges() if same_heading(*e)])
+        kept = direction_filtered_edges(snap, prev, radio)
         g, removed = build_direction_constrained_udg(snap, prev, radio)
-        assert adjacency(g) == adjacency(ref)
-        assert (g.n_edges, removed) == (ref.n_edges, base.n_edges - ref.n_edges)
+        assert_adjacency_by_position(g, snap, kept)
+        assert removed == len(udg_edges_oracle(snap, radio)) - len(kept)
 
 
 class TestPositionAdjacency:
-    @given(g=graphs())
-    def test_constructor(self, g):
-        assert_adjacency_by_position(g)
+    @given(parts=graph_parts(), repeat=st.booleans())
+    def test_constructor(self, parts, repeat):
+        ids, edges = parts
+        # every edge again, reversed, must collapse onto the first
+        given_edges = edges + [(j, i) for i, j in edges] if repeat else edges
+        assert_adjacency_by_position(SnapshotGraph(ids, given_edges), ids, edges)
 
     @given(case=snapshots())
     def test_builder(self, case):
-        assert_adjacency_by_position(build_udg(*case))
+        snap, radio = case
+        assert_adjacency_by_position(build_udg(snap, radio), snap, udg_edges_oracle(snap, radio))
 
     @given(case=snapshots(), seed=st.integers(0, 2**32 - 1))
     def test_direction_filter(self, case, seed):
         snap, radio = case
         rng = random.Random(seed)
         prev = {v: (x - rng.choice([-1.0, 1.0]), y) for v, (x, y) in snap.items() if rng.random() < 0.8}
-        assert_adjacency_by_position(build_direction_constrained_udg(snap, prev, radio)[0])
+        g = build_direction_constrained_udg(snap, prev, radio)[0]
+        assert_adjacency_by_position(g, snap, direction_filtered_edges(snap, prev, radio))
 
 
 class TestBitsetCloseness:
@@ -617,22 +650,31 @@ class TestBitsetExact:
 
 def test_20k_vehicle_snapshot_builds_in_bounded_memory():
     """The all-pairs builder needs about 2.8 GB at 10k vehicles; the sweep
-    must build 20k (mean degree about 10) well inside 200 MB."""
+    must build 20k (mean degree about 10) well inside 200 MB. The graph,
+    whose ids are not 0..n-1, retains about 3.2 MB, its position
+    adjacency; an id-keyed copy of the adjacency kept beside it brought
+    that to about 6.0 MB."""
     n, r, mean_degree = 20_000, 100.0, 10.0
     side = math.sqrt(n * math.pi * r * r / mean_degree)
-    snap = geometric_snapshot(n, side, seed=20)
+    pos = geometric_snapshot(n, side, seed=20)
+    snap = {7 * v + 1_000_003: xy for v, xy in pos.items()}
+    gc.collect()
     tracemalloc.start()
     try:
+        before = tracemalloc.get_traced_memory()[0]
         g = build_udg(snap, RadioParams(range_r=r))
-        peak = tracemalloc.get_traced_memory()[1]
+        gc.collect()
+        retained, peak = tracemalloc.get_traced_memory()
+        retained -= before
     finally:
         tracemalloc.stop()
     assert peak < 200 * 2**20
+    assert retained < 4 * 2**20
     assert 9.0 < 2 * g.n_edges / n < 11.0
-    pos = np.array([snap[v] for v in range(n)])
+    pos = np.array([pos[v] for v in range(n)])
     for v in random.Random(0).sample(range(n), 200):
         diff = pos - pos[v]
-        assert g.degree(v) == int(((diff * diff).sum(axis=1) <= r * r).sum()) - 1
+        assert g.degree(7 * v + 1_000_003) == int(((diff * diff).sum(axis=1) <= r * r).sum()) - 1
 
 
 def test_20k_vehicle_centrality_in_bounded_memory(monkeypatch):
