@@ -32,7 +32,6 @@ from .mobility import (
     build_udg,
     generate_two_way_roadway,
     load_trace_csv,
-    snapshot_at,
     write_trace_csv,
 )
 from .selection import (

@@ -48,6 +48,23 @@ def position_of(ids: Sequence[int], v) -> int:
     return i if i < len(ids) and ids[i] == v else -1
 
 
+def vertex_ids(given: Iterable) -> list[int]:
+    """Each vehicle id as an int. Raises ValueError for an id that is not
+    equal to an integer: int() would fold 0.5 and 0.7 into one vehicle 0,
+    and '3' into 3. Positions are id ranks, so any integer, of either
+    sign, is an id."""
+    ids = []
+    for v in given:
+        try:
+            i = int(v)
+        except (TypeError, ValueError, OverflowError):
+            i = None
+        if i is None or i != v:
+            raise ValueError(f"vehicle ids must be integers, got {v!r}")
+        ids.append(i)
+    return ids
+
+
 class SnapshotGraph:
     """Undirected vehicle graph at one instant, immutable after construction.
 
@@ -66,14 +83,7 @@ class SnapshotGraph:
     __slots__ = ("_adjacency", "_vertices", "_n_edges", "_ball_sizes", "_balls_converged")
 
     def __init__(self, vertices: Iterable[int], edges: Iterable[tuple[int, int]] = ()):
-        adj: dict[int, set[int]] = {}
-        for given in vertices:
-            v = int(given)
-            if v != given:
-                raise ValueError(f"vehicle ids must be integers, got {given!r}")
-            if v < 0:
-                raise ValueError(f"vehicle ids must be non-negative, got {v}")
-            adj.setdefault(v, set())
+        adj: dict[int, set[int]] = {v: set() for v in vertex_ids(vertices)}
         n_edges = 0
         for i, j in edges:
             if i == j:
@@ -97,7 +107,7 @@ class SnapshotGraph:
         """Wrap a position-numbered adjacency the caller has already
         validated, unchecked.
 
-        ``vertices`` must be distinct non-negative ids in ascending order,
+        ``vertices`` must be distinct int ids in ascending order,
         ``adjacency[i]`` an ascending tuple of the positions of vertex i's
         neighbours, every edge listed from both ends, and ``n_edges`` the
         number of undirected edges.
@@ -211,14 +221,15 @@ def reach_rounds(
     within h hops of vertex i, and ``sizes[i]`` counts those bits. Round h
     ORs each vertex's set with its neighbors' sets (Then et al., VLDB
     2014). Once a round adds nothing, every later round would repeat it,
-    so the same two lists are yielded again.
+    so the rounds stop there: when fewer than k + 1 come, the last one
+    also holds for every larger h.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     reach = [1 << i for i in range(len(adjacency))]
     sizes = [1] * len(adjacency)
     yield reach, sizes
-    for h in range(1, k + 1):
+    for _ in range(k):
         grown = []
         for i, nb in enumerate(adjacency):
             acc = reach[i]
@@ -227,8 +238,6 @@ def reach_rounds(
             grown.append(acc)
         grown_sizes = [r.bit_count() for r in grown]
         if grown_sizes == sizes:
-            for _ in range(h, k + 1):
-                yield reach, sizes
             return
         reach, sizes = grown, grown_sizes
         yield reach, sizes
@@ -326,13 +335,8 @@ def all_k_closeness(g: SnapshotGraph, k: int) -> tuple[dict[int, float], int]:
         renumber = len(adjacency) * min(k, 4) >= RENUMBER_MIN_WORK
         if renumber:
             rank, adjacency = _renumbered(adjacency)
-        rounds = []
-        for _, sizes in reach_rounds(adjacency, k):
-            # a converged search yields its last sizes list again
-            if rounds and sizes is rounds[-1]:
-                g._balls_converged = True
-                break
-            rounds.append(sizes)
+        rounds = [sizes for _, sizes in reach_rounds(adjacency, k)]
+        g._balls_converged = len(rounds) <= k
         if renumber:
             rounds = [list(map(sizes.__getitem__, rank)) for sizes in rounds]
         g._ball_sizes = rounds

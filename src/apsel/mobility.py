@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from itertools import islice
 from operator import ge, itemgetter
 
-from .graph import SnapshotGraph, position_of
+from .graph import SnapshotGraph, position_of, vertex_ids
 
 __all__ = [
     "RadioParams",
@@ -37,7 +37,6 @@ __all__ = [
     "build_udg",
     "generate_two_way_roadway",
     "load_trace_csv",
-    "snapshot_at",
     "write_trace_csv",
 ]
 
@@ -351,18 +350,6 @@ def write_trace_csv(trace: Trace, path) -> None:
             writer.writerows([t, v, x, y] for v, x, y in zip(at._ids, at._xs, at._ys))
 
 
-def snapshot_at(trace: Trace, t: float) -> Snapshot:
-    """Positions of all vehicles sampled exactly at time t.
-
-    Raises outside the trace's time span; an in-span instant with no
-    samples just yields an empty snapshot.
-    """
-    lo, hi = trace.span
-    if not lo <= t <= hi:
-        raise ValueError(f"t={t} outside trace span [{lo}, {hi}]")
-    return trace.positions_at(t)
-
-
 @dataclass(frozen=True)
 class RadioParams:
     """range_r in meters.
@@ -398,7 +385,7 @@ def _columns(snapshot: Mapping) -> tuple[list, list[float], list[float]]:
     same order: a Snapshot's columns as they are, a plain mapping sorted."""
     if isinstance(snapshot, Snapshot):
         return snapshot._ids.tolist(), snapshot._xs.tolist(), snapshot._ys.tolist()
-    ids = sorted(snapshot)
+    ids = sorted(vertex_ids(snapshot))
     pos = [snapshot[v] for v in ids]
     return ids, [float(x) for x, _ in pos], [float(y) for _, y in pos]
 
@@ -435,9 +422,9 @@ def build_udg(snapshot: Mapping, radio: RadioParams = RadioParams()) -> Snapshot
     The snapshot is a ``Snapshot`` view, whose columns are read as they
     are, or any ``{id: (x, y)}`` mapping, which is first put into the same
     ascending-id columns. Positions follow ascending id, as in
-    ``SnapshotGraph.adjacency``. Raises ValueError for a non-finite
-    coordinate, a negative id, or a snapshot spanning 2**52 strip heights
-    or more along an axis.
+    ``SnapshotGraph.adjacency``. Raises ValueError for an id that is not
+    an integer (``vertex_ids``), a non-finite coordinate, or a snapshot
+    spanning 2**52 strip heights or more along an axis.
     """
     ids, xs, ys = _columns(snapshot)
     isfinite = math.isfinite
@@ -445,8 +432,6 @@ def build_udg(snapshot: Mapping, radio: RadioParams = RadioParams()) -> Snapshot
         for v, x, y in zip(ids, xs, ys):
             if not (isfinite(x) and isfinite(y)):
                 raise ValueError(f"vehicle {v} has a non-finite position {snapshot[v]}")
-    if ids and ids[0] < 0:
-        raise ValueError(f"vehicle ids must be non-negative, got {ids[0]}")
     vertices = tuple(ids)
     n = len(ids)
     if n < 2:

@@ -394,9 +394,10 @@ def exact_min_dominating_set(g: SnapshotGraph, d: int = 1) -> SelectionResult:
         return SelectionResult(frozenset())
 
     rounds = list(reach_rounds(g.adjacency, d))
+    last = len(rounds) - 1
     # hop distance is symmetric, so a vertex's d-hop ball is also the set
     # of vertices whose ball covers it: its coverers
-    balls, ball_sizes = rounds[d]
+    balls, ball_sizes = rounds[min(d, last)]
     nodes = 0
     covers = []
     searched = []  # (position in covers, component, order, improved)
@@ -428,6 +429,6 @@ def exact_min_dominating_set(g: SnapshotGraph, d: int = 1) -> SelectionResult:
     return SelectionResult(
         aggregation_points=chosen,
         assignment=assign_to_aggregation_points(g, chosen, d),
-        edges_examined=edges_examined(g, rounds[d - 1][1]),
+        edges_examined=edges_examined(g, rounds[min(d - 1, last)][1]),
         search_nodes=nodes,
     )

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .metrics import aggregation_rate
-from .mobility import RadioParams, Trace, build_udg, snapshot_at
+from .mobility import RadioParams, Trace, build_udg
 from .selection import centrality_select
 
 __all__ = [
@@ -318,15 +318,12 @@ def tune_parameters(
 
     sample_times picks the delivery-period boundaries to score (every
     sampled instant when omitted). Each is turned into an unconstrained
-    unit-disk graph; instants without vehicles contribute nothing.
-    Deterministic for a fixed trace and config.
+    unit-disk graph; a time with no samples, inside the trace's span or
+    outside it, contributes nothing. Deterministic for a fixed trace and
+    config.
     """
-    times = trace.times if sample_times is None else tuple(sample_times)
-    usable = []
-    for t in times:
-        snap = snapshot_at(trace, t)
-        if snap:
-            usable.append(build_udg(snap, radio))
+    times = trace.times if sample_times is None else sample_times
+    usable = [build_udg(snap, radio) for snap in map(trace.positions_at, times) if snap]
     if not usable:
         raise ValueError("no non-empty snapshots to tune on")
 

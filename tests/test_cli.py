@@ -508,6 +508,33 @@ class TestCompareCommand:
 
         assert mean_rate(d3) >= mean_rate(d1)
 
+    def test_order_preserving_relabel_leaves_every_csv_byte(self, tmp_path):
+        # selectors use ids only by order, so an increasing map of the ids,
+        # onto negative ones here, writes the same files
+        path = small_trace(tmp_path, n=30, duration=21.0)
+        relabelled = tmp_path / "relabelled.csv"
+        points = load_trace_csv(path).points
+        write_trace_csv(
+            Trace([TracePoint(p.time, 7 * p.vehicle - 10**12, p.x, p.y) for p in points]), relabelled
+        )
+        algos = ["centrality", "centrality:d=3", "rb", "centrality:direction=true", "exact", "exact:d=2"]
+
+        def outputs(trace, out):
+            argv = ["compare", "--trace", str(trace), "--out", str(out)]
+            assert main(argv + [arg for a in algos for arg in ("--algo", a)]) == 0
+            return {f.name: f.read_bytes() for f in out.iterdir()}
+
+        original = outputs(path, tmp_path / "a")
+        assert len(original) == len(algos) + 1
+        assert outputs(relabelled, tmp_path / "b") == original
+
+    def test_negative_id_trace_runs(self, tmp_path):
+        path = tmp_path / "trace.csv"
+        path.write_text("time,id,x,y\n0,-1,0.0,0.0\n0,3,50.0,0.0\n")
+        out = tmp_path / "res"
+        assert main(["run", "--trace", str(path), "--algo", "centrality", "--out", str(out)]) == 0
+        assert read_period_metrics_csv(out / "centrality_d1_k4.csv")[0].n_vehicles == 2
+
 
 class TestGenTraceCommand:
     def test_identical_across_invocations(self, tmp_path):

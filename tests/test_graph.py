@@ -9,6 +9,7 @@ from apsel.graph import (
     all_k_closeness,
     bfs_distances,
 )
+from apsel.mobility import build_udg
 from helpers import (
     full_closeness_from_matrix,
     gnp_graph,
@@ -45,21 +46,29 @@ class TestSnapshotGraph:
         with pytest.raises(UnknownVehicleError):
             SnapshotGraph(range(2), [(0, 5)])
 
-    def test_negative_id_rejected(self):
-        with pytest.raises(ValueError):
-            SnapshotGraph([-1, 0], [])
+    def test_negative_id_accepted(self):
+        # positions are id ranks, so a shift of every id changes no position
+        g = SnapshotGraph([-1, 5, -7], [(-1, 5), (5, -7)])
+        assert g.vertices == (-7, -1, 5)
+        assert g.neighbors(5) == (-7, -1) and g.has_edge(-7, 5)
+        assert g.adjacency == SnapshotGraph([6, 12, 0], [(6, 12), (12, 0)]).adjacency
 
     @pytest.mark.parametrize("ids", [[0.5, 0.7], ["3", 4], [1, np.float64(2.5)]])
     def test_non_integer_id_rejected(self, ids):
         # int() would fold 0.5 and 0.7 into one vehicle 0, and '3' into 3
-        with pytest.raises(ValueError, match="integers"):
+        with pytest.raises(ValueError, match="integers") as graph_error:
             SnapshotGraph(ids, [])
+        with pytest.raises(ValueError, match="integers") as udg_error:
+            build_udg({v: (0.0, 0.0) for v in ids})
+        assert str(udg_error.value) == str(graph_error.value)
 
     def test_integral_ids_become_int(self):
         g = SnapshotGraph([np.int64(2), 3.0, np.float64(5.0)], [(2, 3.0)])
-        assert g.vertices == (2, 3, 5)
-        assert all(type(v) is int for v in g.vertices)
-        assert g.neighbors(3) == (2,)
+        u = build_udg({np.int64(2): (0.0, 0.0), 3.0: (1.0, 0.0), np.float64(5.0): (500.0, 0.0)})
+        for graph in (g, u):
+            assert graph.vertices == (2, 3, 5)
+            assert all(type(v) is int for v in graph.vertices)
+            assert graph.neighbors(3) == (2,)
 
     def test_key_no_id_compares_with_is_absent(self):
         g = triangle()

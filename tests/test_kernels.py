@@ -150,8 +150,8 @@ def snapshots(draw):
 
 @st.composite
 def graph_parts(draw):
-    """The ids and id edges of a small graph with arbitrary ids or ids
-    0..n-1: random, geometric, or tie-heavy."""
+    """The ids and id edges of a small graph with arbitrary ids of either
+    sign or ids 0..n-1: random, geometric, or tie-heavy."""
     rng = random.Random(draw(st.integers(0, 2**32 - 1)))
     n = draw(st.integers(0, 30))
     kind = draw(st.sampled_from(["gnp", "geometric", "cycles", "empty"]))
@@ -168,7 +168,7 @@ def graph_parts(draw):
         edges = [(c + i, c + (i + 1) % size) for c in range(0, n, size) for i in range(size)]
     else:
         edges = []
-    ids = rng.sample(range(1000) if draw(st.booleans()) else range(n), n)
+    ids = rng.sample(range(-1000, 1000) if draw(st.booleans()) else range(n), n)
     return ids, [(ids[i], ids[j]) for i, j in edges]
 
 
@@ -308,9 +308,13 @@ class TestGridUdg:
         with pytest.raises(ValueError, match="cells"):
             build_udg({0: (0.0, 0.0), 1: (1e300, 0.0)}, RadioParams(range_r=1.0))
 
-    def test_negative_id_rejected(self):
-        with pytest.raises(ValueError):
-            build_udg({-1: (0.0, 0.0), 2: (1.0, 0.0)})
+    def test_negative_id_accepted(self):
+        snap = geometric_snapshot(60, 500.0, seed=3)
+        shifted = {v - 30: xy for v, xy in snap.items()}
+        g = build_udg(shifted)
+        assert g.vertices[0] == -30
+        assert g.adjacency == build_udg(snap).adjacency
+        assert adjacency(g) == adjacency(udg_oracle(shifted))
 
     def test_integer_and_numpy_scalar_coordinates(self):
         snap = geometric_snapshot(300, 800.0, seed=7)
@@ -464,6 +468,14 @@ class TestRenumberedCloseness(TestBitsetCloseness):
         assert seen == [[(1,), (0, 2), (1, 3), (2, 4), (5, 3), (4,)]]
         # the memo holds the sizes by position again
         assert g._ball_sizes[1] == [1 + g.degree(v) for v in g.vertices]
+
+
+def test_reach_rounds_stop_at_the_first_round_that_adds_nothing():
+    # the path 0-1-2 converges at h = 2, long before k = 5
+    rounds = list(reach_rounds(((1,), (0, 2), (1,)), 5))
+    assert [sizes for _, sizes in rounds] == [[1, 1, 1], [2, 3, 2], [3, 3, 3]]
+    lists = [lst for pair in rounds for lst in pair]
+    assert len({id(lst) for lst in lists}) == len(lists)
 
 
 class TestBreadthFirstOrder:

@@ -17,7 +17,6 @@ from apsel.mobility import (
     build_udg,
     generate_two_way_roadway,
     load_trace_csv,
-    snapshot_at,
     write_trace_csv,
 )
 from helpers import (
@@ -77,15 +76,6 @@ class TestTrace:
     def test_single_instant_period_defaults(self):
         tr = Trace([TracePoint(2.0, 0, 1.0, 1.0)])
         assert tr.sampling_period == 1.0
-
-    def test_snapshot_outside_span(self):
-        tr = Trace([TracePoint(1.0, 0, 0.0, 0.0)])
-        with pytest.raises(ValueError):
-            snapshot_at(tr, 2.0)
-
-    def test_snapshot_at_unsampled_instant_is_empty(self):
-        tr = Trace([TracePoint(0.0, 0, 0.0, 0.0), TracePoint(2.0, 0, 1.0, 0.0)])
-        assert snapshot_at(tr, 1.0) == {}
 
     def test_instants_resolve_within_tolerance(self):
         tr = Trace([TracePoint(t, 0, t, 0.0) for t in (0.0, 0.5, 1.0, 3.0)])
@@ -389,6 +379,8 @@ class TestSnapshotView:
         tr = Trace([TracePoint(0.0, 0, 0.0, 0.0), TracePoint(2.0, 0, 1.0, 0.0)])
         empty = tr.positions_at(1.0)
         assert empty == {} and not empty and len(empty) == 0 and list(empty.items()) == []
+        # a time outside the span is just another unsampled instant
+        assert tr.positions_at(-1.0) == tr.positions_at(3.0) == {}
 
 
 class TestBuildUdg:

@@ -324,6 +324,15 @@ class TestTuneParameters:
         trace = Trace([TracePoint(0.0, 0, 0.0, 0.0), TracePoint(2.0, 0, 5.0, 0.0)])
         with pytest.raises(ValueError, match="non-empty"):
             tune_parameters(trace, sample_times=[1.0])
+        with pytest.raises(ValueError, match="non-empty"):
+            tune_parameters(trace, sample_times=[-1.0, 3.0])
+
+    def test_time_outside_span_skipped_like_an_unsampled_one(self):
+        trace = generate_two_way_roadway(20, 300.0, 10.0, seed=5)
+        config = TunerConfig(d_bounds=(1, 3), k_bounds=(1, 3))
+        inside = tune_parameters(trace, [4.0], config)
+        assert tune_parameters(trace, [4.0, 99.0], config) == inside
+        assert tune_parameters(trace, [-5.0, 4.0, 2.5], config) == inside
 
     def test_deterministic(self):
         trace = generate_two_way_roadway(25, 400.0, 6.0, seed=8)
