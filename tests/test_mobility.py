@@ -77,6 +77,11 @@ class TestTrace:
         tr = Trace([TracePoint(2.0, 0, 1.0, 1.0)])
         assert tr.sampling_period == 1.0
 
+    def test_snapshot_at_unsampled_instant_is_empty(self):
+        tr = Trace([TracePoint(0.0, 0, 0.0, 0.0), TracePoint(2.0, 0, 1.0, 0.0)])
+        assert tr.positions_at(1.0) == {}
+        assert tr.instant_near(1.0) is None
+
     def test_instants_resolve_within_tolerance(self):
         tr = Trace([TracePoint(t, 0, t, 0.0) for t in (0.0, 0.5, 1.0, 3.0)])
         assert tr.instant_near(0.5 + 1e-9) == 0.5
