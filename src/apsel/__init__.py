@@ -11,7 +11,6 @@ from .graph import (
     SnapshotGraph,
     UnknownVehicleError,
     all_k_closeness,
-    bfs_distances,
 )
 from .metrics import (
     PeriodMetrics,
@@ -27,7 +26,6 @@ from .mobility import (
     Snapshot,
     Trace,
     TraceFormatError,
-    TracePoint,
     build_direction_constrained_udg,
     build_udg,
     generate_two_way_roadway,

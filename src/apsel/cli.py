@@ -41,6 +41,7 @@ from .mobility import (
     Trace,
     build_direction_constrained_udg,
     build_udg,
+    check_roadway_params,
     generate_two_way_roadway,
     load_trace_csv,
     write_trace_csv,
@@ -144,19 +145,11 @@ class GenParams:
     speed_max: float = 14.0
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ConfigError(f"gen n must be >= 1, got {self.n}")
-        for name in ("area", "duration", "speed_min", "speed_max"):
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise ConfigError(f"gen {name} must be finite, got {value}")
-        if self.duration < 1:
-            raise ConfigError(f"gen duration must be >= 1, got {self.duration}")
-        if not 0 < self.speed_min <= self.speed_max:
-            raise ConfigError(
-                f"gen speeds must satisfy 0 < speed_min <= speed_max,"
-                f" got {self.speed_min} and {self.speed_max}"
-            )
+        # the generator's own checks, run at parse so that no output exists yet
+        try:
+            check_roadway_params(self.n, self.area, self.duration, (self.speed_min, self.speed_max))
+        except ValueError as exc:
+            raise ConfigError(f"gen {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -349,10 +342,10 @@ def cmd_exact(s: dict) -> int:
     spec = AlgoSpec("exact", **_fields(s, AlgoSpec))
     trace = _load_trace(cfg)
     requested = s.get("time", trace.span[0])
-    t = trace.instant_near(requested)
-    if t is None:
+    snapshot = trace.positions_at(requested)
+    if not snapshot:
         raise ConfigError(f"no vehicles sampled at t={requested}")
-    graph = build_udg(trace.positions_at(t), cfg.radio)
+    graph = build_udg(snapshot, cfg.radio)
     result = exact_min_dominating_set(graph, spec.d)
     print(f"n_aps={len(result.aggregation_points)}")
     print(f"members={sorted(result.aggregation_points)}")

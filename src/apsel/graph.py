@@ -5,9 +5,6 @@ radio range of each other at one instant. Hop distances come from
 breadth-first search with a depth cutoff, and every search reports how many
 adjacency entries it scanned so callers can account for computational cost.
 
-Distance mappings omit unreachable vertices: ``v`` has an entry iff it lies
-within the requested hop cutoff of the source (the source itself at 0).
-
 Every graph also numbers its vertices by position: vertex i is
 ``g.vertices[i]``, the i-th smallest id, and ``g.adjacency[i]`` lists the
 positions of its neighbours, ascending. The builders produce this
@@ -22,7 +19,6 @@ results back to positions.
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections import deque
 from collections.abc import Iterable, Iterator, Sequence
 from operator import mul
 
@@ -177,37 +173,6 @@ class SnapshotGraph:
 
     def __repr__(self) -> str:
         return f"SnapshotGraph(n_vertices={self.n_vertices}, n_edges={self.n_edges})"
-
-
-def bfs_distances(
-    g: SnapshotGraph, source: int, cutoff: int
-) -> tuple[dict[int, int], int]:
-    """Hop distances from ``source`` to every vertex within ``cutoff`` hops.
-
-    Returns ``(distances, edges_examined)`` where ``distances`` maps each
-    reached vertex to its hop count (source included at 0) and
-    ``edges_examined`` counts the adjacency entries scanned, i.e. the
-    enqueueing attempts made by the search. Vertices at depth ``cutoff`` are
-    not expanded further.
-    """
-    if source not in g:
-        raise UnknownVehicleError(source)
-    if cutoff < 1:
-        raise ValueError(f"cutoff must be >= 1, got {cutoff}")
-    dist = {source: 0}
-    edges_examined = 0
-    queue = deque([source])
-    while queue:
-        u = queue.popleft()
-        du = dist[u]
-        if du == cutoff:
-            continue
-        for w in g.neighbors(u):
-            edges_examined += 1
-            if w not in dist:
-                dist[w] = du + 1
-                queue.append(w)
-    return dist, edges_examined
 
 
 def reach_rounds(

@@ -32,7 +32,6 @@ __all__ = [
     "Snapshot",
     "Trace",
     "TraceFormatError",
-    "TracePoint",
     "build_direction_constrained_udg",
     "build_udg",
     "generate_two_way_roadway",
@@ -52,14 +51,6 @@ ANGLE_THRESHOLD = 45.0
 
 class TraceFormatError(ValueError):
     """Raised when a trace file or sample list is malformed."""
-
-
-@dataclass(frozen=True, order=True)
-class TracePoint:
-    time: float
-    vehicle: int
-    x: float
-    y: float
 
 
 class Snapshot(Mapping):
@@ -182,30 +173,30 @@ class Trace:
     Each instant keeps its vehicle ids ascending in one ``array('q')``
     and their x and y in two ``array('d')``, about 26 bytes per sample
     with no object per sample; ``positions_at`` hands out a read-only
-    ``Snapshot`` view of them, and ``points`` builds the
-    (time, vehicle)-ordered TracePoints on demand. A NaN or infinite time
-    or coordinate is rejected, so is an id that is not a signed 64-bit
-    integer, and so are duplicate (time, vehicle) pairs, naming the
-    smallest such pair. sampling_period is inferred as the median gap
+    ``Snapshot`` view of them. It is built from (time, vehicle, x, y)
+    rows, in the CSV's column order; the rows may come in any order. A
+    NaN or infinite time or coordinate is rejected, so is an id that is
+    not a signed 64-bit integer, and so are duplicate (time, vehicle)
+    pairs, naming the smallest such pair. sampling_period is inferred as the median gap
     between consecutive sampled instants (the lower middle one for an
     even count; 1.0 when the trace has a single instant), so a stray
     sample just after an instant does not shrink it.
     """
 
-    def __init__(self, points):
+    def __init__(self, samples):
         instants: dict[float, _Filling] = {}
         isfinite = math.isfinite
-        for p in points:
-            t = p.time
-            if not (isfinite(t) and isfinite(p.x) and isfinite(p.y)):
+        for p in samples:
+            t, v, x, y = p
+            if not (isfinite(t) and isfinite(x) and isfinite(y)):
                 raise TraceFormatError(f"non-finite time or coordinate {p!r}")
             at = _filling(instants, t)
             try:
-                at.ids.append(p.vehicle)
+                at.ids.append(v)
             except (OverflowError, TypeError):
-                raise TraceFormatError(f"{_id_error(p.vehicle)}: {p!r}") from None
-            at.xs.append(p.x)
-            at.ys.append(p.y)
+                raise TraceFormatError(f"{_id_error(v)}: {p!r}") from None
+            at.xs.append(x)
+            at.ys.append(y)
         if not instants:
             raise TraceFormatError("trace has no samples")
         self._set_instants(_frozen(instants))
@@ -226,14 +217,6 @@ class Trace:
         self._period = statistics.median_low(gaps) if gaps else 1.0
 
     @property
-    def points(self) -> tuple[TracePoint, ...]:
-        return tuple(
-            TracePoint(t, v, x, y)
-            for t, at in self._instants.items()
-            for v, x, y in zip(at._ids, at._xs, at._ys)
-        )
-
-    @property
     def times(self) -> tuple[float, ...]:
         return self._times
 
@@ -250,7 +233,13 @@ class Trace:
         return tuple(sorted(set().union(*(at._ids for at in self._instants.values()))))
 
     def positions_at(self, t: float) -> Snapshot:
-        return self._instants.get(t, _EMPTY)
+        """The vehicles sampled at the instant that t names (``instant_near``);
+        empty when t names none."""
+        at = self._instants.get(t)
+        if at is None:
+            t = self.instant_near(t)
+            at = _EMPTY if t is None else self._instants[t]
+        return at
 
     def time_slack(self, t: float) -> float:
         """How far from t a time may lie and still name the same instant: TIME_TOLERANCE
@@ -259,7 +248,10 @@ class Trace:
 
     def instant_near(self, t: float) -> float | None:
         """The sampled instant nearest t, or None if it lies farther than
-        time_slack(t) away."""
+        time_slack(t) away or t is not finite."""
+        if not math.isfinite(t):
+            # an infinite t has an infinite slack, which every instant is within
+            return None
         i = bisect.bisect_left(self._times, t)
         near = min(self._times[max(i - 1, 0) : i + 1], key=lambda s: abs(s - t))
         return near if abs(near - t) <= self.time_slack(t) else None
@@ -551,6 +543,23 @@ def build_direction_constrained_udg(
     )
 
 
+def check_roadway_params(n_vehicles, area_side, duration, speed_range) -> None:
+    """Raise ValueError unless ``generate_two_way_roadway`` accepts these:
+    at least one vehicle, a finite area, a finite duration of at least
+    1 s and finite speeds with 0 < speed_min <= speed_max."""
+    if n_vehicles < 1:
+        raise ValueError(f"n_vehicles must be >= 1, got {n_vehicles}")
+    if not math.isfinite(area_side):
+        raise ValueError(f"area_side must be finite, got {area_side}")
+    if not (math.isfinite(duration) and duration >= 1):
+        raise ValueError(f"duration must be finite and >= 1, got {duration}")
+    lo, hi = speed_range
+    if not 0 < lo <= hi < math.inf:
+        raise ValueError(
+            f"bad speed_range: need finite 0 < speed_min <= speed_max, got {lo} and {hi}"
+        )
+
+
 def generate_two_way_roadway(
     n_vehicles: int,
     area_side: float = 1000.0,
@@ -566,15 +575,8 @@ def generate_two_way_roadway(
     Vehicles run straight without wrapping, so cross-lane displacement
     pairs stay at exactly 180 degrees for the whole trace.
     """
-    if n_vehicles < 1:
-        raise ValueError(f"n_vehicles must be >= 1, got {n_vehicles}")
-    if not math.isfinite(area_side):
-        raise ValueError(f"area_side must be finite, got {area_side}")
-    if not (math.isfinite(duration) and duration >= 1):
-        raise ValueError(f"duration must be finite and >= 1, got {duration}")
+    check_roadway_params(n_vehicles, area_side, duration, speed_range)
     lo, hi = speed_range
-    if not 0 < lo <= hi < math.inf:
-        raise ValueError(f"bad speed_range {speed_range}")
     rng = random.Random(seed)
     mid = area_side / 2.0
     lanes = (mid - 2.0, mid + 2.0)  # 4 m lane separation

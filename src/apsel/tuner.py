@@ -317,10 +317,11 @@ def tune_parameters(
     """Tune (d, k) to maximize mean aggregation rate over a trace.
 
     sample_times picks the delivery-period boundaries to score (every
-    sampled instant when omitted). Each is turned into an unconstrained
-    unit-disk graph; a time with no samples, inside the trace's span or
-    outside it, contributes nothing. Deterministic for a fixed trace and
-    config.
+    sampled instant when omitted). Each is read through
+    ``trace.positions_at``, so a time within ``time_slack`` of an instant
+    reads that instant, and turned into an unconstrained unit-disk graph;
+    a time that names no instant, inside the trace's span or outside it,
+    contributes nothing. Deterministic for a fixed trace and config.
     """
     times = trace.times if sample_times is None else sample_times
     usable = [build_udg(snap, radio) for snap in map(trace.positions_at, times) if snap]

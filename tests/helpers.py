@@ -2,6 +2,11 @@
 
 The Floyd-Warshall oracle here deliberately avoids the package's BFS code
 path: distances come from repeated min-plus relaxation over a dense matrix.
+``bfs_distances`` is a plain queue-based search with a depth cutoff, the
+per-source reference under several oracles below.
+
+``TracePoint`` is one (time, vehicle, x, y) row, the rows ``Trace`` is
+built from, and ``trace_samples`` reads a trace back as such rows.
 
 The ``*_oracle`` functions are the package's earlier straightforward
 kernels, kept as references for the fast ones: the all-pairs unit-disk
@@ -24,11 +29,12 @@ import random
 import statistics
 from collections import deque
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
-from apsel.graph import SnapshotGraph, bfs_distances
-from apsel.mobility import TRACE_HEADER, RadioParams, TraceFormatError, TracePoint
+from apsel.graph import SnapshotGraph, UnknownVehicleError
+from apsel.mobility import TRACE_HEADER, RadioParams, Trace, TraceFormatError
 from apsel.selection import GraphSizeError, SelectionResult
 from apsel.tuner import (
     CONTRACTION,
@@ -39,6 +45,51 @@ from apsel.tuner import (
     NelderMeadResult,
     _clamp,
 )
+
+
+class TracePoint(NamedTuple):
+    time: float
+    vehicle: int
+    x: float
+    y: float
+
+
+def trace_samples(trace: Trace) -> tuple[TracePoint, ...]:
+    """Every sample of the trace, ordered by (time, vehicle)."""
+    return tuple(
+        TracePoint(t, v, x, y)
+        for t in trace.times
+        for v, (x, y) in trace.positions_at(t).items()
+    )
+
+
+def bfs_distances(g: SnapshotGraph, source: int, cutoff: int) -> tuple[dict[int, int], int]:
+    """Hop distances from ``source`` to every vertex within ``cutoff`` hops.
+
+    Returns ``(distances, edges_examined)`` where ``distances`` maps each
+    reached vertex to its hop count (source included at 0), omitting the
+    vertices farther than ``cutoff``, and ``edges_examined`` counts the
+    adjacency entries scanned, i.e. the enqueueing attempts made by the
+    search. Vertices at depth ``cutoff`` are not expanded further.
+    """
+    if source not in g:
+        raise UnknownVehicleError(source)
+    if cutoff < 1:
+        raise ValueError(f"cutoff must be >= 1, got {cutoff}")
+    dist = {source: 0}
+    edges_examined = 0
+    queue = deque([source])
+    while queue:
+        u = queue.popleft()
+        du = dist[u]
+        if du == cutoff:
+            continue
+        for w in g.neighbors(u):
+            edges_examined += 1
+            if w not in dist:
+                dist[w] = du + 1
+                queue.append(w)
+    return dist, edges_examined
 
 
 def path_graph(n: int) -> SnapshotGraph:

@@ -1,3 +1,4 @@
+import itertools
 import math
 import subprocess
 import sys
@@ -18,9 +19,9 @@ from apsel.cli import (
     run_one_algorithm,
 )
 from apsel.metrics import read_period_metrics_csv, write_period_metrics_csv
-from apsel.mobility import RadioParams, Trace, TracePoint, build_udg, load_trace_csv, write_trace_csv
+from apsel.mobility import RadioParams, Trace, build_udg, load_trace_csv, write_trace_csv
 from apsel.selection import verify_domination
-from helpers import brute_force_min_dominating_set
+from helpers import TracePoint, brute_force_min_dominating_set, trace_samples
 
 
 def small_trace(tmp_path, n=20, duration=31.0, seed=3, area=400.0):
@@ -153,6 +154,22 @@ class TestRunConfig:
     def test_gen_params_validated(self, field, value):
         with pytest.raises(ConfigError, match="gen "):
             GenParams(**{field: value})
+
+    def test_gen_params_reject_what_the_generator_rejects(self):
+        from apsel.mobility import generate_two_way_roadway
+
+        speeds = [(0.0, 1.0), (1.0, 1.0), (2.0, 1.0), (1.0, math.inf), (math.nan, 1.0), (-1.0, 1.0)]
+        for n, area, duration, (lo, hi) in itertools.product(
+            (0, 1), (100.0, math.inf, math.nan), (0.5, 1.0, math.inf, math.nan), speeds
+        ):
+            try:
+                generate_two_way_roadway(n, area, duration, (lo, hi))
+            except ValueError as exc:
+                with pytest.raises(ConfigError, match="^gen ") as info:
+                    GenParams(n, area, duration, lo, hi)
+                assert str(info.value) == f"gen {exc}"
+            else:
+                GenParams(n, area, duration, lo, hi)
 
 
 class TestRunCommand:
@@ -513,7 +530,7 @@ class TestCompareCommand:
         # onto negative ones here, writes the same files
         path = small_trace(tmp_path, n=30, duration=21.0)
         relabelled = tmp_path / "relabelled.csv"
-        points = load_trace_csv(path).points
+        points = trace_samples(load_trace_csv(path))
         write_trace_csv(
             Trace([TracePoint(p.time, 7 * p.vehicle - 10**12, p.x, p.y) for p in points]), relabelled
         )
@@ -592,6 +609,13 @@ class TestExactCommand:
         path = small_trace(tmp_path, duration=5.0)
         rc = main(["exact", "--trace", str(path), "--time", "2.5"])
         assert rc == 1
+        assert "no vehicles" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("time", ["inf", "-inf"])
+    def test_infinite_time_fails(self, tmp_path, capsys, time):
+        # an infinite time used to resolve to the trace's last or first instant
+        path = small_trace(tmp_path, duration=5.0)
+        assert main(["exact", "--trace", str(path), f"--time={time}"]) == 1
         assert "no vehicles" in capsys.readouterr().err
 
 

@@ -11,10 +11,10 @@ import random
 import numpy as np
 import pytest
 
-from apsel.graph import SnapshotGraph, bfs_distances
+from apsel.graph import SnapshotGraph
 from apsel.mobility import RadioParams, build_udg, generate_two_way_roadway
 from apsel.selection import exact_min_dominating_set, verify_domination
-from helpers import connected_gnp_graph, two_lane_strip, udg_oracle
+from helpers import bfs_distances, connected_gnp_graph, two_lane_strip, udg_oracle
 
 optimize = pytest.importorskip("scipy.optimize")
 

@@ -1,5 +1,6 @@
 """The package's advertised names and the README's API example stay real."""
 
+import ast
 import importlib
 import pkgutil
 import re
@@ -10,6 +11,8 @@ import pytest
 import apsel
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+PACKAGE = Path(apsel.__file__).resolve().parent
+ACCEPTANCE = Path(__file__).resolve().with_name("test_acceptance.py")
 
 
 # importing __main__ would run the command line
@@ -28,3 +31,33 @@ def test_readme_api_example_runs():
     section = text[text.index("## Python API") :]
     code = re.search(r"```python\n(.*?)```", section, re.S).group(1)
     exec(compile(code, str(README), "exec"), {})
+
+
+def _exported_names() -> set[str]:
+    """The names ``apsel/__init__.py`` imports from the package's modules."""
+    tree = ast.parse((PACKAGE / "__init__.py").read_text())
+    imports = [node for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)]
+    return {a.name for node in imports for a in node.names}
+
+
+def _used_names() -> set[str]:
+    """Every name the package's modules read, and every name the acceptance
+    tests import from apsel."""
+    used = set()
+    for path in PACKAGE.glob("*.py"):
+        if path.name == "__init__.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    for node in ast.walk(ast.parse(ACCEPTANCE.read_text())):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "apsel":
+            used.update(a.name for a in node.names)
+    return used
+
+
+def test_no_export_is_used_only_by_tests():
+    # a definition is not a use: a name that only tests call belongs in tests/helpers.py
+    assert sorted(_exported_names() - _used_names()) == []

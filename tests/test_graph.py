@@ -3,14 +3,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from apsel.graph import (
-    SnapshotGraph,
-    UnknownVehicleError,
-    all_k_closeness,
-    bfs_distances,
-)
+from apsel.graph import SnapshotGraph, UnknownVehicleError, all_k_closeness
 from apsel.mobility import build_udg
 from helpers import (
+    bfs_distances,
     full_closeness_from_matrix,
     gnp_graph,
     hop_matrix,

@@ -30,7 +30,6 @@ from apsel.graph import (
     SnapshotGraph,
     UnknownVehicleError,
     all_k_closeness,
-    bfs_distances,
     breadth_first_order,
     reach_rounds,
 )
@@ -53,6 +52,7 @@ from helpers import (
     adjacency,
     all_k_closeness_oracle,
     assign_to_aggregation_points_oracle,
+    bfs_distances,
     breadth_first_order_oracle,
     centrality_select_oracle,
     cycle_graph,

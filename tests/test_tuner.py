@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from apsel.mobility import Trace, TracePoint, generate_two_way_roadway
+from apsel.mobility import Trace, generate_two_way_roadway
 from apsel.tuner import (
     CONTRACTION,
     EXPANSION,
@@ -20,7 +20,7 @@ from apsel.tuner import (
     tune_parameters,
     write_tuning_trajectory_csv,
 )
-from helpers import nelder_mead_oracle
+from helpers import TracePoint, nelder_mead_oracle
 
 
 def quadratic(x):
@@ -333,6 +333,12 @@ class TestTuneParameters:
         inside = tune_parameters(trace, [4.0], config)
         assert tune_parameters(trace, [4.0, 99.0], config) == inside
         assert tune_parameters(trace, [-5.0, 4.0, 2.5], config) == inside
+
+    def test_time_one_rounding_from_an_instant_is_read(self):
+        # the lookup was by exact float key, so 0.1 + 0.2 found no snapshot
+        trace = Trace([TracePoint(t, v, 50.0 * v, 0.0) for t in (0.0, 0.3) for v in range(4)])
+        config = TunerConfig(d_bounds=(1, 3), k_bounds=(1, 3))
+        assert tune_parameters(trace, [0.1 + 0.2], config) == tune_parameters(trace, [0.3], config)
 
     def test_deterministic(self):
         trace = generate_two_way_roadway(25, 400.0, 6.0, seed=8)
