@@ -235,11 +235,8 @@ class Trace:
     def positions_at(self, t: float) -> Snapshot:
         """The vehicles sampled at the instant that t names (``instant_near``);
         empty when t names none."""
-        at = self._instants.get(t)
-        if at is None:
-            t = self.instant_near(t)
-            at = _EMPTY if t is None else self._instants[t]
-        return at
+        t = self.instant_near(t)
+        return _EMPTY if t is None else self._instants[t]
 
     def time_slack(self, t: float) -> float:
         """How far from t a time may lie and still name the same instant: TIME_TOLERANCE
@@ -546,17 +543,18 @@ def build_direction_constrained_udg(
 def check_roadway_params(n_vehicles, area_side, duration, speed_range) -> None:
     """Raise ValueError unless ``generate_two_way_roadway`` accepts these:
     at least one vehicle, a finite area, a finite duration of at least
-    1 s and finite speeds with 0 < speed_min <= speed_max."""
+    1 s and finite speeds with 0 < speed_min <= speed_max. The messages
+    name no argument, so the command line can show them for its flags."""
     if n_vehicles < 1:
-        raise ValueError(f"n_vehicles must be >= 1, got {n_vehicles}")
+        raise ValueError(f"vehicle count must be >= 1, got {n_vehicles}")
     if not math.isfinite(area_side):
-        raise ValueError(f"area_side must be finite, got {area_side}")
+        raise ValueError(f"area must be finite, got {area_side}")
     if not (math.isfinite(duration) and duration >= 1):
         raise ValueError(f"duration must be finite and >= 1, got {duration}")
     lo, hi = speed_range
     if not 0 < lo <= hi < math.inf:
         raise ValueError(
-            f"bad speed_range: need finite 0 < speed_min <= speed_max, got {lo} and {hi}"
+            f"speeds must be finite with 0 < speed_min <= speed_max, got {lo} and {hi}"
         )
 
 

@@ -141,6 +141,23 @@ class TestRunConfig:
         assert not out.exists()
 
     @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["run", "--gen-n", "0"], "gen vehicle count must be >= 1, got 0"),
+            (["gen-trace", "--n", "0"], "gen vehicle count must be >= 1, got 0"),
+            (["run", "--gen-n", "5", "--gen-area", "inf"], "gen area must be finite, got inf"),
+            (
+                ["gen-trace", "--speed-min", "20"],
+                "gen speeds must be finite with 0 < speed_min <= speed_max, got 20.0 and 14.0",
+            ),
+        ],
+    )
+    def test_generator_message_reads_for_the_flags(self, tmp_path, capsys, args, message):
+        # the shared validator's messages name no generator argument, which no flag spells
+        assert main([*args, "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize(
         "field, value",
         [
             ("n", 0),

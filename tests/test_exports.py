@@ -40,17 +40,50 @@ def _exported_names() -> set[str]:
     return {a.name for node in imports for a in node.names}
 
 
+def _annotations(tree) -> list[ast.expr]:
+    """The annotations in a module: a name that only a type hint names is not used."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.arg | ast.AnnAssign) and node.annotation is not None:
+            found.append(node.annotation)
+        elif isinstance(node, ast.FunctionDef | ast.AsyncFunctionDef) and node.returns:
+            found.append(node.returns)
+    return found
+
+
+def _module_aliases(tree) -> set[str]:
+    """The names a module binds to the package's own modules, such as ``from . import graph``."""
+    aliases = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.level or node.module == "apsel"):
+            if node.module in (None, "apsel"):
+                aliases.update(a.asname or a.name for a in node.names)
+        elif isinstance(node, ast.Import):
+            aliases.update(a.asname for a in node.names if a.asname and a.name.startswith("apsel."))
+    return aliases
+
+
 def _used_names() -> set[str]:
-    """Every name the package's modules read, and every name the acceptance
-    tests import from apsel."""
+    """Every name the package's modules read outside annotations (an
+    attribute only of one of its own modules), and every name the
+    acceptance tests import from apsel."""
     used = set()
     for path in PACKAGE.glob("*.py"):
         if path.name == "__init__.py":
             continue
-        for node in ast.walk(ast.parse(path.read_text())):
+        tree = ast.parse(path.read_text())
+        hints = {id(n) for a in _annotations(tree) for n in ast.walk(a)}
+        aliases = _module_aliases(tree)
+        for node in ast.walk(tree):
+            if id(node) in hints:
+                continue
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 used.add(node.id)
-            elif isinstance(node, ast.Attribute):
+            elif (
+                isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name)
+                and node.value.id in aliases
+            ):
                 used.add(node.attr)
     for node in ast.walk(ast.parse(ACCEPTANCE.read_text())):
         if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "apsel":
