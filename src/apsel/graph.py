@@ -12,8 +12,9 @@ numbering and the kernels (closeness, selection) read it, so no kernel
 maps ids to positions itself. It is the only adjacency a graph stores:
 ids appear only where a caller passes one in or gets one back, and
 ``position_of`` maps an id to its position. On large graphs closeness
-runs its rounds in a breadth-first numbering of its own and maps the
-results back to positions.
+numbers the bits of its reach sets breadth-first and scores the vertices
+level by level, while the sets stay indexed by position, so the ball
+sizes come out by position.
 """
 
 from __future__ import annotations
@@ -208,29 +209,87 @@ def reach_rounds(
         yield reach, sizes
 
 
-def breadth_first_order(adjacency: Sequence[Sequence[int]]) -> list[int]:
-    """Every vertex once, in breadth-first order (Cuthill & McKee, 1969).
+def breadth_first_order(adjacency: Sequence[Sequence[int]]) -> tuple[list[int], list[int]]:
+    """Every vertex once, in breadth-first order (Cuthill & McKee, 1969),
+    and where each BFS level starts in that order.
 
     Each component is searched from its lowest number, in ascending order
     of that number, and each vertex's neighbours are taken in ascending
-    order. Adjacent vertices land at most one BFS level apart, so a
-    k-hop ball spans at most 2k + 1 consecutive levels of the order.
+    order. ``starts`` lists the index in ``order`` at which each level
+    begins, component after component, and then ``len(order)``: level j
+    is ``order[starts[j]:starts[j + 1]]``. Adjacent vertices land at most
+    one level apart, so a k-hop ball spans at most 2k + 1 consecutive
+    levels of the order.
     """
     seen = bytearray(len(adjacency))
     order: list[int] = []
-    for start in range(len(adjacency)):
-        if seen[start]:
+    starts: list[int] = []
+    for source in range(len(adjacency)):
+        if seen[source]:
             continue
-        seen[start] = 1
-        head = len(order)
-        order.append(start)
-        while head < len(order):
-            for u in adjacency[order[head]]:
-                if not seen[u]:
-                    seen[u] = 1
-                    order.append(u)
-            head += 1
-    return order
+        seen[source] = 1
+        level = len(order)
+        order.append(source)
+        while level < len(order):
+            starts.append(level)
+            end = len(order)
+            for i in range(level, end):
+                for u in adjacency[order[i]]:
+                    if not seen[u]:
+                        seen[u] = 1
+                        order.append(u)
+            level = end
+    starts.append(len(order))
+    return order, starts
+
+
+def level_rounds(adjacency: Sequence[Sequence[int]], k: int) -> Iterator[list[int]]:
+    """The sizes ``reach_rounds`` yields, from one generation of reach sets.
+
+    Yields ``sizes`` for h = 0, 1, ..., k, indexed like ``adjacency``,
+    and stops where ``reach_rounds`` stops. The sets are indexed like
+    ``adjacency`` too, but bit r of a set stands for the vertex of rank r
+    in ``breadth_first_order``. Python ints are dense, so a set costs its
+    highest bit to OR and its whole width to count. In this numbering an
+    h-hop ball about a vertex of BFS level j ends near the vertex's own
+    rank instead of near n, and it holds no bit below the start of level
+    j - h, so its size is counted from there. Each round scores the
+    vertices level by level. A vertex reads only the sets of its own
+    level and of the two next to it, so a level's new sets replace its
+    old ones once the level after it is scored: one generation and the
+    new sets of at most two levels are alive at a time.
+    """
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+    order, starts = breadth_first_order(adjacency)
+    reach = [0] * len(order)
+    for rank, v in enumerate(order):
+        reach[v] = 1 << rank
+    sizes = [1] * len(order)
+    yield sizes
+    # the empty level at the end writes back the last real one
+    levels = [order[lo:hi] for lo, hi in zip(starts, starts[1:])] + [[]]
+    for h in range(1, k + 1):
+        grown_sizes = [0] * len(order)
+        held: list[int] = []
+        held_sets: list[int] = []
+        low = 0
+        for j, level in enumerate(levels):
+            grown = []
+            for v in level:
+                acc = reach[v]
+                for u in adjacency[v]:
+                    acc |= reach[u]
+                grown.append(acc)
+            for v, acc in zip(held, held_sets):
+                reach[v] = acc
+                grown_sizes[v] = (acc >> low).bit_count()
+            held, held_sets = level, grown
+            low = starts[max(j - h, 0)]
+        if grown_sizes == sizes:
+            return
+        sizes = grown_sizes
+        yield sizes
 
 
 def edges_examined(g: SnapshotGraph, sizes: list[int]) -> int:
@@ -244,32 +303,27 @@ def edges_examined(g: SnapshotGraph, sizes: list[int]) -> int:
     return sum(map(mul, map(len, g.adjacency), sizes))
 
 
-def _renumbered(adjacency: Sequence[Sequence[int]]) -> tuple[list[int], list[tuple[int, ...]]]:
-    """``rank[i]``, the index of vertex i in ``breadth_first_order``, and
-    the adjacency with every vertex numbered by its rank."""
-    order = breadth_first_order(adjacency)
-    rank = [0] * len(order)
-    for new, old in enumerate(order):
-        rank[old] = new
-    return rank, [tuple(map(rank.__getitem__, adjacency[old])) for old in order]
-
-
-# all_k_closeness renumbers a graph breadth-first when n * min(k, 4) reaches
-# this. Deeper rounds gain less per vertex, so k counts only up to 4: every
-# row of the table below then falls on its faster side.
-# Python ints are dense, so reach set i costs about its highest bit / 30
-# digits to OR: in position order that is n bits for nearly every vertex,
-# in breadth-first order about i plus the width of a few BFS levels, half
-# as much on average. The O(n + E) search and remap only pay for
-# themselves on larger graphs and deeper rounds. Renumbered time over
-# position-order time, 2-D uniform snapshots at mean degree 10
-# (bench/workloads.city_rows), median CPU of 9-15 alternating calls:
+# all_k_closeness takes level_rounds when n * min(k, 4) reaches this, and
+# reach_rounds in position order below it. Python ints are dense, so reach
+# set i costs about its highest bit / 30 digits to OR: in position order
+# that is n bits for nearly every vertex, in breadth-first order about i
+# plus the width of a few BFS levels, half as much on average. The O(n + E)
+# search and the level-by-level write-back only pay for themselves on
+# larger graphs and deeper rounds, and deeper rounds gain less per vertex,
+# so k counts only up to 4. Level-kernel time over position-order time,
+# 2-D uniform snapshots at mean degree 10 (bench/workloads.city_rows,
+# seed 0), median CPU of 15 alternating calls, one or two passes per cell
+# (2-vCPU VM, CPython 3.11):
 #
-#   k = 1:  n = 8000 1.16   12000 0.94-0.96   16000 0.77
-#   k = 2:  n = 4000 1.02   6000  0.89        8000  0.79
-#   k = 4:  n = 2000 1.14   3000  0.95-1.01   4000  0.80
-#   k = 8:  n = 1500 1.15   2000  1.05        3000  0.95
-RENUMBER_MIN_WORK = 12_000
+#   k = 1:  n = 3000 1.14   4000 0.98        5000 0.88-0.89   6000 0.81-0.82   7000 0.80
+#   k = 2:  n = 1500 1.09   2000 1.02        2500 0.94-0.97   3000 0.88-0.92   3500 0.85
+#   k = 4:  n = 1000 1.13   1500 1.02-1.06   1750 0.95        2000 0.95-1.01   3000 0.83
+#   k = 8:  n = 1000 1.09   1500 1.08-1.10   1750 1.06        2000 1.00        2500 0.95
+#
+# No one line fits every k: break-even sits near n * min(k, 4) = 4000 at
+# k = 1 and near 8000 at k = 8. At 7000 every row on the level side reads
+# at most 1.06, and every row left in position order at least 0.81.
+RENUMBER_MIN_WORK = 7_000
 
 
 def all_k_closeness(g: SnapshotGraph, k: int) -> tuple[dict[int, float], int]:
@@ -282,9 +336,11 @@ def all_k_closeness(g: SnapshotGraph, k: int) -> tuple[dict[int, float], int]:
     feeds the computational-cost metric.
 
     When ``g.n_vertices * min(k, 4)`` is at least ``RENUMBER_MIN_WORK``, the
-    rounds run on ``g.adjacency`` renumbered by ``breadth_first_order``
-    and each round's sizes are mapped back to positions. Ball sizes do not
-    depend on the numbering, so neither does any result.
+    sizes come from ``level_rounds``, which numbers the bits breadth-first
+    and keeps one generation of reach sets; below it, from
+    ``reach_rounds`` in position order. Both give the sizes by position,
+    and ball sizes do not depend on the numbering, so neither does any
+    result.
 
     The per-round sizes are memoized on ``g``: a call whose k the memo
     already covers runs no search, and a larger k reruns the rounds from
@@ -296,14 +352,11 @@ def all_k_closeness(g: SnapshotGraph, k: int) -> tuple[dict[int, float], int]:
         raise ValueError(f"k must be >= 1, got {k}")
     rounds = g._ball_sizes
     if len(rounds) <= k and not g._balls_converged:
-        adjacency = g.adjacency
-        renumber = len(adjacency) * min(k, 4) >= RENUMBER_MIN_WORK
-        if renumber:
-            rank, adjacency = _renumbered(adjacency)
-        rounds = [sizes for _, sizes in reach_rounds(adjacency, k)]
+        if g.n_vertices * min(k, 4) >= RENUMBER_MIN_WORK:
+            rounds = list(level_rounds(g.adjacency, k))
+        else:
+            rounds = [sizes for _, sizes in reach_rounds(g.adjacency, k)]
         g._balls_converged = len(rounds) <= k
-        if renumber:
-            rounds = [list(map(sizes.__getitem__, rank)) for sizes in rounds]
         g._ball_sizes = rounds
     last = len(rounds) - 1
     farness = [0] * g.n_vertices

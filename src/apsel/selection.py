@@ -356,6 +356,9 @@ def _search(
             coverers ^= low
 
     branch([], component)
+    # branch reaches itself through its closure cell; breaking that cycle
+    # frees it now rather than at the next cyclic collection
+    del branch
     return best, nodes
 
 

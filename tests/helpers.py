@@ -378,25 +378,33 @@ def all_k_closeness_oracle(g: SnapshotGraph, k: int) -> tuple[dict[int, float], 
     return values, total_edges
 
 
-def breadth_first_order_oracle(g: SnapshotGraph) -> list[int]:
+def breadth_first_order_oracle(g: SnapshotGraph) -> tuple[list[int], list[int]]:
     """Positions in the order a queue-based search visits them: each
-    component from its lowest unvisited id, neighbours by ascending id."""
+    component from its lowest unvisited id, neighbours by ascending id.
+    Also the index at which each depth of each component's search starts
+    in that order, and then the number of vertices."""
     position = {v: i for i, v in enumerate(g.vertices)}
     order: list[int] = []
+    starts: list[int] = []
     seen: set[int] = set()
     for source in g.vertices:
         if source in seen:
             continue
         seen.add(source)
-        queue = deque([source])
+        queue = deque([(source, 0)])
+        depth = -1
         while queue:
-            v = queue.popleft()
+            v, d = queue.popleft()
+            if d != depth:
+                starts.append(len(order))
+                depth = d
             order.append(position[v])
             for u in g.neighbors(v):
                 if u not in seen:
                     seen.add(u)
-                    queue.append(u)
-    return order
+                    queue.append((u, d + 1))
+    starts.append(len(order))
+    return order, starts
 
 
 def _nearest_points(balls: dict[int, dict[int, int]]) -> dict[int, int]:

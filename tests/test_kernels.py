@@ -9,8 +9,8 @@ bitset solver searches one component at a time and the oracle in one
 piece. The strategies draw both arbitrary ids and the ids 0..n-1, and the
 position-numbered adjacency, with every id view read from it, is checked
 against the id edges a graph was built from. The closeness tests run twice:
-as the size threshold leaves them, and with the breadth-first
-renumbering forced on for every graph.
+as the size threshold leaves them, and with the breadth-first level
+kernel forced on for every graph.
 """
 
 import dataclasses
@@ -31,6 +31,7 @@ from apsel.graph import (
     UnknownVehicleError,
     all_k_closeness,
     breadth_first_order,
+    level_rounds,
     reach_rounds,
 )
 from apsel.mobility import (
@@ -184,6 +185,23 @@ def graphs_with_points(draw):
     g = draw(graphs())
     points = draw(st.frozensets(st.sampled_from(g.vertices))) if g.n_vertices else frozenset()
     return g, points
+
+
+@st.composite
+def disjoint_unions(draw):
+    """Disjoint unions of 2-4 random graphs, at most 20 vertices in all,
+    with ids shuffled so that the parts interleave in id order."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    sizes = draw(st.lists(st.integers(1, 8), min_size=2, max_size=4).filter(lambda s: sum(s) <= 20))
+    edges, start = [], 0
+    for size in sizes:
+        p = rng.choice([0.2, 0.4, 0.7])
+        edges += [
+            (start + i, start + j) for i in range(size) for j in range(i + 1, size) if rng.random() < p
+        ]
+        start += size
+    ids = rng.sample(range(100), start)
+    return SnapshotGraph(ids, [(ids[i], ids[j]) for i, j in edges])
 
 
 class TestNearestPointAssignment:
@@ -369,7 +387,28 @@ class TestPositionAdjacency:
         assert_adjacency_by_position(g, snap, direction_filtered_edges(snap, prev, radio))
 
 
+def spy_on_closeness_kernels(monkeypatch) -> list:
+    """Record each rounds kernel that ``all_k_closeness`` runs: its name
+    and the adjacency it is given."""
+    calls = []
+
+    def spy(name):
+        kernel = getattr(apsel.graph, name)
+
+        def counted(adjacency, k):
+            calls.append((name, adjacency))
+            return kernel(adjacency, k)
+
+        return counted
+
+    for name in ("reach_rounds", "level_rounds"):
+        monkeypatch.setattr(apsel.graph, name, spy(name))
+    return calls
+
+
 class TestBitsetCloseness:
+    kernel = "reach_rounds"
+
     @given(g=graphs(), k=st.integers(1, 6))
     def test_values_and_edges_examined_match_bfs(self, g, k):
         assert all_k_closeness(g, k) == all_k_closeness_oracle(g, k)
@@ -418,22 +457,19 @@ class TestBitsetCloseness:
             all_k_closeness(g, k)
 
     def test_tuner_searches_each_graph_once(self, monkeypatch):
-        calls = []
-
-        def counted(adjacency, k):
-            calls.append(adjacency)
-            return reach_rounds(adjacency, k)
-
-        monkeypatch.setattr(apsel.graph, "reach_rounds", counted)
+        calls = spy_on_closeness_kernels(monkeypatch)
         trace = generate_two_way_roadway(30, 400.0, 5.0, seed=3)
         res = tune_parameters(trace, config=TunerConfig(d_bounds=(1, 2), k_bounds=(1, 2)))
         assert res.n_evaluations > 1
-        assert len(calls) == len({id(g) for g in calls}) == len(trace.times)
+        assert len(calls) == len({id(adj) for _, adj in calls}) == len(trace.times)
+        assert {kernel for kernel, _ in calls} == {self.kernel}
 
 
 class TestRenumberedCloseness(TestBitsetCloseness):
-    """Every closeness test again, with the breadth-first numbering on for
-    every graph, however small."""
+    """Every closeness test again, with the breadth-first level kernel on
+    for every graph, however small."""
+
+    kernel = "level_rounds"
 
     @pytest.fixture(autouse=True, scope="class")
     def renumber_every_graph(self):
@@ -454,19 +490,20 @@ class TestRenumberedCloseness(TestBitsetCloseness):
             assert all_k_closeness(g, k) == all_k_closeness_oracle(g, k)
 
     def test_rounds_run_in_breadth_first_numbering(self, monkeypatch):
-        seen = []
+        calls = spy_on_closeness_kernels(monkeypatch)
+        searches = []
 
-        def spy(adjacency, k):
-            seen.append(adjacency)
-            return reach_rounds(adjacency, k)
+        def counted(adjacency):
+            searches.append(breadth_first_order(adjacency))
+            return searches[-1]
 
-        monkeypatch.setattr(apsel.graph, "reach_rounds", spy)
-        # the path 0-3-1-5-2-4 is numbered along the path; neighbour
-        # lists keep their position order, so 2's reads (4, 5) -> (5, 3)
+        monkeypatch.setattr(apsel.graph, "breadth_first_order", counted)
+        # the path 0-3-1-5-2-4 is searched along the path, one vertex a level
         g = SnapshotGraph(range(6), [(0, 3), (3, 1), (1, 5), (5, 2), (2, 4)])
         assert all_k_closeness(g, 2) == all_k_closeness_oracle(g, 2)
-        assert seen == [[(1,), (0, 2), (1, 3), (2, 4), (5, 3), (4,)]]
-        # the memo holds the sizes by position again
+        assert calls == [("level_rounds", g.adjacency)]
+        assert searches == [([0, 3, 1, 5, 2, 4], [0, 1, 2, 3, 4, 5, 6])]
+        # the rounds read the graph's own adjacency and give sizes by position
         assert g._ball_sizes[1] == [1 + g.degree(v) for v in g.vertices]
 
 
@@ -478,22 +515,41 @@ def test_reach_rounds_stop_at_the_first_round_that_adds_nothing():
     assert len({id(lst) for lst in lists}) == len(lists)
 
 
+@given(g=st.one_of(graphs(), disjoint_unions()), k=st.integers(1, 6))
+@example(g=SnapshotGraph(range(6), [(0, 1), (1, 2), (3, 4)]), k=6)
+def test_level_rounds_match_reach_rounds(g, k):
+    # several components, isolated vertices, and rounds that stop before k
+    sizes = list(level_rounds(g.adjacency, k))
+    assert sizes == [s for _, s in reach_rounds(g.adjacency, k)]
+    assert len({id(lst) for lst in sizes}) == len(sizes)
+
+
 class TestBreadthFirstOrder:
-    @given(g=graphs())
+    @given(g=st.one_of(graphs(), disjoint_unions()))
     def test_matches_queue_search(self, g):
-        order = breadth_first_order(g.adjacency)
+        order, starts = breadth_first_order(g.adjacency)
         assert sorted(order) == list(range(g.n_vertices))
-        assert order == breadth_first_order_oracle(g)
+        assert (order, starts) == breadth_first_order_oracle(g)
+        # the level kernel relies on neighbours being at most one level apart
+        level = [0] * g.n_vertices
+        for j, (lo, hi) in enumerate(zip(starts, starts[1:])):
+            for v in order[lo:hi]:
+                level[v] = j
+        assert all(abs(level[v] - level[u]) <= 1 for v, row in enumerate(g.adjacency) for u in row)
 
     def test_components_and_isolated_vertices(self):
         # components {1, 4, 8}, {2, 9} and {3, 5, 7}; 0 and 6 are isolated
         g = SnapshotGraph(range(10), [(8, 1), (4, 8), (9, 2), (7, 3), (7, 5)])
-        assert breadth_first_order(g.adjacency) == [0, 1, 8, 4, 2, 9, 3, 7, 5, 6]
+        assert breadth_first_order(g.adjacency) == ([0, 1, 8, 4, 2, 9, 3, 7, 5, 6], list(range(11)))
         h = SnapshotGraph([40, 10, 30, 20, 50], [(50, 10)])
-        assert breadth_first_order(h.adjacency) == [0, 4, 1, 2, 3]
-        assert breadth_first_order(()) == []
+        assert breadth_first_order(h.adjacency) == ([0, 4, 1, 2, 3], [0, 1, 2, 3, 4, 5])
+        # levels {0}, {2, 5}, {1, 3}, then the isolated 4
+        f = SnapshotGraph(range(6), [(0, 2), (0, 5), (2, 1), (5, 3)])
+        assert breadth_first_order(f.adjacency) == ([0, 2, 5, 1, 3, 4], [0, 1, 3, 5, 6])
+        assert breadth_first_order(()) == ([], [0])
 
     def test_closeness_renumbers_once_n_times_k_reaches_the_threshold(self, monkeypatch):
+        calls = spy_on_closeness_kernels(monkeypatch)
         sizes = []
 
         def counted(adjacency):
@@ -515,6 +571,16 @@ class TestBreadthFirstOrder:
             g = SnapshotGraph(range(n))
             all_k_closeness(g, k)
             assert g._ball_sizes == [[1] * n]
+        assert [(kernel, len(adj)) for kernel, adj in calls] == [
+            ("reach_rounds", m - 1),
+            ("level_rounds", m),
+            ("reach_rounds", m // 3 - 1),
+            ("level_rounds", (m + 2) // 3),
+            ("reach_rounds", m // 8),
+            ("reach_rounds", m // 4 - 1),
+            ("level_rounds", m // 4),
+        ]
+        # the level kernel searches each graph it scores once
         assert sizes == [m, (m + 2) // 3, m // 4]
 
 
@@ -562,23 +628,6 @@ def exact_cases(draw):
         snap = geometric_snapshot(n, rng.choice([150.0, 400.0, 1000.0]), rng.randrange(10**6))
     ids = rng.sample(range(1000), n)
     return udg_oracle({ids[v]: xy for v, xy in snap.items()})
-
-
-@st.composite
-def disjoint_unions(draw):
-    """Disjoint unions of 2-4 random graphs, at most 20 vertices in all,
-    with ids shuffled so that the parts interleave in id order."""
-    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
-    sizes = draw(st.lists(st.integers(1, 8), min_size=2, max_size=4).filter(lambda s: sum(s) <= 20))
-    edges, start = [], 0
-    for size in sizes:
-        p = rng.choice([0.2, 0.4, 0.7])
-        edges += [
-            (start + i, start + j) for i in range(size) for j in range(i + 1, size) if rng.random() < p
-        ]
-        start += size
-    ids = rng.sample(range(100), start)
-    return SnapshotGraph(ids, [(ids[i], ids[j]) for i, j in edges])
 
 
 def greedy_is_optimal(g: SnapshotGraph, d: int, optimum: frozenset[int]) -> bool:
@@ -648,6 +697,17 @@ class TestBitsetExact:
             misses += not greedy_is_optimal(g, d, res.aggregation_points)
         assert misses >= 3
 
+    def test_search_leaves_no_reference_cycle(self):
+        # the 7-cycle's greedy cover is not proved at the root, so it is searched
+        g = cycle_graph(7)
+        gc.collect()
+        gc.disable()
+        try:
+            exact_min_dominating_set(g, 1)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
     def test_search_nodes(self):
         # the star's centre covers everything and the root packs one ball
         assert exact_min_dominating_set(star_graph(5), 1).search_nodes == 1
@@ -690,10 +750,11 @@ def test_20k_vehicle_snapshot_builds_in_bounded_memory():
 
 
 def test_20k_vehicle_centrality_in_bounded_memory(monkeypatch):
-    """Centrality d=1, k=4 on 20k vehicles at mean degree 10. Scored in
-    breadth-first numbering, the reach sets peak at about 60 MB under
-    tracemalloc; in position order they peaked at about 102 MB. The ball
-    sizes equal those of position order."""
+    """Centrality d=1, k=4 on 20k vehicles at mean degree 10. Scored level
+    by level in breadth-first numbering, the reach sets peak at about
+    30 MB under tracemalloc; with two generations alive they peaked at
+    about 60 MB, and in position order at about 102 MB. The ball sizes
+    equal those of position order."""
     n, r, mean_degree = 20_000, 100.0, 10.0
     side = math.sqrt(n * math.pi * r * r / mean_degree)
     g = build_udg(geometric_snapshot(n, side, seed=20), RadioParams(range_r=r))
@@ -703,7 +764,7 @@ def test_20k_vehicle_centrality_in_bounded_memory(monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 80 * 2**20
+    assert peak < 40 * 2**20
     monkeypatch.setattr(apsel.graph, "RENUMBER_MIN_WORK", math.inf)
     by_position = SnapshotGraph._from_sorted_adjacency(g.vertices, g.adjacency, g.n_edges)
     assert all_k_closeness(by_position, 4) == all_k_closeness(g, 4)
