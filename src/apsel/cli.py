@@ -46,7 +46,13 @@ from .mobility import (
     load_trace_csv,
     write_trace_csv,
 )
-from .selection import SelectionResult, centrality_select, exact_min_dominating_set, rb_select
+from .selection import (
+    SelectionResult,
+    assign_to_aggregation_points,
+    centrality_select,
+    exact_min_dominating_set,
+    rb_select,
+)
 from .tuner import TunerConfig, tune_parameters, write_tuning_trajectory_csv
 
 __all__ = [
@@ -228,11 +234,13 @@ def _period_boundaries(trace: Trace, cfg: TraceConfig) -> list[float]:
 
 
 def run_one_algorithm(trace: Trace, algo: AlgoSpec, cfg: RunConfig) -> list[PeriodMetrics]:
-    """Per-period pipeline: snapshot, graph, selection, metrics row.
+    """Per-period pipeline: snapshot, graph, selection, assignment, metrics row.
 
-    Zero-vehicle periods emit a row with blank rate so the time series
-    stays aligned across algorithms.
+    Vehicles report to a point within the algorithm's d, or 1 hop for rb,
+    which reads no d. Zero-vehicle periods emit a row with blank rate so
+    the time series stays aligned across algorithms.
     """
+    hops = algo.d if "d" in ALGORITHMS[algo.name].keys else 1
     rows = []
     prev_points: frozenset[int] = frozenset()
     prev_assignment: dict[int, int] = {}
@@ -247,9 +255,10 @@ def run_one_algorithm(trace: Trace, algo: AlgoSpec, cfg: RunConfig) -> list[Peri
                 graph = build_udg(snapshot, cfg.radio)
             period_seed = (cfg.seed * 1_000_003 + index) % 2**63
             result = ALGORITHMS[algo.name].select(algo, graph, period_seed)
+            assignment = assign_to_aggregation_points(graph, result.aggregation_points, hops)
         else:
             # an empty period builds no graph and runs no selector
-            graph, result = SnapshotGraph(()), SelectionResult(frozenset())
+            graph, result, assignment = SnapshotGraph(()), SelectionResult(frozenset()), {}
         points = result.aggregation_points
         n = graph.n_vertices
         rows.append(
@@ -262,11 +271,11 @@ def run_one_algorithm(trace: Trace, algo: AlgoSpec, cfg: RunConfig) -> list[Peri
                 upload_cost_bps=upload_cost(len(points), cfg.period),
                 edges_examined=result.edges_examined,
                 n_notifications=notification_count(prev_points, points),
-                n_routing_updates=routing_update_count(prev_assignment, result.assignment),
+                n_routing_updates=routing_update_count(prev_assignment, assignment),
                 n_reelections=len(prev_points & points),
             )
         )
-        prev_points, prev_assignment = points, result.assignment
+        prev_points, prev_assignment = points, assignment
     return rows
 
 
@@ -326,6 +335,9 @@ def cmd_tune(s: dict) -> int:
     out = s.get("out", "tuning.csv")
     # --d-max N searches d in [1, N], likewise --k-max; unset ones keep TunerConfig's box
     box = {f"{x}_bounds": (1, s[f"{x}_max"]) for x in "dk" if f"{x}_max" in s}
+    for name, (_, hi) in box.items():
+        if hi < 1:  # named for the flag, not for TunerConfig's bounds field
+            raise ConfigError(f"{name[0]}_max must be >= 1, got {hi}")
     tuner_cfg = TunerConfig(**_fields(s, TunerConfig), **box)
     trace = _load_trace(cfg)
     result = tune_parameters(trace, _period_boundaries(trace, cfg), tuner_cfg, cfg.radio)

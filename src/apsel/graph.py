@@ -303,27 +303,26 @@ def edges_examined(g: SnapshotGraph, sizes: list[int]) -> int:
     return sum(map(mul, map(len, g.adjacency), sizes))
 
 
-# all_k_closeness takes level_rounds when n * min(k, 4) reaches this, and
+# all_k_closeness takes level_rounds when n * min(k, 2) reaches this, and
 # reach_rounds in position order below it. Python ints are dense, so reach
 # set i costs about its highest bit / 30 digits to OR: in position order
 # that is n bits for nearly every vertex, in breadth-first order about i
-# plus the width of a few BFS levels, half as much on average. The O(n + E)
-# search and the level-by-level write-back only pay for themselves on
-# larger graphs and deeper rounds, and deeper rounds gain less per vertex,
-# so k counts only up to 4. Level-kernel time over position-order time,
-# 2-D uniform snapshots at mean degree 10 (bench/workloads.city_rows,
-# seed 0), median CPU of 15 alternating calls, one or two passes per cell
-# (2-vCPU VM, CPython 3.11):
+# plus the width of a few BFS levels. The O(n + E) search and the level
+# write-back pay for themselves only on larger graphs, and past k = 2 the
+# break-even barely moves. all_k_closeness time on a fresh graph, level
+# kernel over position order, 2-D uniform snapshots at mean degree 10
+# (bench/workloads.city_rows, seed 0), median CPU of 15 alternating calls,
+# range over two to four passes (2-vCPU VM, CPython 3.11):
 #
-#   k = 1:  n = 3000 1.14   4000 0.98        5000 0.88-0.89   6000 0.81-0.82   7000 0.80
-#   k = 2:  n = 1500 1.09   2000 1.02        2500 0.94-0.97   3000 0.88-0.92   3500 0.85
-#   k = 4:  n = 1000 1.13   1500 1.02-1.06   1750 0.95        2000 0.95-1.01   3000 0.83
-#   k = 8:  n = 1000 1.09   1500 1.08-1.10   1750 1.06        2000 1.00        2500 0.95
+#   k = 1:  n = 2750 1.14       3000 0.99-1.03  3500 0.92-0.96  4000 0.94-0.95  5000 0.86
+#   k = 2:  n = 1500 1.08-1.14  1750 1.03-1.13  2000 1.02-1.04  2250 1.00-1.01  2500 0.89-0.90
+#   k = 3:  n = 1500 1.06-1.09  1750 1.04-1.05  2000 0.99-1.07  2250 0.95-0.96  2500 0.87-0.89
+#   k = 4:  n = 1500 1.05-1.07  1750 1.01-1.05  2000 0.95-0.99  2250 0.93-0.95  2500 0.82-0.87
+#   k = 8:  n = 1500 1.07-1.09  1750 1.02-1.23  2000 1.00-1.05  2250 0.91-0.99  2500 0.93-0.95
 #
-# No one line fits every k: break-even sits near n * min(k, 4) = 4000 at
-# k = 1 and near 8000 at k = 8. At 7000 every row on the level side reads
-# at most 1.06, and every row left in position order at least 0.81.
-RENUMBER_MIN_WORK = 7_000
+# At 4000 every row on the level side reads at most 1.07, and every row
+# left in position order at least 0.92.
+RENUMBER_MIN_WORK = 4_000
 
 
 def all_k_closeness(g: SnapshotGraph, k: int) -> tuple[dict[int, float], int]:
@@ -335,7 +334,7 @@ def all_k_closeness(g: SnapshotGraph, k: int) -> tuple[dict[int, float], int]:
     vertex, and the edge count is the work those searches would do, which
     feeds the computational-cost metric.
 
-    When ``g.n_vertices * min(k, 4)`` is at least ``RENUMBER_MIN_WORK``, the
+    When ``g.n_vertices * min(k, 2)`` is at least ``RENUMBER_MIN_WORK``, the
     sizes come from ``level_rounds``, which numbers the bits breadth-first
     and keeps one generation of reach sets; below it, from
     ``reach_rounds`` in position order. Both give the sizes by position,
@@ -352,7 +351,7 @@ def all_k_closeness(g: SnapshotGraph, k: int) -> tuple[dict[int, float], int]:
         raise ValueError(f"k must be >= 1, got {k}")
     rounds = g._ball_sizes
     if len(rounds) <= k and not g._balls_converged:
-        if g.n_vertices * min(k, 4) >= RENUMBER_MIN_WORK:
+        if g.n_vertices * min(k, 2) >= RENUMBER_MIN_WORK:
             rounds = list(level_rounds(g.adjacency, k))
         else:
             rounds = [sizes for _, sizes in reach_rounds(g.adjacency, k)]

@@ -2,10 +2,10 @@
 
 Three selectors share one contract: given a snapshot, return a set of
 aggregation points such that every vehicle is an aggregation point or
-within d hops of one, together with an assignment of the remaining
-vehicles to their nearest point. One function,
-``assign_to_aggregation_points``, makes that assignment for all three:
-fewest hops first, then the lowest point id.
+within d hops of one. They make no assignment of the other vehicles to
+points, so a caller that reads only the points, such as the tuner, pays
+for none; ``assign_to_aggregation_points`` makes it for all three by one
+rule: fewest hops first, then the lowest point id.
 
 * ``centrality_select`` ranks vehicles by hop-limited closeness and
   greedily picks maximizers, deleting each winner's d-hop neighborhood.
@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import random
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .graph import (
     SnapshotGraph,
@@ -53,22 +53,20 @@ class GraphSizeError(ValueError):
 
 @dataclass(frozen=True)
 class SelectionResult:
-    """Outcome of one selection round.
+    """The points one selection round chose, and its work counters.
 
-    assignment maps each non-aggregation-point vehicle to the point it
-    reports to, as ``assign_to_aggregation_points`` computes it for every
-    selector; vehicles with no reachable point within d hops are absent.
-    edges_examined counts adjacency entries scanned while computing
-    whatever the selector needed (0 for the slotted draw, which does no
-    graph search). slots_simulated is the number of reservation ticks
-    processed (0 for the non-slotted selectors). search_nodes is the
-    number of branch-and-bound nodes the exact solver visited: the sum
-    over its per-component searches, each root and each re-search for
-    the witness included (0 for the other selectors).
+    It holds no vehicle-to-point assignment; ``assign_to_aggregation_points``
+    makes one from the points. edges_examined counts adjacency entries
+    scanned while computing whatever the selector needed (0 for the
+    slotted draw, which does no graph search). slots_simulated is the
+    number of reservation ticks processed (0 for the non-slotted
+    selectors). search_nodes is the number of branch-and-bound nodes the
+    exact solver visited: the sum over its per-component searches, each
+    root and each re-search for the witness included (0 for the other
+    selectors).
     """
 
     aggregation_points: frozenset[int]
-    assignment: dict[int, int] = field(default_factory=dict)
     edges_examined: int = 0
     slots_simulated: int = 0
     search_nodes: int = 0
@@ -196,11 +194,7 @@ def centrality_select(g: SnapshotGraph, d: int = 1, k: int = 4) -> SelectionResu
                         reached.append(j)
             frontier = reached
     chosen = frozenset(g.vertices[i] for i in points)
-    return SelectionResult(
-        aggregation_points=chosen,
-        assignment=assign_to_aggregation_points(g, chosen, d),
-        edges_examined=examined,
-    )
+    return SelectionResult(chosen, edges_examined=examined)
 
 
 def rb_select_with_slots(
@@ -247,11 +241,7 @@ def rb_select_with_slots(
                 heard[j] = heard.get(j, 0) + 1
         contenders.difference_update(j for j, times in heard.items() if times == 1)
     chosen = frozenset(map(vertices.__getitem__, points))
-    return SelectionResult(
-        aggregation_points=chosen,
-        assignment=assign_to_aggregation_points(g, chosen, 1),
-        slots_simulated=ticks,
-    )
+    return SelectionResult(chosen, slots_simulated=ticks)
 
 
 def rb_select(g: SnapshotGraph, slots: int = 256, seed: int = 0) -> SelectionResult:
@@ -431,7 +421,6 @@ def exact_min_dominating_set(g: SnapshotGraph, d: int = 1) -> SelectionResult:
     chosen = frozenset(g.vertices[i] for cover in covers for i in cover)
     return SelectionResult(
         aggregation_points=chosen,
-        assignment=assign_to_aggregation_points(g, chosen, d),
         edges_examined=edges_examined(g, rounds[min(d - 1, last)][1]),
         search_nodes=nodes,
     )

@@ -27,12 +27,14 @@ import itertools
 import math
 import random
 import statistics
+import sys
 from collections import deque
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
+import apsel.selection
 from apsel.graph import SnapshotGraph, UnknownVehicleError
 from apsel.mobility import TRACE_HEADER, RadioParams, Trace, TraceFormatError
 from apsel.selection import GraphSizeError, SelectionResult
@@ -435,6 +437,24 @@ def assign_to_aggregation_points_oracle(
     return _nearest_points({p: bfs_distances(g, p, d)[0] for p in sorted(points)})
 
 
+def spy_on_assignment(monkeypatch) -> list[tuple[str, int]]:
+    """Record each call of ``assign_to_aggregation_points`` under every
+    name an ``apsel`` module binds it to, as (calling module, d)."""
+    original = apsel.selection.assign_to_aggregation_points
+    calls = []
+
+    def spy(g, points, d):
+        calls.append((sys._getframe(1).f_globals["__name__"], d))
+        return original(g, points, d)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("apsel") and module is not None:
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, spy)
+    return calls
+
+
 def centrality_select_oracle(g: SnapshotGraph, d: int = 1, k: int = 4) -> SelectionResult:
     """Greedy pick that rescans the remaining pool with max() every round."""
     centrality, examined = all_k_closeness_oracle(g, k)
@@ -449,7 +469,6 @@ def centrality_select_oracle(g: SnapshotGraph, d: int = 1, k: int = 4) -> Select
     chosen = frozenset(points)
     return SelectionResult(
         aggregation_points=chosen,
-        assignment=assign_to_aggregation_points_oracle(g, chosen, d),
         edges_examined=examined,
     )
 
@@ -479,7 +498,6 @@ def rb_select_with_slots_oracle(
     chosen = frozenset(points)
     return SelectionResult(
         aggregation_points=chosen,
-        assignment=assign_to_aggregation_points_oracle(g, chosen, 1),
         slots_simulated=ticks,
     )
 
@@ -606,7 +624,6 @@ def exact_min_dominating_set_oracle(
     chosen = frozenset(best)
     return SelectionResult(
         aggregation_points=chosen,
-        assignment=assign_to_aggregation_points_oracle(g, chosen, d),
         edges_examined=examined,
         search_nodes=nodes,
     )

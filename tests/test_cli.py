@@ -20,8 +20,14 @@ from apsel.cli import (
 )
 from apsel.metrics import read_period_metrics_csv, write_period_metrics_csv
 from apsel.mobility import RadioParams, Trace, build_udg, load_trace_csv, write_trace_csv
-from apsel.selection import verify_domination
-from helpers import TracePoint, brute_force_min_dominating_set, trace_samples
+from apsel.selection import centrality_select, exact_min_dominating_set, verify_domination
+from helpers import (
+    TracePoint,
+    assign_to_aggregation_points_oracle,
+    brute_force_min_dominating_set,
+    spy_on_assignment,
+    trace_samples,
+)
 
 
 def small_trace(tmp_path, n=20, duration=31.0, seed=3, area=400.0):
@@ -206,6 +212,18 @@ class TestRunCommand:
         assert main(args + ["--out", str(b)]) == 0
         assert (a / "rb_T256.csv").read_bytes() == (b / "rb_T256.csv").read_bytes()
 
+    def test_rb_assigns_at_one_hop_whatever_the_global_d(self, tmp_path, monkeypatch):
+        # --d 2 gives rb's spec d=2, which rb does not read
+        path = small_trace(tmp_path, n=30)
+        calls = spy_on_assignment(monkeypatch)
+        for out, extra in (("a", []), ("b", ["--d", "2"])):
+            argv = ["run", "--trace", str(path), "--algo", "rb", *extra, "--out", str(tmp_path / out)]
+            assert main(argv) == 0
+        assert (tmp_path / "a/rb_T256.csv").read_bytes() == (tmp_path / "b/rb_T256.csv").read_bytes()
+        # a 1-hop cover puts every nearest point 1 hop away, so a wider
+        # search writes the same bytes; it only costs more
+        assert {d for _, d in calls} == {1}
+
     def test_exact_never_beaten(self, tmp_path):
         path = small_trace(tmp_path, n=24)
         out = tmp_path / "res"
@@ -232,13 +250,34 @@ class TestRunCommand:
         csv_rows = read_period_metrics_csv(out / "centrality_d2_k4.csv")
         assert [r.n_aps for r in rows] == [r.n_aps for r in csv_rows]
         # recheck coverage from the raw snapshots
-        from apsel.selection import centrality_select
-
         for r in csv_rows:
             g = build_udg(trace.positions_at(r.time), RadioParams())
             points = centrality_select(g, 2, 4).aggregation_points
             assert len(points) == r.n_aps
             assert verify_domination(g, points, 2)
+
+    @pytest.mark.parametrize(
+        "spec, tag, d",
+        [
+            ("centrality:d=2", "centrality_d2_k4", 2),
+            ("centrality:d=3", "centrality_d3_k4", 3),
+            ("exact:d=2", "exact_d2", 2),
+        ],
+    )
+    def test_routing_updates_follow_the_nearest_point_oracle(self, tmp_path, spec, tag, d):
+        path = small_trace(tmp_path, n=24, area=600.0)
+        out = tmp_path / "res"
+        assert main(["run", "--trace", str(path), "--algo", spec, "--period", "2", "--out", str(out)]) == 0
+        select = centrality_select if spec.startswith("centrality") else exact_min_dominating_set
+        trace = load_trace_csv(path)
+        rows = read_period_metrics_csv(out / f"{tag}.csv")
+        prev: dict[int, int] = {}
+        for r in rows:
+            g = build_udg(trace.positions_at(r.time), RadioParams())
+            cur = assign_to_aggregation_points_oracle(g, select(g, d).aggregation_points, d)
+            assert r.n_routing_updates == sum(prev.get(v) != p for v, p in cur.items())
+            prev = cur
+        assert sum(r.n_routing_updates for r in rows[1:]) > 0
 
     def test_zero_vehicle_period_emits_blank_row(self, tmp_path):
         pts = [TracePoint(0.0, 0, 0.0, 0.0), TracePoint(20.0, 0, 15.0, 0.0)]
@@ -562,6 +601,20 @@ class TestCompareCommand:
         assert len(original) == len(algos) + 1
         assert outputs(relabelled, tmp_path / "b") == original
 
+    def test_run_loop_assigns_once_per_algorithm_and_non_empty_period(self, tmp_path, monkeypatch):
+        # sampled at 0-5 s and 20-25 s, so the boundary at 10 s reads no vehicle
+        times = [*range(6), *range(20, 26)]
+        path = tmp_path / "trace.csv"
+        write_trace_csv(Trace([TracePoint(t, v, 60.0 * v + t, 0.0) for t in times for v in range(12)]), path)
+        calls = spy_on_assignment(monkeypatch)
+        algos = ["centrality", "centrality:d=3", "rb", "exact"]
+        argv = ["compare", "--trace", str(path), "--out", str(tmp_path / "res")]
+        assert main(argv + [arg for a in algos for arg in ("--algo", a)]) == 0
+        rows = read_period_metrics_csv(tmp_path / "res" / "rb_T256.csv")
+        assert [r.n_vehicles for r in rows] == [12, 0, 12]
+        # no selector assigns; the run loop does, within each algorithm's d
+        assert calls == [("apsel.cli", d) for d in (1, 1, 3, 3, 1, 1, 1, 1)]
+
     def test_negative_id_trace_runs(self, tmp_path):
         path = tmp_path / "trace.csv"
         path.write_text("time,id,x,y\n0,-1,0.0,0.0\n0,3,50.0,0.0\n")
@@ -597,6 +650,12 @@ class TestTuneCommand:
         assert 2 <= len(lines) <= 502  # header + iterations, capped at 500
         printed = capsys.readouterr().out
         assert printed.startswith("d=")
+
+    @pytest.mark.parametrize("flag, value", [("--d-max", "0"), ("--k-max", "-2")])
+    def test_box_error_names_the_flag(self, tmp_path, capsys, flag, value):
+        # TunerConfig's own message names its d_bounds or k_bounds field
+        assert main(["tune", "--gen-n", "5", flag, value, "--out", str(tmp_path / "t.csv")]) == 1
+        assert capsys.readouterr().err == f"error: {flag[2]}_max must be >= 1, got {value}\n"
 
 
 class TestExactCommand:

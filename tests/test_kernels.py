@@ -558,30 +558,27 @@ class TestBreadthFirstOrder:
 
         monkeypatch.setattr(apsel.graph, "breadth_first_order", counted)
         m = apsel.graph.RENUMBER_MIN_WORK
-        # k counts only up to 4: at k=8 the line sits at m // 4, not m // 8
-        for n, k in [
-            (m - 1, 1),
-            (m, 1),
-            (m // 3 - 1, 3),
-            ((m + 2) // 3, 3),
-            (m // 8, 8),
-            (m // 4 - 1, 8),
-            (m // 4, 8),
-        ]:
+        half = (m + 1) // 2  # the fewest vertices with n * 2 >= m
+        # k counts only up to 2: at k=3 and k=8 the line sits at half, not m / k
+        cases = [
+            (m - 1, 1, "reach_rounds"),
+            (m, 1, "level_rounds"),
+            (half - 1, 2, "reach_rounds"),
+            (half, 2, "level_rounds"),
+            ((m + 2) // 3, 3, "reach_rounds"),
+            (half - 1, 3, "reach_rounds"),
+            (half, 3, "level_rounds"),
+            (m // 8, 8, "reach_rounds"),
+            (half - 1, 8, "reach_rounds"),
+            (half, 8, "level_rounds"),
+        ]
+        for n, k, _ in cases:
             g = SnapshotGraph(range(n))
             all_k_closeness(g, k)
             assert g._ball_sizes == [[1] * n]
-        assert [(kernel, len(adj)) for kernel, adj in calls] == [
-            ("reach_rounds", m - 1),
-            ("level_rounds", m),
-            ("reach_rounds", m // 3 - 1),
-            ("level_rounds", (m + 2) // 3),
-            ("reach_rounds", m // 8),
-            ("reach_rounds", m // 4 - 1),
-            ("level_rounds", m // 4),
-        ]
+        assert [(kernel, len(adj)) for kernel, adj in calls] == [(kernel, n) for n, _, kernel in cases]
         # the level kernel searches each graph it scores once
-        assert sizes == [m, (m + 2) // 3, m // 4]
+        assert sizes == [n for n, _, kernel in cases if kernel == "level_rounds"]
 
 
 class TestSortOnceGreedy:
@@ -603,7 +600,7 @@ class TestBucketedReservationFrame:
     def test_forced_slots_match_per_tick_frame(self, g, frame, seed):
         rng = random.Random(seed)
         slots = {v: rng.randrange(frame) for v in g.vertices}
-        # result equality covers points, assignment and slots_simulated
+        # result equality covers points and slots_simulated
         assert rb_select_with_slots(g, slots, frame) == rb_select_with_slots_oracle(g, slots, frame)
 
     def test_collision_keeps_listener_in_race(self):
@@ -640,9 +637,9 @@ def is_connected(g: SnapshotGraph) -> bool:
 
 
 def assert_matches_set_based_search(g: SnapshotGraph, d: int) -> None:
-    """Points, assignment and edges_examined agree with the whole-graph
-    search; so does the node count on a connected graph, where both
-    solvers run the same single search."""
+    """Points and edges_examined agree with the whole-graph search; so
+    does the node count on a connected graph, where both solvers run the
+    same single search."""
     res, ref = exact_min_dominating_set(g, d), exact_min_dominating_set_oracle(g, d)
     if not is_connected(g):
         res, ref = dataclasses.replace(res, search_nodes=0), dataclasses.replace(ref, search_nodes=0)

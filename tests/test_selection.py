@@ -82,7 +82,7 @@ class TestCentralitySelect:
     def test_p3_picks_center(self):
         res = centrality_select(path_graph(3), d=1, k=2)
         assert res.aggregation_points == frozenset({1})
-        assert res.assignment == {0: 1, 2: 1}
+        assert assign_to_aggregation_points(path_graph(3), res.aggregation_points, 1) == {0: 1, 2: 1}
 
     def test_p5_greedy_trace(self):
         # scores 1/10, 1/7, 1/6, 1/7, 1/10: pick 2, drop 1..3, then 0, then 4
@@ -114,7 +114,7 @@ class TestCentralitySelect:
         g = gnp_graph(n, 0.25, seed)
         res = centrality_select(g, d=2, k=4)
         pts = res.aggregation_points
-        for v, p in res.assignment.items():
+        for v, p in assign_to_aggregation_points(g, pts, 2).items():
             assert v not in pts and p in pts
 
 
@@ -145,7 +145,9 @@ class TestRbSelect:
         a = rb_select(g, slots=64, seed=5)
         b = rb_select(g, slots=64, seed=5)
         assert a.aggregation_points == b.aggregation_points
-        assert a.assignment == b.assignment
+        assert assign_to_aggregation_points(g, a.aggregation_points, 1) == (
+            assign_to_aggregation_points(g, b.aggregation_points, 1)
+        )
 
     def test_missing_slot_rejected(self):
         with pytest.raises(ValueError):
@@ -213,5 +215,5 @@ class TestExactSolver:
 class TestResultShape:
     def test_defaults(self):
         r = SelectionResult(frozenset({1}))
-        assert r.assignment == {}
+        assert assign_to_aggregation_points(SnapshotGraph([1]), r.aggregation_points, 1) == {}
         assert r.edges_examined == 0 and r.slots_simulated == 0

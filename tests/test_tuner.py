@@ -20,7 +20,7 @@ from apsel.tuner import (
     tune_parameters,
     write_tuning_trajectory_csv,
 )
-from helpers import TracePoint, nelder_mead_oracle
+from helpers import TracePoint, nelder_mead_oracle, spy_on_assignment
 
 
 def quadratic(x):
@@ -339,6 +339,14 @@ class TestTuneParameters:
         trace = Trace([TracePoint(t, v, 50.0 * v, 0.0) for t in (0.0, 0.3) for v in range(4)])
         config = TunerConfig(d_bounds=(1, 3), k_bounds=(1, 3))
         assert tune_parameters(trace, [0.1 + 0.2], config) == tune_parameters(trace, [0.3], config)
+
+    def test_makes_no_assignment(self, monkeypatch):
+        # the objective reads only the number of points
+        calls = spy_on_assignment(monkeypatch)
+        trace = generate_two_way_roadway(20, 300.0, 10.0, seed=5)
+        res = tune_parameters(trace, [0.0, 4.0], TunerConfig(d_bounds=(1, 3), k_bounds=(1, 3)))
+        assert res.n_evaluations > 1
+        assert calls == []
 
     def test_deterministic(self):
         trace = generate_two_way_roadway(25, 400.0, 6.0, seed=8)
