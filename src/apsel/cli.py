@@ -138,7 +138,13 @@ def parse_algo_spec(text: str, **defaults) -> AlgoSpec:
                 raise ConfigError(f"bad algorithm parameter {item!r} in {text!r}")
             if key not in readable:
                 raise ConfigError(f"{spec.name} reads {', '.join(readable)}, not {key!r}")
-            inline[key] = _parse_bool(value) if key == "direction" else int(value)
+            if key in inline:
+                raise ConfigError(f"{spec.name} sets {key} twice in {text!r}")
+            try:
+                inline[key] = _parse_bool(value) if key == "direction" else int(value)
+            except ValueError:
+                kind = "a boolean" if key == "direction" else "an integer"
+                raise ConfigError(f"{spec.name} {key} must be {kind}, got {value.strip()!r}") from None
     return replace(spec, **inline)
 
 
@@ -192,6 +198,10 @@ class RunConfig(TraceConfig):
     def __post_init__(self):
         if not self.algos:
             raise ConfigError("at least one algorithm (--algo) is required")
+        tags = [algo.tag for algo in self.algos]
+        for tag in tags:
+            if tags.count(tag) > 1:
+                raise ConfigError(f"two --algo specs would both write {tag}.csv")
         super().__post_init__()
 
 
@@ -208,7 +218,7 @@ def _period_boundaries(trace: Trace, cfg: TraceConfig) -> list[float]:
     """The instants start + i * period up to the window end, each replaced
     by the sampled instant it rounds to; one that rounds to none stays as
     computed and reads as an empty snapshot. Raises ConfigError when no
-    boundary rounds to a sampled instant."""
+    boundary rounds to a sampled instant, or when two read the same one."""
     lo, hi = trace.span
     start = lo if cfg.t_start is None else cfg.t_start
     end = hi if cfg.t_end is None else cfg.t_end
@@ -223,6 +233,11 @@ def _period_boundaries(trace: Trace, cfg: TraceConfig) -> list[float]:
             t = sampled
         if t > end + trace.time_slack(end):
             break
+        if boundaries and t <= boundaries[-1]:
+            raise ConfigError(
+                f"period {cfg.period} s is below the trace's time resolution:"
+                f" two boundaries read t={t}"
+            )
         boundaries.append(t)
         i += 1
     # a boundary that rounds to no sampled instant equals none of them
@@ -333,12 +348,7 @@ def cmd_gen_trace(s: dict) -> int:
 def cmd_tune(s: dict) -> int:
     cfg = _trace_config(TraceConfig, s)
     out = s.get("out", "tuning.csv")
-    # --d-max N searches d in [1, N], likewise --k-max; unset ones keep TunerConfig's box
-    box = {f"{x}_bounds": (1, s[f"{x}_max"]) for x in "dk" if f"{x}_max" in s}
-    for name, (_, hi) in box.items():
-        if hi < 1:  # named for the flag, not for TunerConfig's bounds field
-            raise ConfigError(f"{name[0]}_max must be >= 1, got {hi}")
-    tuner_cfg = TunerConfig(**_fields(s, TunerConfig), **box)
+    tuner_cfg = TunerConfig(**_fields(s, TunerConfig))
     trace = _load_trace(cfg)
     result = tune_parameters(trace, _period_boundaries(trace, cfg), tuner_cfg, cfg.radio)
     write_tuning_trajectory_csv(result, out)
@@ -425,11 +435,10 @@ def _build_parser():
     t = command("tune", "search (d, k) maximizing mean aggregation rate")
     _add_source_flags(t)
     t.add_argument("--period", type=float, help="sampling stride over the trace (default 10)")
-    t.add_argument("--t-start", type=float)
-    t.add_argument("--t-end", type=float)
-    t.add_argument("--max-iterations", type=int)
-    t.add_argument("--d-max", type=int)
-    t.add_argument("--k-max", type=int)
+    t.add_argument("--t-start", type=float, help="window start (default trace start)")
+    t.add_argument("--t-end", type=float, help="window end (default trace end)")
+    t.add_argument("--d-max", type=int, help="search d in [1, D_MAX] hops (default 10)")
+    t.add_argument("--k-max", type=int, help="search k in [1, K_MAX] hops (default 10)")
     t.add_argument("--out", help="trajectory CSV path (default tuning.csv)")
 
     e = command("exact", "optimal point set for one snapshot")

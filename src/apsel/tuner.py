@@ -33,33 +33,32 @@ __all__ = [
 TRAJECTORY_HEADER = ["iteration", "d", "k", "objective"]
 
 
-# The usual Nelder-Mead coefficients, and the objective spread that ends the search.
+# The usual Nelder-Mead coefficients, the objective spread that ends the
+# search, and one tuning run's iteration budget, which no search seen on
+# boxes up to 100 x 100 came near (at most 77 trajectory rows).
 REFLECTION = 1.0
 EXPANSION = 2.0
 CONTRACTION = 0.5
 SHRINK = 0.5
 TOLERANCE = 1e-10
+MAX_ITERATIONS = 500
 
 
 @dataclass(frozen=True)
 class TunerConfig:
-    """The iteration budget and the integer search box.
+    """The integer search box [1, d_max] x [1, k_max].
 
-    At most 500 iterations by default. d is capped at 10 hops; k's
-    ceiling is in principle the network diameter, 10 covers every trace
-    this package generates.
+    d is capped at 10 hops by default; k's ceiling is in principle the
+    network diameter, 10 covers every trace this package generates.
     """
 
-    max_iterations: int = 500
-    d_bounds: tuple[int, int] = (1, 10)
-    k_bounds: tuple[int, int] = (1, 10)
+    d_max: int = 10
+    k_max: int = 10
 
     def __post_init__(self):
-        if self.max_iterations < 1:
-            raise ValueError(f"max_iterations must be >= 1, got {self.max_iterations}")
-        for name, (lo, hi) in (("d_bounds", self.d_bounds), ("k_bounds", self.k_bounds)):
-            if lo < 1 or hi < lo:
-                raise ValueError(f"{name} must satisfy 1 <= lo <= hi, got ({lo}, {hi})")
+        for name, value in (("d_max", self.d_max), ("k_max", self.k_max)):
+            if value < 1:
+                raise ValueError(f"{name} must be >= 1, got {value}")
 
 
 @dataclass(frozen=True)
@@ -207,10 +206,9 @@ def nelder_mead(objective, initial_simplex, max_iterations: int = 500, bounds=No
     )
 
 
-def _round_to_grid(x: float, lo: int, hi: int) -> int:
+def _round_to_grid(x: float) -> int:
     # round-half-up keeps the mapping monotone; banker's rounding does not
-    v = math.floor(x + 0.5)
-    return min(max(v, lo), hi)
+    return math.floor(x + 0.5)
 
 
 @dataclass(frozen=True)
@@ -222,32 +220,32 @@ class TuneResult:
     trajectory: tuple[tuple[int, int, int, float], ...] = field(repr=False)
 
 
-def _unit_simplex(base: tuple[float, float], d_hi: int, k_hi: int):
+def _unit_simplex(base: tuple[float, float], d_max: int, k_max: int):
     # step inward when a unit step would leave the box
-    dx = 1.0 if base[0] + 1 <= d_hi else -1.0
-    dy = 1.0 if base[1] + 1 <= k_hi else -1.0
+    dx = 1.0 if base[0] + 1 <= d_max else -1.0
+    dy = 1.0 if base[1] + 1 <= k_max else -1.0
     return [base, (base[0] + dx, base[1]), (base[0], base[1] + dy)]
 
 
 def tune_integer_objective(objective, config: TunerConfig = TunerConfig()) -> TuneResult:
-    """Maximize an integer objective f(d, k) over the configured box.
+    """Maximize an integer objective f(d, k) over the box [1, d_max] x [1, k_max].
 
-    The simplex explores continuous space; each vertex is rounded and
-    clamped onto the integer grid, and f is evaluated at most once per
-    grid pair. Because rounding makes the surrogate piecewise constant,
-    a shrunken simplex can flatline one cell away from the optimum; the
-    search therefore restarts with a fresh unit simplex at the incumbent
-    best pair until a restart brings no improvement, all within the one
-    max_iterations budget. Returns the best pair among everything
-    evaluated (lowest d, then lowest k on ties). Trajectory rows mirror
-    the simplex's incumbent best per iteration as
+    The simplex explores continuous space, clamped into the box; each
+    vertex is rounded onto the integer grid, and f is evaluated at most
+    once per grid pair. Because rounding makes the surrogate piecewise
+    constant, a shrunken simplex can flatline one cell away from the
+    optimum; the search therefore restarts with a fresh unit simplex at
+    the incumbent best pair until a restart brings no improvement, all
+    within the one MAX_ITERATIONS budget. Returns the best pair among
+    everything evaluated (lowest d, then lowest k on ties). Trajectory
+    rows mirror the simplex's incumbent best per iteration as
     (iteration, d, k, objective).
     """
-    (d_lo, d_hi), (k_lo, k_hi) = config.d_bounds, config.k_bounds
+    d_max, k_max = config.d_max, config.k_max
     memo: dict[tuple[int, int], float] = {}
 
     def surrogate(x):
-        pair = (_round_to_grid(x[0], d_lo, d_hi), _round_to_grid(x[1], k_lo, k_hi))
+        pair = (_round_to_grid(x[0]), _round_to_grid(x[1]))
         if pair not in memo:
             memo[pair] = objective(*pair)
         return -memo[pair]
@@ -255,48 +253,32 @@ def tune_integer_objective(objective, config: TunerConfig = TunerConfig()) -> Tu
     def incumbent():
         return max(memo, key=lambda pr: (memo[pr], -pr[0], -pr[1]))
 
-    if d_lo == d_hi or k_lo == k_hi:
+    trajectory: list[tuple[int, int, int, float]] = []
+    if d_max == 1 or k_max == 1:
         # box too thin for a non-degenerate 2-simplex; scan it outright
-        trajectory = []
-        for d in range(d_lo, d_hi + 1):
-            for k in range(k_lo, k_hi + 1):
+        for d in range(1, d_max + 1):
+            for k in range(1, k_max + 1):
                 memo[(d, k)] = objective(d, k)
                 b = incumbent()
                 trajectory.append((len(trajectory), b[0], b[1], memo[b]))
-        best_pair = incumbent()
-        return TuneResult(
-            d=best_pair[0],
-            k=best_pair[1],
-            value=memo[best_pair],
-            n_evaluations=len(memo),
-            trajectory=tuple(trajectory),
-        )
-
-    bounds = [(float(d_lo), float(d_hi)), (float(k_lo), float(k_hi))]
-    base = (float(min(max(1, d_lo), d_hi)), float(min(max(4, k_lo), k_hi)))
-    trajectory: list[tuple[int, int, int, float]] = []
-    iterations_used = 0
-    best_pair = None
-    while iterations_used < config.max_iterations:
-        budget = config.max_iterations - iterations_used
-        res = nelder_mead(surrogate, _unit_simplex(base, d_hi, k_hi), budget, bounds=bounds)
-        for it, x, v in res.trajectory:
-            if it == 0 and trajectory:
-                continue  # restart's initial row duplicates the incumbent
-            trajectory.append(
-                (
-                    len(trajectory),
-                    _round_to_grid(x[0], d_lo, d_hi),
-                    _round_to_grid(x[1], k_lo, k_hi),
-                    -v,
-                )
-            )
-        iterations_used += max(res.iterations, 1)
-        now_best = incumbent()
-        if now_best == best_pair:
-            break
-        best_pair = now_best
-        base = (float(best_pair[0]), float(best_pair[1]))
+    else:
+        bounds = [(1.0, float(d_max)), (1.0, float(k_max))]
+        base = (1.0, float(min(4, k_max)))
+        iterations_used = 0
+        best_pair = None
+        while iterations_used < MAX_ITERATIONS:
+            budget = MAX_ITERATIONS - iterations_used
+            res = nelder_mead(surrogate, _unit_simplex(base, d_max, k_max), budget, bounds=bounds)
+            for it, x, v in res.trajectory:
+                if it == 0 and trajectory:
+                    continue  # restart's initial row duplicates the incumbent
+                trajectory.append((len(trajectory), _round_to_grid(x[0]), _round_to_grid(x[1]), -v))
+            iterations_used += max(res.iterations, 1)
+            now_best = incumbent()
+            if now_best == best_pair:
+                break
+            best_pair = now_best
+            base = (float(best_pair[0]), float(best_pair[1]))
 
     best_pair = incumbent()
     return TuneResult(

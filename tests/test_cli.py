@@ -2,6 +2,7 @@ import itertools
 import math
 import subprocess
 import sys
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from apsel.cli import (
     GenParams,
     RunConfig,
     TraceConfig,
+    _build_parser,
     main,
     parse_algo_spec,
     run_one_algorithm,
@@ -21,6 +23,7 @@ from apsel.cli import (
 from apsel.metrics import read_period_metrics_csv, write_period_metrics_csv
 from apsel.mobility import RadioParams, Trace, build_udg, load_trace_csv, write_trace_csv
 from apsel.selection import centrality_select, exact_min_dominating_set, verify_domination
+from apsel.tuner import TunerConfig
 from helpers import (
     TracePoint,
     assign_to_aggregation_points_oracle,
@@ -74,11 +77,29 @@ class TestAlgoSpec:
         with pytest.raises(ValueError):
             parse_algo_spec("rb:slots=many")
 
+    def test_bad_value_names_algorithm_and_key(self):
+        with pytest.raises(ConfigError, match="^centrality d must be an integer, got 'x'$"):
+            parse_algo_spec("centrality:d=x")
+
+    def test_repeated_key(self):
+        # the last one used to win silently
+        with pytest.raises(ConfigError, match="centrality sets d twice"):
+            parse_algo_spec("centrality:d=2,d=3")
+
 
 class TestRunConfig:
     def test_requires_algorithm(self):
         with pytest.raises(ConfigError, match="at least one"):
             RunConfig(algos=(), trace_path="x.csv")
+
+    def test_two_specs_with_one_tag_fail_before_writing(self, tmp_path, capsys):
+        # both wrote centrality_d1_k4.csv, the second over the first
+        out = tmp_path / "res"
+        argv = ["compare", "--gen-n", "5", "--gen-duration", "3", "--out", str(out)]
+        algos = ["--algo", "centrality", "--algo", "centrality:d=1,k=4", "--algo", "rb"]
+        assert main(argv + algos) == 1
+        assert capsys.readouterr().err == "error: two --algo specs would both write centrality_d1_k4.csv\n"
+        assert not out.exists()
 
     def test_requires_source(self):
         with pytest.raises(ConfigError):
@@ -203,6 +224,16 @@ class TestRunCommand:
         assert rc == 0
         rows = read_period_metrics_csv(out / "centrality_d1_k4.csv")
         assert [r.time for r in rows] == [0.0, 10.0, 20.0]
+
+    @pytest.mark.parametrize("command", ["run", "tune"])
+    def test_period_below_time_resolution_fails(self, tmp_path, capsys, command):
+        # every boundary in [0, 2e-6] read instant 0: run wrote 11 rows for
+        # t=0.0 and tune scored that instant 11 times
+        out = tmp_path / "out"
+        argv = [command, "--gen-n", "5", "--gen-duration", "3", "--period", "1e-7", "--t-end", "2e-6"]
+        assert main(argv + (["--algo", "rb"] if command == "run" else []) + ["--out", str(out)]) == 1
+        assert "below the trace's time resolution" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_rerun_is_byte_identical(self, tmp_path):
         path = small_trace(tmp_path)
@@ -509,7 +540,8 @@ class TestConfigFile:
         assert "bad.cfg:1" in capsys.readouterr().err
 
 
-    @pytest.mark.parametrize("command,key", [("run", "perod"), ("tune", "k")])
+    # max-iterations was a tune flag; the tuner's budget is now a constant
+    @pytest.mark.parametrize("command,key", [("run", "perod"), ("tune", "k"), ("tune", "max-iterations")])
     def test_key_that_is_not_a_flag_fails(self, tmp_path, capsys, monkeypatch, command, key):
         monkeypatch.chdir(tmp_path)
         path = small_trace(tmp_path, duration=3.0)
@@ -517,7 +549,7 @@ class TestConfigFile:
         cfgfile.write_text(f"{key} = 5\ntrace = {path}\n")
         rc = main([command, "--config", str(cfgfile)])
         assert rc == 1
-        assert f"typo.cfg:1: {key} " in capsys.readouterr().err
+        assert f"typo.cfg:1: {key.replace('-', '_')} " in capsys.readouterr().err
 
     def test_exact_reads_d_from_file(self, tmp_path, capsys):
         path = small_trace(tmp_path, n=12, duration=2.0, area=300.0)
@@ -535,7 +567,7 @@ class TestConfigFile:
         monkeypatch.chdir(tmp_path)
         path = small_trace(tmp_path, duration=3.0)
         cfgfile = tmp_path / "tune.cfg"
-        cfgfile.write_text(f"trace = {path}\nout = x.csv\nmax-iterations = 2\n")
+        cfgfile.write_text(f"trace = {path}\nout = x.csv\nd-max = 2\n")
         assert main(["tune", "--config", str(cfgfile)]) == 0
         assert (tmp_path / "x.csv").exists()
         assert not (tmp_path / "tuning.csv").exists()
@@ -545,7 +577,7 @@ class TestConfigFile:
         path = small_trace(tmp_path, duration=3.0)
         cfgfile = tmp_path / "dir.cfg"
         cfgfile.write_text(f"trace = {path}\ndirection = true\n")
-        extra = ["--out", str(tmp_path / "tuning.csv"), "--max-iterations", "2"] if command == "tune" else []
+        extra = ["--out", str(tmp_path / "tuning.csv"), "--d-max", "2"] if command == "tune" else []
         rc = main([command, "--config", str(cfgfile), *extra])
         assert rc == 1
         assert "direction is not supported" in capsys.readouterr().err
@@ -651,9 +683,16 @@ class TestTuneCommand:
         printed = capsys.readouterr().out
         assert printed.startswith("d=")
 
+    def test_tuner_fields_are_the_box_flags(self):
+        # cmd_tune passes these settings to TunerConfig untranslated
+        _, commands = _build_parser()
+        dests = {a.dest for a in commands["tune"]._actions}
+        assert {f.name for f in fields(TunerConfig)} == dests & {"d_max", "k_max"} == {"d_max", "k_max"}
+        assert not any("iteration" in dest for dest in dests)
+
     @pytest.mark.parametrize("flag, value", [("--d-max", "0"), ("--k-max", "-2")])
     def test_box_error_names_the_flag(self, tmp_path, capsys, flag, value):
-        # TunerConfig's own message names its d_bounds or k_bounds field
+        # TunerConfig's fields are the flags' destinations, so its message names the flag
         assert main(["tune", "--gen-n", "5", flag, value, "--out", str(tmp_path / "t.csv")]) == 1
         assert capsys.readouterr().err == f"error: {flag[2]}_max must be >= 1, got {value}\n"
 

@@ -459,7 +459,7 @@ class TestBitsetCloseness:
     def test_tuner_searches_each_graph_once(self, monkeypatch):
         calls = spy_on_closeness_kernels(monkeypatch)
         trace = generate_two_way_roadway(30, 400.0, 5.0, seed=3)
-        res = tune_parameters(trace, config=TunerConfig(d_bounds=(1, 2), k_bounds=(1, 2)))
+        res = tune_parameters(trace, config=TunerConfig(d_max=2, k_max=2))
         assert res.n_evaluations > 1
         assert len(calls) == len({id(adj) for _, adj in calls}) == len(trace.times)
         assert {kernel for kernel, _ in calls} == {self.kernel}

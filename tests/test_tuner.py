@@ -10,6 +10,7 @@ from apsel.mobility import Trace, generate_two_way_roadway
 from apsel.tuner import (
     CONTRACTION,
     EXPANSION,
+    MAX_ITERATIONS,
     REFLECTION,
     SHRINK,
     TRAJECTORY_HEADER,
@@ -37,20 +38,14 @@ UNIT_SIMPLEX = [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)]
 class TestConfig:
     def test_defaults(self):
         c = TunerConfig()
-        assert c.max_iterations == 500
-        assert c.d_bounds == (1, 10) and c.k_bounds == (1, 10)
+        assert (c.d_max, c.k_max) == (10, 10)
+        assert MAX_ITERATIONS == 500
         assert (REFLECTION, EXPANSION, CONTRACTION, SHRINK) == (1.0, 2.0, 0.5, 0.5)
 
-    @pytest.mark.parametrize(
-        "bad",
-        [
-            dict(max_iterations=0),
-            dict(d_bounds=(0, 5)),
-            dict(k_bounds=(5, 2)),
-        ],
-    )
+    @pytest.mark.parametrize("bad", [dict(d_max=0), dict(k_max=-2)])
     def test_validation(self, bad):
-        with pytest.raises(ValueError):
+        ((name, value),) = bad.items()
+        with pytest.raises(ValueError, match=f"^{name} must be >= 1, got {value}$"):
             TunerConfig(**bad)
 
 
@@ -200,11 +195,12 @@ class TestNelderMeadOracle:
     )
     @settings(max_examples=80)
     def test_rounded_integer_surrogate(self, d0, k0, simplex, max_iterations):
+        # both searches clamp every probe into the box before rounding it
         def cell(x):
-            return (_round_to_grid(x[0], 1, 10), _round_to_grid(x[1], 1, 10))
+            return (_round_to_grid(x[0]), _round_to_grid(x[1]))
 
         def cell_np(x):
-            return tuple(min(max(int(np.floor(v + 0.5)), 1), 10) for v in x)
+            return tuple(int(np.floor(v + 0.5)) for v in x)
 
         def surrogate(grid):
             return lambda x: 2.0 * (grid(x)[0] - d0) ** 2 + 1.3 * (grid(x)[1] - k0) ** 2
@@ -228,8 +224,7 @@ class TestNelderMeadOracle:
 
 
 def grid_argmax(f, config=TunerConfig()):
-    (dl, dh), (kl, kh) = config.d_bounds, config.k_bounds
-    box = itertools.product(range(dl, dh + 1), range(kl, kh + 1))
+    box = itertools.product(range(1, config.d_max + 1), range(1, config.k_max + 1))
     return max(box, key=lambda p: (f(*p), -p[0], -p[1]))
 
 
@@ -258,8 +253,8 @@ class TestIntegerTuning:
         stub = lambda d, k: -((d - 8) ** 2) - (k - 9) ** 2
         cfg = TunerConfig()
         res = tune_integer_objective(stub, cfg)
-        assert cfg.d_bounds[0] <= res.d <= cfg.d_bounds[1]
-        assert cfg.k_bounds[0] <= res.k <= cfg.k_bounds[1]
+        assert 1 <= res.d <= cfg.d_max
+        assert 1 <= res.k <= cfg.k_max
         for vertex in ((1, 4), (2, 4), (1, 5)):
             assert res.value >= stub(*vertex)
 
@@ -268,11 +263,10 @@ class TestIntegerTuning:
         assert (res.d, res.k) == (1, 4)  # initial simplex base wins ties
 
     def test_trajectory_labels_sequential_and_capped(self):
-        cfg = TunerConfig(max_iterations=500)
-        res = tune_integer_objective(lambda d, k: -((d - 9) ** 2 + (k - 9) ** 2), cfg)
+        res = tune_integer_objective(lambda d, k: -((d - 9) ** 2 + (k - 9) ** 2))
         labels = [row[0] for row in res.trajectory]
         assert labels == list(range(len(labels)))
-        assert labels[-1] <= cfg.max_iterations
+        assert labels[-1] <= MAX_ITERATIONS
 
     @given(d0=st.integers(1, 10), k0=st.integers(1, 10))
     @settings(max_examples=40)
@@ -282,9 +276,9 @@ class TestIntegerTuning:
         assert (res.d, res.k) == grid_argmax(stub) == (d0, k0)
 
     def test_narrow_box(self):
-        cfg = TunerConfig(d_bounds=(2, 2), k_bounds=(3, 5))
+        cfg = TunerConfig(d_max=1, k_max=5)
         res = tune_integer_objective(lambda d, k: -abs(k - 5), cfg)
-        assert res.d == 2
+        assert res.d == 1
         assert res.k == 5
 
 
@@ -329,7 +323,7 @@ class TestTuneParameters:
 
     def test_time_outside_span_skipped_like_an_unsampled_one(self):
         trace = generate_two_way_roadway(20, 300.0, 10.0, seed=5)
-        config = TunerConfig(d_bounds=(1, 3), k_bounds=(1, 3))
+        config = TunerConfig(d_max=3, k_max=3)
         inside = tune_parameters(trace, [4.0], config)
         assert tune_parameters(trace, [4.0, 99.0], config) == inside
         assert tune_parameters(trace, [-5.0, 4.0, 2.5], config) == inside
@@ -337,14 +331,14 @@ class TestTuneParameters:
     def test_time_one_rounding_from_an_instant_is_read(self):
         # the lookup was by exact float key, so 0.1 + 0.2 found no snapshot
         trace = Trace([TracePoint(t, v, 50.0 * v, 0.0) for t in (0.0, 0.3) for v in range(4)])
-        config = TunerConfig(d_bounds=(1, 3), k_bounds=(1, 3))
+        config = TunerConfig(d_max=3, k_max=3)
         assert tune_parameters(trace, [0.1 + 0.2], config) == tune_parameters(trace, [0.3], config)
 
     def test_makes_no_assignment(self, monkeypatch):
         # the objective reads only the number of points
         calls = spy_on_assignment(monkeypatch)
         trace = generate_two_way_roadway(20, 300.0, 10.0, seed=5)
-        res = tune_parameters(trace, [0.0, 4.0], TunerConfig(d_bounds=(1, 3), k_bounds=(1, 3)))
+        res = tune_parameters(trace, [0.0, 4.0], TunerConfig(d_max=3, k_max=3))
         assert res.n_evaluations > 1
         assert calls == []
 
