@@ -22,7 +22,7 @@ import argparse
 import math
 import os
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from typing import Callable, NamedTuple
 
 from .graph import SnapshotGraph
@@ -102,8 +102,9 @@ class AlgoSpec:
         if self.name not in ALGORITHMS:
             known = ", ".join(ALGORITHMS)
             raise ConfigError(f"unknown algorithm {self.name!r}, expected one of {known}")
-        if self.d < 1 or self.k < 1 or self.slots < 1:
-            raise ConfigError(f"d, k, slots must all be >= 1 (got {self.d}, {self.k}, {self.slots})")
+        for key in ALGORITHMS[self.name].keys:  # a field it does not read goes unchecked
+            if getattr(self, key) < 1:
+                raise ConfigError(f"{self.name} {key} must be >= 1, got {getattr(self, key)}")
 
     @property
     def tag(self) -> str:
@@ -123,12 +124,14 @@ def parse_algo_spec(text: str, **defaults) -> AlgoSpec:
     """Parse 'name' or 'name:key=value,...'.
 
     An inline key must be one the algorithm reads (its ALGORITHMS keys,
-    or direction). Unset keys fall back to ``defaults`` (normally the
-    global flags), then to AlgoSpec's own defaults.
+    or direction). A key it reads and the text leaves unset falls back to
+    ``defaults`` (normally the global flags), then to AlgoSpec's own
+    default. A default the spec does not read, because the algorithm
+    reads no such key or the text sets it, is dropped unchecked.
     """
     name, _, params = text.strip().partition(":")
-    spec = AlgoSpec(name.strip(), **defaults)
-    readable = ALGORITHMS[spec.name].keys + ("direction",)
+    name = AlgoSpec(name.strip()).name  # raises for an unknown algorithm
+    readable = ALGORITHMS[name].keys + ("direction",)
     inline = {}
     if params:
         for item in params.split(","):
@@ -137,15 +140,16 @@ def parse_algo_spec(text: str, **defaults) -> AlgoSpec:
             if not sep:
                 raise ConfigError(f"bad algorithm parameter {item!r} in {text!r}")
             if key not in readable:
-                raise ConfigError(f"{spec.name} reads {', '.join(readable)}, not {key!r}")
+                raise ConfigError(f"{name} reads {', '.join(readable)}, not {key!r}")
             if key in inline:
-                raise ConfigError(f"{spec.name} sets {key} twice in {text!r}")
+                raise ConfigError(f"{name} sets {key} twice in {text!r}")
             try:
                 inline[key] = _parse_bool(value) if key == "direction" else int(value)
             except ValueError:
                 kind = "a boolean" if key == "direction" else "an integer"
-                raise ConfigError(f"{spec.name} {key} must be {kind}, got {value.strip()!r}") from None
-    return replace(spec, **inline)
+                raise ConfigError(f"{name} {key} must be {kind}, got {value.strip()!r}") from None
+    given = AlgoSpec(name, **{**defaults, **inline})  # an unknown default raises TypeError
+    return AlgoSpec(name, **{key: getattr(given, key) for key in readable})
 
 
 @dataclass(frozen=True)
@@ -217,13 +221,16 @@ def _load_trace(cfg: TraceConfig) -> Trace:
 def _period_boundaries(trace: Trace, cfg: TraceConfig) -> list[float]:
     """The instants start + i * period up to the window end, each replaced
     by the sampled instant it rounds to; one that rounds to none stays as
-    computed and reads as an empty snapshot. Raises ConfigError when no
+    computed and reads as an empty snapshot. Raises ConfigError for a
+    window outside the trace's span or ending before it starts, when no
     boundary rounds to a sampled instant, or when two read the same one."""
     lo, hi = trace.span
     start = lo if cfg.t_start is None else cfg.t_start
     end = hi if cfg.t_end is None else cfg.t_end
-    if start < lo or end > hi or start > end:
+    if not (lo <= start <= hi and lo <= end <= hi):
         raise ConfigError(f"window [{start}, {end}] not within trace span [{lo}, {hi}]")
+    if start > end:
+        raise ConfigError(f"window start {start} is after its end {end}")
     boundaries = []
     i = 0
     while True:
@@ -251,11 +258,11 @@ def _period_boundaries(trace: Trace, cfg: TraceConfig) -> list[float]:
 def run_one_algorithm(trace: Trace, algo: AlgoSpec, cfg: RunConfig) -> list[PeriodMetrics]:
     """Per-period pipeline: snapshot, graph, selection, assignment, metrics row.
 
-    Vehicles report to a point within the algorithm's d, or 1 hop for rb,
-    which reads no d. Zero-vehicle periods emit a row with blank rate so
-    the time series stays aligned across algorithms.
+    Vehicles report to their nearest point within algo.d hops. An rb spec
+    keeps d at 1 unless set in code, and any wider search from rb's 1-hop
+    cover finds the same nearest points. Zero-vehicle periods emit a row
+    with blank rate so the time series stays aligned across algorithms.
     """
-    hops = algo.d if "d" in ALGORITHMS[algo.name].keys else 1
     rows = []
     prev_points: frozenset[int] = frozenset()
     prev_assignment: dict[int, int] = {}
@@ -270,7 +277,7 @@ def run_one_algorithm(trace: Trace, algo: AlgoSpec, cfg: RunConfig) -> list[Peri
                 graph = build_udg(snapshot, cfg.radio)
             period_seed = (cfg.seed * 1_000_003 + index) % 2**63
             result = ALGORITHMS[algo.name].select(algo, graph, period_seed)
-            assignment = assign_to_aggregation_points(graph, result.aggregation_points, hops)
+            assignment = assign_to_aggregation_points(graph, result.aggregation_points, algo.d)
         else:
             # an empty period builds no graph and runs no selector
             graph, result, assignment = SnapshotGraph(()), SelectionResult(frozenset()), {}
@@ -424,12 +431,12 @@ def _build_parser():
     _add_run_flags(command("compare", "run plus merged summary CSV"))
 
     g = command("gen-trace", "write a synthetic two-way roadway trace")
-    g.add_argument("--n", type=int)
-    g.add_argument("--area", type=float)
-    g.add_argument("--duration", type=float)
-    g.add_argument("--speed-min", type=float)
-    g.add_argument("--speed-max", type=float)
-    g.add_argument("--seed", type=int)
+    g.add_argument("--n", type=int, help="number of vehicles (default 50)")
+    g.add_argument("--area", type=float, help="roadway length in meters (default 1000)")
+    g.add_argument("--duration", type=float, help="trace duration in seconds (default 60)")
+    g.add_argument("--speed-min", type=float, help="minimum speed in m/s (default 8)")
+    g.add_argument("--speed-max", type=float, help="maximum speed in m/s (default 14)")
+    g.add_argument("--seed", type=int, help="RNG seed (default 0)")
     g.add_argument("--out", help="trace CSV path (default trace.csv)")
 
     t = command("tune", "search (d, k) maximizing mean aggregation rate")
@@ -444,7 +451,7 @@ def _build_parser():
     e = command("exact", "optimal point set for one snapshot")
     _add_source_flags(e)
     e.add_argument("--time", type=float, help="snapshot instant (default trace start)")
-    e.add_argument("--d", type=int)
+    e.add_argument("--d", type=int, help="domination radius in hops (default 1)")
 
     return parser, sub.choices
 

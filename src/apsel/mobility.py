@@ -346,7 +346,8 @@ class RadioParams:
     ``build_udg`` links a pair iff ``dx*dx + dy*dy <= r*r``, so r*r must
     be a finite normal float: r lies within about [1.5e-154, 1.3e154].
     Outside it the square rounds to 0 or to inf and the test no longer
-    measures distance.
+    measures distance. The message names no field, so the command line
+    can show it for its ``--radius`` flag.
     """
 
     range_r: float = 100.0
@@ -355,7 +356,7 @@ class RadioParams:
         r = self.range_r
         if not (r > 0 and sys.float_info.min <= r * r < math.inf):
             raise ValueError(
-                f"range_r must be positive with a finite normal square"
+                f"radio range must be positive with a finite normal square"
                 f" (about 1.5e-154 to 1.3e154), got {r}"
             )
 

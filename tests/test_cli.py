@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from apsel.cli import (
+    ALGORITHMS,
     AlgoSpec,
     ConfigError,
     GenParams,
@@ -42,6 +43,10 @@ def small_trace(tmp_path, n=20, duration=31.0, seed=3, area=400.0):
     return path
 
 
+# the keys each algorithm reads, besides direction
+READS = {"centrality": ("d", "k"), "rb": ("slots",), "exact": ("d",)}
+
+
 class TestAlgoSpec:
     def test_tags(self):
         assert AlgoSpec("centrality", d=3, k=4).tag == "centrality_d3_k4"
@@ -50,8 +55,18 @@ class TestAlgoSpec:
         assert AlgoSpec("centrality", direction=True).tag == "centrality_d1_k4_dir"
 
     def test_parse_name_only_uses_defaults(self):
+        # rb reads neither d nor k, so its spec keeps AlgoSpec's own
         spec = parse_algo_spec("rb", d=2, k=5, slots=64, direction=True)
-        assert spec == AlgoSpec("rb", d=2, k=5, slots=64, direction=True)
+        assert spec == AlgoSpec("rb", slots=64, direction=True)
+        spec = parse_algo_spec("exact", d=2, k=5, slots=64)
+        assert spec == AlgoSpec("exact", d=2)
+        spec = parse_algo_spec("centrality", d=2, k=5, slots=64)
+        assert spec == AlgoSpec("centrality", d=2, k=5)
+        # a default the text overrides is not read, so not checked
+        assert parse_algo_spec("centrality:d=3", d=0) == AlgoSpec("centrality", d=3)
+        # an unknown keyword is still no default
+        with pytest.raises(TypeError, match="frames"):
+            parse_algo_spec("rb", frames=3)
 
     def test_parse_params_override(self):
         spec = parse_algo_spec("centrality:d=3,k=6,direction=true")
@@ -184,6 +199,16 @@ class TestRunConfig:
         assert main([*args, "--out", str(tmp_path / "out")]) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
 
+    def test_radio_message_reads_for_the_flag(self, tmp_path, capsys):
+        # neither --radius nor a config key spells the field name range_r
+        out = tmp_path / "out"
+        assert main(["run", "--gen-n", "5", "--radius", "0", "--algo", "rb", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "error: radio range must be positive with a finite normal square"
+            " (about 1.5e-154 to 1.3e154), got 0.0\n"
+        )
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "field, value",
         [
@@ -244,16 +269,37 @@ class TestRunCommand:
         assert (a / "rb_T256.csv").read_bytes() == (b / "rb_T256.csv").read_bytes()
 
     def test_rb_assigns_at_one_hop_whatever_the_global_d(self, tmp_path, monkeypatch):
-        # --d 2 gives rb's spec d=2, which rb does not read
+        # rb does not read d, so --d 2 leaves its spec at d=1
         path = small_trace(tmp_path, n=30)
         calls = spy_on_assignment(monkeypatch)
         for out, extra in (("a", []), ("b", ["--d", "2"])):
             argv = ["run", "--trace", str(path), "--algo", "rb", *extra, "--out", str(tmp_path / out)]
             assert main(argv) == 0
         assert (tmp_path / "a/rb_T256.csv").read_bytes() == (tmp_path / "b/rb_T256.csv").read_bytes()
-        # a 1-hop cover puts every nearest point 1 hop away, so a wider
-        # search writes the same bytes; it only costs more
         assert {d for _, d in calls} == {1}
+        # a spec made in code may hold d=2. A 1-hop cover puts every
+        # nearest point 1 hop away, so the wider search writes the same
+        # bytes; it only costs more
+        spec = AlgoSpec("rb", d=2)
+        cfg = RunConfig(algos=(spec,), trace_path=str(path), out_dir=str(tmp_path / "c"))
+        write_period_metrics_csv(run_one_algorithm(load_trace_csv(path), spec, cfg), tmp_path / "c.csv")
+        assert (tmp_path / "c.csv").read_bytes() == (tmp_path / "a/rb_T256.csv").read_bytes()
+
+    @pytest.mark.parametrize("name, key", itertools.product(READS, ("d", "k", "slots")))
+    def test_bare_flag_is_checked_only_by_an_algorithm_that_reads_it(self, tmp_path, capsys, name, key):
+        assert {n: a.keys for n, a in ALGORITHMS.items()} == READS
+        argv = ["run", "--gen-n", "5", "--gen-duration", "3", "--algo", name]
+        assert main(argv + ["--out", str(tmp_path / "a")]) == 0
+        capsys.readouterr()
+        rc = main(argv + [f"--{key}", "0", "--out", str(tmp_path / "b")])
+        if key in READS[name]:
+            assert rc == 1
+            assert capsys.readouterr().err == f"error: {name} {key} must be >= 1, got 0\n"
+            assert not (tmp_path / "b").exists()
+        else:
+            assert rc == 0
+            [csv] = [p.name for p in (tmp_path / "a").iterdir()]
+            assert (tmp_path / "b" / csv).read_bytes() == (tmp_path / "a" / csv).read_bytes()
 
     def test_exact_never_beaten(self, tmp_path):
         path = small_trace(tmp_path, n=24)
@@ -497,6 +543,15 @@ class TestRunCommand:
         assert "span" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["run", "compare", "tune"])
+    def test_reversed_window_fails(self, tmp_path, capsys, command):
+        # both ends lie in the span [0.0, 9.0]
+        out = tmp_path / "x"
+        argv = [command, "--gen-n", "5", "--gen-duration", "10", "--t-start", "3", "--t-end", "1"]
+        assert main(argv + (["--algo", "rb"] if command != "tune" else []) + ["--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: window start 3.0 is after its end 1.0\n"
+        assert not out.exists()
+
     def test_missing_trace_fails(self, tmp_path, capsys):
         rc = main(["run", "--trace", str(tmp_path / "nope.csv"), "--algo", "rb",
                    "--out", str(tmp_path / "x")])
@@ -725,6 +780,11 @@ class TestExactCommand:
         rc = main(["exact", "--trace", str(path), "--time", "2.5"])
         assert rc == 1
         assert "no vehicles" in capsys.readouterr().err
+
+    def test_zero_d_names_only_d(self, capsys):
+        # exact has no flags for k or slots
+        assert main(["exact", "--gen-n", "20", "--d", "0"]) == 1
+        assert capsys.readouterr().err == "error: exact d must be >= 1, got 0\n"
 
     @pytest.mark.parametrize("time", ["inf", "-inf"])
     def test_infinite_time_fails(self, tmp_path, capsys, time):

@@ -427,7 +427,7 @@ class TestBuildUdg:
         [math.nan, math.inf, -math.inf, -1.0, 1e-170, 1e-160, 1.4e154, 1e200],
     )
     def test_radio_rejects_range_without_normal_square(self, r):
-        with pytest.raises(ValueError, match="range_r must be"):
+        with pytest.raises(ValueError, match="^radio range must be positive with a finite normal square"):
             RadioParams(range_r=r)
 
     @pytest.mark.parametrize("r", [1.5e-154, 1e-100, 1e100, 1.3e154])
