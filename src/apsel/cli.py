@@ -107,6 +107,12 @@ class AlgoSpec:
                 raise ConfigError(f"{self.name} {key} must be >= 1, got {getattr(self, key)}")
 
     @property
+    def hops(self) -> int:
+        """How far the selected points cover: d where the algorithm reads
+        it. rb, which reads none, elects a 1-hop cover."""
+        return self.d if "d" in ALGORITHMS[self.name].keys else 1
+
+    @property
     def tag(self) -> str:
         return ALGORITHMS[self.name].tag.format_map(vars(self)) + ("_dir" if self.direction else "")
 
@@ -258,10 +264,10 @@ def _period_boundaries(trace: Trace, cfg: TraceConfig) -> list[float]:
 def run_one_algorithm(trace: Trace, algo: AlgoSpec, cfg: RunConfig) -> list[PeriodMetrics]:
     """Per-period pipeline: snapshot, graph, selection, assignment, metrics row.
 
-    Vehicles report to their nearest point within algo.d hops. An rb spec
-    keeps d at 1 unless set in code, and any wider search from rb's 1-hop
-    cover finds the same nearest points. Zero-vehicle periods emit a row
-    with blank rate so the time series stays aligned across algorithms.
+    Vehicles report to their nearest point within algo.hops hops, whatever
+    d an rb spec made in code holds. Period i draws rb's frame from the
+    seed (cfg.seed * 1_000_003 + i) mod 2**63. Zero-vehicle periods emit a
+    row with blank rate so the time series stays aligned across algorithms.
     """
     rows = []
     prev_points: frozenset[int] = frozenset()
@@ -277,7 +283,7 @@ def run_one_algorithm(trace: Trace, algo: AlgoSpec, cfg: RunConfig) -> list[Peri
                 graph = build_udg(snapshot, cfg.radio)
             period_seed = (cfg.seed * 1_000_003 + index) % 2**63
             result = ALGORITHMS[algo.name].select(algo, graph, period_seed)
-            assignment = assign_to_aggregation_points(graph, result.aggregation_points, algo.d)
+            assignment = assign_to_aggregation_points(graph, result.aggregation_points, algo.hops)
         else:
             # an empty period builds no graph and runs no selector
             graph, result, assignment = SnapshotGraph(()), SelectionResult(frozenset()), {}

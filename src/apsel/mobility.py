@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import bisect
 import csv
+import io
 import math
 import random
 import statistics
@@ -22,7 +23,7 @@ import sys
 from array import array
 from collections.abc import ItemsView, Mapping
 from dataclasses import dataclass
-from itertools import islice
+from itertools import chain, groupby, islice
 from operator import ge, itemgetter
 
 from .graph import SnapshotGraph, position_of, vertex_ids
@@ -272,36 +273,45 @@ class Trace:
         return self._n
 
 
-def load_trace_csv(path) -> Trace:
-    """Read a trace from CSV with header time,id,x,y.
+# The body of a trace file is read this many characters at a time, each
+# read completed to a whole line.
+BLOCK_SIZE = 1 << 14
 
-    Each record is parsed straight into its instant's columns, in any row
-    order; blank lines are skipped. Malformed records raise
-    TraceFormatError naming the physical line on which the record ends
-    (a quoted field may span lines), checked in this order: the field
-    count, then float(time), float(x), float(y) and int(id), then a NaN
-    or infinite time or coordinate, then an id outside the signed 64-bit
-    range. A header other than time,id,x,y is reported before any record;
-    a file with no samples, and then a duplicated (time, vehicle) pair,
-    only once the whole file is read, naming the smallest such pair.
+
+class _Records:
+    """The samples of a trace file as its body is read, and the time field
+    of the last record read with the instant that field parsed to.
+
+    ``read`` is the per-record validator; ``take`` converts a plain block
+    column by column and hands any block it doubts back to ``read``.
     """
-    instants: dict[float, _Filling] = {}
-    isfinite = math.isfinite
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != TRACE_HEADER:
-            raise TraceFormatError(
-                f"expected header {','.join(TRACE_HEADER)!r}, got {header!r}"
-            )
+
+    __slots__ = ("instants", "field", "at")
+
+    def __init__(self):
+        self.instants: dict[float, _Filling] = {}
+        self.field: str | None = None
+        self.at: _Filling | None = None
+
+    def read(self, lines, first_line: int) -> None:
+        """Parse csv lines, the first of them the file's line first_line,
+        record by record into their instants' columns, skipping blank
+        lines; raise TraceFormatError for the first malformed record."""
+        instants, isfinite = self.instants, math.isfinite
         # consecutive records mostly share their time field: reuse its
         # parsed value and its instant's columns
-        last_field, t = None, 0.0
+        last_field, at = self.field, self.at
+        if at is not None:
+            add_id, add_x, add_y = at.ids.append, at.xs.append, at.ys.append
+        reader = csv.reader(lines)
+        before = first_line - 1
         for row in reader:
             if len(row) != 4:
                 if not row:
                     continue
-                raise TraceFormatError(f"line {reader.line_num}: expected 4 fields, got {len(row)}")
+                raise TraceFormatError(
+                    f"line {before + reader.line_num}: expected 4 fields, got {len(row)}"
+                )
             field, v, x, y = row
             new_time = field != last_field
             try:
@@ -309,11 +319,11 @@ def load_trace_csv(path) -> Trace:
                     t = float(field)
                 x, y, v = float(x), float(y), int(v)
             except ValueError as exc:
-                raise TraceFormatError(f"line {reader.line_num}: {exc}") from exc
+                raise TraceFormatError(f"line {before + reader.line_num}: {exc}") from exc
             # t changes only with its field, so it is checked only then
             if not (isfinite(x) and isfinite(y)) or new_time and not isfinite(t):
                 raise TraceFormatError(
-                    f"line {reader.line_num}: non-finite time or coordinate {row!r}"
+                    f"line {before + reader.line_num}: non-finite time or coordinate {row!r}"
                 )
             if new_time:
                 last_field = field
@@ -322,12 +332,109 @@ def load_trace_csv(path) -> Trace:
             try:
                 add_id(v)
             except OverflowError:
-                raise TraceFormatError(f"line {reader.line_num}: {_id_error(v)}") from None
+                raise TraceFormatError(f"line {before + reader.line_num}: {_id_error(v)}") from None
             add_x(x)
             add_y(y)
-    if not instants:
+        self.field, self.at = last_field, at
+
+    def take(self, block: str) -> bool:
+        """Add a block of whole lines with no quote and no CR, column by
+        column, and return True; or add nothing and return False when a
+        line might not be a plain valid record: other than 4 fields (a
+        blank line too), a value that does not convert, is not finite or
+        is an id outside int64, text longer than csv.field_size_limit(),
+        or a last line with no newline. Takes each new time field to its
+        instant (``_filling``) exactly where ``read`` would."""
+        n = block.count("\n")
+        # each newline stays on the y field it ends, so a block of 4-field
+        # lines splits into 4n + 1 fields with every newline in a y field
+        fields = block.replace("\n", "\n,").split(",")
+        ys = fields[3::4]
+        if (
+            not block.endswith("\n")
+            or len(block) > csv.field_size_limit()
+            or len(fields) != 4 * n + 1
+            or "".join(ys).count("\n") != n
+        ):
+            return False
+        try:
+            ids = array("q", map(int, fields[1::4]))
+            xs = array("d", map(float, fields[2::4]))
+            ys = array("d", map(float, ys))
+        except (ValueError, OverflowError):
+            return False
+        isfinite = math.isfinite
+        # an inf or a nan makes its column's sum non-finite
+        if not (isfinite(sum(xs)) and isfinite(sum(ys))):
+            return False
+        # (time, or None where the run goes on with the last record's time field; length)
+        runs = []
+        last_field = self.field
+        for field, group in groupby(islice(fields, 0, 4 * n, 4)):
+            t = None
+            if field != last_field:
+                try:
+                    t = float(field)
+                except ValueError:
+                    return False
+                if not isfinite(t):
+                    return False
+            runs.append((t, len(list(group))))
+            last_field = field
+        at, start = self.at, 0
+        for t, count in runs:
+            if t is not None:
+                at = _filling(self.instants, t)
+            end = start + count
+            at.ids += ids[start:end]
+            at.xs += xs[start:end]
+            at.ys += ys[start:end]
+            start = end
+        self.field, self.at = last_field, at
+        return True
+
+
+def load_trace_csv(path) -> Trace:
+    """Read a trace from CSV with header time,id,x,y.
+
+    Records go straight into their instant's columns, in any row order;
+    blank lines are skipped. Malformed records raise TraceFormatError
+    naming the physical line on which the record ends (a quoted field may
+    span lines), checked in this order: the field count, then float(time),
+    float(x), float(y) and int(id), then a NaN or infinite time or
+    coordinate, then an id outside the signed 64-bit range. A header other
+    than time,id,x,y is reported before any record; a file with no
+    samples, and then a duplicated (time, vehicle) pair, only once the
+    whole file is read, naming the smallest such pair.
+
+    The body is read BLOCK_SIZE characters at a time, completed to a whole
+    line. A block of plain lines is converted column by column; a block
+    that might hold anything else is parsed record by record, which alone
+    raises for a record. From the first block with a quote or a CR on, the
+    rest of the file is parsed record by record, as a quoted field may
+    span blocks.
+    """
+    records = _Records()
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header != TRACE_HEADER:
+            raise TraceFormatError(
+                f"expected header {','.join(TRACE_HEADER)!r}, got {header!r}"
+            )
+        line = reader.line_num + 1
+        while block := fh.read(BLOCK_SIZE):
+            if not block.endswith("\n"):
+                block += fh.readline()
+            if '"' in block or "\r" in block:
+                records.read(chain(io.StringIO(block, newline=""), fh), line)
+                break
+            if not records.take(block):
+                records.read(io.StringIO(block, newline=""), line)
+            line += block.count("\n")
+    if not records.instants:
         raise TraceFormatError(f"{path}: no samples")
-    return Trace._from_instants(_frozen(instants))
+    return Trace._from_instants(_frozen(records.instants))
 
 
 def write_trace_csv(trace: Trace, path) -> None:

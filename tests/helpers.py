@@ -290,8 +290,9 @@ class TraceOracle:
 def load_trace_csv_oracle(path) -> TraceOracle:
     """Read a trace from CSV with header time,id,x,y.
 
-    Malformed rows, including a NaN or infinite time or coordinate, raise
-    TraceFormatError naming the line.
+    Malformed rows, including a NaN or infinite time or coordinate and an
+    id outside the signed 64-bit range, raise TraceFormatError naming the
+    physical line on which the row ends.
     """
     points = []
     isfinite = math.isfinite
@@ -302,7 +303,8 @@ def load_trace_csv_oracle(path) -> TraceOracle:
             raise TraceFormatError(
                 f"expected header {','.join(TRACE_HEADER)!r}, got {header!r}"
             )
-        for lineno, row in enumerate(reader, start=2):
+        for row in reader:
+            lineno = reader.line_num
             if not row:
                 continue
             if len(row) != 4:
@@ -314,6 +316,9 @@ def load_trace_csv_oracle(path) -> TraceOracle:
                 raise TraceFormatError(f"line {lineno}: {exc}") from exc
             if not (isfinite(t) and isfinite(x) and isfinite(y)):
                 raise TraceFormatError(f"line {lineno}: non-finite time or coordinate {row!r}")
+            v = points[-1].vehicle
+            if not -(2**63) <= v < 2**63:
+                raise TraceFormatError(f"line {lineno}: vehicle id {v} is not a signed 64-bit integer")
     if not points:
         raise TraceFormatError(f"{path}: no samples")
     return TraceOracle(points)

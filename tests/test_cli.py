@@ -21,9 +21,9 @@ from apsel.cli import (
     parse_algo_spec,
     run_one_algorithm,
 )
-from apsel.metrics import read_period_metrics_csv, write_period_metrics_csv
+from apsel.metrics import notification_count, read_period_metrics_csv, write_period_metrics_csv
 from apsel.mobility import RadioParams, Trace, build_udg, load_trace_csv, write_trace_csv
-from apsel.selection import centrality_select, exact_min_dominating_set, verify_domination
+from apsel.selection import centrality_select, exact_min_dominating_set, rb_select, verify_domination
 from apsel.tuner import TunerConfig
 from helpers import (
     TracePoint,
@@ -277,13 +277,18 @@ class TestRunCommand:
             assert main(argv) == 0
         assert (tmp_path / "a/rb_T256.csv").read_bytes() == (tmp_path / "b/rb_T256.csv").read_bytes()
         assert {d for _, d in calls} == {1}
-        # a spec made in code may hold d=2. A 1-hop cover puts every
-        # nearest point 1 hop away, so the wider search writes the same
-        # bytes; it only costs more
-        spec = AlgoSpec("rb", d=2)
-        cfg = RunConfig(algos=(spec,), trace_path=str(path), out_dir=str(tmp_path / "c"))
-        write_period_metrics_csv(run_one_algorithm(load_trace_csv(path), spec, cfg), tmp_path / "c.csv")
-        assert (tmp_path / "c.csv").read_bytes() == (tmp_path / "a/rb_T256.csv").read_bytes()
+
+    @pytest.mark.parametrize("d", [0, 2])
+    def test_rb_spec_made_in_code_assigns_at_one_hop(self, tmp_path, monkeypatch, d):
+        # rb's 1-hop cover puts every nearest point 1 hop away, so the d a
+        # spec made in code holds, even 0, changes nothing
+        path = small_trace(tmp_path, n=30)
+        trace = load_trace_csv(path)
+        cfg = RunConfig(algos=(AlgoSpec("rb"),), trace_path=str(path))
+        calls = spy_on_assignment(monkeypatch)
+        rows = run_one_algorithm(trace, AlgoSpec("rb", d=d), cfg)
+        assert {hops for _, hops in calls} == {1}
+        assert rows == run_one_algorithm(trace, AlgoSpec("rb"), cfg)
 
     @pytest.mark.parametrize("name, key", itertools.product(READS, ("d", "k", "slots")))
     def test_bare_flag_is_checked_only_by_an_algorithm_that_reads_it(self, tmp_path, capsys, name, key):
@@ -701,6 +706,26 @@ class TestCompareCommand:
         assert [r.n_vehicles for r in rows] == [12, 0, 12]
         # no selector assigns; the run loop does, within each algorithm's d
         assert calls == [("apsel.cli", d) for d in (1, 1, 3, 3, 1, 1, 1, 1)]
+
+    def test_rb_frame_seed_follows_the_documented_rule(self, tmp_path):
+        # period i draws rb's frame from (seed * 1_000_003 + i) mod 2**63; at
+        # seed 0 that is i, so only a non-zero seed tells the rule from i
+        path = small_trace(tmp_path, n=30)
+        out = tmp_path / "res"
+        seed = 7
+        argv = ["compare", "--trace", str(path), "--algo", "rb", "--algo", "centrality"]
+        assert main(argv + ["--period", "2", "--seed", str(seed), "--out", str(out)]) == 0
+        trace = load_trace_csv(path)
+        rows = read_period_metrics_csv(out / "rb_T256.csv")
+        assert len(rows) == 16
+        prev = frozenset()
+        for i, row in enumerate(rows):
+            g = build_udg(trace.positions_at(row.time), RadioParams())
+            result = rb_select(g, 256, (seed * 1_000_003 + i) % 2**63)
+            points = result.aggregation_points
+            assert (row.n_aps, row.edges_examined) == (len(points), result.edges_examined)
+            assert row.n_notifications == notification_count(prev, points)
+            prev = points
 
     def test_negative_id_trace_runs(self, tmp_path):
         path = tmp_path / "trace.csv"

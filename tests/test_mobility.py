@@ -1,3 +1,4 @@
+import csv
 import gc
 import math
 import tracemalloc
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from apsel import mobility
 from apsel.mobility import (
     RadioParams,
     Snapshot,
@@ -217,8 +219,29 @@ def load_error(load, path) -> str:
     return str(info.value)
 
 
+def load_outcome(load, path):
+    """A loader's trace, as its times, sampling period and instants, or
+    the type and message of the error it raised."""
+    try:
+        trace = load(path)
+    except (TraceFormatError, csv.Error) as exc:
+        return type(exc).__name__, str(exc)
+    return trace.times, trace.sampling_period, [list(trace.positions_at(t).items()) for t in trace.times]
+
+
+# Blocks of this many characters put block edges inside the loader cases below.
+SMALL_BLOCK = 32
+
+
 class TestLoaderOracle:
-    """The columnar loader against the earlier one-object-per-sample loader."""
+    """The block loader against the earlier one-object-per-sample loader,
+    with blocks small enough that every case crosses block edges."""
+
+    @pytest.fixture(autouse=True, scope="class")
+    def small_blocks(self):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(mobility, "BLOCK_SIZE", SMALL_BLOCK)
+            yield
 
     @given(
         rows=st.lists(records, min_size=1, max_size=60, unique_by=lambda r: (float(r[0]), int(r[1]))),
@@ -267,6 +290,92 @@ class TestLoaderOracle:
         path = tmp_path / "bad.csv"
         path.write_text(text)
         assert load_error(load_trace_csv, path) == load_error(load_trace_csv_oracle, path)
+
+    # Each case follows `pad` plain records, so its lines meet block edges
+    # at several offsets.
+    @pytest.mark.parametrize("pad", range(4))
+    @pytest.mark.parametrize(
+        "body",
+        [
+            # 7 + 1 fields: the right total over two lines
+            "0,1,2,3,0,1,2\n3\n",
+            "0,1,2,3,0,1,2\n\n",
+            "0.0,1,1.0,2.0\r\n0.0,2,3.0,4.0\r\n1.0,1,1.5,2.0\r\n",
+            "0.0,1,1.0,2.0\r\n\r\n1.0,x,1.5,2.0\r\n",
+            "0.0,1,1.0,2.0\r1.0,1,1.5,2.0\r",
+            "0.0,1,1.0,2.0\r0.0,2,1.0,2.0\r0.0,3,1.0,2.0\r1.0,x,1.5,2.0\r",
+            '"0.0' + "\n" * 40 + '",1,0,0\n1.0,2,3.0,4.0\n',
+            '"0.0' + "\n" * 40 + '",1,0,0\n1.0,x,3.0,4.0\n',
+            '0.0,1,1.0,2.0\n0.0,"2\n",3.0,4.0\n1.0,1,1.5,2.0\n',
+            "0.0,1,1.0,2.0\n1.0,1,1.5,2.0",
+            "0.0,1,1.0,2.0\n1.0,1,1.5",
+            "0.0,1,1.0,2.0\n5",
+            "0.0,1,1.0,2.0\n\n0.0,2,3.0,4.0\n\n\n1.0,1,1.5,2.0\n",
+            " 0.0 , 1 ,\t1.5 , 2.0 \n0.0, 2,3.0 ,4.0\n 1.0,1,1.5,2.0\n",
+            "0.0,1,1.0," + "0" * 100 + "2.0\n1.0,1,1.5,2.0\n",
+            f"0.0,1,{'0' * (csv.field_size_limit() + 1)},2.0\n",
+            f"0.0,{2**63},1.0,2.0\n",
+            f"0.0,1,1.0,2.0\n1.0,{-(2**63) - 1},1.0,2.0\n",
+            "0.0,1,1e308,2.0\n0.0,2,1e308,2.0\n",
+            "0.0,1,1.0,2.0\n0.0,2,nan,2.0\n",
+            "".join(f"0.0,{v},1.0,2.0\n" for v in range(4)) + "-0.0,4,1.0,2.0\n-0.0,0,3.0,4.0\n",
+            "".join(f"-0.0,{v},1.0,2.0\n" for v in range(4)) + "0.0,4,1.0,2.0\n0,5,1.0,2.0\n",
+        ],
+        ids=[
+            "misaligned", "misaligned-blank", "crlf", "crlf-bad-id", "cr", "cr-bad-id", "quoted-lines",
+            "quoted-lines-then-bad-id", "quoted-id", "no-final-newline", "no-final-newline-3-fields",
+            "no-final-newline-1-field", "blank-lines", "whitespace", "long-field",
+            "field-over-limit", "id-2**63", "id-below-int64", "sum-overflows", "nan-x",
+            "minus-zero-duplicate", "zero-spellings",
+        ],
+    )
+    def test_same_outcome_across_block_edges(self, tmp_path, pad, body):
+        path = tmp_path / "trace.csv"
+        path.write_text(
+            "time,id,x,y\n" + "".join(f"9.0,{100 + v},1.5,2.5\n" for v in range(pad)) + body,
+            newline="",
+        )
+        assert load_outcome(load_trace_csv, path) == load_outcome(load_trace_csv_oracle, path)
+
+    def test_misaligned_lines_are_named(self, tmp_path):
+        path = tmp_path / "trace.csv"
+        path.write_text("time,id,x,y\n0,1,2,3,0,1,2\n3\n")
+        assert load_error(load_trace_csv, path) == "line 2: expected 4 fields, got 7"
+
+    def test_plain_blocks_skip_the_record_loop(self, tmp_path, monkeypatch):
+        path = tmp_path / "trace.csv"
+        write_trace_csv(generate_two_way_roadway(20, 500.0, 5.0, seed=1), path)
+        expected = load_outcome(load_trace_csv, path)
+
+        def refuse(records, lines, first_line):
+            raise AssertionError(f"block from line {first_line} parsed record by record")
+
+        monkeypatch.setattr(mobility._Records, "read", refuse)
+        assert load_outcome(load_trace_csv, path) == expected
+        path.write_text(path.read_text().replace("0.0,3,", '"0.0",3,'))
+        with pytest.raises(AssertionError, match="record by record"):
+            load_trace_csv(path)
+
+    @given(
+        lines=st.lists(
+            st.lists(
+                st.sampled_from(
+                    ["0", "0.0", "-0.0", "1.5", " 2 ", "3e0", "7", "-4", str(2**63), "1e308",
+                     "nan", "inf", "", "x", "1.5.", '"1.0"', '"1\n"', "\x00"]
+                ),
+                min_size=0,
+                max_size=6,
+            ).map(",".join),
+            max_size=12,
+        ),
+        ending=st.sampled_from(["\n", "\r\n", "\r"]),
+        last_ending=st.booleans(),
+    )
+    def test_same_outcome_on_any_text(self, tmp_path_factory, lines, ending, last_ending):
+        path = tmp_path_factory.mktemp("oracle") / "trace.csv"
+        text = ending.join(["time,id,x,y", *lines]) + (ending if last_ending else "")
+        path.write_text(text, newline="")
+        assert load_outcome(load_trace_csv, path) == load_outcome(load_trace_csv_oracle, path)
 
 
 def test_loaded_trace_keeps_no_object_per_sample(tmp_path):
