@@ -713,8 +713,8 @@ class TestCompareCommand:
         path = small_trace(tmp_path, n=30)
         out = tmp_path / "res"
         seed = 7
-        argv = ["compare", "--trace", str(path), "--algo", "rb", "--algo", "centrality"]
-        assert main(argv + ["--period", "2", "--seed", str(seed), "--out", str(out)]) == 0
+        argv = ["compare", "--trace", str(path), "--algo", "rb", "--period", "2", "--seed", str(seed)]
+        assert main(argv + ["--out", str(out)]) == 0
         trace = load_trace_csv(path)
         rows = read_period_metrics_csv(out / "rb_T256.csv")
         assert len(rows) == 16
