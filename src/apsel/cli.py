@@ -126,14 +126,11 @@ def _parse_bool(text: str) -> bool:
     raise ConfigError(f"expected a boolean, got {text!r}")
 
 
-def parse_algo_spec(text: str, **defaults) -> AlgoSpec:
+def parse_algo_spec(text: str) -> AlgoSpec:
     """Parse 'name' or 'name:key=value,...'.
 
     An inline key must be one the algorithm reads (its ALGORITHMS keys,
-    or direction). A key it reads and the text leaves unset falls back to
-    ``defaults`` (normally the global flags), then to AlgoSpec's own
-    default. A default the spec does not read, because the algorithm
-    reads no such key or the text sets it, is dropped unchecked.
+    or direction); a key the text leaves unset keeps AlgoSpec's default.
     """
     name, _, params = text.strip().partition(":")
     name = AlgoSpec(name.strip()).name  # raises for an unknown algorithm
@@ -154,8 +151,7 @@ def parse_algo_spec(text: str, **defaults) -> AlgoSpec:
             except ValueError:
                 kind = "a boolean" if key == "direction" else "an integer"
                 raise ConfigError(f"{name} {key} must be {kind}, got {value.strip()!r}") from None
-    given = AlgoSpec(name, **{**defaults, **inline})  # an unknown default raises TypeError
-    return AlgoSpec(name, **{key: getattr(given, key) for key in readable})
+    return AlgoSpec(name, **inline)
 
 
 @dataclass(frozen=True)
@@ -408,12 +404,10 @@ def _add_run_flags(p):
         action="append",
         metavar="NAME[:k=v,...]",
         help=" | ".join(f"{n}[:{'=,'.join(a.keys)}=]" for n, a in ALGORITHMS.items())
-        + ", each also direction=; repeatable",
+        + ", each also direction=; an unset key takes its default ("
+        + ", ".join(f"{f.name}={str(f.default).lower()}" for f in fields(AlgoSpec)[1:])
+        + "); repeatable",
     )
-    p.add_argument("--d", type=int, help="domination radius in hops (default 1)")
-    p.add_argument("--k", type=int, help="centrality horizon in hops (default 4)")
-    p.add_argument("--slots", type=int, help="reservation frame length (default 256)")
-    p.add_argument("--direction", action="store_true", help="drop links between opposing headings")
     p.add_argument("--period", type=float, help="delivery period in seconds (default 10)")
     p.add_argument("--t-start", type=float, help="window start (default trace start)")
     p.add_argument("--t-end", type=float, help="window end (default trace end)")
@@ -464,8 +458,6 @@ def _build_parser():
 
 def _flag_value(action: argparse.Action, text: str):
     """A config-file value, converted as its flag would convert it."""
-    if action.nargs == 0:  # a switch such as --direction
-        return _parse_bool(text)
     if isinstance(action, argparse._AppendAction):  # algo: several names
         return text.replace(";", " ").split()
     return action.type(text) if action.type else text
@@ -533,7 +525,7 @@ def main(argv=None) -> int:
             return cmd_tune(s)
         if args.command == "exact":
             return cmd_exact(s)
-        algos = tuple(parse_algo_spec(text, **_fields(s, AlgoSpec)) for text in s.get("algo", ()))
+        algos = tuple(parse_algo_spec(text) for text in s.get("algo", ()))
         cfg = _trace_config(RunConfig, s, algos=algos)
         return cmd_run(cfg) if args.command == "run" else cmd_compare(cfg)
     except (ValueError, OSError) as exc:

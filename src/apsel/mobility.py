@@ -305,36 +305,35 @@ class _Records:
             add_id, add_x, add_y = at.ids.append, at.xs.append, at.ys.append
         reader = csv.reader(lines)
         before = first_line - 1
-        for row in reader:
-            if len(row) != 4:
-                if not row:
-                    continue
-                raise TraceFormatError(
-                    f"line {before + reader.line_num}: expected 4 fields, got {len(row)}"
-                )
-            field, v, x, y = row
-            new_time = field != last_field
-            try:
+        try:
+            for row in reader:
+                if len(row) != 4:
+                    if not row:
+                        continue
+                    raise ValueError(f"expected 4 fields, got {len(row)}")
+                field, v, x, y = row
+                new_time = field != last_field
                 if new_time:
                     t = float(field)
                 x, y, v = float(x), float(y), int(v)
-            except ValueError as exc:
-                raise TraceFormatError(f"line {before + reader.line_num}: {exc}") from exc
-            # t changes only with its field, so it is checked only then
-            if not (isfinite(x) and isfinite(y)) or new_time and not isfinite(t):
-                raise TraceFormatError(
-                    f"line {before + reader.line_num}: non-finite time or coordinate {row!r}"
-                )
-            if new_time:
-                last_field = field
-                at = _filling(instants, t)
-                add_id, add_x, add_y = at.ids.append, at.xs.append, at.ys.append
-            try:
-                add_id(v)
-            except OverflowError:
-                raise TraceFormatError(f"line {before + reader.line_num}: {_id_error(v)}") from None
-            add_x(x)
-            add_y(y)
+                # t changes only with its field, so it is checked only then
+                if not (isfinite(x) and isfinite(y)) or new_time and not isfinite(t):
+                    raise ValueError(f"non-finite time or coordinate {row!r}")
+                if new_time:
+                    last_field = field
+                    at = _filling(instants, t)
+                    add_id, add_x, add_y = at.ids.append, at.xs.append, at.ys.append
+                try:
+                    add_id(v)
+                except OverflowError:
+                    raise ValueError(_id_error(v)) from None
+                add_x(x)
+                add_y(y)
+        except UnicodeDecodeError:  # met while reading ahead, so on no known line
+            raise
+        # csv.Error: a field over csv.field_size_limit(), or a NUL byte before Python 3.11
+        except (ValueError, csv.Error) as exc:
+            raise TraceFormatError(f"line {before + reader.line_num}: {exc}") from exc
         self.field, self.at = last_field, at
 
     def take(self, block: str) -> bool:
@@ -400,7 +399,8 @@ def load_trace_csv(path) -> Trace:
     Records go straight into their instant's columns, in any row order;
     blank lines are skipped. Malformed records raise TraceFormatError
     naming the physical line on which the record ends (a quoted field may
-    span lines), checked in this order: the field count, then float(time),
+    span lines), checked in this order: a line the csv module cannot read
+    (header included), the field count, then float(time),
     float(x), float(y) and int(id), then a NaN or infinite time or
     coordinate, then an id outside the signed 64-bit range. A header other
     than time,id,x,y is reported before any record; a file with no
@@ -417,7 +417,10 @@ def load_trace_csv(path) -> Trace:
     records = _Records()
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
+        try:
+            header = next(reader, None)
+        except csv.Error as exc:
+            raise TraceFormatError(f"line {reader.line_num}: {exc}") from None
         if header != TRACE_HEADER:
             raise TraceFormatError(
                 f"expected header {','.join(TRACE_HEADER)!r}, got {header!r}"

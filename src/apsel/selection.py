@@ -192,6 +192,8 @@ def centrality_select(g: SnapshotGraph, d: int = 1, k: int = 4) -> SelectionResu
                         seen[j] = i
                         covered[j] = True
                         reached.append(j)
+            if not reached:
+                break
             frontier = reached
     chosen = frozenset(g.vertices[i] for i in points)
     return SelectionResult(chosen, edges_examined=examined)

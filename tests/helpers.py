@@ -290,35 +290,40 @@ class TraceOracle:
 def load_trace_csv_oracle(path) -> TraceOracle:
     """Read a trace from CSV with header time,id,x,y.
 
-    Malformed rows, including a NaN or infinite time or coordinate and an
-    id outside the signed 64-bit range, raise TraceFormatError naming the
-    physical line on which the row ends.
+    Malformed rows, including a NaN or infinite time or coordinate, an id
+    outside the signed 64-bit range and a line the csv module rejects,
+    raise TraceFormatError naming the physical line on which the row ends.
     """
     points = []
     isfinite = math.isfinite
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != TRACE_HEADER:
-            raise TraceFormatError(
-                f"expected header {','.join(TRACE_HEADER)!r}, got {header!r}"
-            )
-        for row in reader:
-            lineno = reader.line_num
-            if not row:
-                continue
-            if len(row) != 4:
-                raise TraceFormatError(f"line {lineno}: expected 4 fields, got {len(row)}")
-            try:
-                t, x, y = float(row[0]), float(row[2]), float(row[3])
-                points.append(TracePoint(t, int(row[1]), x, y))
-            except ValueError as exc:
-                raise TraceFormatError(f"line {lineno}: {exc}") from exc
-            if not (isfinite(t) and isfinite(x) and isfinite(y)):
-                raise TraceFormatError(f"line {lineno}: non-finite time or coordinate {row!r}")
-            v = points[-1].vehicle
-            if not -(2**63) <= v < 2**63:
-                raise TraceFormatError(f"line {lineno}: vehicle id {v} is not a signed 64-bit integer")
+        try:
+            header = next(reader, None)
+            if header != TRACE_HEADER:
+                raise TraceFormatError(
+                    f"expected header {','.join(TRACE_HEADER)!r}, got {header!r}"
+                )
+            for row in reader:
+                lineno = reader.line_num
+                if not row:
+                    continue
+                if len(row) != 4:
+                    raise TraceFormatError(f"line {lineno}: expected 4 fields, got {len(row)}")
+                try:
+                    t, x, y = float(row[0]), float(row[2]), float(row[3])
+                    points.append(TracePoint(t, int(row[1]), x, y))
+                except ValueError as exc:
+                    raise TraceFormatError(f"line {lineno}: {exc}") from exc
+                if not (isfinite(t) and isfinite(x) and isfinite(y)):
+                    raise TraceFormatError(f"line {lineno}: non-finite time or coordinate {row!r}")
+                v = points[-1].vehicle
+                if not -(2**63) <= v < 2**63:
+                    raise TraceFormatError(
+                        f"line {lineno}: vehicle id {v} is not a signed 64-bit integer"
+                    )
+        except csv.Error as exc:  # a field over csv.field_size_limit(); a NUL before 3.11
+            raise TraceFormatError(f"line {reader.line_num}: {exc}") from None
     if not points:
         raise TraceFormatError(f"{path}: no samples")
     return TraceOracle(points)

@@ -250,8 +250,8 @@ def test_criterion_10_identical_config_and_seed_reproduce_csv_bytes(tmp_path):
     for out in dirs:
         rc = main(
             ["compare", "--gen-n", "30", "--gen-duration", "41", "--seed", "3",
-             "--algo", "centrality:d=2,k=4", "--algo", "rb:slots=64",
-             "--algo", "exact", "--direction", "--out", str(out)]
+             "--algo", "centrality:d=2,k=4,direction=true", "--algo", "rb:slots=64,direction=true",
+             "--algo", "exact:direction=true", "--out", str(out)]
         )
         assert rc == 0
     names = sorted(p.name for p in dirs[0].iterdir())

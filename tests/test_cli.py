@@ -55,18 +55,11 @@ class TestAlgoSpec:
         assert AlgoSpec("centrality", direction=True).tag == "centrality_d1_k4_dir"
 
     def test_parse_name_only_uses_defaults(self):
-        # rb reads neither d nor k, so its spec keeps AlgoSpec's own
-        spec = parse_algo_spec("rb", d=2, k=5, slots=64, direction=True)
-        assert spec == AlgoSpec("rb", slots=64, direction=True)
-        spec = parse_algo_spec("exact", d=2, k=5, slots=64)
-        assert spec == AlgoSpec("exact", d=2)
-        spec = parse_algo_spec("centrality", d=2, k=5, slots=64)
-        assert spec == AlgoSpec("centrality", d=2, k=5)
-        # a default the text overrides is not read, so not checked
-        assert parse_algo_spec("centrality:d=3", d=0) == AlgoSpec("centrality", d=3)
-        # an unknown keyword is still no default
-        with pytest.raises(TypeError, match="frames"):
-            parse_algo_spec("rb", frames=3)
+        # the text is the spec's only source: a key it leaves unset keeps AlgoSpec's default
+        for name in READS:
+            assert parse_algo_spec(name) == AlgoSpec(name)
+        assert parse_algo_spec("centrality:k=6") == AlgoSpec("centrality", k=6)
+        assert parse_algo_spec("rb:direction=true") == AlgoSpec("rb", direction=True)
 
     def test_parse_params_override(self):
         spec = parse_algo_spec("centrality:d=3,k=6,direction=true")
@@ -100,6 +93,31 @@ class TestAlgoSpec:
         # the last one used to win silently
         with pytest.raises(ConfigError, match="centrality sets d twice"):
             parse_algo_spec("centrality:d=2,d=3")
+
+
+class TestOneSpellingPerParameter:
+    """run and compare take an algorithm's parameters only inline in its
+    --algo spec, from the command line or the config file's algo line
+    (a file's bare key: TestConfigFile.test_key_that_is_not_a_flag_fails)."""
+
+    def test_run_parsers_have_no_algorithm_parameter(self):
+        assert {n: a.keys for n, a in ALGORITHMS.items()} == READS
+        _, commands = _build_parser()
+        parameters = {f.name for f in fields(AlgoSpec)} - {"name"}
+        for command in ("run", "compare"):
+            assert not {a.dest for a in commands[command]._actions} & parameters
+        # exact's own --d stays, from a flag or its file (test_exact_reads_d_from_file)
+        assert "d" in {a.dest for a in commands["exact"]._actions}
+
+    @pytest.mark.parametrize("command", ["run", "compare"])
+    @pytest.mark.parametrize("flag", ["--d 2", "--k 2", "--slots 8", "--direction"])
+    def test_bare_flag_is_unrecognized(self, tmp_path, capsys, command, flag):
+        argv = [command, "--gen-n", "5", "--algo", "rb", *flag.split(), "--out", str(tmp_path / "x")]
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
 
 
 class TestRunConfig:
@@ -268,16 +286,6 @@ class TestRunCommand:
         assert main(args + ["--out", str(b)]) == 0
         assert (a / "rb_T256.csv").read_bytes() == (b / "rb_T256.csv").read_bytes()
 
-    def test_rb_assigns_at_one_hop_whatever_the_global_d(self, tmp_path, monkeypatch):
-        # rb does not read d, so --d 2 leaves its spec at d=1
-        path = small_trace(tmp_path, n=30)
-        calls = spy_on_assignment(monkeypatch)
-        for out, extra in (("a", []), ("b", ["--d", "2"])):
-            argv = ["run", "--trace", str(path), "--algo", "rb", *extra, "--out", str(tmp_path / out)]
-            assert main(argv) == 0
-        assert (tmp_path / "a/rb_T256.csv").read_bytes() == (tmp_path / "b/rb_T256.csv").read_bytes()
-        assert {d for _, d in calls} == {1}
-
     @pytest.mark.parametrize("d", [0, 2])
     def test_rb_spec_made_in_code_assigns_at_one_hop(self, tmp_path, monkeypatch, d):
         # rb's 1-hop cover puts every nearest point 1 hop away, so the d a
@@ -289,22 +297,6 @@ class TestRunCommand:
         rows = run_one_algorithm(trace, AlgoSpec("rb", d=d), cfg)
         assert {hops for _, hops in calls} == {1}
         assert rows == run_one_algorithm(trace, AlgoSpec("rb"), cfg)
-
-    @pytest.mark.parametrize("name, key", itertools.product(READS, ("d", "k", "slots")))
-    def test_bare_flag_is_checked_only_by_an_algorithm_that_reads_it(self, tmp_path, capsys, name, key):
-        assert {n: a.keys for n, a in ALGORITHMS.items()} == READS
-        argv = ["run", "--gen-n", "5", "--gen-duration", "3", "--algo", name]
-        assert main(argv + ["--out", str(tmp_path / "a")]) == 0
-        capsys.readouterr()
-        rc = main(argv + [f"--{key}", "0", "--out", str(tmp_path / "b")])
-        if key in READS[name]:
-            assert rc == 1
-            assert capsys.readouterr().err == f"error: {name} {key} must be >= 1, got 0\n"
-            assert not (tmp_path / "b").exists()
-        else:
-            assert rc == 0
-            [csv] = [p.name for p in (tmp_path / "a").iterdir()]
-            assert (tmp_path / "b" / csv).read_bytes() == (tmp_path / "a" / csv).read_bytes()
 
     def test_exact_never_beaten(self, tmp_path):
         path = small_trace(tmp_path, n=24)
@@ -586,11 +578,12 @@ class TestConfigFile:
     def test_flags_win_over_file(self, tmp_path):
         path = small_trace(tmp_path, duration=21.0)
         cfgfile = tmp_path / "run.cfg"
-        cfgfile.write_text(f"trace = {path}\nalgo = rb\nslots = 16\nout = {tmp_path / 'a'}\n")
-        rc = main(["run", "--config", str(cfgfile), "--slots", "8", "--out", str(tmp_path / "b")])
+        cfgfile.write_text(f"trace = {path}\nalgo = rb:slots=16\nout = {tmp_path / 'a'}\n")
+        argv = ["run", "--config", str(cfgfile), "--algo", "rb:slots=8", "--out", str(tmp_path / "b")]
+        rc = main(argv)
         assert rc == 0
         assert not (tmp_path / "a").exists()
-        assert (tmp_path / "b" / "rb_T8.csv").exists()
+        assert [p.name for p in (tmp_path / "b").iterdir()] == ["rb_T8.csv"]
 
     def test_malformed_line_reports_location(self, tmp_path, capsys):
         cfgfile = tmp_path / "bad.cfg"
@@ -600,8 +593,13 @@ class TestConfigFile:
         assert "bad.cfg:1" in capsys.readouterr().err
 
 
-    # max-iterations was a tune flag; the tuner's budget is now a constant
-    @pytest.mark.parametrize("command,key", [("run", "perod"), ("tune", "k"), ("tune", "max-iterations")])
+    # max-iterations was a tune flag; the tuner's budget is now a constant. run and
+    # compare take an algorithm's keys only in an algo spec
+    @pytest.mark.parametrize(
+        "command,key",
+        [("run", "perod"), ("tune", "k"), ("tune", "max-iterations"), ("run", "d"),
+         ("run", "direction"), ("compare", "k"), ("compare", "slots")],
+    )
     def test_key_that_is_not_a_flag_fails(self, tmp_path, capsys, monkeypatch, command, key):
         monkeypatch.chdir(tmp_path)
         path = small_trace(tmp_path, duration=3.0)
@@ -609,7 +607,8 @@ class TestConfigFile:
         cfgfile.write_text(f"{key} = 5\ntrace = {path}\n")
         rc = main([command, "--config", str(cfgfile)])
         assert rc == 1
-        assert f"typo.cfg:1: {key.replace('-', '_')} " in capsys.readouterr().err
+        key = key.replace("-", "_")
+        assert capsys.readouterr().err == f"error: {cfgfile}:1: {key} is not supported by apsel {command}\n"
 
     def test_exact_reads_d_from_file(self, tmp_path, capsys):
         path = small_trace(tmp_path, n=12, duration=2.0, area=300.0)

@@ -30,8 +30,8 @@ def test_importing_the_cli_loads_no_numpy(tmp_path):
 def test_every_subcommand_runs_with_numpy_absent(tmp_path):
     commands = [
         ["gen-trace", "--n", "30", "--area", "600", "--duration", "12", "--out", "trace.csv"],
-        ["run", "--trace", "trace.csv", "--period", "2", "--direction",
-         "--algo", "centrality", "--algo", "rb", "--algo", "exact", "--out", "run"],
+        ["run", "--trace", "trace.csv", "--period", "2", "--algo", "centrality:direction=true",
+         "--algo", "rb:direction=true", "--algo", "exact:direction=true", "--out", "run"],
         ["compare", "--trace", "trace.csv", "--period", "2",
          "--algo", "centrality", "--algo", "rb", "--algo", "exact", "--out", "cmp"],
         ["tune", "--trace", "trace.csv", "--d-max", "2", "--k-max", "3", "--out", "tuning.csv"],

@@ -1,4 +1,4 @@
-"""The package's advertised names and the README's API example stay real."""
+"""The package's advertised names and the README's API and config examples stay real."""
 
 import ast
 import importlib
@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import apsel
+from apsel.cli import main, parse_algo_spec
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 PACKAGE = Path(apsel.__file__).resolve().parent
@@ -31,6 +32,20 @@ def test_readme_api_example_runs():
     section = text[text.index("## Python API") :]
     code = re.search(r"```python\n(.*?)```", section, re.S).group(1)
     exec(compile(code, str(README), "exec"), {})
+
+
+def test_readme_config_example_runs(tmp_path):
+    text = README.read_text()
+    section = text[text.index("Config file example:") :]
+    cfgfile = tmp_path / "nightly.cfg"
+    cfgfile.write_text(re.search(r"```\n(.*?)```", section, re.S).group(1))
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfgfile), "--gen-n", "20", "--gen-duration", "12",
+                 "--out", str(out)]) == 0
+    [algos] = [line for line in cfgfile.read_text().splitlines() if line.startswith("algo")]
+    specs = algos.partition("=")[2].replace(";", " ").split()
+    written = sorted(p.name for p in out.iterdir())
+    assert written == sorted(f"{parse_algo_spec(text).tag}.csv" for text in specs)
 
 
 def _exported_names() -> set[str]:

@@ -1,3 +1,5 @@
+import time
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -102,6 +104,14 @@ class TestCentralitySelect:
     def test_empty_graph(self):
         res = centrality_select(SnapshotGraph([], []), 1, 4)
         assert res.aggregation_points == frozenset()
+
+    def test_radius_beyond_the_graph_costs_no_more_than_its_size(self):
+        # each point's cover walk stops once a round reaches nothing, so a
+        # d past the graph's diameter costs no more than the diameter
+        g = gnp_graph(50, 0.05, 3)
+        start = time.process_time()
+        assert centrality_select(g, 10**9, 4) == centrality_select(g, g.n_vertices, 4)
+        assert time.process_time() - start < 1.0
 
     @given(seed=graph_seeds, n=st.integers(1, 40), d=st.integers(1, 3), k=st.integers(1, 6))
     def test_output_always_dominates(self, seed, n, d, k):
