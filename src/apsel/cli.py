@@ -257,8 +257,25 @@ def _period_boundaries(trace: Trace, cfg: TraceConfig) -> list[float]:
     return boundaries
 
 
+def _period_graphs(trace: Trace, cfg: TraceConfig, direction: bool = False):
+    """Each period's index, its boundary and its graph: the unit-disk graph
+    of the vehicles sampled at the boundary, direction-filtered when
+    direction is set, or None for a period with no vehicles."""
+    for index, t in enumerate(_period_boundaries(trace, cfg)):
+        snapshot = trace.positions_at(t)
+        if not snapshot:
+            graph = None
+        elif direction:
+            graph, _ = build_direction_constrained_udg(
+                snapshot, trace.positions_before(t), cfg.radio
+            )
+        else:
+            graph = build_udg(snapshot, cfg.radio)
+        yield index, t, graph
+
+
 def run_one_algorithm(trace: Trace, algo: AlgoSpec, cfg: RunConfig) -> list[PeriodMetrics]:
-    """Per-period pipeline: snapshot, graph, selection, assignment, metrics row.
+    """Per-period pipeline: graph, selection, assignment, metrics row.
 
     Vehicles report to their nearest point within algo.hops hops, whatever
     d an rb spec made in code holds. Period i draws rb's frame from the
@@ -268,21 +285,14 @@ def run_one_algorithm(trace: Trace, algo: AlgoSpec, cfg: RunConfig) -> list[Peri
     rows = []
     prev_points: frozenset[int] = frozenset()
     prev_assignment: dict[int, int] = {}
-    for index, t in enumerate(_period_boundaries(trace, cfg)):
-        snapshot = trace.positions_at(t)
-        if snapshot:
-            if algo.direction:
-                graph, _ = build_direction_constrained_udg(
-                    snapshot, trace.positions_before(t), cfg.radio
-                )
-            else:
-                graph = build_udg(snapshot, cfg.radio)
+    for index, t, graph in _period_graphs(trace, cfg, algo.direction):
+        if graph is None:
+            # an empty period runs no selector
+            graph, result, assignment = SnapshotGraph(()), SelectionResult(frozenset()), {}
+        else:
             period_seed = (cfg.seed * 1_000_003 + index) % 2**63
             result = ALGORITHMS[algo.name].select(algo, graph, period_seed)
             assignment = assign_to_aggregation_points(graph, result.aggregation_points, algo.hops)
-        else:
-            # an empty period builds no graph and runs no selector
-            graph, result, assignment = SnapshotGraph(()), SelectionResult(frozenset()), {}
         points = result.aggregation_points
         n = graph.n_vertices
         rows.append(
@@ -359,7 +369,9 @@ def cmd_tune(s: dict) -> int:
     out = s.get("out", "tuning.csv")
     tuner_cfg = TunerConfig(**_fields(s, TunerConfig))
     trace = _load_trace(cfg)
-    result = tune_parameters(trace, _period_boundaries(trace, cfg), tuner_cfg, cfg.radio)
+    # the search scores every period's graph at each (d, k) it tries, so it holds them all
+    usable = [graph for _, _, graph in _period_graphs(trace, cfg) if graph is not None]
+    result = tune_parameters(usable, tuner_cfg)
     write_tuning_trajectory_csv(result, out)
     print(
         f"d={result.d} k={result.k} rate={result.value:.4f}"

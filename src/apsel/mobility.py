@@ -278,119 +278,90 @@ class Trace:
 BLOCK_SIZE = 1 << 14
 
 
-class _Records:
-    """The samples of a trace file as its body is read, and the time field
-    of the last record read with the instant that field parsed to.
+def _read_records(instants: dict[float, _Filling], lines, first_line: int) -> None:
+    """Parse csv lines, the first of them the file's line first_line,
+    record by record into their instants' columns, skipping blank lines;
+    raise TraceFormatError for the first malformed record. This is the
+    only code that rejects a record."""
+    isfinite = math.isfinite
+    # consecutive records mostly share their time field: reuse its
+    # parsed value and its instant's columns
+    last_field = None
+    reader = csv.reader(lines)
+    before = first_line - 1
+    try:
+        for row in reader:
+            if len(row) != 4:
+                if not row:
+                    continue
+                raise ValueError(f"expected 4 fields, got {len(row)}")
+            field, v, x, y = row
+            new_time = field != last_field
+            if new_time:
+                t = float(field)
+            x, y, v = float(x), float(y), int(v)
+            # t changes only with its field, so it is checked only then
+            if not (isfinite(x) and isfinite(y)) or new_time and not isfinite(t):
+                raise ValueError(f"non-finite time or coordinate {row!r}")
+            if new_time:
+                last_field = field
+                at = _filling(instants, t)
+                add_id, add_x, add_y = at.ids.append, at.xs.append, at.ys.append
+            try:
+                add_id(v)
+            except OverflowError:
+                raise ValueError(_id_error(v)) from None
+            add_x(x)
+            add_y(y)
+    except UnicodeDecodeError:  # met while reading ahead, so on no known line
+        raise
+    # csv.Error: a field over csv.field_size_limit(), or a NUL byte before Python 3.11
+    except (ValueError, csv.Error) as exc:
+        raise TraceFormatError(f"line {before + reader.line_num}: {exc}") from exc
 
-    ``read`` is the per-record validator; ``take`` converts a plain block
-    column by column and hands any block it doubts back to ``read``.
-    """
 
-    __slots__ = ("instants", "field", "at")
-
-    def __init__(self):
-        self.instants: dict[float, _Filling] = {}
-        self.field: str | None = None
-        self.at: _Filling | None = None
-
-    def read(self, lines, first_line: int) -> None:
-        """Parse csv lines, the first of them the file's line first_line,
-        record by record into their instants' columns, skipping blank
-        lines; raise TraceFormatError for the first malformed record."""
-        instants, isfinite = self.instants, math.isfinite
-        # consecutive records mostly share their time field: reuse its
-        # parsed value and its instant's columns
-        last_field, at = self.field, self.at
-        if at is not None:
-            add_id, add_x, add_y = at.ids.append, at.xs.append, at.ys.append
-        reader = csv.reader(lines)
-        before = first_line - 1
-        try:
-            for row in reader:
-                if len(row) != 4:
-                    if not row:
-                        continue
-                    raise ValueError(f"expected 4 fields, got {len(row)}")
-                field, v, x, y = row
-                new_time = field != last_field
-                if new_time:
-                    t = float(field)
-                x, y, v = float(x), float(y), int(v)
-                # t changes only with its field, so it is checked only then
-                if not (isfinite(x) and isfinite(y)) or new_time and not isfinite(t):
-                    raise ValueError(f"non-finite time or coordinate {row!r}")
-                if new_time:
-                    last_field = field
-                    at = _filling(instants, t)
-                    add_id, add_x, add_y = at.ids.append, at.xs.append, at.ys.append
-                try:
-                    add_id(v)
-                except OverflowError:
-                    raise ValueError(_id_error(v)) from None
-                add_x(x)
-                add_y(y)
-        except UnicodeDecodeError:  # met while reading ahead, so on no known line
-            raise
-        # csv.Error: a field over csv.field_size_limit(), or a NUL byte before Python 3.11
-        except (ValueError, csv.Error) as exc:
-            raise TraceFormatError(f"line {before + reader.line_num}: {exc}") from exc
-        self.field, self.at = last_field, at
-
-    def take(self, block: str) -> bool:
-        """Add a block of whole lines with no quote and no CR, column by
-        column, and return True; or add nothing and return False when a
-        line might not be a plain valid record: other than 4 fields (a
-        blank line too), a value that does not convert, is not finite or
-        is an id outside int64, text longer than csv.field_size_limit(),
-        or a last line with no newline. Takes each new time field to its
-        instant (``_filling``) exactly where ``read`` would."""
-        n = block.count("\n")
-        # each newline stays on the y field it ends, so a block of 4-field
-        # lines splits into 4n + 1 fields with every newline in a y field
-        fields = block.replace("\n", "\n,").split(",")
-        ys = fields[3::4]
-        if (
-            not block.endswith("\n")
-            or len(block) > csv.field_size_limit()
-            or len(fields) != 4 * n + 1
-            or "".join(ys).count("\n") != n
-        ):
-            return False
-        try:
-            ids = array("q", map(int, fields[1::4]))
-            xs = array("d", map(float, fields[2::4]))
-            ys = array("d", map(float, ys))
-        except (ValueError, OverflowError):
-            return False
-        isfinite = math.isfinite
-        # an inf or a nan makes its column's sum non-finite
-        if not (isfinite(sum(xs)) and isfinite(sum(ys))):
-            return False
-        # (time, or None where the run goes on with the last record's time field; length)
-        runs = []
-        last_field = self.field
-        for field, group in groupby(islice(fields, 0, 4 * n, 4)):
-            t = None
-            if field != last_field:
-                try:
-                    t = float(field)
-                except ValueError:
-                    return False
-                if not isfinite(t):
-                    return False
-            runs.append((t, len(list(group))))
-            last_field = field
-        at, start = self.at, 0
-        for t, count in runs:
-            if t is not None:
-                at = _filling(self.instants, t)
-            end = start + count
-            at.ids += ids[start:end]
-            at.xs += xs[start:end]
-            at.ys += ys[start:end]
-            start = end
-        self.field, self.at = last_field, at
-        return True
+def _take_block(instants: dict[float, _Filling], block: str) -> bool:
+    """Add a block of whole lines with no quote and no CR to their
+    instants' columns, column by column, and return True; or add nothing
+    and return False when a line might not be a plain valid record: other
+    than 4 fields (a blank line too), a value that does not convert, is
+    not finite or is an id outside int64, text longer than
+    csv.field_size_limit(), or a last line with no newline. Takes each
+    new time field to its instant (``_filling``) exactly where
+    ``_read_records`` would."""
+    n = block.count("\n")
+    # each newline stays on the y field it ends, so a block of 4-field
+    # lines splits into 4n + 1 fields with every newline in a y field
+    fields = block.replace("\n", "\n,").split(",")
+    ys = fields[3::4]
+    if (
+        not block.endswith("\n")
+        or len(block) > csv.field_size_limit()
+        or len(fields) != 4 * n + 1
+        or "".join(ys).count("\n") != n
+    ):
+        return False
+    try:
+        ids = array("q", map(int, fields[1::4]))
+        xs = array("d", map(float, fields[2::4]))
+        ys = array("d", map(float, ys))
+        # (time, length) of each run of records that share a time field
+        runs = [(float(t), len(list(run))) for t, run in groupby(islice(fields, 0, 4 * n, 4))]
+    except (ValueError, OverflowError):
+        return False
+    isfinite = math.isfinite
+    # an inf or a nan makes its column's sum non-finite
+    if not (isfinite(sum(xs)) and isfinite(sum(ys)) and isfinite(sum(t for t, _ in runs))):
+        return False
+    start = 0
+    for t, count in runs:
+        at = _filling(instants, t)
+        end = start + count
+        at.ids += ids[start:end]
+        at.xs += xs[start:end]
+        at.ys += ys[start:end]
+        start = end
+    return True
 
 
 def load_trace_csv(path) -> Trace:
@@ -414,7 +385,7 @@ def load_trace_csv(path) -> Trace:
     rest of the file is parsed record by record, as a quoted field may
     span blocks.
     """
-    records = _Records()
+    instants: dict[float, _Filling] = {}
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -430,14 +401,14 @@ def load_trace_csv(path) -> Trace:
             if not block.endswith("\n"):
                 block += fh.readline()
             if '"' in block or "\r" in block:
-                records.read(chain(io.StringIO(block, newline=""), fh), line)
+                _read_records(instants, chain(io.StringIO(block, newline=""), fh), line)
                 break
-            if not records.take(block):
-                records.read(io.StringIO(block, newline=""), line)
+            if not _take_block(instants, block):
+                _read_records(instants, io.StringIO(block, newline=""), line)
             line += block.count("\n")
-    if not records.instants:
+    if not instants:
         raise TraceFormatError(f"{path}: no samples")
-    return Trace._from_instants(_frozen(records.instants))
+    return Trace._from_instants(_frozen(instants))
 
 
 def write_trace_csv(trace: Trace, path) -> None:

@@ -3,10 +3,10 @@
 A plain Nelder-Mead simplex runs in continuous 2-space; every candidate
 point is clamped to the configured box and rounded to the nearest
 integers before the objective (mean aggregation rate of the centrality
-selector over sampled snapshots) is evaluated. Evaluations are memoized
-per integer pair, and the reported optimum is the best pair the search
-ever touched, so the integer grid, not the simplex geometry, has the
-last word.
+selector over the period graphs it is given) is evaluated. Evaluations
+are memoized per integer pair, and the reported optimum is the best pair
+the search ever touched, so the integer grid, not the simplex geometry,
+has the last word.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .metrics import aggregation_rate
-from .mobility import RadioParams, Trace, build_udg
 from .selection import centrality_select
 
 __all__ = [
@@ -290,32 +289,23 @@ def tune_integer_objective(objective, config: TunerConfig = TunerConfig()) -> Tu
     )
 
 
-def tune_parameters(
-    trace: Trace,
-    sample_times=None,
-    config: TunerConfig = TunerConfig(),
-    radio: RadioParams = RadioParams(),
-) -> TuneResult:
-    """Tune (d, k) to maximize mean aggregation rate over a trace.
-
-    sample_times picks the delivery-period boundaries to score (every
-    sampled instant when omitted). Each is read through
-    ``trace.positions_at``, so a time within ``time_slack`` of an instant
-    reads that instant, and turned into an unconstrained unit-disk graph;
-    a time that names no instant, inside the trace's span or outside it,
-    contributes nothing. Deterministic for a fixed trace and config.
+def tune_parameters(graphs, config: TunerConfig = TunerConfig()) -> TuneResult:
+    """Tune (d, k) to maximize the mean aggregation rate of
+    ``centrality_select`` over graphs, one per scored period, each scored
+    at every (d, k) the search tries. Raises ValueError, before any
+    evaluation, for no graph or a graph with no vehicles. Deterministic
+    for fixed graphs and config.
     """
-    times = trace.times if sample_times is None else sample_times
-    usable = [build_udg(snap, radio) for snap in map(trace.positions_at, times) if snap]
-    if not usable:
-        raise ValueError("no non-empty snapshots to tune on")
+    graphs = list(graphs)
+    if not graphs or not all(g.n_vertices for g in graphs):
+        raise ValueError("tuning needs at least one graph, and a vehicle in each")
 
     def mean_rate(d: int, k: int) -> float:
         total = 0.0
-        for g in usable:
+        for g in graphs:
             n_aps = len(centrality_select(g, d, k).aggregation_points)
             total += aggregation_rate(n_aps, g.n_vertices)
-        return total / len(usable)
+        return total / len(graphs)
 
     return tune_integer_objective(mean_rate, config)
 

@@ -17,7 +17,9 @@ reservation frame, the set-based exact branch and bound, the
 per-point BFS assignment to the nearest point and the Nelder-Mead search
 on numpy 2-vectors. numpy is a test dependency only.
 ``brute_force_min_dominating_set`` is the exhaustive tiny-n witness
-that validates the exact solver.
+that validates the exact solver. ``reference_run`` puts the oracles
+together into the rows of a whole ``run``, from the README's rules for
+period boundaries, headings and the rb frame's seed.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ import numpy as np
 
 import apsel.selection
 from apsel.graph import SnapshotGraph, UnknownVehicleError
+from apsel.metrics import PACKET_SIZE_BYTES, PeriodMetrics
 from apsel.mobility import TRACE_HEADER, RadioParams, Trace, TraceFormatError
 from apsel.selection import GraphSizeError, SelectionResult
 from apsel.tuner import (
@@ -374,6 +377,20 @@ def displacements_at(
             px, py = prev_snapshot[v]
             out[v] = DisplacementVector(x - px, y - py)
     return out
+
+
+def direction_filtered_edges(snap, prev, radio) -> list[tuple[int, int]]:
+    """The unit-disk edges whose ends head at most 45 degrees apart, or
+    either of which is direction-neutral."""
+    moves = displacements_at(snap, prev)
+
+    def same_heading(i, j):
+        wi, wj = moves.get(i), moves.get(j)
+        if wi is None or wj is None or wi.is_neutral or wj.is_neutral:
+            return True
+        return direction_angle(wi, wj) <= 45.0
+
+    return [e for e in udg_edges_oracle(snap, radio) if same_heading(*e)]
 
 
 def all_k_closeness_oracle(g: SnapshotGraph, k: int) -> tuple[dict[int, float], int]:
@@ -729,3 +746,94 @@ def nelder_mead_oracle(objective, initial_simplex, max_iterations: int = 500, bo
         converged=converged,
         trajectory=tuple(trajectory),
     )
+
+
+def reference_period_graphs(trace: Trace, cfg, direction: bool = False):
+    """(boundary, graph or None) for every delivery period of cfg on trace,
+    by the README's rules read straight from the samples: boundary i is
+    start + i * period, or the sampled instant within a millionth of a
+    sampling period (the median gap, the lower middle one) plus four ulps
+    of it; a direction-filtered graph takes each vehicle's heading from
+    its latest sample no more than one sampling period back. Graphs come
+    from ``udg_edges_oracle`` and ``direction_filtered_edges``; a boundary that
+    reads no sample has None."""
+    by_time: dict[float, dict[int, tuple[float, float]]] = {}
+    for p in trace_samples(trace):
+        by_time.setdefault(p.time, {})[p.vehicle] = (p.x, p.y)
+    times = sorted(by_time)
+    gaps = [b - a for a, b in zip(times, times[1:])]
+    sampling = statistics.median_low(gaps) if gaps else 1.0
+
+    def slack(t):
+        return 1e-6 * sampling + 4 * math.ulp(t)
+
+    start = times[0] if cfg.t_start is None else cfg.t_start
+    end = times[-1] if cfg.t_end is None else cfg.t_end
+    for i in itertools.count():
+        t = start + i * cfg.period
+        nearest = min(times, key=lambda s: abs(s - t))
+        if abs(nearest - t) <= slack(t):
+            t = nearest
+        if t > end + slack(end):
+            return
+        snap = by_time.get(t)
+        if snap is None:
+            yield t, None
+            continue
+        edges = udg_edges_oracle(snap, cfg.radio)
+        if direction:
+            prev = {}
+            for s in times:
+                if s < t and t - s <= sampling + slack(t):
+                    prev.update(by_time[s])
+            edges = direction_filtered_edges(snap, prev, cfg.radio)
+        yield t, SnapshotGraph(sorted(snap), edges)
+
+
+def reference_run(trace: Trace, cfg) -> dict[str, list]:
+    """Each algorithm's ``PeriodMetrics`` rows for ``run`` or ``compare``
+    with RunConfig cfg on trace, keyed by output tag, from the oracles
+    alone: ``reference_period_graphs``, then ``centrality_select_oracle``,
+    ``rb_select_with_slots_oracle`` with slots drawn in ascending id from
+    the README's per-period seed (seed * 1,000,003 + i) mod 2**63, or
+    ``exact_min_dominating_set_oracle``, and
+    ``assign_to_aggregation_points_oracle`` at d hops (1 for rb)."""
+    runs = {}
+    for algo in cfg.algos:
+        rows = []
+        prev_points, prev_assignment = frozenset(), {}
+        periods = reference_period_graphs(trace, cfg, algo.direction)
+        for i, (t, g) in enumerate(periods):
+            if g is None:
+                g, result = SnapshotGraph([]), SelectionResult(frozenset())
+            elif algo.name == "centrality":
+                result = centrality_select_oracle(g, algo.d, algo.k)
+            elif algo.name == "rb":
+                rng = random.Random((cfg.seed * 1_000_003 + i) % 2**63)
+                slots = {v: rng.randrange(algo.slots) for v in sorted(g.vertices)}
+                result = rb_select_with_slots_oracle(g, slots, algo.slots)
+            else:
+                result = exact_min_dominating_set_oracle(g, algo.d)
+            points = result.aggregation_points
+            hops = 1 if algo.name == "rb" else algo.d
+            assignment = assign_to_aggregation_points_oracle(g, points, hops)
+            n = g.n_vertices
+            rows.append(
+                PeriodMetrics(
+                    time=t,
+                    n_vehicles=n,
+                    n_edges=len(list(g.edges())),
+                    n_aps=len(points),
+                    aggregation_rate=1.0 - len(points) / n if n else None,
+                    upload_cost_bps=len(points) * PACKET_SIZE_BYTES / cfg.period,
+                    edges_examined=result.edges_examined,
+                    n_notifications=len(prev_points ^ points),
+                    n_routing_updates=sum(
+                        prev_assignment.get(v) != p for v, p in assignment.items()
+                    ),
+                    n_reelections=len(prev_points & points),
+                )
+            )
+            prev_points, prev_assignment = points, assignment
+        runs[algo.tag] = rows
+    return runs

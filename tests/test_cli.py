@@ -762,6 +762,24 @@ class TestTuneCommand:
         printed = capsys.readouterr().out
         assert printed.startswith("d=")
 
+    def test_time_one_rounding_from_an_instant_is_read(self, tmp_path):
+        # the tuner once looked instants up by exact float key, so 0.1 + 0.2 found
+        # no snapshot; only the middle instant links its vehicles
+        trace = tmp_path / "trace.csv"
+        write_trace_csv(
+            Trace([TracePoint(t, v, (50.0 if t == 0.3 else 500.0) * v, 0.0)
+                   for t in (0.0, 0.3, 0.6) for v in range(4)]),
+            trace,
+        )
+        outs = []
+        for start in ("0.3", repr(0.1 + 0.2)):
+            outs.append(tmp_path / f"tuning-{start}.csv")
+            argv = ["tune", "--trace", str(trace), "--t-start", start, "--period", "1",
+                    "--d-max", "3", "--k-max", "3", "--out", str(outs[-1])]
+            assert main(argv) == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+        assert max(float(row.split(",")[3]) for row in outs[0].read_text().splitlines()[1:]) > 0
+
     def test_tuner_fields_are_the_box_flags(self):
         # cmd_tune passes these settings to TunerConfig untranslated
         _, commands = _build_parser()

@@ -2,6 +2,7 @@
 
 import ast
 import importlib
+import inspect
 import pkgutil
 import re
 from pathlib import Path
@@ -109,3 +110,20 @@ def _used_names() -> set[str]:
 def test_no_export_is_used_only_by_tests():
     # a definition is not a use: a name that only tests call belongs in tests/helpers.py
     assert sorted(_exported_names() - _used_names()) == []
+
+
+def test_tuner_scores_graphs_it_is_given():
+    # which instants a command reads is cli._period_boundaries' rule alone, and
+    # the graphs come from cli._period_graphs: the tuner reads no trace
+    tree = ast.parse((PACKAGE / "tuner.py").read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            imported.add(node.module or "")
+        if isinstance(node, ast.ImportFrom | ast.Import):
+            imported.update(a.name for a in node.names)
+    # .mobility, apsel.mobility, or mobility itself from the package
+    assert [name for name in imported if name.split(".")[-1] == "mobility"] == []
+    params = inspect.signature(apsel.tune_parameters).parameters
+    assert [p for p in params if "time" in p or "radio" in p] == []
+    assert list(params) == ["graphs", "config"]

@@ -57,8 +57,7 @@ from helpers import (
     breadth_first_order_oracle,
     centrality_select_oracle,
     cycle_graph,
-    direction_angle,
-    displacements_at,
+    direction_filtered_edges,
     exact_min_dominating_set_oracle,
     geometric_snapshot,
     path_graph,
@@ -100,20 +99,6 @@ def assert_adjacency_by_position(g: SnapshotGraph, ids, edges) -> None:
             g.neighbors(absent)
         with pytest.raises(UnknownVehicleError):
             g.degree(absent)
-
-
-def direction_filtered_edges(snap, prev, radio) -> list[tuple[int, int]]:
-    """The unit-disk edges whose ends head at most 45 degrees apart, or
-    either of which is direction-neutral."""
-    moves = displacements_at(snap, prev)
-
-    def same_heading(i, j):
-        wi, wj = moves.get(i), moves.get(j)
-        if wi is None or wj is None or wi.is_neutral or wj.is_neutral:
-            return True
-        return direction_angle(wi, wj) <= 45.0
-
-    return [e for e in udg_edges_oracle(snap, radio) if same_heading(*e)]
 
 
 @st.composite
@@ -459,9 +444,10 @@ class TestBitsetCloseness:
     def test_tuner_searches_each_graph_once(self, monkeypatch):
         calls = spy_on_closeness_kernels(monkeypatch)
         trace = generate_two_way_roadway(30, 400.0, 5.0, seed=3)
-        res = tune_parameters(trace, config=TunerConfig(d_max=2, k_max=2))
+        graphs = [build_udg(trace.positions_at(t)) for t in trace.times]
+        res = tune_parameters(graphs, config=TunerConfig(d_max=2, k_max=2))
         assert res.n_evaluations > 1
-        assert len(calls) == len({id(adj) for _, adj in calls}) == len(trace.times)
+        assert len(calls) == len({id(adj) for _, adj in calls}) == len(graphs)
         assert {kernel for kernel, _ in calls} == {self.kernel}
 
 

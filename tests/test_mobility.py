@@ -326,7 +326,10 @@ class TestLoaderOracle:
         assert load_error(load_trace_csv, path) == load_error(load_trace_csv_oracle, path)
 
     # Each case follows `pad` plain records, so its lines meet block edges
-    # at several offsets.
+    # at several offsets. Each block resolves its first time field afresh,
+    # and a field runs on across an edge in "zero-spellings" (`-0.0`, one
+    # instant) and in "minus-zero-duplicate" at pads 1 and 3 (`-0.0` after
+    # `0.0`, before the duplicate whose written time the message names).
     @pytest.mark.parametrize("pad", range(4))
     @pytest.mark.parametrize(
         "body",
@@ -384,10 +387,10 @@ class TestLoaderOracle:
         write_trace_csv(generate_two_way_roadway(20, 500.0, 5.0, seed=1), path)
         expected = load_outcome(load_trace_csv, path)
 
-        def refuse(records, lines, first_line):
+        def refuse(instants, lines, first_line):
             raise AssertionError(f"block from line {first_line} parsed record by record")
 
-        monkeypatch.setattr(mobility._Records, "read", refuse)
+        monkeypatch.setattr(mobility, "_read_records", refuse)
         assert load_outcome(load_trace_csv, path) == expected
         path.write_text(path.read_text().replace("0.0,3,", '"0.0",3,'))
         with pytest.raises(AssertionError, match="record by record"):

@@ -6,7 +6,11 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from apsel.mobility import Trace, generate_two_way_roadway
+import apsel.tuner
+from apsel.graph import SnapshotGraph
+from apsel.metrics import aggregation_rate
+from apsel.mobility import build_udg, generate_two_way_roadway
+from apsel.selection import centrality_select
 from apsel.tuner import (
     CONTRACTION,
     EXPANSION,
@@ -21,7 +25,7 @@ from apsel.tuner import (
     tune_parameters,
     write_tuning_trajectory_csv,
 )
-from helpers import TracePoint, nelder_mead_oracle, spy_on_assignment
+from helpers import nelder_mead_oracle, path_graph, spy_on_assignment
 
 
 def quadratic(x):
@@ -282,26 +286,24 @@ class TestIntegerTuning:
         assert res.k == 5
 
 
+def roadway_graphs(n, area, duration, seed):
+    trace = generate_two_way_roadway(n, area, duration, seed=seed)
+    return [build_udg(trace.positions_at(t)) for t in trace.times]
+
+
 class TestTuneParameters:
     def test_isolated_vehicles_scores_zero_everywhere(self):
-        # vehicles 1 km apart never share an edge
-        trace = Trace([TracePoint(0.0, v, v * 1000.0, 0.0) for v in range(5)])
-        res = tune_parameters(trace)
+        res = tune_parameters([SnapshotGraph(range(5))])
         assert res.value == 0.0
         assert 1 <= res.d <= 10 and 1 <= res.k <= 10
 
     def test_dense_trace_beats_defaults(self):
-        trace = generate_two_way_roadway(40, 400.0, 8.0, seed=2)
-        res = tune_parameters(trace)
-
-        from apsel.metrics import aggregation_rate
-        from apsel.mobility import build_udg
-        from apsel.selection import centrality_select
+        graphs = roadway_graphs(40, 400.0, 8.0, seed=2)
+        res = tune_parameters(graphs)
 
         def rate_at(d, k):
             rates = []
-            for t in trace.times:
-                g = build_udg(trace.positions_at(t))
+            for g in graphs:
                 n_aps = len(centrality_select(g, d, k).aggregation_points)
                 rates.append(aggregation_rate(n_aps, g.n_vertices))
             return sum(rates) / len(rates)
@@ -309,43 +311,26 @@ class TestTuneParameters:
         assert res.value >= rate_at(1, 4) - 1e-12
         assert res.value == pytest.approx(rate_at(res.d, res.k))
 
-    def test_sample_times_subset(self):
-        trace = generate_two_way_roadway(20, 300.0, 10.0, seed=5)
-        res = tune_parameters(trace, sample_times=[0.0, 5.0])
-        assert 1 <= res.d <= 10
-
-    def test_no_usable_snapshot_rejected(self):
-        trace = Trace([TracePoint(0.0, 0, 0.0, 0.0), TracePoint(2.0, 0, 5.0, 0.0)])
-        with pytest.raises(ValueError, match="non-empty"):
-            tune_parameters(trace, sample_times=[1.0])
-        with pytest.raises(ValueError, match="non-empty"):
-            tune_parameters(trace, sample_times=[-1.0, 3.0])
-
-    def test_time_outside_span_skipped_like_an_unsampled_one(self):
-        trace = generate_two_way_roadway(20, 300.0, 10.0, seed=5)
-        config = TunerConfig(d_max=3, k_max=3)
-        inside = tune_parameters(trace, [4.0], config)
-        assert tune_parameters(trace, [4.0, 99.0], config) == inside
-        assert tune_parameters(trace, [-5.0, 4.0, 2.5], config) == inside
-
-    def test_time_one_rounding_from_an_instant_is_read(self):
-        # the lookup was by exact float key, so 0.1 + 0.2 found no snapshot
-        trace = Trace([TracePoint(t, v, 50.0 * v, 0.0) for t in (0.0, 0.3) for v in range(4)])
-        config = TunerConfig(d_max=3, k_max=3)
-        assert tune_parameters(trace, [0.1 + 0.2], config) == tune_parameters(trace, [0.3], config)
+    def test_no_usable_snapshot_rejected(self, monkeypatch):
+        # no graph, or one with no vehicles, fails before any evaluation
+        calls = []
+        monkeypatch.setattr(apsel.tuner, "centrality_select", lambda *args: calls.append(args))
+        for graphs in ([], iter([]), [path_graph(3), SnapshotGraph(())]):
+            with pytest.raises(ValueError, match="at least one graph, and a vehicle in each"):
+                tune_parameters(graphs)
+        assert calls == []
 
     def test_makes_no_assignment(self, monkeypatch):
         # the objective reads only the number of points
         calls = spy_on_assignment(monkeypatch)
-        trace = generate_two_way_roadway(20, 300.0, 10.0, seed=5)
-        res = tune_parameters(trace, [0.0, 4.0], TunerConfig(d_max=3, k_max=3))
+        graphs = roadway_graphs(20, 300.0, 10.0, seed=5)
+        res = tune_parameters([graphs[0], graphs[4]], TunerConfig(d_max=3, k_max=3))
         assert res.n_evaluations > 1
         assert calls == []
 
     def test_deterministic(self):
-        trace = generate_two_way_roadway(25, 400.0, 6.0, seed=8)
-        a = tune_parameters(trace)
-        b = tune_parameters(trace)
+        a = tune_parameters(roadway_graphs(25, 400.0, 6.0, seed=8))
+        b = tune_parameters(iter(roadway_graphs(25, 400.0, 6.0, seed=8)))
         assert (a.d, a.k, a.value) == (b.d, b.k, b.value)
         assert a.trajectory == b.trajectory
 
