@@ -223,12 +223,19 @@ def _load_trace(cfg: TraceConfig) -> Trace:
 def _period_boundaries(trace: Trace, cfg: TraceConfig) -> list[float]:
     """The instants start + i * period up to the window end, each replaced
     by the sampled instant it rounds to; one that rounds to none stays as
-    computed and reads as an empty snapshot. Raises ConfigError for a
-    window outside the trace's span or ending before it starts, when no
+    computed and reads as an empty snapshot. The window's ends round the
+    same way before they are checked, so an end that names the first or
+    last instant lies within the span. Raises ConfigError for a window
+    outside the trace's span or ending before it starts, when no
     boundary rounds to a sampled instant, or when two read the same one."""
+
+    def rounded(t: float) -> float:
+        sampled = trace.instant_near(t)
+        return t if sampled is None else sampled  # the instant 0.0 is falsy
+
     lo, hi = trace.span
-    start = lo if cfg.t_start is None else cfg.t_start
-    end = hi if cfg.t_end is None else cfg.t_end
+    start = rounded(lo if cfg.t_start is None else cfg.t_start)
+    end = rounded(hi if cfg.t_end is None else cfg.t_end)
     if not (lo <= start <= hi and lo <= end <= hi):
         raise ConfigError(f"window [{start}, {end}] not within trace span [{lo}, {hi}]")
     if start > end:
@@ -236,10 +243,7 @@ def _period_boundaries(trace: Trace, cfg: TraceConfig) -> list[float]:
     boundaries = []
     i = 0
     while True:
-        t = start + i * cfg.period
-        sampled = trace.instant_near(t)
-        if sampled is not None:
-            t = sampled
+        t = rounded(start + i * cfg.period)
         if t > end + trace.time_slack(end):
             break
         if boundaries and t <= boundaries[-1]:
@@ -368,6 +372,9 @@ def cmd_tune(s: dict) -> int:
     cfg = _trace_config(TraceConfig, s)
     out = s.get("out", "tuning.csv")
     tuner_cfg = TunerConfig(**_fields(s, TunerConfig))
+    # the search comes before the write, so a directory that is not there fails first
+    if not os.path.isdir(os.path.dirname(out) or "."):
+        raise ConfigError(f"no directory for --out {out}")
     trace = _load_trace(cfg)
     # the search scores every period's graph at each (d, k) it tries, so it holds them all
     usable = [graph for _, _, graph in _period_graphs(trace, cfg) if graph is not None]

@@ -753,7 +753,8 @@ def reference_period_graphs(trace: Trace, cfg, direction: bool = False):
     by the README's rules read straight from the samples: boundary i is
     start + i * period, or the sampled instant within a millionth of a
     sampling period (the median gap, the lower middle one) plus four ulps
-    of it; a direction-filtered graph takes each vehicle's heading from
+    of it, where start and the window end are themselves rounded so; a
+    direction-filtered graph takes each vehicle's heading from
     its latest sample no more than one sampling period back. Graphs come
     from ``udg_edges_oracle`` and ``direction_filtered_edges``; a boundary that
     reads no sample has None."""
@@ -767,13 +768,14 @@ def reference_period_graphs(trace: Trace, cfg, direction: bool = False):
     def slack(t):
         return 1e-6 * sampling + 4 * math.ulp(t)
 
-    start = times[0] if cfg.t_start is None else cfg.t_start
-    end = times[-1] if cfg.t_end is None else cfg.t_end
-    for i in itertools.count():
-        t = start + i * cfg.period
+    def rounded(t):
         nearest = min(times, key=lambda s: abs(s - t))
-        if abs(nearest - t) <= slack(t):
-            t = nearest
+        return nearest if abs(nearest - t) <= slack(t) else t
+
+    start = rounded(times[0] if cfg.t_start is None else cfg.t_start)
+    end = rounded(times[-1] if cfg.t_end is None else cfg.t_end)
+    for i in itertools.count():
+        t = rounded(start + i * cfg.period)
         if t > end + slack(end):
             return
         snap = by_time.get(t)

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import apsel.tuner
 from apsel.cli import (
     ALGORITHMS,
     AlgoSpec,
@@ -540,6 +541,30 @@ class TestRunCommand:
         assert "span" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "command, window, near, exact",
+        [
+            ("run", ["--t-end={}"], repr(0.1 + 0.2), "0.3"),
+            ("tune", ["--t-start={}"], repr(0.1 + 0.2), "0.3"),
+            ("run", ["--t-start=0.1", "--t-end={}"], repr(0.1 + 0.2), "0.3"),
+            ("run", ["--t-start={}"], "-1e-9", "0"),  # the first instant, 0.0, is falsy
+            ("tune", ["--t-end={}"], "-1e-9", "0"),
+        ],
+    )
+    def test_window_end_naming_a_span_end_is_that_instant(self, tmp_path, command, window, near, exact):
+        # the span check once compared the window exactly, while every boundary
+        # rounds: 0.1 + 0.2 after the last instant 0.3 failed as outside the span
+        trace = tmp_path / "trace.csv"
+        write_trace_csv(Trace([TracePoint(t, v, 50.0 * v, 0.0) for t in (0.0, 0.3) for v in range(4)]), trace)
+        written = []
+        for value in (near, exact):
+            out = tmp_path / f"out{len(written)}"
+            argv = [command, "--trace", str(trace), *(flag.format(value) for flag in window),
+                    "--period", "0.1", "--out", str(out)]
+            assert main(argv + (["--algo", "centrality", "--algo", "rb"] if command == "run" else [])) == 0
+            written.append({p.name: p.read_bytes() for p in out.iterdir()} if out.is_dir() else out.read_bytes())
+        assert written[0] == written[1]
+
     @pytest.mark.parametrize("command", ["run", "compare", "tune"])
     def test_reversed_window_fails(self, tmp_path, capsys, command):
         # both ends lie in the span [0.0, 9.0]
@@ -786,6 +811,16 @@ class TestTuneCommand:
         dests = {a.dest for a in commands["tune"]._actions}
         assert {f.name for f in fields(TunerConfig)} == dests & {"d_max", "k_max"} == {"d_max", "k_max"}
         assert not any("iteration" in dest for dest in dests)
+
+    def test_missing_out_directory_fails_before_the_search(self, tmp_path, capsys, monkeypatch):
+        # the whole search once ran before the write failed on the missing directory
+        calls = []
+        monkeypatch.setattr(apsel.tuner, "centrality_select", lambda *args: calls.append(args))
+        out = tmp_path / "missing" / "t.csv"
+        assert main(["tune", "--gen-n", "20", "--gen-duration", "12", "--out", str(out)]) == 1
+        assert calls == []
+        assert str(out) in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("flag, value", [("--d-max", "0"), ("--k-max", "-2")])
     def test_box_error_names_the_flag(self, tmp_path, capsys, flag, value):

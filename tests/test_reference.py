@@ -47,18 +47,22 @@ def traces(draw):
 @st.composite
 def windows(draw, trace):
     """Period, window and radio flags, and the matching keyword settings;
-    the window starts on a sampled instant, so some boundary is sampled."""
+    each end of the window names a sampled instant, on it or within the
+    instants' slack of it, so some boundary is sampled."""
     period = draw(st.sampled_from([0.5, 1.0, 1.5, 2.0, 3.0]))
     flags = ["--period", str(period)]
     kwargs = {"period": period}
+    nudge = st.sampled_from([0.0, 1e-7, -1e-7])  # whole-second instants: the slack is at least 1e-6
     start = draw(st.none() | st.sampled_from(trace.times))
-    if start is not None:
-        flags += ["--t-start", repr(start)]
-        kwargs["t_start"] = start
     later = trace.times if start is None else [t for t in trace.times if t >= start]
+    if start is not None:
+        start += draw(nudge)
+        flags += [f"--t-start={start!r}"]
+        kwargs["t_start"] = start
     end = draw(st.none() | st.sampled_from(later))
     if end is not None:
-        flags += ["--t-end", repr(end)]
+        end += draw(nudge)
+        flags += [f"--t-end={end!r}"]
         kwargs["t_end"] = end
     radius = draw(st.sampled_from([60.0, 100.0, 150.0]))
     flags += ["--radius", repr(radius)]
