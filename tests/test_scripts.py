@@ -6,6 +6,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from apsel.cli import main
 
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "paper_comparison.py"
@@ -20,6 +22,26 @@ def comparison(tmp_path, *args) -> list[list[str]]:
     header, *rows = (line.split() for line in proc.stdout.splitlines())
     assert header == ["n", "algorithm", "rate", "upload_bps", "reelect", "notify", "links", "edges_seen"]
     return rows
+
+
+@pytest.mark.parametrize(
+    "replaces,args,rows",
+    [
+        # the direction study: closeness with and without the heading filter
+        ("roadway_direction_study.py",
+         ["--seeds", "1", "--n", "20", "--duration", "20",
+          "--algo", "centrality", "--algo", "centrality:direction=true"], 2),
+        # the selector sweep: the optimum across two vehicle counts
+        ("selector_benchmark.py", ["--n", "20", "40", "--seeds", "2", "--duration", "20", "--algo", "exact"], 2),
+    ],
+)
+def test_script_prints_its_table(tmp_path, replaces, args, rows):
+    # the table each script this one replaces printed, as rows of this one
+    printed = comparison(tmp_path, *args)
+    assert len(printed) == rows
+    for row in printed:
+        values = [float(x) for x in row[2:]]
+        assert all(math.isfinite(v) and v >= 0.0 for v in values), (replaces, row)
 
 
 def test_prints_one_row_per_count_and_spec(tmp_path):
