@@ -2,7 +2,7 @@
 
 For each vehicle count and seed 0..SEEDS-1 this generates a roadway with
 generate_two_way_roadway and runs every --algo spec through the CLI's
-per-period pipeline (apsel.cli.run_one_algorithm), so each row holds
+per-period pipeline (apsel.cli.run_algorithms), so each row holds
 the figures `apsel compare` would report, averaged over every period of
 every seed. exact finishes at the default sizes; beyond them its time
 is heavy-tailed (README, MAX_EXACT_VERTICES).
@@ -16,7 +16,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from apsel.cli import GenParams, RunConfig, parse_algo_spec, run_one_algorithm
+from apsel.cli import GenParams, RunConfig, parse_algo_spec, run_algorithms
 from apsel.metrics import summarize_run
 from apsel.mobility import generate_two_way_roadway
 
@@ -50,13 +50,15 @@ def main(argv=None):
         f" {'notify':>8} {'links':>7} {'edges_seen':>10}"
     )
     for gen in gens:
-        rows = {algo: [] for algo in algos}
-        for seed in range(args.seeds):
-            trace = generate_two_way_roadway(gen.n, gen.area, gen.duration, seed=seed)
-            cfg = RunConfig(algos=algos, gen=gen, period=args.period, seed=seed)
-            for algo in algos:
-                rows[algo] += run_one_algorithm(trace, algo, cfg)
-        for algo, rs in rows.items():
+        runs = [
+            run_algorithms(
+                generate_two_way_roadway(gen.n, gen.area, gen.duration, seed=seed),
+                RunConfig(algos=algos, gen=gen, period=args.period, seed=seed),
+            )
+            for seed in range(args.seeds)
+        ]
+        for algo in algos:
+            rs = [row for run in runs for row in run[algo]]
             s = summarize_run(algo.tag, rs)
             print(
                 f"{gen.n:>5} {s.algorithm:<{w}} {s.mean_aggregation_rate:>7.4f}"

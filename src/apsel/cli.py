@@ -62,7 +62,7 @@ __all__ = [
     "RunConfig",
     "main",
     "parse_algo_spec",
-    "run_one_algorithm",
+    "run_algorithms",
 ]
 
 
@@ -117,13 +117,9 @@ class AlgoSpec:
         return ALGORITHMS[self.name].tag.format_map(vars(self)) + ("_dir" if self.direction else "")
 
 
-def _parse_bool(text: str) -> bool:
-    low = text.strip().lower()
-    if low in ("1", "true", "on", "yes"):
-        return True
-    if low in ("0", "false", "off", "no"):
-        return False
-    raise ConfigError(f"expected a boolean, got {text!r}")
+# the spellings of a direction= value
+BOOLEANS = {"1": True, "true": True, "on": True, "yes": True,
+            "0": False, "false": False, "off": False, "no": False}
 
 
 def parse_algo_spec(text: str) -> AlgoSpec:
@@ -147,8 +143,8 @@ def parse_algo_spec(text: str) -> AlgoSpec:
             if key in inline:
                 raise ConfigError(f"{name} sets {key} twice in {text!r}")
             try:
-                inline[key] = _parse_bool(value) if key == "direction" else int(value)
-            except ValueError:
+                inline[key] = BOOLEANS[value.strip().lower()] if key == "direction" else int(value)
+            except (KeyError, ValueError):
                 kind = "a boolean" if key == "direction" else "an integer"
                 raise ConfigError(f"{name} {key} must be {kind}, got {value.strip()!r}") from None
     return AlgoSpec(name, **inline)
@@ -278,64 +274,66 @@ def _period_graphs(trace: Trace, cfg: TraceConfig, direction: bool = False):
         yield index, t, graph
 
 
-def run_one_algorithm(trace: Trace, algo: AlgoSpec, cfg: RunConfig) -> list[PeriodMetrics]:
-    """Per-period pipeline: graph, selection, assignment, metrics row.
+def run_algorithms(trace: Trace, cfg: RunConfig) -> dict[AlgoSpec, list[PeriodMetrics]]:
+    """Per-period pipeline of every spec in cfg.algos: graph, selection,
+    assignment, metrics row. Returns each spec's rows, in cfg.algos order.
 
     Vehicles report to their nearest point within algo.hops hops, whatever
     d an rb spec made in code holds. Period i draws rb's frame from the
     seed (cfg.seed * 1_000_003 + i) mod 2**63. Zero-vehicle periods emit a
     row with blank rate so the time series stays aligned across algorithms.
+    Each spec runs all periods in turn: the benchmark's self-test pins that order's call counts.
     """
-    rows = []
-    prev_points: frozenset[int] = frozenset()
-    prev_assignment: dict[int, int] = {}
-    for index, t, graph in _period_graphs(trace, cfg, algo.direction):
-        if graph is None:
-            # an empty period runs no selector
-            graph, result, assignment = SnapshotGraph(()), SelectionResult(frozenset()), {}
-        else:
-            period_seed = (cfg.seed * 1_000_003 + index) % 2**63
-            result = ALGORITHMS[algo.name].select(algo, graph, period_seed)
-            assignment = assign_to_aggregation_points(graph, result.aggregation_points, algo.hops)
-        points = result.aggregation_points
-        n = graph.n_vertices
-        rows.append(
-            PeriodMetrics(
-                time=t,
-                n_vehicles=n,
-                n_edges=graph.n_edges,
-                n_aps=len(points),
-                aggregation_rate=aggregation_rate(len(points), n) if n else None,
-                upload_cost_bps=upload_cost(len(points), cfg.period),
-                edges_examined=result.edges_examined,
-                n_notifications=notification_count(prev_points, points),
-                n_routing_updates=routing_update_count(prev_assignment, assignment),
-                n_reelections=len(prev_points & points),
+    runs = {}
+    for algo in cfg.algos:
+        rows = runs[algo] = []
+        prev_points: frozenset[int] = frozenset()
+        prev_assignment: dict[int, int] = {}
+        for index, t, graph in _period_graphs(trace, cfg, algo.direction):
+            if graph is None:  # an empty period runs no selector
+                graph, result = SnapshotGraph(()), SelectionResult(frozenset())
+            else:
+                period_seed = (cfg.seed * 1_000_003 + index) % 2**63
+                result = ALGORITHMS[algo.name].select(algo, graph, period_seed)
+            points = result.aggregation_points
+            n = graph.n_vertices
+            assignment = assign_to_aggregation_points(graph, points, algo.hops) if n else {}
+            rows.append(
+                PeriodMetrics(
+                    time=t,
+                    n_vehicles=n,
+                    n_edges=graph.n_edges,
+                    n_aps=len(points),
+                    aggregation_rate=aggregation_rate(len(points), n) if n else None,
+                    upload_cost_bps=upload_cost(len(points), cfg.period),
+                    edges_examined=result.edges_examined,
+                    n_notifications=notification_count(prev_points, points),
+                    n_routing_updates=routing_update_count(prev_assignment, assignment),
+                    n_reelections=len(prev_points & points),
+                )
             )
-        )
-        prev_points, prev_assignment = points, assignment
-    return rows
+            prev_points, prev_assignment = points, assignment
+        del graph, assignment  # freed before the next spec builds its first graph
+    return runs
 
 
 def _execute_algorithms(cfg: RunConfig):
-    trace = _load_trace(cfg)
     # every algorithm runs, and so checks the window, before --out is made:
     # a run that fails leaves no empty directory behind
-    runs = [(algo, run_one_algorithm(trace, algo, cfg)) for algo in cfg.algos]
+    runs = run_algorithms(_load_trace(cfg), cfg)
     os.makedirs(cfg.out_dir, exist_ok=True)
     outputs = []
-    for algo, rows in runs:
+    for algo, rows in runs.items():
         path = os.path.join(cfg.out_dir, f"{algo.tag}.csv")
         write_period_metrics_csv(rows, path)
-        outputs.append((algo, rows, path))
+        outputs.append((summarize_run(algo.tag, rows), path))
     return outputs
 
 
 def cmd_run(cfg: RunConfig) -> int:
-    for algo, rows, path in _execute_algorithms(cfg):
-        s = summarize_run(algo.tag, rows)
+    for s, path in _execute_algorithms(cfg):
         print(
-            f"{algo.tag}: periods={s.n_periods}"
+            f"{s.algorithm}: periods={s.n_periods}"
             f" mean_rate={s.mean_aggregation_rate:.4f}"
             f" mean_upload_bps={s.mean_upload_cost_bps:.2f}"
             f" mean_reelections={s.mean_reelections:.3f}"
@@ -345,7 +343,7 @@ def cmd_run(cfg: RunConfig) -> int:
 
 
 def cmd_compare(cfg: RunConfig) -> int:
-    summaries = [summarize_run(algo.tag, rows) for algo, rows, _ in _execute_algorithms(cfg)]
+    summaries = [s for s, _ in _execute_algorithms(cfg)]
     summary_path = os.path.join(cfg.out_dir, "summary.csv")
     write_run_summary_csv(summaries, summary_path)
     width = max(len(s.algorithm) for s in summaries)
@@ -376,14 +374,16 @@ def cmd_tune(s: dict) -> int:
     if not os.path.isdir(os.path.dirname(out) or "."):
         raise ConfigError(f"no directory for --out {out}")
     trace = _load_trace(cfg)
-    # the search scores every period's graph at each (d, k) it tries, so it holds them all
-    usable = [graph for _, _, graph in _period_graphs(trace, cfg) if graph is not None]
-    result = tune_parameters(usable, tuner_cfg)
+    graphs = (graph for _, _, graph in _period_graphs(trace, cfg) if graph is not None)
+    result = tune_parameters(graphs, tuner_cfg)
     write_tuning_trajectory_csv(result, out)
     print(
         f"d={result.d} k={result.k} rate={result.value:.4f}"
         f" evaluations={result.n_evaluations} -> {out}"
     )
+    if result.d == tuner_cfg.d_max or result.k == tuner_cfg.k_max:
+        note = "the best pair lies on the box's edge; a larger --d-max or --k-max may score higher"
+        print(f"note: {note}", file=sys.stderr)
     return 0
 
 
@@ -538,15 +538,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         s = _settings(commands[args.command], args)
-        if args.command == "gen-trace":
-            return cmd_gen_trace(s)
-        if args.command == "tune":
-            return cmd_tune(s)
-        if args.command == "exact":
-            return cmd_exact(s)
-        algos = tuple(parse_algo_spec(text) for text in s.get("algo", ()))
-        cfg = _trace_config(RunConfig, s, algos=algos)
-        return cmd_run(cfg) if args.command == "run" else cmd_compare(cfg)
+        if args.command in ("run", "compare"):
+            algos = tuple(parse_algo_spec(text) for text in s.get("algo", ()))
+            cfg = _trace_config(RunConfig, s, algos=algos)
+            return cmd_run(cfg) if args.command == "run" else cmd_compare(cfg)
+        return {"gen-trace": cmd_gen_trace, "tune": cmd_tune, "exact": cmd_exact}[args.command](s)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -169,7 +169,7 @@ def test_criterion_06_direction_filter_splits_lanes_and_stabilizes_clusters(tmp_
     assert cross_total > 0
 
     # (b) direction-constrained clustering re-elects points at least as often
-    from apsel.cli import AlgoSpec, GenParams, RunConfig, run_one_algorithm
+    from apsel.cli import AlgoSpec, GenParams, RunConfig, run_algorithms
 
     reelections = {True: [], False: []}
     for seed in (0, 1, 2):
@@ -183,7 +183,7 @@ def test_criterion_06_direction_filter_splits_lanes_and_stabilizes_clusters(tmp_
                 out_dir=str(tmp_path),
                 seed=seed,
             )
-            rows = run_one_algorithm(roadway, spec, cfg)
+            rows = run_algorithms(roadway, cfg)[spec]
             reelections[direction] += [r.n_reelections for r in rows]
     mean = lambda xs: sum(xs) / len(xs)
     assert mean(reelections[True]) >= mean(reelections[False])

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 import subprocess
 import sys
 from dataclasses import fields
@@ -20,7 +21,7 @@ from apsel.cli import (
     _build_parser,
     main,
     parse_algo_spec,
-    run_one_algorithm,
+    run_algorithms,
 )
 from apsel.metrics import notification_count, read_period_metrics_csv, write_period_metrics_csv
 from apsel.mobility import RadioParams, Trace, build_udg, load_trace_csv, write_trace_csv
@@ -89,6 +90,16 @@ class TestAlgoSpec:
     def test_bad_value_names_algorithm_and_key(self):
         with pytest.raises(ConfigError, match="^centrality d must be an integer, got 'x'$"):
             parse_algo_spec("centrality:d=x")
+
+    @pytest.mark.parametrize("value", ["1", "true", "On", " YES ", "0", "false", "off", "No"])
+    def test_direction_spellings(self, value):
+        want = value.strip().lower() in ("1", "true", "on", "yes")
+        assert parse_algo_spec(f"rb:direction={value}").direction is want
+
+    @pytest.mark.parametrize("value", ["", "2", "y", "truee"])
+    def test_bad_direction_names_algorithm_and_key(self, value):
+        with pytest.raises(ConfigError, match=f"^rb direction must be a boolean, got '{value}'$"):
+            parse_algo_spec(f"rb:direction={value}")
 
     def test_repeated_key(self):
         # the last one used to win silently
@@ -293,11 +304,11 @@ class TestRunCommand:
         # spec made in code holds, even 0, changes nothing
         path = small_trace(tmp_path, n=30)
         trace = load_trace_csv(path)
-        cfg = RunConfig(algos=(AlgoSpec("rb"),), trace_path=str(path))
+        spec, plain = AlgoSpec("rb", d=d), AlgoSpec("rb")
         calls = spy_on_assignment(monkeypatch)
-        rows = run_one_algorithm(trace, AlgoSpec("rb", d=d), cfg)
+        rows = run_algorithms(trace, RunConfig(algos=(spec,), trace_path=str(path)))[spec]
         assert {hops for _, hops in calls} == {1}
-        assert rows == run_one_algorithm(trace, AlgoSpec("rb"), cfg)
+        assert rows == run_algorithms(trace, RunConfig(algos=(plain,), trace_path=str(path)))[plain]
 
     def test_exact_never_beaten(self, tmp_path):
         path = small_trace(tmp_path, n=24)
@@ -321,7 +332,7 @@ class TestRunCommand:
         trace = load_trace_csv(path)
         spec = AlgoSpec("centrality", d=2)
         cfg = RunConfig(algos=(spec,), trace_path=str(path), out_dir=str(out))
-        rows = run_one_algorithm(trace, spec, cfg)
+        rows = run_algorithms(trace, cfg)[spec]
         csv_rows = read_period_metrics_csv(out / "centrality_d2_k4.csv")
         assert [r.n_aps for r in rows] == [r.n_aps for r in csv_rows]
         # recheck coverage from the raw snapshots
@@ -375,7 +386,7 @@ class TestRunCommand:
         spec = AlgoSpec("centrality")
         cfg = RunConfig(algos=(spec,), trace_path="unused.csv", out_dir=str(tmp_path))
         path = tmp_path / "centrality.csv"
-        write_period_metrics_csv(run_one_algorithm(Trace(pts), spec, cfg), path)
+        write_period_metrics_csv(run_algorithms(Trace(pts), cfg)[spec], path)
         rows = read_period_metrics_csv(path)
         assert [r.time for r in rows] == [0.0, 10.0]
         assert [r.n_aps for r in rows] == [1, 1]
@@ -821,6 +832,22 @@ class TestTuneCommand:
         assert calls == []
         assert str(out) in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "box, best, noted",
+        [
+            (["--gen-n", "30", "--gen-area", "300", "--d-max", "3", "--k-max", "3"], "d=3 k=3 ", True),
+            (["--gen-n", "20", "--gen-area", "100", "--d-max", "4", "--k-max", "6"], "d=2 k=4 ", False),
+        ],
+    )
+    def test_best_pair_on_the_box_edge_is_noted(self, tmp_path, capsys, box, best, noted):
+        assert main(["tune", *box, "--out", str(tmp_path / "t.csv")]) == 0
+        captured = capsys.readouterr()
+        # stdout keeps its one parsed line; the note goes to stderr, without that line's fields
+        assert captured.out.startswith(best) and len(captured.out.splitlines()) == 1
+        assert ("a larger --d-max or --k-max" in captured.err) == noted
+        assert captured.err.startswith("note: ") if noted else captured.err == ""
+        assert not re.search(r"d=\d+ k=\d+ rate=", captured.err)
 
     @pytest.mark.parametrize("flag, value", [("--d-max", "0"), ("--k-max", "-2")])
     def test_box_error_names_the_flag(self, tmp_path, capsys, flag, value):
