@@ -117,7 +117,7 @@ class AlgoSpec:
         return ALGORITHMS[self.name].tag.format_map(vars(self)) + ("_dir" if self.direction else "")
 
 
-# the spellings of a direction= value
+# the words a direction= value may be written as
 BOOLEANS = {"1": True, "true": True, "on": True, "yes": True,
             "0": False, "false": False, "off": False, "no": False}
 

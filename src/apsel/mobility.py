@@ -102,66 +102,33 @@ class _SnapshotItems(ItemsView):
 _EMPTY = Snapshot(array("q"), array("d"), array("d"))
 
 
-class _Filling:
-    """One instant's samples in arrival order while a trace is read."""
-
-    __slots__ = ("time", "ids", "xs", "ys", "spelling", "spellings")
-
-    def __init__(self, time):
-        self.time = self.spelling = time
-        self.ids, self.xs, self.ys = array("q"), array("d"), array("d")
-        # (arrival index, time) where the samples from that index on carry
-        # a time that reads differently from the last one (-0.0 after 0.0)
-        self.spellings: list = []
-
-    def spelled(self, t) -> None:
-        """The next samples carry time t, which equals this instant's."""
-        if t is not self.spelling and str(t) != str(self.spelling):
-            self.spellings.append((len(self.ids), t))
-            self.spelling = t
-
-    def time_of(self, i: int):
-        """The time as written on the sample that arrived i-th."""
-        t = self.time
-        for start, spelling in self.spellings:
-            if start > i:
-                break
-            t = spelling
-        return t
-
-    def snapshot(self) -> Snapshot:
-        """The samples ordered by id. Raises for the smallest duplicated
-        id, naming the time written on its second sample."""
-        ids, xs, ys = self.ids, self.xs, self.ys
-        listed = ids.tolist()
-        if any(map(ge, listed, islice(listed, 1, None))):
-            # a stable sort: the second of two equal ids arrived second
-            order = sorted(range(len(listed)), key=listed.__getitem__)
-            for a, b in zip(order, islice(order, 1, None)):
-                if listed[a] == listed[b]:
-                    raise TraceFormatError(
-                        f"duplicate sample for vehicle {listed[b]} at t={self.time_of(b)}"
-                    )
-            ids = array("q", map(listed.__getitem__, order))
-            xs = array("d", map(xs.__getitem__, order))
-            ys = array("d", map(ys.__getitem__, order))
-        return Snapshot(ids, xs, ys)
-
-
-def _filling(instants: dict[float, _Filling], t) -> _Filling:
-    """The columns being filled for the instant at time t."""
+def _instant(instants: dict[float, tuple], t: float) -> tuple[array, array, array]:
+    """The (ids, xs, ys) columns being filled, in arrival order, for the
+    instant at time t."""
     at = instants.get(t)
     if at is None:
-        at = instants[t] = _Filling(t)
-    else:
-        at.spelled(t)
+        at = instants[t] = (array("q"), array("d"), array("d"))
     return at
 
 
-def _frozen(instants: dict[float, _Filling]) -> dict[float, Snapshot]:
-    """Each instant's snapshot, instants ascending. Raises for the smallest
-    duplicated (time, vehicle) pair."""
-    return {t: instants[t].snapshot() for t in sorted(instants)}
+def _frozen(instants: dict[float, tuple]) -> dict[float, Snapshot]:
+    """Each instant's samples ordered by id, instants ascending. Raises for
+    the smallest duplicated (time, vehicle) pair, naming the instant's time
+    as it is keyed: the first read of its equal times, 0.0 or -0.0."""
+    frozen = {}
+    for t in sorted(instants):
+        ids, xs, ys = instants[t]
+        listed = ids.tolist()
+        if any(map(ge, listed, islice(listed, 1, None))):
+            order = sorted(range(len(listed)), key=listed.__getitem__)
+            ids = array("q", map(listed.__getitem__, order))
+            for a, b in zip(ids, islice(ids, 1, None)):
+                if a == b:
+                    raise TraceFormatError(f"duplicate sample for vehicle {a} at t={t}")
+            xs = array("d", map(xs.__getitem__, order))
+            ys = array("d", map(ys.__getitem__, order))
+        frozen[t] = Snapshot(ids, xs, ys)
+    return frozen
 
 
 def _id_error(v) -> str:
@@ -175,29 +142,37 @@ class Trace:
     and their x and y in two ``array('d')``, about 26 bytes per sample
     with no object per sample; ``positions_at`` hands out a read-only
     ``Snapshot`` view of them. It is built from (time, vehicle, x, y)
-    rows, in the CSV's column order; the rows may come in any order. A
-    NaN or infinite time or coordinate is rejected, so is an id that is
-    not a signed 64-bit integer, and so are duplicate (time, vehicle)
-    pairs, naming the smallest such pair. sampling_period is inferred as the median gap
-    between consecutive sampled instants (the lower middle one for an
-    even count; 1.0 when the trace has a single instant), so a stray
-    sample just after an instant does not shrink it.
+    rows, in the CSV's column order; the rows may come in any order.
+    Each time is stored as a float, as ``load_trace_csv`` reads it. A time
+    or coordinate that is not a real number (a str or None) is rejected,
+    so is a NaN or infinite one or an int too large for a float, an id
+    that is not a signed 64-bit integer, and duplicate (time, vehicle)
+    pairs, naming the smallest such pair. sampling_period is inferred as
+    the median gap between consecutive sampled instants (the lower middle
+    one for an even count; 1.0 when the trace has a single instant), so a
+    stray sample just after an instant does not shrink it.
     """
 
     def __init__(self, samples):
-        instants: dict[float, _Filling] = {}
+        instants: dict[float, tuple] = {}
         isfinite = math.isfinite
         for p in samples:
             t, v, x, y = p
-            if not (isfinite(t) and isfinite(x) and isfinite(y)):
-                raise TraceFormatError(f"non-finite time or coordinate {p!r}")
-            at = _filling(instants, t)
             try:
-                at.ids.append(v)
+                finite = isfinite(t) and isfinite(x) and isfinite(y)
+            except TypeError:
+                raise TraceFormatError(f"time or coordinate is not a real number: {p!r}") from None
+            except OverflowError:
+                finite = False
+            if not finite:
+                raise TraceFormatError(f"non-finite time or coordinate {p!r}")
+            ids, xs, ys = _instant(instants, float(t))
+            try:
+                ids.append(v)
             except (OverflowError, TypeError):
                 raise TraceFormatError(f"{_id_error(v)}: {p!r}") from None
-            at.xs.append(x)
-            at.ys.append(y)
+            xs.append(x)
+            ys.append(y)
         if not instants:
             raise TraceFormatError("trace has no samples")
         self._set_instants(_frozen(instants))
@@ -278,7 +253,7 @@ class Trace:
 BLOCK_SIZE = 1 << 14
 
 
-def _read_records(instants: dict[float, _Filling], lines, first_line: int) -> None:
+def _read_records(instants: dict[float, tuple], lines, first_line: int) -> None:
     """Parse csv lines, the first of them the file's line first_line,
     record by record into their instants' columns, skipping blank lines;
     raise TraceFormatError for the first malformed record. This is the
@@ -305,8 +280,8 @@ def _read_records(instants: dict[float, _Filling], lines, first_line: int) -> No
                 raise ValueError(f"non-finite time or coordinate {row!r}")
             if new_time:
                 last_field = field
-                at = _filling(instants, t)
-                add_id, add_x, add_y = at.ids.append, at.xs.append, at.ys.append
+                ids, xs, ys = _instant(instants, t)
+                add_id, add_x, add_y = ids.append, xs.append, ys.append
             try:
                 add_id(v)
             except OverflowError:
@@ -320,15 +295,15 @@ def _read_records(instants: dict[float, _Filling], lines, first_line: int) -> No
         raise TraceFormatError(f"line {before + reader.line_num}: {exc}") from exc
 
 
-def _take_block(instants: dict[float, _Filling], block: str) -> bool:
+def _take_block(instants: dict[float, tuple], block: str) -> bool:
     """Add a block of whole lines with no quote and no CR to their
     instants' columns, column by column, and return True; or add nothing
     and return False when a line might not be a plain valid record: other
     than 4 fields (a blank line too), a value that does not convert, is
     not finite or is an id outside int64, text longer than
-    csv.field_size_limit(), or a last line with no newline. Takes each
-    new time field to its instant (``_filling``) exactly where
-    ``_read_records`` would."""
+    csv.field_size_limit(), or a last line with no newline. Instants are
+    met in file order, as in ``_read_records``, so each is keyed by the
+    first of its equal times read (0.0 or -0.0)."""
     n = block.count("\n")
     # each newline stays on the y field it ends, so a block of 4-field
     # lines splits into 4n + 1 fields with every newline in a y field
@@ -355,11 +330,11 @@ def _take_block(instants: dict[float, _Filling], block: str) -> bool:
         return False
     start = 0
     for t, count in runs:
-        at = _filling(instants, t)
+        at_ids, at_xs, at_ys = _instant(instants, t)
         end = start + count
-        at.ids += ids[start:end]
-        at.xs += xs[start:end]
-        at.ys += ys[start:end]
+        at_ids += ids[start:end]
+        at_xs += xs[start:end]
+        at_ys += ys[start:end]
         start = end
     return True
 
@@ -385,7 +360,7 @@ def load_trace_csv(path) -> Trace:
     rest of the file is parsed record by record, as a quoted field may
     span blocks.
     """
-    instants: dict[float, _Filling] = {}
+    instants: dict[float, tuple] = {}
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         try:

@@ -257,7 +257,8 @@ class TraceOracle:
             at = by_time.setdefault(p.time, {})
             if p.vehicle in at:
                 raise TraceFormatError(
-                    f"duplicate sample for vehicle {p.vehicle} at t={p.time}"
+                    f"duplicate sample for vehicle {p.vehicle}"
+                    f" at t={float(next(q.time for q in points if q.time == p.time))}"
                 )
             at[p.vehicle] = (p.x, p.y)
         self._points = tuple(pts)

@@ -4,6 +4,7 @@ import re
 import subprocess
 import sys
 from dataclasses import fields
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -381,7 +382,7 @@ class TestRunCommand:
         assert rows[2].n_notifications == 1  # and is elected anew at t=20
 
     def test_numpy_scalar_trace_writes_readable_metrics(self, tmp_path):
-        # period times come from the trace's times, here numpy scalars
+        # period times come from the trace's times, here given as numpy scalars
         pts = [TracePoint(np.float64(t), v, 30.0 * v, 0.0) for t in (0.0, 10.0) for v in range(3)]
         spec = AlgoSpec("centrality")
         cfg = RunConfig(algos=(spec,), trace_path="unused.csv", out_dir=str(tmp_path))
@@ -390,6 +391,33 @@ class TestRunCommand:
         rows = read_period_metrics_csv(path)
         assert [r.time for r in rows] == [0.0, 10.0]
         assert [r.n_aps for r in rows] == [1, 1]
+
+    @pytest.mark.parametrize(
+        "times",
+        [[0, Fraction(1, 3), np.float32(2 / 3), 1], [0, 1, 2, 3]],
+        ids=["int-fraction-float32", "int"],
+    )
+    def test_in_memory_trace_writes_the_metrics_of_its_file(self, tmp_path, times):
+        # a trace stores each time as a float, so the file it writes loads
+        # back to the same times and a run writes the same metrics from both
+        pts = [TracePoint(t, v, 30.0 * v + 5.0 * i, 4.0 * (v % 2))
+               for i, t in enumerate(times) for v in range(5)]
+        trace = Trace(pts)
+        path = tmp_path / "trace.csv"
+        write_trace_csv(trace, path)
+        loaded = load_trace_csv(path)
+        assert loaded.times == trace.times
+        specs = (AlgoSpec("centrality"), AlgoSpec("rb"))
+        cfg = RunConfig(algos=specs, trace_path=str(path), period=trace.sampling_period)
+        written = []
+        for source in (trace, loaded):
+            for rows in run_algorithms(source, cfg).values():
+                out = tmp_path / f"{len(written)}.csv"
+                write_period_metrics_csv(rows, out)
+                written.append(out.read_bytes())
+        assert written[:2] == written[2:]
+        assert written[0].split(b"\n")[1].startswith(b"0.0,5,")
+        assert all(type(t) is float for t in trace.times)
 
     @staticmethod
     def decimal_time_trace(tmp_path, shift=0.0):

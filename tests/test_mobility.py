@@ -54,6 +54,23 @@ class TestTrace:
         with pytest.raises(TraceFormatError):
             Trace([TracePoint(0.0, 1, 0.0, 0.0), TracePoint(0.0, 1, 1.0, 1.0)])
 
+    @pytest.mark.parametrize("value", [None, "abc", "1.5", 1j])
+    @pytest.mark.parametrize("field", [0, 2, 3], ids=["time", "x", "y"])
+    def test_sample_that_is_not_a_real_number_rejected(self, field, value):
+        sample = [0.0, 2, 1.0, 1.0]
+        sample[field] = value
+        point = TracePoint(*sample)
+        with pytest.raises(TraceFormatError) as exc:
+            Trace([TracePoint(0.0, 1, 0.0, 0.0), point])
+        assert str(exc.value) == f"time or coordinate is not a real number: {point!r}"
+
+    @pytest.mark.parametrize("field", [0, 2, 3], ids=["time", "x", "y"])
+    def test_int_too_large_for_a_float_rejected(self, field):
+        sample = [0.0, 2, 1.0, 1.0]
+        sample[field] = 10**400
+        with pytest.raises(TraceFormatError, match="^non-finite time or coordinate"):
+            Trace([TracePoint(*sample)])
+
     def test_empty_rejected(self):
         with pytest.raises(TraceFormatError):
             Trace([])
@@ -486,13 +503,21 @@ class TestIdRange:
         assert trace_samples(load_trace_csv(path)) == trace_samples(tr)
 
 
-def test_duplicate_point_names_the_time_written_on_the_second_sample():
-    points = [TracePoint(0.0, 1, 0.0, 0.0), TracePoint(-0.0, 1, 1.0, 1.0), TracePoint(0, 1, 2.0, 2.0)]
-    with pytest.raises(TraceFormatError) as new:
-        Trace(points)
-    with pytest.raises(TraceFormatError) as old:
-        TraceOracle(points)
-    assert str(new.value) == str(old.value) == "duplicate sample for vehicle 1 at t=-0.0"
+def test_duplicate_point_names_the_instant_time_as_first_read():
+    """A trace holds every time as a float, so an instant's times differ in
+    spelling only as 0.0 and -0.0; a duplicate names the one read first."""
+    cases = [
+        ([(0.0, 1), (-0.0, 1), (0, 1)], "duplicate sample for vehicle 1 at t=0.0"),
+        ([(0, 5), (-0.0, 1), (-0.0, 5)], "duplicate sample for vehicle 5 at t=0.0"),
+        ([(-0.0, 5), (0.0, 1), (0, 5)], "duplicate sample for vehicle 5 at t=-0.0"),
+    ]
+    for samples, message in cases:
+        points = [TracePoint(t, v, float(i), 0.0) for i, (t, v) in enumerate(samples)]
+        with pytest.raises(TraceFormatError) as new:
+            Trace(points)
+        with pytest.raises(TraceFormatError) as old:
+            TraceOracle(points)
+        assert str(new.value) == str(old.value) == message
 
 
 # coordinates as a caller may hold them: Python floats, float32 and
