@@ -22,7 +22,6 @@ import argparse
 import math
 import os
 import sys
-from dataclasses import dataclass, fields
 from typing import Callable, NamedTuple
 
 from .graph import SnapshotGraph
@@ -88,23 +87,34 @@ ALGORITHMS = {
 }
 
 
-@dataclass(frozen=True)
 class AlgoSpec:
-    """One algorithm plus its parameters, e.g. centrality with d=3, k=4."""
+    """One algorithm plus its parameters, e.g. centrality with d=3, k=4.
+    Specs with equal fields are equal and hash alike."""
 
-    name: str
-    d: int = 1
-    k: int = 4
-    slots: int = 256
-    direction: bool = False
+    __slots__ = ("name", "d", "k", "slots", "direction")
 
-    def __post_init__(self):
-        if self.name not in ALGORITHMS:
+    def __init__(self, name: str, d: int = 1, k: int = 4, slots: int = 256,
+                 direction: bool = False):
+        self.name, self.d, self.k, self.slots, self.direction = name, d, k, slots, direction
+        if name not in ALGORITHMS:
             known = ", ".join(ALGORITHMS)
-            raise ConfigError(f"unknown algorithm {self.name!r}, expected one of {known}")
-        for key in ALGORITHMS[self.name].keys:  # a field it does not read goes unchecked
+            raise ConfigError(f"unknown algorithm {name!r}, expected one of {known}")
+        for key in ALGORITHMS[name].keys:  # a field it does not read goes unchecked
             if getattr(self, key) < 1:
-                raise ConfigError(f"{self.name} {key} must be >= 1, got {getattr(self, key)}")
+                raise ConfigError(f"{name} {key} must be >= 1, got {getattr(self, key)}")
+
+    def _key(self) -> tuple:
+        return self.name, self.d, self.k, self.slots, self.direction
+
+    def __eq__(self, other):
+        return self._key() == other._key() if type(other) is AlgoSpec else NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        fields = ", ".join(f"{n}={v!r}" for n, v in zip(self.__slots__, self._key()))
+        return f"AlgoSpec({fields})"
 
     @property
     def hops(self) -> int:
@@ -114,7 +124,8 @@ class AlgoSpec:
 
     @property
     def tag(self) -> str:
-        return ALGORITHMS[self.name].tag.format_map(vars(self)) + ("_dir" if self.direction else "")
+        tag = ALGORITHMS[self.name].tag.format(d=self.d, k=self.k, slots=self.slots)
+        return tag + ("_dir" if self.direction else "")
 
 
 # the words a direction= value may be written as
@@ -150,61 +161,54 @@ def parse_algo_spec(text: str) -> AlgoSpec:
     return AlgoSpec(name, **inline)
 
 
-@dataclass(frozen=True)
 class GenParams:
-    n: int = 50
-    area: float = 1000.0
-    duration: float = 60.0
-    speed_min: float = 8.0
-    speed_max: float = 14.0
+    __slots__ = ("n", "area", "duration", "speed_min", "speed_max")
 
-    def __post_init__(self):
+    def __init__(self, n: int = 50, area: float = 1000.0, duration: float = 60.0,
+                 speed_min: float = 8.0, speed_max: float = 14.0):
+        self.n, self.area, self.duration, self.speed_min, self.speed_max = (
+            n, area, duration, speed_min, speed_max)
         # the generator's own checks, run at parse so that no output exists yet
         try:
-            check_roadway_params(self.n, self.area, self.duration, (self.speed_min, self.speed_max))
+            check_roadway_params(n, area, duration, (speed_min, speed_max))
         except ValueError as exc:
             raise ConfigError(f"gen {exc}") from exc
 
 
-@dataclass(frozen=True)
 class TraceConfig:
     """The trace a command reads (a file or a generated roadway), the
     instants it reads and the radio that links vehicles."""
 
-    trace_path: str | None = None
-    gen: GenParams | None = None
-    radio: RadioParams = RadioParams()
-    period: float = 10.0
-    t_start: float | None = None
-    t_end: float | None = None
-    seed: int = 0
+    __slots__ = ("trace_path", "gen", "radio", "period", "t_start", "t_end", "seed")
 
-    def __post_init__(self):
-        if not 0 < self.period < math.inf:
-            raise ConfigError(f"period must be positive and finite, got {self.period}")
-        for name in ("t_start", "t_end"):
-            t = getattr(self, name)
+    def __init__(self, trace_path: str | None = None, gen: GenParams | None = None,
+                 radio: RadioParams = RadioParams(), period: float = 10.0,
+                 t_start: float | None = None, t_end: float | None = None, seed: int = 0):
+        self.trace_path, self.gen, self.radio, self.period = trace_path, gen, radio, period
+        self.t_start, self.t_end, self.seed = t_start, t_end, seed
+        if not 0 < period < math.inf:
+            raise ConfigError(f"period must be positive and finite, got {period}")
+        for name, t in (("t_start", t_start), ("t_end", t_end)):
             if t is not None and not math.isfinite(t):
                 raise ConfigError(f"{name} must be finite, got {t}")
-        if (self.trace_path is None) == (self.gen is None):
+        if (trace_path is None) == (gen is None):
             raise ConfigError("exactly one of --trace and a generator (--gen-*) is required")
 
 
-@dataclass(frozen=True)
 class RunConfig(TraceConfig):
     """What ``run`` and ``compare`` do: the algorithms and their output directory."""
 
-    algos: tuple[AlgoSpec, ...] = ()
-    out_dir: str = "results"
+    __slots__ = ("algos", "out_dir")
 
-    def __post_init__(self):
-        if not self.algos:
+    def __init__(self, algos: tuple[AlgoSpec, ...] = (), out_dir: str = "results", **trace):
+        self.algos, self.out_dir = algos, out_dir
+        if not algos:
             raise ConfigError("at least one algorithm (--algo) is required")
-        tags = [algo.tag for algo in self.algos]
+        tags = [algo.tag for algo in algos]
         for tag in tags:
             if tags.count(tag) > 1:
                 raise ConfigError(f"two --algo specs would both write {tag}.csv")
-        super().__post_init__()
+        super().__init__(**trace)
 
 
 def _load_trace(cfg: TraceConfig) -> Trace:
@@ -424,7 +428,10 @@ def _add_run_flags(p):
         metavar="NAME[:k=v,...]",
         help=" | ".join(f"{n}[:{'=,'.join(a.keys)}=]" for n, a in ALGORITHMS.items())
         + ", each also direction=; an unset key takes its default ("
-        + ", ".join(f"{f.name}={str(f.default).lower()}" for f in fields(AlgoSpec)[1:])
+        + ", ".join(
+            f"{n}={str(v).lower()}"
+            for n, v in zip(AlgoSpec.__slots__[1:], AlgoSpec.__init__.__defaults__)
+        )
         + "); repeatable",
     )
     p.add_argument("--period", type=float, help="delivery period in seconds (default 10)")
@@ -437,7 +444,7 @@ def _build_parser():
     """The argument parser and each subcommand's own parser, by name.
 
     A flag not given is absent (argparse.SUPPRESS): the config file, then
-    the dataclass defaults, fill it."""
+    the config classes' defaults, fill it."""
     parser = argparse.ArgumentParser(
         prog="apsel", description="aggregation-point selection on vehicle traces"
     )
@@ -486,7 +493,7 @@ def _settings(parser: argparse.ArgumentParser, args: argparse.Namespace) -> dict
     """One subcommand's settings, keyed by flag destination: its explicit
     flags over its config file. A file key must name one of the
     subcommand's flags (dashes or underscores). A setting given nowhere
-    is absent, so the dataclass defaults apply."""
+    is absent, so the config classes' defaults apply."""
     given = dict(vars(args))
     path = given.pop("config", None)
     if path is None:
@@ -518,8 +525,9 @@ def _settings(parser: argparse.ArgumentParser, args: argparse.Namespace) -> dict
 
 
 def _fields(s: dict, cls, prefix: str = "") -> dict:
-    """The settings named prefix + a field of dataclass cls, keyed by field."""
-    return {f.name: s[prefix + f.name] for f in fields(cls) if prefix + f.name in s}
+    """The settings named prefix + a field (a slot) of cls or its bases, keyed by field."""
+    names = [name for c in cls.__mro__ for name in getattr(c, "__slots__", ())]
+    return {name: s[prefix + name] for name in names if prefix + name in s}
 
 
 def _trace_config(cls, s: dict, **extra):

@@ -12,8 +12,8 @@ cellular uplink.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, fields
-from statistics import mean
+import math
+from typing import NamedTuple
 
 __all__ = [
     "PeriodMetrics",
@@ -70,8 +70,7 @@ def routing_update_count(prev_assignment: dict[int, int], cur_assignment: dict[i
     return updates
 
 
-@dataclass(frozen=True)
-class PeriodMetrics:
+class PeriodMetrics(NamedTuple):
     """One delivery period's outcome.
 
     aggregation_rate is None for a period with no vehicles (the rate is
@@ -92,7 +91,7 @@ class PeriodMetrics:
     n_reelections: int = 0
 
 
-METRICS_HEADER = [f.name for f in fields(PeriodMetrics) if f.name != "n_reelections"]
+METRICS_HEADER = [name for name in PeriodMetrics._fields if name != "n_reelections"]
 
 
 def _write_csv(path, header, rows) -> None:
@@ -137,8 +136,7 @@ def read_period_metrics_csv(path) -> list[PeriodMetrics]:
     return rows
 
 
-@dataclass(frozen=True)
-class RunMetrics:
+class RunMetrics(NamedTuple):
     """Whole-run aggregates over the per-period rows."""
 
     algorithm: str
@@ -151,6 +149,21 @@ class RunMetrics:
     total_edges_examined: int
 
 
+def _mean(values):
+    """statistics.mean of ints and floats, to the same value and type,
+    without importing statistics: the sum is held as an exact integer
+    ratio and divided once, and int / int rounds correctly. An int mean
+    that divides exactly stays an int."""
+    values = list(values)
+    ratios = [v.as_integer_ratio() for v in values]
+    den = math.lcm(*(b for _, b in ratios))
+    num = sum(a * (den // b) for a, b in ratios)  # the sum is num / den
+    den *= len(values)
+    if num % den == 0 and all(type(v) is int for v in values):
+        return num // den
+    return num / den
+
+
 def summarize_run(algorithm: str, rows) -> RunMetrics:
     rows = list(rows)
     if not rows:
@@ -159,16 +172,16 @@ def summarize_run(algorithm: str, rows) -> RunMetrics:
     return RunMetrics(
         algorithm=algorithm,
         n_periods=len(rows),
-        mean_aggregation_rate=mean(rates) if rates else 0.0,
-        mean_upload_cost_bps=mean(r.upload_cost_bps for r in rows),
-        mean_reelections=mean(r.n_reelections for r in rows),
+        mean_aggregation_rate=_mean(rates) if rates else 0.0,
+        mean_upload_cost_bps=_mean(r.upload_cost_bps for r in rows),
+        mean_reelections=_mean(r.n_reelections for r in rows),
         total_notifications=sum(r.n_notifications for r in rows),
         total_routing_updates=sum(r.n_routing_updates for r in rows),
         total_edges_examined=sum(r.edges_examined for r in rows),
     )
 
 
-SUMMARY_HEADER = [f.name for f in fields(RunMetrics)]
+SUMMARY_HEADER = list(RunMetrics._fields)
 
 
 def write_run_summary_csv(summaries, path) -> None:

@@ -18,11 +18,9 @@ import csv
 import io
 import math
 import random
-import statistics
 import sys
 from array import array
 from collections.abc import ItemsView, Mapping
-from dataclasses import dataclass
 from itertools import chain, groupby, islice
 from operator import ge, itemgetter
 
@@ -135,6 +133,12 @@ def _id_error(v) -> str:
     return f"vehicle id {v!r} is not a signed 64-bit integer"
 
 
+def _median_low(values):
+    """statistics.median_low, without importing statistics: the lower
+    middle of the sorted values."""
+    return sorted(values)[(len(values) - 1) // 2]
+
+
 class Trace:
     """Immutable position samples, held as columns per sampled instant.
 
@@ -157,7 +161,11 @@ class Trace:
         instants: dict[float, tuple] = {}
         isfinite = math.isfinite
         for p in samples:
-            t, v, x, y = p
+            try:
+                t, v, x, y = p
+            except (TypeError, ValueError):
+                got = len(p) if hasattr(p, "__len__") else type(p).__name__
+                raise TraceFormatError(f"expected 4 fields, got {got}: {p!r}") from None
             try:
                 finite = isfinite(t) and isfinite(x) and isfinite(y)
             except TypeError:
@@ -190,7 +198,7 @@ class Trace:
         times = tuple(instants)
         self._times = times
         gaps = [b - a for a, b in zip(times, times[1:])]
-        self._period = statistics.median_low(gaps) if gaps else 1.0
+        self._period = _median_low(gaps) if gaps else 1.0
 
     @property
     def times(self) -> tuple[float, ...]:
@@ -395,7 +403,6 @@ def write_trace_csv(trace: Trace, path) -> None:
             writer.writerows([t, v, x, y] for v, x, y in zip(at._ids, at._xs, at._ys))
 
 
-@dataclass(frozen=True)
 class RadioParams:
     """range_r in meters.
 
@@ -406,10 +413,10 @@ class RadioParams:
     can show it for its ``--radius`` flag.
     """
 
-    range_r: float = 100.0
+    __slots__ = ("range_r",)
 
-    def __post_init__(self):
-        r = self.range_r
+    def __init__(self, range_r: float = 100.0):
+        self.range_r = r = range_r
         if not (r > 0 and sys.float_info.min <= r * r < math.inf):
             raise ValueError(
                 f"radio range must be positive with a finite normal square"

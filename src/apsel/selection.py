@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import random
 from collections import deque
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .graph import (
     SnapshotGraph,
@@ -51,8 +51,7 @@ class GraphSizeError(ValueError):
     """Raised when an exponential-time routine is asked for too large a graph."""
 
 
-@dataclass(frozen=True)
-class SelectionResult:
+class SelectionResult(NamedTuple):
     """The points one selection round chose, and its work counters.
 
     It holds no vehicle-to-point assignment; ``assign_to_aggregation_points``

@@ -13,8 +13,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
-from fractions import Fraction
+from typing import NamedTuple
 
 from .metrics import aggregation_rate
 from .selection import centrality_select
@@ -43,7 +42,6 @@ TOLERANCE = 1e-10
 MAX_ITERATIONS = 500
 
 
-@dataclass(frozen=True)
 class TunerConfig:
     """The integer search box [1, d_max] x [1, k_max].
 
@@ -51,17 +49,16 @@ class TunerConfig:
     network diameter, 10 covers every trace this package generates.
     """
 
-    d_max: int = 10
-    k_max: int = 10
+    __slots__ = ("d_max", "k_max")
 
-    def __post_init__(self):
-        for name, value in (("d_max", self.d_max), ("k_max", self.k_max)):
+    def __init__(self, d_max: int = 10, k_max: int = 10):
+        self.d_max, self.k_max = d_max, k_max
+        for name, value in (("d_max", d_max), ("k_max", k_max)):
             if value < 1:
                 raise ValueError(f"{name} must be >= 1, got {value}")
 
 
-@dataclass(frozen=True)
-class NelderMeadResult:
+class NelderMeadResult(NamedTuple):
     """Where a Nelder-Mead search stopped.
 
     converged means the objective spread across the simplex collapsed
@@ -73,7 +70,7 @@ class NelderMeadResult:
     iterations: int
     evaluations: int
     converged: bool
-    trajectory: tuple[tuple[int, tuple[float, ...], float], ...] = field(repr=False)
+    trajectory: tuple[tuple[int, tuple[float, ...], float], ...]
 
 
 def _clamp(x, bounds):
@@ -90,6 +87,8 @@ def _move(origin, coef, head, tail, bounds):
 def _affine_rank(points) -> int:
     """Exact dimension of the affine hull of float points: Gaussian
     elimination over Fractions on the edge vectors from the first point."""
+    from fractions import Fraction  # here alone, so importing apsel loads no fractions
+
     first = [Fraction(v) for v in points[0]]
     m = [[Fraction(v) - f for v, f in zip(x, first)] for x in points[1:]]
     rank = 0
@@ -210,13 +209,12 @@ def _round_to_grid(x: float) -> int:
     return math.floor(x + 0.5)
 
 
-@dataclass(frozen=True)
-class TuneResult:
+class TuneResult(NamedTuple):
     d: int
     k: int
     value: float
     n_evaluations: int
-    trajectory: tuple[tuple[int, int, int, float], ...] = field(repr=False)
+    trajectory: tuple[tuple[int, int, int, float], ...]
 
 
 def _unit_simplex(base: tuple[float, float], d_max: int, k_max: int):

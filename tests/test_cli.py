@@ -3,7 +3,6 @@ import math
 import re
 import subprocess
 import sys
-from dataclasses import fields
 from fractions import Fraction
 
 import numpy as np
@@ -116,7 +115,7 @@ class TestOneSpellingPerParameter:
     def test_run_parsers_have_no_algorithm_parameter(self):
         assert {n: a.keys for n, a in ALGORITHMS.items()} == READS
         _, commands = _build_parser()
-        parameters = {f.name for f in fields(AlgoSpec)} - {"name"}
+        parameters = set(AlgoSpec.__slots__) - {"name"}
         for command in ("run", "compare"):
             assert not {a.dest for a in commands[command]._actions} & parameters
         # exact's own --d stays, from a flag or its file (test_exact_reads_d_from_file)
@@ -848,7 +847,7 @@ class TestTuneCommand:
         # cmd_tune passes these settings to TunerConfig untranslated
         _, commands = _build_parser()
         dests = {a.dest for a in commands["tune"]._actions}
-        assert {f.name for f in fields(TunerConfig)} == dests & {"d_max", "k_max"} == {"d_max", "k_max"}
+        assert set(TunerConfig.__slots__) == dests & {"d_max", "k_max"} == {"d_max", "k_max"}
         assert not any("iteration" in dest for dest in dests)
 
     def test_missing_out_directory_fails_before_the_search(self, tmp_path, capsys, monkeypatch):

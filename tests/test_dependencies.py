@@ -1,5 +1,7 @@
-"""The package has no runtime dependencies: it imports and runs without numpy."""
+"""The package has no runtime dependencies: it imports and runs without numpy,
+and importing the CLI loads none of the standard modules it avoids."""
 
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -25,6 +27,21 @@ def test_importing_the_cli_loads_no_numpy(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_importing_the_cli_loads_no_avoided_module(tmp_path):
+    # pytest itself has imported inspect and dataclasses, so the check needs a fresh interpreter
+    env = dict(os.environ, PYTHONPATH=SRC)
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "tests" / "import_graph.py")],
+        cwd=tmp_path,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == str(ROOT / "src" / "apsel" / "cli.py")
 
 
 def test_every_subcommand_runs_with_numpy_absent(tmp_path):

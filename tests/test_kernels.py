@@ -13,7 +13,6 @@ as the size threshold leaves them, and with the breadth-first level
 kernel forced on for every graph.
 """
 
-import dataclasses
 import gc
 import math
 import random
@@ -628,7 +627,7 @@ def assert_matches_set_based_search(g: SnapshotGraph, d: int) -> None:
     same single search."""
     res, ref = exact_min_dominating_set(g, d), exact_min_dominating_set_oracle(g, d)
     if not is_connected(g):
-        res, ref = dataclasses.replace(res, search_nodes=0), dataclasses.replace(ref, search_nodes=0)
+        res, ref = res._replace(search_nodes=0), ref._replace(search_nodes=0)
     assert res == ref
 
 

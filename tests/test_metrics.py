@@ -1,3 +1,6 @@
+import operator
+import statistics
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -5,6 +8,7 @@ from hypothesis import strategies as st
 from apsel.metrics import (
     METRICS_HEADER,
     PeriodMetrics,
+    _mean,
     aggregation_rate,
     notification_count,
     read_period_metrics_csv,
@@ -14,6 +18,7 @@ from apsel.metrics import (
     write_period_metrics_csv,
     write_run_summary_csv,
 )
+from apsel.mobility import _median_low
 
 small_sets = st.sets(st.integers(0, 30), max_size=12)
 
@@ -159,3 +164,32 @@ class TestRunSummary:
         lines = path.read_text().splitlines()
         assert lines[0].startswith("algorithm,n_periods,")
         assert lines[1].startswith("rb_T256,3,")
+
+
+# ints, floats of magnitude 2**-60 to 2**60 of either sign (and zeros), and lists mixing both
+ints = st.integers(-(2**70), 2**70)
+signs = st.sampled_from([1.0, -1.0])
+floats = st.builds(operator.mul, signs, st.floats(2.0**-60, 2.0**60)) | st.sampled_from([0.0, -0.0])
+number_lists = st.lists(ints, min_size=1) | st.lists(floats, min_size=1) | st.lists(ints | floats, min_size=1)
+
+
+class TestStatisticsStandIns:
+    """metrics._mean and mobility._median_low return what statistics.mean and
+    statistics.median_low return, to the type: the package does not import
+    statistics, whose fractions and decimal imports every invocation would pay for."""
+
+    @given(number_lists)
+    def test_mean_matches_statistics(self, values):
+        got, want = _mean(iter(values)), statistics.mean(values)
+        assert (type(got), repr(got)) == (type(want), repr(want))
+
+    @given(number_lists)
+    def test_median_low_matches_statistics(self, values):
+        got, want = _median_low(values), statistics.median_low(values)
+        assert (type(got), repr(got)) == (type(want), repr(want))
+
+    def test_exact_int_mean_reaches_the_summary_csv_as_an_int(self, tmp_path):
+        rows = [r._replace(n_reelections=n) for r, n in zip(_sample_rows(), (1, 2, 3))]
+        path = tmp_path / "summary.csv"
+        write_run_summary_csv([summarize_run("rb_T256", rows)], path)
+        assert path.read_text().splitlines()[1].split(",")[4] == "2"

@@ -71,6 +71,17 @@ class TestTrace:
         with pytest.raises(TraceFormatError, match="^non-finite time or coordinate"):
             Trace([TracePoint(*sample)])
 
+    @pytest.mark.parametrize(
+        "sample, got",
+        [((0.0, 1, 2.0), "3"), ((0.0, 1, 2.0, 3.0, 4.0), "5"), (5, "int")],
+        ids=["three-fields", "five-fields", "not-a-row"],
+    )
+    def test_sample_that_is_not_four_fields_rejected(self, sample, got):
+        # these escaped as bare unpacking errors that named no sample
+        with pytest.raises(TraceFormatError) as exc:
+            Trace([TracePoint(0.0, 1, 0.0, 0.0), sample])
+        assert str(exc.value) == f"expected 4 fields, got {got}: {sample!r}"
+
     def test_empty_rejected(self):
         with pytest.raises(TraceFormatError):
             Trace([])
