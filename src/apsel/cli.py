@@ -24,7 +24,7 @@ import os
 import sys
 from typing import Callable, NamedTuple
 
-from .graph import SnapshotGraph
+from .graph import Frozen, SnapshotGraph
 from .metrics import (
     PeriodMetrics,
     aggregation_rate,
@@ -87,7 +87,7 @@ ALGORITHMS = {
 }
 
 
-class AlgoSpec:
+class AlgoSpec(Frozen):
     """One algorithm plus its parameters, e.g. centrality with d=3, k=4.
     Specs with equal fields are equal and hash alike."""
 
@@ -95,7 +95,7 @@ class AlgoSpec:
 
     def __init__(self, name: str, d: int = 1, k: int = 4, slots: int = 256,
                  direction: bool = False):
-        self.name, self.d, self.k, self.slots, self.direction = name, d, k, slots, direction
+        self._set(name=name, d=d, k=k, slots=slots, direction=direction)
         if name not in ALGORITHMS:
             known = ", ".join(ALGORITHMS)
             raise ConfigError(f"unknown algorithm {name!r}, expected one of {known}")
@@ -161,13 +161,12 @@ def parse_algo_spec(text: str) -> AlgoSpec:
     return AlgoSpec(name, **inline)
 
 
-class GenParams:
+class GenParams(Frozen):
     __slots__ = ("n", "area", "duration", "speed_min", "speed_max")
 
     def __init__(self, n: int = 50, area: float = 1000.0, duration: float = 60.0,
                  speed_min: float = 8.0, speed_max: float = 14.0):
-        self.n, self.area, self.duration, self.speed_min, self.speed_max = (
-            n, area, duration, speed_min, speed_max)
+        self._set(n=n, area=area, duration=duration, speed_min=speed_min, speed_max=speed_max)
         # the generator's own checks, run at parse so that no output exists yet
         try:
             check_roadway_params(n, area, duration, (speed_min, speed_max))
@@ -175,7 +174,7 @@ class GenParams:
             raise ConfigError(f"gen {exc}") from exc
 
 
-class TraceConfig:
+class TraceConfig(Frozen):
     """The trace a command reads (a file or a generated roadway), the
     instants it reads and the radio that links vehicles."""
 
@@ -184,8 +183,8 @@ class TraceConfig:
     def __init__(self, trace_path: str | None = None, gen: GenParams | None = None,
                  radio: RadioParams = RadioParams(), period: float = 10.0,
                  t_start: float | None = None, t_end: float | None = None, seed: int = 0):
-        self.trace_path, self.gen, self.radio, self.period = trace_path, gen, radio, period
-        self.t_start, self.t_end, self.seed = t_start, t_end, seed
+        self._set(trace_path=trace_path, gen=gen, radio=radio, period=period,
+                  t_start=t_start, t_end=t_end, seed=seed)
         if not 0 < period < math.inf:
             raise ConfigError(f"period must be positive and finite, got {period}")
         for name, t in (("t_start", t_start), ("t_end", t_end)):
@@ -201,7 +200,7 @@ class RunConfig(TraceConfig):
     __slots__ = ("algos", "out_dir")
 
     def __init__(self, algos: tuple[AlgoSpec, ...] = (), out_dir: str = "results", **trace):
-        self.algos, self.out_dir = algos, out_dir
+        self._set(algos=algos, out_dir=out_dir)
         if not algos:
             raise ConfigError("at least one algorithm (--algo) is required")
         tags = [algo.tag for algo in algos]
@@ -286,7 +285,10 @@ def run_algorithms(trace: Trace, cfg: RunConfig) -> dict[AlgoSpec, list[PeriodMe
     d an rb spec made in code holds. Period i draws rb's frame from the
     seed (cfg.seed * 1_000_003 + i) mod 2**63. Zero-vehicle periods emit a
     row with blank rate so the time series stays aligned across algorithms.
-    Each spec runs all periods in turn: the benchmark's self-test pins that order's call counts.
+    Each spec runs all periods in turn and builds its own graph for each.
+    The benchmark's self-test pins the per-name call counts, such as
+    len(cfg.algos) x periods graph builds, which any loop order gives as
+    long as no graph is shared.
     """
     runs = {}
     for algo in cfg.algos:
@@ -324,7 +326,17 @@ def run_algorithms(trace: Trace, cfg: RunConfig) -> dict[AlgoSpec, list[PeriodMe
 def _execute_algorithms(cfg: RunConfig):
     # every algorithm runs, and so checks the window, before --out is made:
     # a run that fails leaves no empty directory behind
-    runs = run_algorithms(_load_trace(cfg), cfg)
+    trace = _load_trace(cfg)
+    runs = run_algorithms(trace, cfg)
+    # every spec reads the same boundaries, and a period is empty iff its
+    # boundary names no sampled instant: each instant holds a sample
+    rows = next(iter(runs.values()))
+    missed = sum(row.n_vehicles == 0 for row in rows)
+    if missed:
+        note = (f"{missed} of {len(rows)} period boundaries name no sampled instant"
+                f" (the trace is sampled every {trace.sampling_period} s); their rows are blank"
+                " and the churn counts restart after each")
+        print(f"note: {note}", file=sys.stderr)
     os.makedirs(cfg.out_dir, exist_ok=True)
     outputs = []
     for algo, rows in runs.items():

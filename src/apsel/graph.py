@@ -62,6 +62,29 @@ def vertex_ids(given: Iterable) -> list[int]:
     return ids
 
 
+class Frozen:
+    """Base of the package's validated settings (``RadioParams``,
+    ``TunerConfig`` and the command line's configs). Each ``__init__``
+    sets its fields once, through ``_set``, and checks them; assigning or
+    deleting a field later raises AttributeError, so no setting skips
+    those checks, changes its hash or alters a shared default."""
+
+    __slots__ = ()
+
+    def _set(self, **fields) -> None:
+        for name, value in fields.items():
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is frozen: cannot assign to {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is frozen: cannot delete {name!r}")
+
+    def __setstate__(self, state):  # copy and pickle restore the fields here
+        self._set(**state[1])
+
+
 class SnapshotGraph:
     """Undirected vehicle graph at one instant, immutable after construction.
 
@@ -209,9 +232,9 @@ def reach_rounds(
         yield reach, sizes
 
 
-def breadth_first_order(adjacency: Sequence[Sequence[int]]) -> tuple[list[int], list[int]]:
+def breadth_first_order(adjacency: Sequence[Sequence[int]]) -> tuple[list[int], list[int], list[int]]:
     """Every vertex once, in breadth-first order (Cuthill & McKee, 1969),
-    and where each BFS level starts in that order.
+    and where each BFS level and each connected component starts in it.
 
     Each component is searched from its lowest number, in ascending order
     of that number, and each vertex's neighbours are taken in ascending
@@ -219,28 +242,32 @@ def breadth_first_order(adjacency: Sequence[Sequence[int]]) -> tuple[list[int], 
     begins, component after component, and then ``len(order)``: level j
     is ``order[starts[j]:starts[j + 1]]``. Adjacent vertices land at most
     one level apart, so a k-hop ball spans at most 2k + 1 consecutive
-    levels of the order.
+    levels of the order. ``components`` lists where each component
+    begins in the same way: its first vertex is its lowest number.
     """
     seen = bytearray(len(adjacency))
     order: list[int] = []
     starts: list[int] = []
+    components: list[int] = []
     for source in range(len(adjacency)):
         if seen[source]:
             continue
         seen[source] = 1
         level = len(order)
+        components.append(level)
         order.append(source)
         while level < len(order):
             starts.append(level)
             end = len(order)
-            for i in range(level, end):
-                for u in adjacency[order[i]]:
+            for v in order[level:end]:
+                for u in adjacency[v]:
                     if not seen[u]:
                         seen[u] = 1
                         order.append(u)
             level = end
     starts.append(len(order))
-    return order, starts
+    components.append(len(order))
+    return order, starts, components
 
 
 def level_rounds(adjacency: Sequence[Sequence[int]], k: int) -> Iterator[list[int]]:
@@ -261,7 +288,7 @@ def level_rounds(adjacency: Sequence[Sequence[int]], k: int) -> Iterator[list[in
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    order, starts = breadth_first_order(adjacency)
+    order, starts, _ = breadth_first_order(adjacency)
     reach = [0] * len(order)
     for rank, v in enumerate(order):
         reach[v] = 1 << rank

@@ -24,7 +24,7 @@ from collections.abc import ItemsView, Mapping
 from itertools import chain, groupby, islice
 from operator import ge, itemgetter
 
-from .graph import SnapshotGraph, position_of, vertex_ids
+from .graph import Frozen, SnapshotGraph, position_of, vertex_ids
 
 __all__ = [
     "RadioParams",
@@ -403,7 +403,7 @@ def write_trace_csv(trace: Trace, path) -> None:
             writer.writerows([t, v, x, y] for v, x, y in zip(at._ids, at._xs, at._ys))
 
 
-class RadioParams:
+class RadioParams(Frozen):
     """range_r in meters.
 
     ``build_udg`` links a pair iff ``dx*dx + dy*dy <= r*r``, so r*r must
@@ -416,7 +416,8 @@ class RadioParams:
     __slots__ = ("range_r",)
 
     def __init__(self, range_r: float = 100.0):
-        self.range_r = r = range_r
+        r = range_r
+        self._set(range_r=r)
         if not (r > 0 and sys.float_info.min <= r * r < math.inf):
             raise ValueError(
                 f"radio range must be positive with a finite normal square"

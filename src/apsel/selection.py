@@ -26,6 +26,7 @@ from .graph import (
     SnapshotGraph,
     UnknownVehicleError,
     all_k_closeness,
+    breadth_first_order,
     edges_examined,
     position_of,
     reach_rounds,
@@ -258,38 +259,6 @@ def rb_select(g: SnapshotGraph, slots: int = 256, seed: int = 0) -> SelectionRes
     return rb_select_with_slots(g, assigned, slots)
 
 
-def _components(balls: list[int]) -> list[tuple[int, list[int]]]:
-    """Connected components as (bitset, ascending positions) pairs.
-
-    Each ball holds its vertex's neighbors, so taking the union of the
-    balls of everything reached so far, until nothing new is reached,
-    closes a vertex's ball into its component. Components come out in
-    order of their lowest position.
-    """
-    components = []
-    seen = 0
-    for i in range(len(balls)):
-        if seen >> i & 1:
-            continue
-        component = 0
-        members = []
-        frontier = 1 << i
-        while frontier:
-            component |= frontier
-            grown = 0
-            while frontier:
-                low = frontier & -frontier
-                u = low.bit_length() - 1
-                members.append(u)
-                grown |= balls[u]
-                frontier ^= low
-            frontier = grown & ~component
-        seen |= component
-        members.sort()
-        components.append((component, members))
-    return components
-
-
 def _greedy_cover(balls: list[int], component: int, members: list[int]) -> list[int]:
     """Cover a component greedily: the largest gain, lowest id on ties."""
     best: list[int] = []
@@ -356,13 +325,14 @@ def _search(
 def exact_min_dominating_set(g: SnapshotGraph, d: int = 1) -> SelectionResult:
     """Minimum d-hop dominating set via set-cover branch and bound.
 
-    Each connected component is solved on its own. Its search branches
-    on the uncovered vertex with the fewest potential coverers, prunes
-    with a disjoint-neighborhood packing bound, and starts from the
-    component's greedy cover as incumbent. Vertex sets are int bitsets
-    over positions in ``g.vertices``, so bit order is id order. Worst
-    case is exponential in the largest component, hence the
-    MAX_EXACT_VERTICES guard, which still counts the whole graph.
+    Each connected component, as ``breadth_first_order`` finds it, is
+    solved on its own. Its search branches on the uncovered vertex with
+    the fewest potential coverers, prunes with a disjoint-neighborhood
+    packing bound, and starts from the component's greedy cover as
+    incumbent. Vertex sets are int bitsets over positions in
+    ``g.vertices``, so bit order is id order. Worst case is exponential in
+    the largest component, hence the MAX_EXACT_VERTICES guard, which still
+    counts the whole graph.
 
     The witness is the one a single search over the whole graph returns.
     If every component's greedy cover is optimal, it is the union of the
@@ -395,14 +365,19 @@ def exact_min_dominating_set(g: SnapshotGraph, d: int = 1) -> SelectionResult:
     nodes = 0
     covers = []
     searched = []  # (position in covers, component, order, improved)
-    for component, members in _components(balls):
-        top = max(members, key=ball_sizes.__getitem__)
-        if ball_sizes[top] == len(members):
+    bfs, _, starts = breadth_first_order(g.adjacency)
+    for lo, hi in zip(starts, starts[1:]):
+        top = bfs[lo]  # the lowest position, greedy's pick if its ball is the whole component
+        if ball_sizes[top] < hi - lo:
+            members = sorted(bfs[lo:hi])
+            top = max(members, key=ball_sizes.__getitem__)
+        if ball_sizes[top] == hi - lo:
             # greedy takes the lowest id whose ball is the whole component,
             # and the search's root packs one ball against one point
             covers.append([top])
             nodes += 1
             continue
+        component = sum(map((1).__lshift__, members))  # distinct bits: their sum is their union
         greedy = _greedy_cover(balls, component, members)
         # the uncovered vertex with the fewest coverers is the first
         # uncovered one in (ball size, id) order, which is also the

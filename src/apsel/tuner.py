@@ -15,6 +15,7 @@ import csv
 import math
 from typing import NamedTuple
 
+from .graph import Frozen
 from .metrics import aggregation_rate
 from .selection import centrality_select
 
@@ -42,7 +43,7 @@ TOLERANCE = 1e-10
 MAX_ITERATIONS = 500
 
 
-class TunerConfig:
+class TunerConfig(Frozen):
     """The integer search box [1, d_max] x [1, k_max].
 
     d is capped at 10 hops by default; k's ceiling is in principle the
@@ -52,7 +53,7 @@ class TunerConfig:
     __slots__ = ("d_max", "k_max")
 
     def __init__(self, d_max: int = 10, k_max: int = 10):
-        self.d_max, self.k_max = d_max, k_max
+        self._set(d_max=d_max, k_max=k_max)
         for name, value in (("d_max", d_max), ("k_max", k_max)):
             if value < 1:
                 raise ValueError(f"{name} must be >= 1, got {value}")

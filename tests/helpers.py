@@ -408,19 +408,22 @@ def all_k_closeness_oracle(g: SnapshotGraph, k: int) -> tuple[dict[int, float], 
     return values, total_edges
 
 
-def breadth_first_order_oracle(g: SnapshotGraph) -> tuple[list[int], list[int]]:
+def breadth_first_order_oracle(g: SnapshotGraph) -> tuple[list[int], list[int], list[int]]:
     """Positions in the order a queue-based search visits them: each
     component from its lowest unvisited id, neighbours by ascending id.
     Also the index at which each depth of each component's search starts
-    in that order, and then the number of vertices."""
+    in that order, and then the number of vertices; and the same for
+    each component's search."""
     position = {v: i for i, v in enumerate(g.vertices)}
     order: list[int] = []
     starts: list[int] = []
+    components: list[int] = []
     seen: set[int] = set()
     for source in g.vertices:
         if source in seen:
             continue
         seen.add(source)
+        components.append(len(order))
         queue = deque([(source, 0)])
         depth = -1
         while queue:
@@ -434,7 +437,8 @@ def breadth_first_order_oracle(g: SnapshotGraph) -> tuple[list[int], list[int]]:
                     seen.add(u)
                     queue.append((u, d + 1))
     starts.append(len(order))
-    return order, starts
+    components.append(len(order))
+    return order, starts, components
 
 
 def _nearest_points(balls: dict[int, dict[int, int]]) -> dict[int, int]:

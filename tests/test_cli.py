@@ -1,3 +1,4 @@
+import gc
 import itertools
 import math
 import re
@@ -269,6 +270,61 @@ class TestRunConfig:
                 assert str(info.value) == f"gen {exc}"
             else:
                 GenParams(n, area, duration, lo, hi)
+
+
+# each validated settings class, made with valid values, and one field and a value it rejects
+SETTINGS = [
+    pytest.param(lambda: AlgoSpec("centrality"), "k", 0, id="AlgoSpec"),
+    pytest.param(lambda: RadioParams(), "range_r", math.nan, id="RadioParams"),
+    pytest.param(lambda: GenParams(), "n", -1, id="GenParams"),
+    pytest.param(lambda: TraceConfig(gen=GenParams()), "period", 0.0, id="TraceConfig"),
+    pytest.param(lambda: RunConfig(algos=(AlgoSpec("rb"),), gen=GenParams()), "algos", (), id="RunConfig"),
+    pytest.param(lambda: TunerConfig(), "d_max", 0, id="TunerConfig"),
+]
+
+
+def settings_fields(value):
+    """A settings object as its class and field values, nested settings included."""
+    names = [name for cls in type(value).__mro__ for name in getattr(cls, "__slots__", ())]
+    return (type(value), [settings_fields(getattr(value, n)) for n in names]) if names else value
+
+
+class TestSettingsAreFrozen:
+    @pytest.mark.parametrize("make, field, value", SETTINGS)
+    def test_assigning_or_deleting_a_field_raises(self, make, field, value):
+        # an assigned value would skip the checks construction runs
+        settings = make()
+        before = getattr(settings, field)
+        with pytest.raises(AttributeError, match=f"frozen: cannot assign to {field!r}"):
+            setattr(settings, field, value)
+        with pytest.raises(AttributeError, match=f"frozen: cannot delete {field!r}"):
+            delattr(settings, field)
+        assert getattr(settings, field) is before
+
+    @pytest.mark.parametrize("make, field, value", SETTINGS)
+    def test_copies_and_pickles_keep_every_field(self, make, field, value):
+        import copy
+        import pickle
+
+        settings = make()
+        for twin in (copy.copy(settings), copy.deepcopy(settings), pickle.loads(pickle.dumps(settings))):
+            assert settings_fields(twin) == settings_fields(settings)
+
+    def test_spec_keys_its_rows_for_good(self, tmp_path):
+        spec = AlgoSpec("centrality")
+        cfg = RunConfig(algos=(spec,), trace_path=str(small_trace(tmp_path, duration=3.0)))
+        runs = run_algorithms(load_trace_csv(cfg.trace_path), cfg)
+        with pytest.raises(AttributeError):
+            spec.d = 3
+        assert runs[spec] is runs[AlgoSpec("centrality")]
+
+    def test_the_shared_default_radio_cannot_change(self):
+        # every TraceConfig made without radio holds the one default RadioParams()
+        a, b = TraceConfig(gen=GenParams()), TraceConfig(trace_path="x.csv")
+        assert a.radio is b.radio
+        with pytest.raises(AttributeError):
+            a.radio.range_r = 1.0
+        assert b.radio.range_r == RadioParams().range_r == 100.0
 
 
 class TestRunCommand:
@@ -624,6 +680,44 @@ class TestRunCommand:
         assert rc == 1
         assert "--algo" in capsys.readouterr().err
 
+
+    @pytest.mark.parametrize("period", [10, 1])
+    def test_a_whole_run_leaves_no_reference_cycle(self, period):
+        # every selector over 4 and 40 periods: nothing the run drops waits for the cyclic collector
+        from apsel.mobility import generate_two_way_roadway
+
+        specs = ["centrality", "centrality:d=3", "rb", "exact", "exact:d=2", "centrality:direction=true"]
+        cfg = RunConfig(algos=tuple(map(parse_algo_spec, specs)), gen=GenParams(), period=period)
+        trace = generate_two_way_roadway(40, 600.0, 40.0, seed=4)
+        gc.collect()
+        gc.disable()
+        try:
+            runs = run_algorithms(trace, cfg)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+        assert [len(rows) for rows in runs.values()] == [40 // period] * len(specs)
+
+    @pytest.mark.parametrize("command", ["run", "compare"])
+    @pytest.mark.parametrize("period, missed", [("0.5", 5), ("1", 0), ("2", 0)])
+    def test_boundaries_that_name_no_instant_are_noted(self, tmp_path, capsys, command, period, missed):
+        # the trace is sampled at 1 Hz on 0..5 s: every other half-second boundary names no instant
+        path = small_trace(tmp_path, n=10, duration=6.0)
+        argv = [command, "--trace", str(path), "--period", period, "--algo", "centrality", "--algo", "rb"]
+        assert main([*argv, "--out", str(tmp_path / "res")]) == 0
+        captured = capsys.readouterr()
+        rows = read_period_metrics_csv(tmp_path / "res" / "rb_T256.csv")
+        assert sum(r.aggregation_rate is None for r in rows) == missed
+        if missed:
+            assert captured.err == (
+                f"note: {missed} of {len(rows)} period boundaries name no sampled instant"
+                " (the trace is sampled every 1.0 s); their rows are blank"
+                " and the churn counts restart after each\n"
+            )
+        else:
+            assert captured.err == ""
+        # stdout keeps its lines; the note goes to stderr only
+        assert "note:" not in captured.out
 
 class TestConfigFile:
     def test_file_supplies_settings(self, tmp_path):

@@ -487,7 +487,7 @@ class TestRenumberedCloseness(TestBitsetCloseness):
         g = SnapshotGraph(range(6), [(0, 3), (3, 1), (1, 5), (5, 2), (2, 4)])
         assert all_k_closeness(g, 2) == all_k_closeness_oracle(g, 2)
         assert calls == [("level_rounds", g.adjacency)]
-        assert searches == [([0, 3, 1, 5, 2, 4], [0, 1, 2, 3, 4, 5, 6])]
+        assert searches == [([0, 3, 1, 5, 2, 4], [0, 1, 2, 3, 4, 5, 6], [0, 6])]
         # the rounds read the graph's own adjacency and give sizes by position
         assert g._ball_sizes[1] == [1 + g.degree(v) for v in g.vertices]
 
@@ -511,10 +511,20 @@ def test_level_rounds_match_reach_rounds(g, k):
 
 class TestBreadthFirstOrder:
     @given(g=st.one_of(graphs(), disjoint_unions()))
+    # the isolated 5 and 7 lie between the positions of the component {3, 9, 12}
+    @example(g=SnapshotGraph([7, 3, 12, 5, 9], [(12, 3), (9, 3)]))
     def test_matches_queue_search(self, g):
-        order, starts = breadth_first_order(g.adjacency)
+        order, starts, components = breadth_first_order(g.adjacency)
         assert sorted(order) == list(range(g.n_vertices))
-        assert (order, starts) == breadth_first_order_oracle(g)
+        assert (order, starts, components) == breadth_first_order_oracle(g)
+        # each component is led by its lowest number, and no edge leaves it
+        component = [0] * g.n_vertices
+        for c, (lo, hi) in enumerate(zip(components, components[1:])):
+            assert order[lo] == min(order[lo:hi])
+            for v in order[lo:hi]:
+                component[v] = c
+        assert all(component[v] == component[u] for v, row in enumerate(g.adjacency) for u in row)
+        assert set(components) <= set(starts)
         # the level kernel relies on neighbours being at most one level apart
         level = [0] * g.n_vertices
         for j, (lo, hi) in enumerate(zip(starts, starts[1:])):
@@ -525,13 +535,15 @@ class TestBreadthFirstOrder:
     def test_components_and_isolated_vertices(self):
         # components {1, 4, 8}, {2, 9} and {3, 5, 7}; 0 and 6 are isolated
         g = SnapshotGraph(range(10), [(8, 1), (4, 8), (9, 2), (7, 3), (7, 5)])
-        assert breadth_first_order(g.adjacency) == ([0, 1, 8, 4, 2, 9, 3, 7, 5, 6], list(range(11)))
+        assert breadth_first_order(g.adjacency) == (
+            [0, 1, 8, 4, 2, 9, 3, 7, 5, 6], list(range(11)), [0, 1, 4, 6, 9, 10]
+        )
         h = SnapshotGraph([40, 10, 30, 20, 50], [(50, 10)])
-        assert breadth_first_order(h.adjacency) == ([0, 4, 1, 2, 3], [0, 1, 2, 3, 4, 5])
+        assert breadth_first_order(h.adjacency) == ([0, 4, 1, 2, 3], [0, 1, 2, 3, 4, 5], [0, 2, 3, 4, 5])
         # levels {0}, {2, 5}, {1, 3}, then the isolated 4
         f = SnapshotGraph(range(6), [(0, 2), (0, 5), (2, 1), (5, 3)])
-        assert breadth_first_order(f.adjacency) == ([0, 2, 5, 1, 3, 4], [0, 1, 3, 5, 6])
-        assert breadth_first_order(()) == ([], [0])
+        assert breadth_first_order(f.adjacency) == ([0, 2, 5, 1, 3, 4], [0, 1, 3, 5, 6], [0, 5, 6])
+        assert breadth_first_order(()) == ([], [0], [0])
 
     def test_closeness_renumbers_once_n_times_k_reaches_the_threshold(self, monkeypatch):
         calls = spy_on_closeness_kernels(monkeypatch)
