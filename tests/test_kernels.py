@@ -500,6 +500,13 @@ def test_reach_rounds_stop_at_the_first_round_that_adds_nothing():
     assert len({id(lst) for lst in lists}) == len(lists)
 
 
+@pytest.mark.parametrize("kernel", [reach_rounds, level_rounds])
+@pytest.mark.parametrize("k", [0, -1])
+def test_round_kernels_reject_k_below_one(kernel, k):
+    with pytest.raises(ValueError, match=f"^k must be >= 1, got {k}$"):
+        next(kernel(((1,), (0,)), k))
+
+
 @given(g=st.one_of(graphs(), disjoint_unions()), k=st.integers(1, 6))
 @example(g=SnapshotGraph(range(6), [(0, 1), (1, 2), (3, 4)]), k=6)
 def test_level_rounds_match_reach_rounds(g, k):
@@ -760,6 +767,6 @@ def test_20k_vehicle_centrality_in_bounded_memory(monkeypatch):
         tracemalloc.stop()
     assert peak < 40 * 2**20
     monkeypatch.setattr(apsel.graph, "RENUMBER_MIN_WORK", math.inf)
-    by_position = SnapshotGraph._from_sorted_adjacency(g.vertices, g.adjacency, g.n_edges)
+    by_position = SnapshotGraph._from_sorted_adjacency(g.vertices, g.adjacency)
     assert all_k_closeness(by_position, 4) == all_k_closeness(g, 4)
     assert by_position._ball_sizes == g._ball_sizes

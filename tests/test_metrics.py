@@ -135,6 +135,15 @@ class TestPeriodCsv:
         assert a.read_bytes() == b.read_bytes()
         assert b"\r" not in a.read_bytes()
 
+    def test_blank_row_skipped(self, tmp_path):
+        path = tmp_path / "m.csv"
+        write_period_metrics_csv(_sample_rows(), path)
+        lines = path.read_text().splitlines(keepends=True)
+        spaced = tmp_path / "spaced.csv"
+        spaced.write_text("".join([lines[0], lines[1], "\n", *lines[2:], "\n"]))
+        assert read_period_metrics_csv(spaced) == read_period_metrics_csv(path)
+        assert len(read_period_metrics_csv(path)) == len(lines) - 1
+
     def test_wrong_header_rejected(self, tmp_path):
         path = tmp_path / "m.csv"
         path.write_text("time,n\n")

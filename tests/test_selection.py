@@ -106,11 +106,16 @@ class TestCentralitySelect:
         assert res.aggregation_points == frozenset()
 
     def test_radius_beyond_the_graph_costs_no_more_than_its_size(self):
-        # each point's cover walk stops once a round reaches nothing, so a
-        # d past the graph's diameter costs no more than the diameter
+        # each point's cover walk, and the assignment's search, stops once a
+        # round reaches nothing, so a d past the graph's diameter costs no
+        # more than the diameter
         g = gnp_graph(50, 0.05, 3)
         start = time.process_time()
-        assert centrality_select(g, 10**9, 4) == centrality_select(g, g.n_vertices, 4)
+        res = centrality_select(g, 10**9, 4)
+        assert res == centrality_select(g, g.n_vertices, 4)
+        points = res.aggregation_points
+        far = assign_to_aggregation_points(g, points, 10**9)
+        assert far == assign_to_aggregation_points(g, points, g.n_vertices)
         assert time.process_time() - start < 1.0
 
     @given(seed=graph_seeds, n=st.integers(1, 40), d=st.integers(1, 3), k=st.integers(1, 6))
@@ -140,6 +145,11 @@ class TestRbSelect:
         g = path_graph(3)
         res = rb_select_with_slots(g, {0: 0, 2: 0, 1: 1}, 4)
         assert res.aggregation_points == frozenset({0, 1, 2})
+
+    @pytest.mark.parametrize("frame_length", [0, -3])
+    def test_frame_below_one_tick_rejected(self, frame_length):
+        with pytest.raises(ValueError, match=f"^frame_length must be >= 1, got {frame_length}$"):
+            rb_select_with_slots(path_graph(2), {0: 0, 1: 0}, frame_length)
 
     def test_everyone_same_slot(self):
         res = rb_select_with_slots(triangle(), {0: 0, 1: 0, 2: 0}, 2)
@@ -220,6 +230,19 @@ class TestExactSolver:
         exact = exact_min_dominating_set(g, d)
         greedy = centrality_select(g, d, 4)
         assert len(greedy.aggregation_points) >= len(exact.aggregation_points)
+
+
+@pytest.mark.parametrize("d", [0, -1])
+def test_radius_below_one_rejected_by_each_direct_call(d):
+    g = path_graph(3)
+    calls = [
+        lambda: verify_domination(g, {1}, d),
+        lambda: centrality_select(g, d, 4),
+        lambda: exact_min_dominating_set(g, d),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match=f"^d must be >= 1, got {d}$"):
+            call()
 
 
 class TestResultShape:
