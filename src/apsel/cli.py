@@ -13,7 +13,8 @@ Every output is a pure function of (config, seed): rerunning a command
 with the same inputs reproduces each CSV byte for byte. Settings come
 from a plain ``key = value`` config file, command-line flags, or both;
 a file may set exactly the running subcommand's own flags, and flags
-win.
+win. A setting has one flag and one help wherever it is taken: every
+subcommand, ``gen-trace`` too, spells the roadway generator ``--gen-*``.
 """
 
 from __future__ import annotations
@@ -379,7 +380,7 @@ def cmd_compare(cfg: RunConfig) -> int:
 
 def cmd_gen_trace(s: dict) -> int:
     out = s.get("out", "trace.csv")
-    cfg = TraceConfig(gen=GenParams(**_fields(s, GenParams)), **_fields(s, TraceConfig))
+    cfg = TraceConfig(gen=GenParams(**_fields(s, GenParams, "gen_")), **_fields(s, TraceConfig))
     trace = _load_trace(cfg)
     write_trace_csv(trace, out)
     print(f"{len(trace)} samples, {len(trace.vehicles)} vehicles -> {out}")
@@ -424,24 +425,32 @@ def cmd_exact(s: dict) -> int:
     if not snapshot:
         raise ConfigError(f"no vehicles sampled at t={requested}")
     graph = build_udg(snapshot, cfg.radio)
-    result = exact_min_dominating_set(graph, spec.d)
+    result = ALGORITHMS[spec.name].select(spec, graph, None)  # exact draws no frame
     print(f"n_aps={len(result.aggregation_points)}")
     print(f"members={sorted(result.aggregation_points)}")
     return 0
 
 
-def _add_source_flags(p):
+def _add_generator_flags(p):
+    p.add_argument("--gen-n", type=int, help="generate a roadway of this many vehicles (default 50)")
+    p.add_argument("--gen-area", type=float, help="generated roadway length in m (default 1000)")
+    p.add_argument("--gen-duration", type=float, help="generated trace duration in s (default 60)")
+    p.add_argument("--gen-speed-min", type=float, help="generated minimum speed in m/s (default 8)")
+    p.add_argument("--gen-speed-max", type=float, help="generated maximum speed in m/s (default 14)")
+    p.add_argument("--seed", type=int, help="RNG seed (default 0)")
+
+
+def _add_source_flags(p, window: bool = True):
     p.add_argument("--config", help="key = value settings file; flags override it")
     p.add_argument("--trace", dest="trace_path", metavar="TRACE", help="trace CSV (time,id,x,y)")
-    p.add_argument("--gen-n", type=int, help="generate a roadway trace with this many vehicles")
-    p.add_argument("--gen-area", type=float, help="generated roadway length in meters")
-    p.add_argument("--gen-duration", type=float, help="generated trace duration in seconds")
-    p.add_argument("--gen-speed-min", type=float, help="generated minimum speed in m/s")
-    p.add_argument("--gen-speed-max", type=float, help="generated maximum speed in m/s")
+    _add_generator_flags(p)
     p.add_argument(
         "--radius", dest="range_r", type=float, metavar="R", help="radio range in m (default 100)"
     )
-    p.add_argument("--seed", type=int, help="RNG seed (default 0)")
+    if window:  # the period boundaries of run, compare and tune; exact reads one --time
+        p.add_argument("--period", type=float, help="delivery period in seconds (default 10)")
+        p.add_argument("--t-start", type=float, help="window start (default trace start)")
+        p.add_argument("--t-end", type=float, help="window end (default trace end)")
 
 
 def _add_run_flags(p):
@@ -458,9 +467,6 @@ def _add_run_flags(p):
         )
         + "); repeatable",
     )
-    p.add_argument("--period", type=float, help="delivery period in seconds (default 10)")
-    p.add_argument("--t-start", type=float, help="window start (default trace start)")
-    p.add_argument("--t-end", type=float, help="window end (default trace end)")
     p.add_argument("--out", dest="out_dir", metavar="DIR", help="output dir (default results)")
 
 
@@ -481,25 +487,17 @@ def _build_parser():
     _add_run_flags(command("compare", "run plus merged summary CSV"))
 
     g = command("gen-trace", "write a synthetic two-way roadway trace")
-    g.add_argument("--n", type=int, help="number of vehicles (default 50)")
-    g.add_argument("--area", type=float, help="roadway length in meters (default 1000)")
-    g.add_argument("--duration", type=float, help="trace duration in seconds (default 60)")
-    g.add_argument("--speed-min", type=float, help="minimum speed in m/s (default 8)")
-    g.add_argument("--speed-max", type=float, help="maximum speed in m/s (default 14)")
-    g.add_argument("--seed", type=int, help="RNG seed (default 0)")
+    _add_generator_flags(g)
     g.add_argument("--out", help="trace CSV path (default trace.csv)")
 
     t = command("tune", "search (d, k) maximizing mean aggregation rate")
     _add_source_flags(t)
-    t.add_argument("--period", type=float, help="sampling stride over the trace (default 10)")
-    t.add_argument("--t-start", type=float, help="window start (default trace start)")
-    t.add_argument("--t-end", type=float, help="window end (default trace end)")
     t.add_argument("--d-max", type=int, help="search d in [1, D_MAX] hops (default 10)")
     t.add_argument("--k-max", type=int, help="search k in [1, K_MAX] hops (default 10)")
     t.add_argument("--out", help="trajectory CSV path (default tuning.csv)")
 
     e = command("exact", "optimal point set for one snapshot")
-    _add_source_flags(e)
+    _add_source_flags(e, window=False)
     e.add_argument("--time", type=float, help="snapshot instant (default trace start)")
     e.add_argument("--d", type=int, help="domination radius in hops (default 1)")
 

@@ -68,10 +68,9 @@ class NelderMeadResult(NamedTuple):
 
     point: tuple[float, ...]
     value: float
-    iterations: int
     evaluations: int
     converged: bool
-    trajectory: tuple[tuple[int, tuple[float, ...], float], ...]
+    trajectory: tuple[tuple[tuple[float, ...], float], ...]
 
 
 def _clamp(x, bounds):
@@ -122,8 +121,8 @@ def nelder_mead(objective, initial_simplex, max_iterations: int = 500, bounds=No
     is a minimum: on (x-1)^2 + (y-2)^2 the nearly flat start
     [(0, 0), (1, 1), (2, nextafter(2, 3))] converges at (1.5, 1.5),
     value 0.5, while the minimum is 0 at (1, 2). The trajectory records
-    the incumbent best after every iteration, row 0 being the initial
-    best.
+    the incumbent best (point, value) after every iteration, row 0 being
+    the initial best, so the search ran len(trajectory) - 1 iterations.
     """
     if max_iterations < 1:
         raise ValueError(f"max_iterations must be >= 1, got {max_iterations}")
@@ -145,7 +144,7 @@ def nelder_mead(objective, initial_simplex, max_iterations: int = 500, bounds=No
 
     pts = [(f(x), x) for x in simplex]
     pts.sort()
-    trajectory = [(0, pts[0][1], pts[0][0])]
+    trajectory = [(pts[0][1], pts[0][0])]
 
     iteration = 0
     prev_below = pts[-1][0] - pts[0][0] < TOLERANCE
@@ -190,7 +189,7 @@ def nelder_mead(objective, initial_simplex, max_iterations: int = 500, bounds=No
                     shrunk.append((f(nx), nx))
                 pts = shrunk
         pts.sort()
-        trajectory.append((iteration, pts[0][1], pts[0][0]))
+        trajectory.append((pts[0][1], pts[0][0]))
         below = pts[-1][0] - pts[0][0] < TOLERANCE
         converged = below and prev_below
         prev_below = below
@@ -198,7 +197,6 @@ def nelder_mead(objective, initial_simplex, max_iterations: int = 500, bounds=No
     return NelderMeadResult(
         point=pts[0][1],
         value=pts[0][0],
-        iterations=iteration,
         evaluations=evaluations,
         converged=converged,
         trajectory=tuple(trajectory),
@@ -215,7 +213,7 @@ class TuneResult(NamedTuple):
     k: int
     value: float
     n_evaluations: int
-    trajectory: tuple[tuple[int, int, int, float], ...]
+    trajectory: tuple[tuple[int, int, float], ...]
 
 
 def _unit_simplex(base: tuple[float, float], d_max: int, k_max: int):
@@ -237,7 +235,7 @@ def tune_integer_objective(objective, config: TunerConfig = TunerConfig()) -> Tu
     within the one MAX_ITERATIONS budget. Returns the best pair among
     everything evaluated (lowest d, then lowest k on ties). Trajectory
     rows mirror the simplex's incumbent best per iteration as
-    (iteration, d, k, objective).
+    (d, k, objective).
     """
     d_max, k_max = config.d_max, config.k_max
     memo: dict[tuple[int, int], float] = {}
@@ -251,14 +249,14 @@ def tune_integer_objective(objective, config: TunerConfig = TunerConfig()) -> Tu
     def incumbent():
         return max(memo, key=lambda pr: (memo[pr], -pr[0], -pr[1]))
 
-    trajectory: list[tuple[int, int, int, float]] = []
+    trajectory: list[tuple[int, int, float]] = []
     if d_max == 1 or k_max == 1:
         # box too thin for a non-degenerate 2-simplex; scan it outright
         for d in range(1, d_max + 1):
             for k in range(1, k_max + 1):
                 memo[(d, k)] = objective(d, k)
                 b = incumbent()
-                trajectory.append((len(trajectory), b[0], b[1], memo[b]))
+                trajectory.append((b[0], b[1], memo[b]))
     else:
         bounds = [(1.0, float(d_max)), (1.0, float(k_max))]
         base = (1.0, float(min(4, k_max)))
@@ -267,11 +265,10 @@ def tune_integer_objective(objective, config: TunerConfig = TunerConfig()) -> Tu
         while iterations_used < MAX_ITERATIONS:
             budget = MAX_ITERATIONS - iterations_used
             res = nelder_mead(surrogate, _unit_simplex(base, d_max, k_max), budget, bounds=bounds)
-            for it, x, v in res.trajectory:
-                if it == 0 and trajectory:
-                    continue  # restart's initial row duplicates the incumbent
-                trajectory.append((len(trajectory), _round_to_grid(x[0]), _round_to_grid(x[1]), -v))
-            iterations_used += max(res.iterations, 1)
+            # a restart's initial row duplicates the incumbent
+            for x, v in res.trajectory[1:] if trajectory else res.trajectory:
+                trajectory.append((_round_to_grid(x[0]), _round_to_grid(x[1]), -v))
+            iterations_used += max(len(res.trajectory) - 1, 1)
             now_best = incumbent()
             if now_best == best_pair:
                 break
@@ -310,7 +307,8 @@ def tune_parameters(graphs, config: TunerConfig = TunerConfig()) -> TuneResult:
 
 
 def write_tuning_trajectory_csv(result: TuneResult, path) -> None:
+    """One row per trajectory entry, numbered from 0 in the iteration column."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(TRAJECTORY_HEADER)
-        writer.writerows(result.trajectory)
+        writer.writerows((i, *row) for i, row in enumerate(result.trajectory))

@@ -47,7 +47,6 @@ from apsel.tuner import (
     REFLECTION,
     SHRINK,
     TOLERANCE,
-    NelderMeadResult,
     _clamp,
 )
 
@@ -665,7 +664,21 @@ def adjacency(g: SnapshotGraph) -> dict[int, tuple[int, ...]]:
     return {v: g.neighbors(v) for v in g.vertices}
 
 
-def nelder_mead_oracle(objective, initial_simplex, max_iterations: int = 500, bounds=None) -> NelderMeadResult:
+class NelderMeadOracleResult(NamedTuple):
+    """The oracle's record: ``apsel.tuner.NelderMeadResult``'s fields plus
+    the iteration count, with each trajectory row led by its iteration."""
+
+    point: tuple[float, ...]
+    value: float
+    iterations: int
+    evaluations: int
+    converged: bool
+    trajectory: tuple[tuple[int, tuple[float, ...], float], ...]
+
+
+def nelder_mead_oracle(
+    objective, initial_simplex, max_iterations: int = 500, bounds=None
+) -> NelderMeadOracleResult:
     """Minimize `objective` from the given (p+1)-point simplex.
 
     Candidate points (including the initial vertices) are clamped into
@@ -743,7 +756,7 @@ def nelder_mead_oracle(objective, initial_simplex, max_iterations: int = 500, bo
         converged = below and prev_below
         prev_below = below
 
-    return NelderMeadResult(
+    return NelderMeadOracleResult(
         point=pts[0][1],
         value=pts[0][0],
         iterations=iteration,

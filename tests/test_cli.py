@@ -117,6 +117,12 @@ class TestAlgoSpec:
             parse_algo_spec("centrality:d=2,d=3")
 
 
+def filled_field(dest: str) -> str:
+    """The settings field a flag's destination fills: GenParams' fields
+    come from the gen_ destinations, every other field from its own name."""
+    return dest[len("gen_"):] if dest.startswith("gen_") else dest
+
+
 def test_help_defaults_are_the_settings_defaults():
     # each "(default X)" a flag's help states is the default of the settings
     # field the flag fills, so the help cannot drift from the code
@@ -131,7 +137,7 @@ def test_help_defaults_are_the_settings_defaults():
         for action in parser._actions:
             match = re.search(r"\(default ([^)]*)\)", action.help or "")
             if match:
-                stated[command, action.dest] = match.group(1)
+                stated[command, filled_field(action.dest)] = match.group(1)
     assert {command for command, _ in stated} == set(commands)
     # gen-trace's and tune's --out and exact's --time fill no settings field:
     # their commands default them
@@ -145,6 +151,9 @@ def test_help_defaults_are_the_settings_defaults():
                 assert text == default, (command, dest)
             else:
                 assert float(text) == default, (command, dest)
+    # each generator flag states its default in every subcommand, as gen-trace's did
+    for field in GenParams.__slots__:
+        assert {command for command, dest in stated if dest == field} == set(commands)
     # run's and compare's --algo state each AlgoSpec default
     algo = next(a for a in commands["run"]._actions if a.dest == "algo")
     listed = re.search(r"its default \(([^)]*)\)", algo.help).group(1)
@@ -176,6 +185,49 @@ class TestOneSpellingPerParameter:
         assert info.value.code == 2
         assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
+
+
+class TestOneFlagPerSetting:
+    """Each settings field has one flag and one help text across the
+    subcommands: gen-trace once spelled GenParams' fields --n, --area,
+    --duration, --speed-min and --speed-max, and tune gave --period a help
+    of its own."""
+
+    def test_each_field_is_filled_by_one_option_with_one_help(self):
+        classes = (GenParams, TraceConfig, RadioParams, RunConfig, TunerConfig)
+        fields = {name for cls in classes for name in cls.__slots__}
+        _, commands = _build_parser()
+        spellings = {}  # field -> its (option string, help) pairs
+        for parser in commands.values():
+            for action in parser._actions:
+                if filled_field(action.dest) in fields:
+                    for option in action.option_strings:
+                        spellings.setdefault(filled_field(action.dest), set()).add((option, action.help))
+        assert {field: len(s) for field, s in spellings.items()} == dict.fromkeys(spellings, 1)
+        # every field has a flag but the nested settings and the parsed --algo specs
+        assert set(spellings) == fields - {"gen", "radio", "algos"}
+
+    @pytest.mark.parametrize("flag", ["--n", "--area", "--duration", "--speed-min", "--speed-max"])
+    def test_gen_trace_old_spelling_is_unrecognized(self, tmp_path, capsys, flag):
+        out = tmp_path / "trace.csv"
+        with pytest.raises(SystemExit) as info:
+            main(["gen-trace", flag, "5", "--out", str(out)])
+        assert info.value.code == 2
+        assert f"unrecognized arguments: {flag} 5" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_gen_trace_writes_the_roadway_run_generates(self, tmp_path):
+        generator = ["--gen-n", "12", "--gen-duration", "9", "--seed", "4"]
+        trace = tmp_path / "trace.csv"
+        assert main(["gen-trace", *generator, "--out", str(trace)]) == 0
+        algos = ["--algo", "centrality", "--algo", "centrality:d=2,direction=true", "--algo", "exact"]
+        outputs = []
+        for source in (["--trace", str(trace)], generator):
+            out = tmp_path / f"res{len(outputs)}"
+            assert main(["run", *source, *algos, "--period", "2", "--out", str(out)]) == 0
+            outputs.append({f.name: f.read_bytes() for f in out.iterdir()})
+        assert len(outputs[0]) == 3
+        assert outputs[0] == outputs[1]
 
 
 class TestRunConfig:
@@ -262,10 +314,10 @@ class TestRunConfig:
         "args, message",
         [
             (["run", "--gen-n", "0"], "gen vehicle count must be >= 1, got 0"),
-            (["gen-trace", "--n", "0"], "gen vehicle count must be >= 1, got 0"),
+            (["gen-trace", "--gen-n", "0"], "gen vehicle count must be >= 1, got 0"),
             (["run", "--gen-n", "5", "--gen-area", "inf"], "gen area must be finite, got inf"),
             (
-                ["gen-trace", "--speed-min", "20"],
+                ["gen-trace", "--gen-speed-min", "20"],
                 "gen speeds must be finite with 0 < speed_min <= speed_max, got 20.0 and 14.0",
             ),
         ],
@@ -663,7 +715,7 @@ class TestRunCommand:
 
     def test_window_without_sampled_boundary_fails(self, tmp_path, capsys):
         path = tmp_path / "trace.csv"
-        assert main(["gen-trace", "--n", "10", "--duration", "10", "--out", str(path)]) == 0
+        assert main(["gen-trace", "--gen-n", "10", "--gen-duration", "10", "--out", str(path)]) == 0
         out = tmp_path / "res"
         rc = main(["run", "--trace", str(path), "--algo", "centrality", "--t-start", "0.5",
                    "--period", "1", "--out", str(out)])
@@ -919,23 +971,24 @@ class TestCompareCommand:
 
     def test_rb_frame_seed_follows_the_documented_rule(self, tmp_path):
         # period i draws rb's frame from (seed * 1_000_003 + i) mod 2**63; at
-        # seed 0 that is i, so only a non-zero seed tells the rule from i
+        # seed 0 that is i, so only a non-zero seed tells the rule from i, and
+        # only one above about 9.2e12 tells mod 2**63 from mod 2**64
         path = small_trace(tmp_path, n=30)
-        out = tmp_path / "res"
-        seed = 7
-        argv = ["compare", "--trace", str(path), "--algo", "rb", "--period", "2", "--seed", str(seed)]
-        assert main(argv + ["--out", str(out)]) == 0
         trace = load_trace_csv(path)
-        rows = read_period_metrics_csv(out / "rb_T256.csv")
-        assert len(rows) == 16
-        prev = frozenset()
-        for i, row in enumerate(rows):
-            g = build_udg(trace.positions_at(row.time), RadioParams())
-            result = rb_select(g, 256, (seed * 1_000_003 + i) % 2**63)
-            points = result.aggregation_points
-            assert (row.n_aps, row.edges_examined) == (len(points), result.edges_examined)
-            assert row.n_notifications == notification_count(prev, points)
-            prev = points
+        for seed in (7, 10**13):
+            out = tmp_path / f"res{seed}"
+            argv = ["compare", "--trace", str(path), "--algo", "rb", "--period", "2", "--seed", str(seed)]
+            assert main(argv + ["--out", str(out)]) == 0
+            rows = read_period_metrics_csv(out / "rb_T256.csv")
+            assert len(rows) == 16
+            prev = frozenset()
+            for i, row in enumerate(rows):
+                g = build_udg(trace.positions_at(row.time), RadioParams())
+                result = rb_select(g, 256, (seed * 1_000_003 + i) % 2**63)
+                points = result.aggregation_points
+                assert (row.n_aps, row.edges_examined) == (len(points), result.edges_examined)
+                assert row.n_notifications == notification_count(prev, points)
+                prev = points
 
     def test_negative_id_trace_runs(self, tmp_path):
         path = tmp_path / "trace.csv"
@@ -948,14 +1001,14 @@ class TestCompareCommand:
 class TestGenTraceCommand:
     def test_identical_across_invocations(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        argv = ["gen-trace", "--n", "15", "--duration", "12", "--seed", "7"]
+        argv = ["gen-trace", "--gen-n", "15", "--gen-duration", "12", "--seed", "7"]
         assert main(argv + ["--out", str(a)]) == 0
         assert main(argv + ["--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
     def test_loadable(self, tmp_path):
         out = tmp_path / "t.csv"
-        main(["gen-trace", "--n", "6", "--duration", "5", "--out", str(out)])
+        main(["gen-trace", "--gen-n", "6", "--gen-duration", "5", "--out", str(out)])
         trace = load_trace_csv(out)
         assert len(trace.vehicles) == 6
         assert trace.span == (0.0, 4.0)
@@ -1096,7 +1149,7 @@ class TestExactCommand:
 def test_module_entry_point(tmp_path):
     out = tmp_path / "t.csv"
     proc = subprocess.run(
-        [sys.executable, "-m", "apsel", "gen-trace", "--n", "4", "--duration", "3",
+        [sys.executable, "-m", "apsel", "gen-trace", "--gen-n", "4", "--gen-duration", "3",
          "--out", str(out)],
         capture_output=True,
         text=True,

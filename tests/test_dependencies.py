@@ -46,7 +46,7 @@ def test_importing_the_cli_loads_no_avoided_module(tmp_path):
 
 def test_every_subcommand_runs_with_numpy_absent(tmp_path):
     commands = [
-        ["gen-trace", "--n", "30", "--area", "600", "--duration", "12", "--out", "trace.csv"],
+        ["gen-trace", "--gen-n", "30", "--gen-area", "600", "--gen-duration", "12", "--out", "trace.csv"],
         ["run", "--trace", "trace.csv", "--period", "2", "--algo", "centrality:direction=true",
          "--algo", "rb:direction=true", "--algo", "exact:direction=true", "--out", "run"],
         ["compare", "--trace", "trace.csv", "--period", "2",

@@ -720,6 +720,15 @@ class TestBitsetExact:
         assert res == exact_min_dominating_set_oracle(cycle_graph(7), 1)
         assert centrality_select(cycle_graph(7)).search_nodes == 0
 
+    def test_search_nodes_on_a_roadway_snapshot(self):
+        # the re-search of a component whose greedy cover is optimal is bounded
+        # by greedy size + 1; a looser bound elects the same points in more
+        # nodes (64 at + 2), so only the count tells
+        g = build_udg(generate_two_way_roadway(60, 2500.0, 2.0, seed=0).positions_at(0.0))
+        res = exact_min_dominating_set(g, 1)
+        assert res.search_nodes == 53
+        assert res._replace(search_nodes=0) == exact_min_dominating_set_oracle(g, 1)._replace(search_nodes=0)
+
 
 def test_20k_vehicle_snapshot_builds_in_bounded_memory():
     """The all-pairs builder needs about 2.8 GB at 10k vehicles; the sweep
