@@ -7,14 +7,14 @@ Subcommands:
 * ``compare``   same pipeline plus a merged summary CSV and a table
 * ``gen-trace`` write a synthetic two-way roadway trace
 * ``tune``      search (d, k) on a trace, write the search trajectory
-* ``exact``     solve one snapshot to optimality and print the result
 
 Every output is a pure function of (config, seed): rerunning a command
 with the same inputs reproduces each CSV byte for byte. Settings come
 from a plain ``key = value`` config file, command-line flags, or both;
 a file may set exactly the running subcommand's own flags, and flags
 win. A setting has one flag and one help wherever it is taken: every
-subcommand, ``gen-trace`` too, spells the roadway generator ``--gen-*``.
+subcommand, ``gen-trace`` too, spells the roadway generator ``--gen-*``,
+and an algorithm's parameters are set only in its ``--algo`` spec.
 """
 
 from __future__ import annotations
@@ -89,8 +89,7 @@ ALGORITHMS = {
 
 
 class AlgoSpec(Frozen):
-    """One algorithm plus its parameters, e.g. centrality with d=3, k=4.
-    Specs with equal fields are equal and hash alike."""
+    """One algorithm plus its parameters, e.g. centrality with d=3, k=4."""
 
     __slots__ = ("name", "d", "k", "slots", "direction")
 
@@ -103,19 +102,6 @@ class AlgoSpec(Frozen):
         for key in ALGORITHMS[name].keys:  # a field it does not read goes unchecked
             if getattr(self, key) < 1:
                 raise ConfigError(f"{name} {key} must be >= 1, got {getattr(self, key)}")
-
-    def _key(self) -> tuple:
-        return self.name, self.d, self.k, self.slots, self.direction
-
-    def __eq__(self, other):
-        return self._key() == other._key() if type(other) is AlgoSpec else NotImplemented
-
-    def __hash__(self):
-        return hash(self._key())
-
-    def __repr__(self):
-        fields = ", ".join(f"{n}={v!r}" for n, v in zip(self.__slots__, self._key()))
-        return f"AlgoSpec({fields})"
 
     @property
     def hops(self) -> int:
@@ -335,6 +321,8 @@ def _note_unsampled(trace: Trace, missed: int, periods: int, consequence: str) -
 def _execute_algorithms(cfg: RunConfig):
     # every algorithm runs, and so checks the window, before --out is made:
     # a run that fails leaves no empty directory behind
+    if os.path.exists(cfg.out_dir) and not os.path.isdir(cfg.out_dir):
+        raise ConfigError(f"--out {cfg.out_dir} is a file, not a directory")
     trace = _load_trace(cfg)
     runs = run_algorithms(trace, cfg)
     # every spec reads the same boundaries, and a period is empty iff its
@@ -391,9 +379,9 @@ def cmd_tune(s: dict) -> int:
     cfg = _trace_config(TraceConfig, s)
     out = s.get("out", "tuning.csv")
     tuner_cfg = TunerConfig(**_fields(s, TunerConfig))
-    # the search comes before the write, so a directory that is not there fails first
-    if not os.path.isdir(os.path.dirname(out) or "."):
-        raise ConfigError(f"no directory for --out {out}")
+    # the search comes before the write, so an --out it could not write fails first
+    if os.path.isdir(out) or not os.path.isdir(os.path.dirname(out) or "."):
+        raise ConfigError(f"--out {out} must name a file in an existing directory")
     trace = _load_trace(cfg)
     scored = []  # whether each period has a graph, filled as the tuner reads them
 
@@ -416,21 +404,6 @@ def cmd_tune(s: dict) -> int:
     return 0
 
 
-def cmd_exact(s: dict) -> int:
-    cfg = _trace_config(TraceConfig, s)
-    spec = AlgoSpec("exact", **_fields(s, AlgoSpec))
-    trace = _load_trace(cfg)
-    requested = s.get("time", trace.span[0])
-    snapshot = trace.positions_at(requested)
-    if not snapshot:
-        raise ConfigError(f"no vehicles sampled at t={requested}")
-    graph = build_udg(snapshot, cfg.radio)
-    result = ALGORITHMS[spec.name].select(spec, graph, None)  # exact draws no frame
-    print(f"n_aps={len(result.aggregation_points)}")
-    print(f"members={sorted(result.aggregation_points)}")
-    return 0
-
-
 def _add_generator_flags(p):
     p.add_argument("--gen-n", type=int, help="generate a roadway of this many vehicles (default 50)")
     p.add_argument("--gen-area", type=float, help="generated roadway length in m (default 1000)")
@@ -440,17 +413,16 @@ def _add_generator_flags(p):
     p.add_argument("--seed", type=int, help="RNG seed (default 0)")
 
 
-def _add_source_flags(p, window: bool = True):
+def _add_source_flags(p):
     p.add_argument("--config", help="key = value settings file; flags override it")
     p.add_argument("--trace", dest="trace_path", metavar="TRACE", help="trace CSV (time,id,x,y)")
     _add_generator_flags(p)
     p.add_argument(
         "--radius", dest="range_r", type=float, metavar="R", help="radio range in m (default 100)"
     )
-    if window:  # the period boundaries of run, compare and tune; exact reads one --time
-        p.add_argument("--period", type=float, help="delivery period in seconds (default 10)")
-        p.add_argument("--t-start", type=float, help="window start (default trace start)")
-        p.add_argument("--t-end", type=float, help="window end (default trace end)")
+    p.add_argument("--period", type=float, help="delivery period in seconds (default 10)")
+    p.add_argument("--t-start", type=float, help="window start (default trace start)")
+    p.add_argument("--t-end", type=float, help="window end (default trace end)")
 
 
 def _add_run_flags(p):
@@ -495,11 +467,6 @@ def _build_parser():
     t.add_argument("--d-max", type=int, help="search d in [1, D_MAX] hops (default 10)")
     t.add_argument("--k-max", type=int, help="search k in [1, K_MAX] hops (default 10)")
     t.add_argument("--out", help="trajectory CSV path (default tuning.csv)")
-
-    e = command("exact", "optimal point set for one snapshot")
-    _add_source_flags(e, window=False)
-    e.add_argument("--time", type=float, help="snapshot instant (default trace start)")
-    e.add_argument("--d", type=int, help="domination radius in hops (default 1)")
 
     return parser, sub.choices
 
@@ -547,9 +514,8 @@ def _settings(parser: argparse.ArgumentParser, args: argparse.Namespace) -> dict
 
 
 def _fields(s: dict, cls, prefix: str = "") -> dict:
-    """The settings named prefix + a field (a slot) of cls or its bases, keyed by field."""
-    names = [name for c in cls.__mro__ for name in getattr(c, "__slots__", ())]
-    return {name: s[prefix + name] for name in names if prefix + name in s}
+    """The settings named prefix + a field of cls, keyed by field."""
+    return {name: s[prefix + name] for name in cls._field_names() if prefix + name in s}
 
 
 def _trace_config(cls, s: dict, **extra):
@@ -572,7 +538,7 @@ def main(argv=None) -> int:
             algos = tuple(parse_algo_spec(text) for text in s.get("algo", ()))
             cfg = _trace_config(RunConfig, s, algos=algos)
             return cmd_run(cfg) if args.command == "run" else cmd_compare(cfg)
-        return {"gen-trace": cmd_gen_trace, "tune": cmd_tune, "exact": cmd_exact}[args.command](s)
+        return {"gen-trace": cmd_gen_trace, "tune": cmd_tune}[args.command](s)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

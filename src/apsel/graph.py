@@ -65,11 +65,30 @@ def vertex_ids(given: Iterable) -> list[int]:
 class Frozen:
     """Base of the package's validated settings (``RadioParams``,
     ``TunerConfig`` and the command line's configs). Each ``__init__``
-    sets its fields once, through ``_set``, and checks them; assigning or
-    deleting a field later raises AttributeError, so no setting skips
-    those checks, changes its hash or alters a shared default."""
+    sets its fields (the ``__slots__`` of its class and bases) once,
+    through ``_set``, and checks them; assigning or deleting a field later
+    raises AttributeError, so no setting skips those checks, changes its
+    hash or alters a shared default. Settings of one class with equal
+    fields are equal, hash alike and print alike."""
 
     __slots__ = ()
+
+    @classmethod
+    def _field_names(cls) -> tuple[str, ...]:
+        return tuple(name for c in cls.__mro__ for name in getattr(c, "__slots__", ()))
+
+    def _key(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._field_names())
+
+    def __eq__(self, other):
+        return self._key() == other._key() if type(other) is type(self) else NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        fields = ", ".join(f"{n}={v!r}" for n, v in zip(self._field_names(), self._key()))
+        return f"{type(self).__name__}({fields})"
 
     def _set(self, **fields) -> None:
         for name, value in fields.items():

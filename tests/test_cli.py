@@ -139,9 +139,8 @@ def test_help_defaults_are_the_settings_defaults():
             if match:
                 stated[command, filled_field(action.dest)] = match.group(1)
     assert {command for command, _ in stated} == set(commands)
-    # gen-trace's and tune's --out and exact's --time fill no settings field:
-    # their commands default them
-    assert {dest for _, dest in stated} - defaults.keys() == {"out", "time"}
+    # gen-trace's and tune's --out fill no settings field: their commands default them
+    assert {dest for _, dest in stated} - defaults.keys() == {"out"}
     for (command, dest), text in stated.items():
         if dest in defaults:
             default = defaults[dest]
@@ -163,18 +162,16 @@ def test_help_defaults_are_the_settings_defaults():
 
 
 class TestOneSpellingPerParameter:
-    """run and compare take an algorithm's parameters only inline in its
-    --algo spec, from the command line or the config file's algo line
-    (a file's bare key: TestConfigFile.test_key_that_is_not_a_flag_fails)."""
+    """An algorithm's parameters are set only inline in its --algo spec,
+    from the command line or the config file's algo line (a file's bare
+    key: TestConfigFile.test_key_that_is_not_a_flag_fails)."""
 
     def test_run_parsers_have_no_algorithm_parameter(self):
         assert {n: a.keys for n, a in ALGORITHMS.items()} == READS
         _, commands = _build_parser()
-        parameters = set(AlgoSpec.__slots__) - {"name"}
-        for command in ("run", "compare"):
-            assert not {a.dest for a in commands[command]._actions} & parameters
-        # exact's own --d stays, from a flag or its file (test_exact_reads_d_from_file)
-        assert "d" in {a.dest for a in commands["exact"]._actions}
+        # the exact subcommand's --d was the last flag that filled one
+        for parser in commands.values():
+            assert not {filled_field(a.dest) for a in parser._actions} & set(AlgoSpec.__slots__)
 
     @pytest.mark.parametrize("command", ["run", "compare"])
     @pytest.mark.parametrize("flag", ["--d 2", "--k 2", "--slots 8", "--direction"])
@@ -415,6 +412,23 @@ class TestSettingsAreFrozen:
             spec.d = 3
         assert runs[spec] is runs[AlgoSpec("centrality")]
 
+    @pytest.mark.parametrize("make, field, value", SETTINGS)
+    def test_equal_fields_compare_hash_and_print_alike(self, make, field, value):
+        # RadioParams() == RadioParams() once was False: only AlgoSpec compared by its fields
+        a, b = make(), make()
+        assert a is not b
+        assert a == b and hash(a) == hash(b)
+        assert repr(a) == repr(b) and repr(a).startswith(f"{type(a).__name__}(")
+
+    def test_fields_decide_equality_within_one_class_only(self):
+        gen = GenParams()
+        trace, run = TraceConfig(gen=gen), RunConfig(algos=(AlgoSpec("rb"),), gen=gen)
+        assert trace != run and run != trace
+        assert TraceConfig(gen=gen, seed=1) != trace
+        assert GenParams(n=49) != gen and RadioParams(99.0) != RadioParams()
+        assert AlgoSpec("exact", d=2) != AlgoSpec("exact")
+        assert repr(trace).startswith("TraceConfig(trace_path=None, gen=GenParams(n=50, area=1000.0,")
+
     def test_the_shared_default_radio_cannot_change(self):
         # every TraceConfig made without radio holds the one default RadioParams()
         a, b = TraceConfig(gen=GenParams()), TraceConfig(trace_path="x.csv")
@@ -425,6 +439,16 @@ class TestSettingsAreFrozen:
 
 
 class TestRunCommand:
+    @pytest.mark.parametrize("command", ["run", "compare"])
+    def test_out_naming_a_file_fails_before_any_selection(self, tmp_path, capsys, monkeypatch, command):
+        # every selection once ran before os.makedirs failed with FileExistsError
+        monkeypatch.setattr("apsel.cli.run_algorithms", lambda *args: pytest.fail("selected"))
+        out = tmp_path / "res"
+        out.write_text("kept\n")
+        assert main([command, "--gen-n", "20", "--algo", "rb", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: --out {out} is a file, not a directory\n"
+        assert out.read_text() == "kept\n"
+
     def test_three_snapshot_trace_gives_three_rows(self, tmp_path):
         path = small_trace(tmp_path, duration=21.0)
         out = tmp_path / "res"
@@ -872,18 +896,6 @@ class TestConfigFile:
         key = key.replace("-", "_")
         assert capsys.readouterr().err == f"error: {cfgfile}:1: {key} is not supported by apsel {command}\n"
 
-    def test_exact_reads_d_from_file(self, tmp_path, capsys):
-        path = small_trace(tmp_path, n=12, duration=2.0, area=300.0)
-        outputs = []
-        for extra in (["--d", "1"], ["--d", "2"]):
-            assert main(["exact", "--trace", str(path), *extra]) == 0
-            outputs.append(capsys.readouterr().out)
-        assert outputs[0] != outputs[1]
-        cfgfile = tmp_path / "exact.cfg"
-        cfgfile.write_text(f"trace = {path}\nd = 2\n")
-        assert main(["exact", "--config", str(cfgfile)]) == 0
-        assert capsys.readouterr().out == outputs[1]
-
     def test_tune_writes_to_file_out(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         path = small_trace(tmp_path, duration=3.0)
@@ -893,13 +905,12 @@ class TestConfigFile:
         assert (tmp_path / "x.csv").exists()
         assert not (tmp_path / "tuning.csv").exists()
 
-    @pytest.mark.parametrize("command", ["tune", "exact"])
+    @pytest.mark.parametrize("command", ["tune"])
     def test_direction_rejected_where_graphs_are_unfiltered(self, tmp_path, capsys, command):
         path = small_trace(tmp_path, duration=3.0)
         cfgfile = tmp_path / "dir.cfg"
         cfgfile.write_text(f"trace = {path}\ndirection = true\n")
-        extra = ["--out", str(tmp_path / "tuning.csv"), "--d-max", "2"] if command == "tune" else []
-        rc = main([command, "--config", str(cfgfile), *extra])
+        rc = main([command, "--config", str(cfgfile), "--out", str(tmp_path / "tuning.csv"), "--d-max", "2"])
         assert rc == 1
         assert "direction is not supported" in capsys.readouterr().err
 
@@ -1061,6 +1072,15 @@ class TestTuneCommand:
         assert str(out) in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
+    def test_out_naming_a_directory_fails_before_the_search(self, tmp_path, capsys, monkeypatch):
+        # the whole search once ran before the write failed with IsADirectoryError
+        monkeypatch.setattr("apsel.cli.tune_parameters", lambda *args: pytest.fail("searched"))
+        out = tmp_path / "dir"
+        out.mkdir()
+        assert main(["tune", "--gen-n", "20", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: --out {out} must name a file in an existing directory\n"
+        assert list(out.iterdir()) == []
+
     @pytest.mark.parametrize(
         "box, best, noted",
         [
@@ -1105,45 +1125,63 @@ class TestTuneCommand:
 
 
 class TestExactCommand:
-    def test_matches_brute_force(self, tmp_path, capsys):
-        path = small_trace(tmp_path, n=12, duration=2.0, area=300.0)
-        rc = main(["exact", "--trace", str(path), "--time", "0", "--d", "1"])
-        assert rc == 0
-        out = capsys.readouterr().out
-        n_aps = int(out.splitlines()[0].split("=")[1])
-        trace = load_trace_csv(path)
-        g = build_udg(trace.positions_at(0.0), RadioParams())
-        assert n_aps == len(brute_force_min_dominating_set(g, 1))
+    """One snapshot solved to optimality: run with exact on a window that
+    starts and ends at the snapshot's instant."""
 
-    def test_time_resolves_to_nearest_sample(self, tmp_path, capsys):
+    def solve(self, tmp_path, trace, instant, algo="exact"):
+        out = tmp_path / "res"
+        argv = ["run", *trace, f"--t-start={instant}", f"--t-end={instant}", "--algo", algo, "--out", str(out)]
+        return main(argv), out
+
+    def test_matches_brute_force(self, tmp_path):
+        path = small_trace(tmp_path, n=12, duration=2.0, area=300.0)
+        rc, out = self.solve(tmp_path, ["--trace", str(path)], "0", "exact:d=1")
+        assert rc == 0
+        [row] = read_period_metrics_csv(out / "exact_d1.csv")
+        g = build_udg(load_trace_csv(path).positions_at(0.0), RadioParams())
+        assert (row.time, row.n_aps) == (0.0, len(brute_force_min_dominating_set(g, 1)))
+
+    def test_time_resolves_to_nearest_sample(self, tmp_path):
         # written from i * 0.1, the fourth instant reads 0.30000000000000004
         pts = [TracePoint(i * 0.1, v, 40.0 * v + i, 0.0) for i in range(5) for v in range(8)]
         path = tmp_path / "trace.csv"
         write_trace_csv(Trace(pts), path)
         assert "\n0.30000000000000004,0," in path.read_text()
-        rc = main(["exact", "--trace", str(path), "--time", "0.3"])
+        rc, out = self.solve(tmp_path, ["--trace", str(path)], "0.3")
         assert rc == 0
-        n_aps = int(capsys.readouterr().out.splitlines()[0].split("=")[1])
+        [row] = read_period_metrics_csv(out / "exact_d1.csv")
+        assert row.time == 3 * 0.1 == 0.30000000000000004
         g = build_udg(load_trace_csv(path).positions_at(3 * 0.1), RadioParams())
-        assert n_aps == len(brute_force_min_dominating_set(g, 1))
+        assert row.n_aps == len(brute_force_min_dominating_set(g, 1))
 
     def test_unsampled_instant_fails(self, tmp_path, capsys):
         path = small_trace(tmp_path, duration=5.0)
-        rc = main(["exact", "--trace", str(path), "--time", "2.5"])
+        rc, out = self.solve(tmp_path, ["--trace", str(path)], "2.5")
         assert rc == 1
-        assert "no vehicles" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            "error: no period boundary in [2.5, 2.5] every 10.0 s is a sampled instant\n"
+        )
+        assert not out.exists()
 
-    def test_zero_d_names_only_d(self, capsys):
-        # exact has no flags for k or slots
-        assert main(["exact", "--gen-n", "20", "--d", "0"]) == 1
+    def test_zero_d_names_only_d(self, tmp_path, capsys):
+        # exact reads no k or slots
+        assert self.solve(tmp_path, ["--gen-n", "20"], "0", "exact:d=0")[0] == 1
         assert capsys.readouterr().err == "error: exact d must be >= 1, got 0\n"
 
     @pytest.mark.parametrize("time", ["inf", "-inf"])
     def test_infinite_time_fails(self, tmp_path, capsys, time):
         # an infinite time used to resolve to the trace's last or first instant
         path = small_trace(tmp_path, duration=5.0)
-        assert main(["exact", "--trace", str(path), f"--time={time}"]) == 1
-        assert "no vehicles" in capsys.readouterr().err
+        assert self.solve(tmp_path, ["--trace", str(path)], time)[0] == 1
+        assert capsys.readouterr().err == f"error: t_start must be finite, got {float(time)}\n"
+
+    def test_exact_subcommand_is_an_invalid_choice(self, capsys):
+        # run's one-instant window replaced it; its members are the library's
+        # exact_min_dominating_set(...).aggregation_points
+        with pytest.raises(SystemExit) as info:
+            main(["exact", "--gen-n", "5", "--time", "0", "--d", "2"])
+        assert info.value.code == 2
+        assert "invalid choice: 'exact'" in capsys.readouterr().err
 
 
 def test_module_entry_point(tmp_path):

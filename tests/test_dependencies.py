@@ -52,7 +52,6 @@ def test_every_subcommand_runs_with_numpy_absent(tmp_path):
         ["compare", "--trace", "trace.csv", "--period", "2",
          "--algo", "centrality", "--algo", "rb", "--algo", "exact", "--out", "cmp"],
         ["tune", "--trace", "trace.csv", "--d-max", "2", "--k-max", "3", "--out", "tuning.csv"],
-        ["exact", "--trace", "trace.csv", "--time", "4", "--d", "2"],
     ]
     # a None entry makes every `import numpy` raise ImportError
     proc = run_python(

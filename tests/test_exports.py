@@ -10,7 +10,8 @@ from pathlib import Path
 import pytest
 
 import apsel
-from apsel.cli import main, parse_algo_spec
+import apsel.cli
+from apsel.cli import _build_parser, main, parse_algo_spec
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 PACKAGE = Path(apsel.__file__).resolve().parent
@@ -47,6 +48,16 @@ def test_readme_config_example_runs(tmp_path):
     specs = algos.partition("=")[2].replace(";", " ").split()
     written = sorted(p.name for p in out.iterdir())
     assert written == sorted(f"{parse_algo_spec(text).tag}.csv" for text in specs)
+
+
+def test_docs_name_the_parsers_subcommands():
+    # the cli docstring and the README once both named a deleted subcommand
+    _, commands = _build_parser()
+    documented = re.findall(r"^\* ``([\w-]+)``", apsel.cli.__doc__, re.M)
+    text = README.read_text()
+    block = re.search(r"```\n(.*?)```", text[text.index("## Command line") :], re.S).group(1)
+    invoked = [line.split()[1] for line in block.splitlines() if line.startswith("apsel ")]
+    assert sorted(documented) == sorted(set(invoked)) == sorted(commands)
 
 
 def _exported_names() -> set[str]:
