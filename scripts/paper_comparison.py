@@ -38,7 +38,7 @@ def main(argv=None):
     try:
         algos = tuple(map(parse_algo_spec, args.algo or ALGOS))
         gens = [GenParams(n=n, area=args.area, duration=args.duration) for n in args.n]
-        RunConfig(algos=algos, gen=gens[0], period=args.period)
+        RunConfig(algos=algos, period=args.period)
         if args.seeds < 1:
             raise ValueError(f"--seeds must be >= 1, got {args.seeds}")
     except ValueError as exc:
@@ -53,7 +53,7 @@ def main(argv=None):
         runs = [
             run_algorithms(
                 generate_two_way_roadway(gen.n, gen.area, gen.duration, seed=seed),
-                RunConfig(algos=algos, gen=gen, period=args.period, seed=seed),
+                RunConfig(algos=algos, period=args.period, seed=seed),
             )
             for seed in range(args.seeds)
         ]

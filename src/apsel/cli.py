@@ -12,9 +12,10 @@ Every output is a pure function of (config, seed): rerunning a command
 with the same inputs reproduces each CSV byte for byte. Settings come
 from a plain ``key = value`` config file, command-line flags, or both;
 a file may set exactly the running subcommand's own flags, and flags
-win. A setting has one flag and one help wherever it is taken: every
-subcommand, ``gen-trace`` too, spells the roadway generator ``--gen-*``,
-and an algorithm's parameters are set only in its ``--algo`` spec.
+win. A setting has one flag and one help wherever it is taken, and an
+algorithm's parameters are set only in its ``--algo`` spec. ``run``,
+``compare`` and ``tune`` read one trace source, the ``--trace`` file; the
+roadway generator's ``--gen-*`` flags are ``gen-trace``'s alone.
 """
 
 from __future__ import annotations
@@ -162,48 +163,36 @@ class GenParams(Frozen):
 
 
 class TraceConfig(Frozen):
-    """The trace a command reads (a file or a generated roadway), the
-    instants it reads and the radio that links vehicles."""
+    """The instants a command reads from its trace and the radio that links vehicles."""
 
-    __slots__ = ("trace_path", "gen", "radio", "period", "t_start", "t_end", "seed")
+    __slots__ = ("radio", "period", "t_start", "t_end")
 
-    def __init__(self, trace_path: str | None = None, gen: GenParams | None = None,
-                 radio: RadioParams = RadioParams(), period: float = 10.0,
-                 t_start: float | None = None, t_end: float | None = None, seed: int = 0):
-        self._set(trace_path=trace_path, gen=gen, radio=radio, period=period,
-                  t_start=t_start, t_end=t_end, seed=seed)
+    def __init__(self, radio: RadioParams = RadioParams(), period: float = 10.0,
+                 t_start: float | None = None, t_end: float | None = None):
+        self._set(radio=radio, period=period, t_start=t_start, t_end=t_end)
         if not 0 < period < math.inf:
             raise ConfigError(f"period must be positive and finite, got {period}")
         for name, t in (("t_start", t_start), ("t_end", t_end)):
             if t is not None and not math.isfinite(t):
                 raise ConfigError(f"{name} must be finite, got {t}")
-        if (trace_path is None) == (gen is None):
-            raise ConfigError("exactly one of --trace and a generator (--gen-*) is required")
 
 
 class RunConfig(TraceConfig):
-    """What ``run`` and ``compare`` do: the algorithms and their output directory."""
+    """What ``run`` and ``compare`` do: the algorithms, their output
+    directory and the seed that rb's reservation frames are drawn from."""
 
-    __slots__ = ("algos", "out_dir")
+    __slots__ = ("algos", "out_dir", "seed")
 
-    def __init__(self, algos: tuple[AlgoSpec, ...] = (), out_dir: str = "results", **trace):
-        self._set(algos=algos, out_dir=out_dir)
+    def __init__(self, algos: tuple[AlgoSpec, ...] = (), out_dir: str = "results", seed: int = 0,
+                 **window):
+        self._set(algos=algos, out_dir=out_dir, seed=seed)
         if not algos:
             raise ConfigError("at least one algorithm (--algo) is required")
         tags = [algo.tag for algo in algos]
         for tag in tags:
             if tags.count(tag) > 1:
                 raise ConfigError(f"two --algo specs would both write {tag}.csv")
-        super().__init__(**trace)
-
-
-def _load_trace(cfg: TraceConfig) -> Trace:
-    if cfg.trace_path is not None:
-        return load_trace_csv(cfg.trace_path)
-    g = cfg.gen
-    return generate_two_way_roadway(
-        g.n, g.area, g.duration, (g.speed_min, g.speed_max), seed=cfg.seed
-    )
+        super().__init__(**window)
 
 
 def _period_boundaries(trace: Trace, cfg: TraceConfig) -> list[float]:
@@ -247,11 +236,13 @@ def _period_boundaries(trace: Trace, cfg: TraceConfig) -> list[float]:
     return boundaries
 
 
-def _period_graphs(trace: Trace, cfg: TraceConfig, direction: bool = False):
-    """Each period's index, its boundary and its graph: the unit-disk graph
-    of the vehicles sampled at the boundary, direction-filtered when
-    direction is set, or None for a period with no vehicles."""
-    for index, t in enumerate(_period_boundaries(trace, cfg)):
+def _period_graphs(trace: Trace, cfg: TraceConfig, boundaries: list[float],
+                   direction: bool = False):
+    """Each period's index, its boundary (from _period_boundaries) and its
+    graph: the unit-disk graph of the vehicles sampled at the boundary,
+    direction-filtered when direction is set, or None for a period with
+    no vehicles."""
+    for index, t in enumerate(boundaries):
         snapshot = trace.positions_at(t)
         if not snapshot:
             graph = None
@@ -278,11 +269,12 @@ def run_algorithms(trace: Trace, cfg: RunConfig) -> dict[AlgoSpec, list[PeriodMe
     long as no graph is shared.
     """
     runs = {}
+    boundaries = _period_boundaries(trace, cfg)
     for algo in cfg.algos:
         rows = runs[algo] = []
         prev_points: frozenset[int] = frozenset()
         prev_assignment: dict[int, int] = {}
-        for index, t, graph in _period_graphs(trace, cfg, algo.direction):
+        for index, t, graph in _period_graphs(trace, cfg, boundaries, algo.direction):
             if graph is None:  # an empty period runs no selector
                 graph, result = SnapshotGraph(()), SelectionResult(frozenset())
             else:
@@ -310,26 +302,36 @@ def run_algorithms(trace: Trace, cfg: RunConfig) -> dict[AlgoSpec, list[PeriodMe
     return runs
 
 
-def _note_unsampled(trace: Trace, missed: int, periods: int, consequence: str) -> None:
+def _note_unsampled(trace: Trace, boundaries: list[float], consequence: str) -> None:
     """Say on stderr how many of the periods' boundaries name no sampled instant, if any."""
+    missed = len(set(boundaries).difference(trace.times))
     if missed:
-        print(f"note: {missed} of {periods} period boundaries name no sampled instant"
+        print(f"note: {missed} of {len(boundaries)} period boundaries name no sampled instant"
               f" (the trace is sampled every {trace.sampling_period} s); {consequence}",
               file=sys.stderr)
 
 
-def _execute_algorithms(cfg: RunConfig):
+def _trace_path(s: dict) -> str:
+    """The --trace file, the one trace source of run, compare and tune."""
+    if "trace" not in s:
+        raise ConfigError("--trace is required")
+    return s["trace"]
+
+
+def _execute_algorithms(trace_path: str, cfg: RunConfig):
     # every algorithm runs, and so checks the window, before --out is made:
-    # a run that fails leaves no empty directory behind
-    if os.path.exists(cfg.out_dir) and not os.path.isdir(cfg.out_dir):
-        raise ConfigError(f"--out {cfg.out_dir} is a file, not a directory")
-    trace = _load_trace(cfg)
+    # a run that fails leaves no empty directory behind. An --out that
+    # os.makedirs could not make, below a file, fails before the trace loads.
+    existing = cfg.out_dir
+    while existing and not os.path.exists(existing):
+        existing = os.path.dirname(existing)
+    if existing and not os.path.isdir(existing):
+        under = "" if existing == cfg.out_dir else f" lies under {existing}, which"
+        raise ConfigError(f"--out {cfg.out_dir}{under} is a file, not a directory")
+    trace = load_trace_csv(trace_path)
     runs = run_algorithms(trace, cfg)
-    # every spec reads the same boundaries, and a period is empty iff its
-    # boundary names no sampled instant: each instant holds a sample
-    rows = next(iter(runs.values()))
-    missed = sum(row.n_vehicles == 0 for row in rows)
-    _note_unsampled(trace, missed, len(rows), "their rows are blank and the churn counts restart after each")
+    consequence = "their rows are blank and the churn counts restart after each"
+    _note_unsampled(trace, _period_boundaries(trace, cfg), consequence)
     os.makedirs(cfg.out_dir, exist_ok=True)
     outputs = []
     for algo, rows in runs.items():
@@ -339,8 +341,8 @@ def _execute_algorithms(cfg: RunConfig):
     return outputs
 
 
-def cmd_run(cfg: RunConfig) -> int:
-    for s, path in _execute_algorithms(cfg):
+def cmd_run(trace_path: str, cfg: RunConfig) -> int:
+    for s, path in _execute_algorithms(trace_path, cfg):
         print(
             f"{s.algorithm}: periods={s.n_periods}"
             f" mean_rate={s.mean_aggregation_rate:.4f}"
@@ -351,8 +353,8 @@ def cmd_run(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_compare(cfg: RunConfig) -> int:
-    summaries = [s for s, _ in _execute_algorithms(cfg)]
+def cmd_compare(trace_path: str, cfg: RunConfig) -> int:
+    summaries = [s for s, _ in _execute_algorithms(trace_path, cfg)]
     summary_path = os.path.join(cfg.out_dir, "summary.csv")
     write_run_summary_csv(summaries, summary_path)
     width = max(len(s.algorithm) for s in summaries)
@@ -368,8 +370,10 @@ def cmd_compare(cfg: RunConfig) -> int:
 
 def cmd_gen_trace(s: dict) -> int:
     out = s.get("out", "trace.csv")
-    cfg = TraceConfig(gen=GenParams(**_fields(s, GenParams, "gen_")), **_fields(s, TraceConfig))
-    trace = _load_trace(cfg)
+    g = GenParams(**_fields(s, GenParams, "gen_"))
+    trace = generate_two_way_roadway(
+        g.n, g.area, g.duration, (g.speed_min, g.speed_max), seed=s.get("seed", 0)
+    )
     write_trace_csv(trace, out)
     print(f"{len(trace)} samples, {len(trace.vehicles)} vehicles -> {out}")
     return 0
@@ -379,44 +383,37 @@ def cmd_tune(s: dict) -> int:
     cfg = _trace_config(TraceConfig, s)
     out = s.get("out", "tuning.csv")
     tuner_cfg = TunerConfig(**_fields(s, TunerConfig))
+    trace_path = _trace_path(s)
     # the search comes before the write, so an --out it could not write fails first
     if os.path.isdir(out) or not os.path.isdir(os.path.dirname(out) or "."):
         raise ConfigError(f"--out {out} must name a file in an existing directory")
-    trace = _load_trace(cfg)
-    scored = []  # whether each period has a graph, filled as the tuner reads them
-
-    def graphs():
-        for _, _, graph in _period_graphs(trace, cfg):
-            scored.append(graph is not None)
-            if graph is not None:
-                yield graph
-
-    result = tune_parameters(graphs(), tuner_cfg)
+    trace = load_trace_csv(trace_path)
+    boundaries = _period_boundaries(trace, cfg)
+    # each graph is built as tune_parameters reads it, inside the tuner
+    graphs = (graph for _, _, graph in _period_graphs(trace, cfg, boundaries) if graph is not None)
+    result = tune_parameters(graphs, tuner_cfg)
     write_tuning_trajectory_csv(result, out)
     print(
         f"d={result.d} k={result.k} rate={result.value:.4f}"
         f" evaluations={result.n_evaluations} -> {out}"
     )
-    _note_unsampled(trace, scored.count(False), len(scored), "their periods are left out of the mean")
+    _note_unsampled(trace, boundaries, "their periods are left out of the mean")
     if result.d == tuner_cfg.d_max or result.k == tuner_cfg.k_max:
         note = "the best pair lies on the box's edge; a larger --d-max or --k-max may score higher"
         print(f"note: {note}", file=sys.stderr)
+    if "seed" in s:  # every subcommand takes --seed, so one script can pass it to each
+        print("note: tune draws nothing at random, so it reads no --seed", file=sys.stderr)
     return 0
 
 
-def _add_generator_flags(p):
-    p.add_argument("--gen-n", type=int, help="generate a roadway of this many vehicles (default 50)")
-    p.add_argument("--gen-area", type=float, help="generated roadway length in m (default 1000)")
-    p.add_argument("--gen-duration", type=float, help="generated trace duration in s (default 60)")
-    p.add_argument("--gen-speed-min", type=float, help="generated minimum speed in m/s (default 8)")
-    p.add_argument("--gen-speed-max", type=float, help="generated maximum speed in m/s (default 14)")
+def _add_seed_flag(p):
     p.add_argument("--seed", type=int, help="RNG seed (default 0)")
 
 
 def _add_source_flags(p):
     p.add_argument("--config", help="key = value settings file; flags override it")
-    p.add_argument("--trace", dest="trace_path", metavar="TRACE", help="trace CSV (time,id,x,y)")
-    _add_generator_flags(p)
+    p.add_argument("--trace", help="trace CSV (time,id,x,y); required")
+    _add_seed_flag(p)
     p.add_argument(
         "--radius", dest="range_r", type=float, metavar="R", help="radio range in m (default 100)"
     )
@@ -459,7 +456,12 @@ def _build_parser():
     _add_run_flags(command("compare", "run plus merged summary CSV"))
 
     g = command("gen-trace", "write a synthetic two-way roadway trace")
-    _add_generator_flags(g)
+    g.add_argument("--gen-n", type=int, help="generate a roadway of this many vehicles (default 50)")
+    g.add_argument("--gen-area", type=float, help="generated roadway length in m (default 1000)")
+    g.add_argument("--gen-duration", type=float, help="generated trace duration in s (default 60)")
+    g.add_argument("--gen-speed-min", type=float, help="generated minimum speed in m/s (default 8)")
+    g.add_argument("--gen-speed-max", type=float, help="generated maximum speed in m/s (default 14)")
+    _add_seed_flag(g)
     g.add_argument("--out", help="trace CSV path (default trace.csv)")
 
     t = command("tune", "search (d, k) maximizing mean aggregation rate")
@@ -520,13 +522,7 @@ def _fields(s: dict, cls, prefix: str = "") -> dict:
 
 def _trace_config(cls, s: dict, **extra):
     """A TraceConfig or RunConfig from settings; absent ones keep the defaults."""
-    gen = _fields(s, GenParams, "gen_")
-    return cls(
-        gen=GenParams(**gen) if gen else None,
-        radio=RadioParams(**_fields(s, RadioParams)),
-        **_fields(s, cls),
-        **extra,
-    )
+    return cls(radio=RadioParams(**_fields(s, RadioParams)), **_fields(s, cls), **extra)
 
 
 def main(argv=None) -> int:
@@ -537,7 +533,7 @@ def main(argv=None) -> int:
         if args.command in ("run", "compare"):
             algos = tuple(parse_algo_spec(text) for text in s.get("algo", ()))
             cfg = _trace_config(RunConfig, s, algos=algos)
-            return cmd_run(cfg) if args.command == "run" else cmd_compare(cfg)
+            return (cmd_run if args.command == "run" else cmd_compare)(_trace_path(s), cfg)
         return {"gen-trace": cmd_gen_trace, "tune": cmd_tune}[args.command](s)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

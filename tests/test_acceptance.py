@@ -169,20 +169,14 @@ def test_criterion_06_direction_filter_splits_lanes_and_stabilizes_clusters(tmp_
     assert cross_total > 0
 
     # (b) direction-constrained clustering re-elects points at least as often
-    from apsel.cli import AlgoSpec, GenParams, RunConfig, run_algorithms
+    from apsel.cli import AlgoSpec, RunConfig, run_algorithms
 
     reelections = {True: [], False: []}
     for seed in (0, 1, 2):
         roadway = generate_two_way_roadway(50, 800.0, 60.0, seed=seed)
         for direction in (False, True):
             spec = AlgoSpec("centrality", d=1, k=4, direction=direction)
-            cfg = RunConfig(
-                algos=(spec,),
-                gen=GenParams(n=50, area=800.0, duration=60.0),
-                period=10.0,
-                out_dir=str(tmp_path),
-                seed=seed,
-            )
+            cfg = RunConfig(algos=(spec,), period=10.0, out_dir=str(tmp_path), seed=seed)
             rows = run_algorithms(roadway, cfg)[spec]
             reelections[direction] += [r.n_reelections for r in rows]
     mean = lambda xs: sum(xs) / len(xs)
@@ -195,9 +189,10 @@ def test_criterion_06_direction_filter_splits_lanes_and_stabilizes_clusters(tmp_
 
 
 def test_criterion_07_upload_cost_identity_and_peak_reference(tmp_path):
-    out = tmp_path / "res"
+    out, trace = tmp_path / "res", str(tmp_path / "trace.csv")
+    assert main(["gen-trace", "--gen-n", "40", "--gen-duration", "31", "--seed", "9", "--out", trace]) == 0
     rc = main(
-        ["run", "--gen-n", "40", "--gen-duration", "31", "--seed", "9",
+        ["run", "--trace", trace, "--seed", "9",
          "--algo", "centrality", "--algo", "rb", "--out", str(out)]
     )
     assert rc == 0
@@ -246,10 +241,11 @@ def test_criterion_09_simplex_search_sanity():
 
 
 def test_criterion_10_identical_config_and_seed_reproduce_csv_bytes(tmp_path):
-    dirs = (tmp_path / "a", tmp_path / "b")
+    dirs, trace = (tmp_path / "a", tmp_path / "b"), str(tmp_path / "trace.csv")
+    assert main(["gen-trace", "--gen-n", "30", "--gen-duration", "41", "--seed", "3", "--out", trace]) == 0
     for out in dirs:
         rc = main(
-            ["compare", "--gen-n", "30", "--gen-duration", "41", "--seed", "3",
+            ["compare", "--trace", trace, "--seed", "3",
              "--algo", "centrality:d=2,k=4,direction=true", "--algo", "rb:slots=64,direction=true",
              "--algo", "exact:direction=true", "--out", str(out)]
         )

@@ -50,6 +50,9 @@ def small_trace(tmp_path, n=20, duration=31.0, seed=3, area=400.0):
 # the keys each algorithm reads, besides direction
 READS = {"centrality": ("d", "k"), "rb": ("slots",), "exact": ("d",)}
 
+# gen-trace's roadway flags
+GEN_FLAGS = ["--gen-n", "--gen-area", "--gen-duration", "--gen-speed-min", "--gen-speed-max"]
+
 
 class TestAlgoSpec:
     def test_tags(self):
@@ -150,9 +153,10 @@ def test_help_defaults_are_the_settings_defaults():
                 assert text == default, (command, dest)
             else:
                 assert float(text) == default, (command, dest)
-    # each generator flag states its default in every subcommand, as gen-trace's did
+    # each generator flag states its default, in gen-trace alone: run, compare
+    # and tune read only --trace
     for field in GenParams.__slots__:
-        assert {command for command, dest in stated if dest == field} == set(commands)
+        assert {command for command, dest in stated if dest == field} == {"gen-trace"}
     # run's and compare's --algo state each AlgoSpec default
     algo = next(a for a in commands["run"]._actions if a.dest == "algo")
     listed = re.search(r"its default \(([^)]*)\)", algo.help).group(1)
@@ -176,7 +180,8 @@ class TestOneSpellingPerParameter:
     @pytest.mark.parametrize("command", ["run", "compare"])
     @pytest.mark.parametrize("flag", ["--d 2", "--k 2", "--slots 8", "--direction"])
     def test_bare_flag_is_unrecognized(self, tmp_path, capsys, command, flag):
-        argv = [command, "--gen-n", "5", "--algo", "rb", *flag.split(), "--out", str(tmp_path / "x")]
+        path = small_trace(tmp_path, duration=3.0)
+        argv = [command, "--trace", str(path), "--algo", "rb", *flag.split(), "--out", str(tmp_path / "x")]
         with pytest.raises(SystemExit) as info:
             main(argv)
         assert info.value.code == 2
@@ -213,41 +218,64 @@ class TestOneFlagPerSetting:
         assert f"unrecognized arguments: {flag} 5" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_gen_trace_writes_the_roadway_run_generates(self, tmp_path):
-        generator = ["--gen-n", "12", "--gen-duration", "9", "--seed", "4"]
-        trace = tmp_path / "trace.csv"
-        assert main(["gen-trace", *generator, "--out", str(trace)]) == 0
-        algos = ["--algo", "centrality", "--algo", "centrality:d=2,direction=true", "--algo", "exact"]
-        outputs = []
-        for source in (["--trace", str(trace)], generator):
-            out = tmp_path / f"res{len(outputs)}"
-            assert main(["run", *source, *algos, "--period", "2", "--out", str(out)]) == 0
-            outputs.append({f.name: f.read_bytes() for f in out.iterdir()})
-        assert len(outputs[0]) == 3
-        assert outputs[0] == outputs[1]
+    @pytest.mark.parametrize("command", ["run", "compare", "tune"])
+    @pytest.mark.parametrize("flag", GEN_FLAGS)
+    def test_generator_flag_is_gen_traces_alone(self, tmp_path, capsys, command, flag):
+        # run, compare and tune each took the five --gen-* flags as a second trace source
+        path = small_trace(tmp_path, duration=3.0)
+        out = tmp_path / ("x.csv" if command == "tune" else "x")
+        argv = [command, "--trace", str(path), flag, "5", "--out", str(out)]
+        with pytest.raises(SystemExit) as info:
+            main(argv + (["--algo", "rb"] if command != "tune" else []))
+        assert info.value.code == 2
+        assert f"unrecognized arguments: {flag} 5" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, count", [("run", 9), ("compare", 9), ("tune", 10), ("gen-trace", 7)])
+    def test_each_subcommand_renders_its_help(self, capsys, command, count):
+        # argparse formats a help text (its % expansions, the metavars) only when it is shown
+        with pytest.raises(SystemExit) as info:
+            main([command, "--help"])
+        assert info.value.code == 0
+        shown = capsys.readouterr().out
+        _, commands = _build_parser()
+        flags = [o for a in commands[command]._actions for o in a.option_strings if o.startswith("--")]
+        assert len(flags) == count + 1  # and --help
+        assert all(flag in shown for flag in flags)
+        assert ("--gen-n" in flags) == (command == "gen-trace")
+        assert ("--trace" in flags) == (command != "gen-trace")
 
 
 class TestRunConfig:
     def test_requires_algorithm(self):
         with pytest.raises(ConfigError, match="at least one"):
-            RunConfig(algos=(), trace_path="x.csv")
+            RunConfig(algos=())
 
     def test_two_specs_with_one_tag_fail_before_writing(self, tmp_path, capsys):
         # both wrote centrality_d1_k4.csv, the second over the first
         out = tmp_path / "res"
-        argv = ["compare", "--gen-n", "5", "--gen-duration", "3", "--out", str(out)]
+        path = small_trace(tmp_path, n=5, duration=3.0)
+        argv = ["compare", "--trace", str(path), "--out", str(out)]
         algos = ["--algo", "centrality", "--algo", "centrality:d=1,k=4", "--algo", "rb"]
         assert main(argv + algos) == 1
         assert capsys.readouterr().err == "error: two --algo specs would both write centrality_d1_k4.csv\n"
         assert not out.exists()
 
-    def test_requires_source(self):
-        with pytest.raises(ConfigError):
-            RunConfig(algos=(AlgoSpec("rb"),))
+    def test_requires_source(self, tmp_path, capsys):
+        # the one source is --trace, from the flags or the config file; the
+        # settings carry none, so the command line requires it
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text("algo = rb\n")
+        out = tmp_path / "x"
+        for argv in (["run", "--algo", "rb"], ["run", "--config", str(cfgfile)]):
+            assert main([*argv, "--out", str(out)]) == 1
+            assert capsys.readouterr().err == "error: --trace is required\n"
+            assert not out.exists()
+        assert RunConfig(algos=(AlgoSpec("rb"),)).algos == (AlgoSpec("rb"),)
 
     def test_rejects_bad_period(self):
         with pytest.raises(ConfigError):
-            RunConfig(algos=(AlgoSpec("rb"),), gen=GenParams(), period=0.0)
+            RunConfig(algos=(AlgoSpec("rb"),), period=0.0)
 
     @pytest.mark.parametrize(
         "field, value",
@@ -264,7 +292,7 @@ class TestRunConfig:
         # a NaN boundary never passes the window end, so the boundary
         # list grew until the process was killed
         with pytest.raises(ConfigError, match=f"{field} must be"):
-            TraceConfig(gen=GenParams(), **{field: value})
+            TraceConfig(**{field: value})
 
     @pytest.mark.parametrize(
         "argv",
@@ -280,7 +308,8 @@ class TestRunConfig:
     )
     def test_non_finite_flags_fail_at_parse(self, tmp_path, capsys, argv):
         out = tmp_path / "out"
-        assert main([*argv, "--gen-n", "5", "--out", str(out)]) == 1
+        path = small_trace(tmp_path, n=5, duration=3.0)
+        assert main([*argv, "--trace", str(path), "--out", str(out)]) == 1
         assert "must be" in capsys.readouterr().err
         assert not out.exists()
 
@@ -303,16 +332,17 @@ class TestRunConfig:
     )
     def test_bad_generator_flags_fail_at_parse(self, tmp_path, capsys, flags):
         out = tmp_path / "out"
-        assert main(["run", "--gen-n", "5", *flags, "--algo", "rb", "--out", str(out)]) == 1
+        assert main(["gen-trace", "--gen-n", "5", *flags, "--out", str(out)]) == 1
         assert "error: gen " in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize(
         "args, message",
         [
-            (["run", "--gen-n", "0"], "gen vehicle count must be >= 1, got 0"),
+            # with two bad values, the message is the first check's
+            (["gen-trace", "--gen-n", "0", "--gen-area", "inf"], "gen vehicle count must be >= 1, got 0"),
             (["gen-trace", "--gen-n", "0"], "gen vehicle count must be >= 1, got 0"),
-            (["run", "--gen-n", "5", "--gen-area", "inf"], "gen area must be finite, got inf"),
+            (["gen-trace", "--gen-n", "5", "--gen-area", "inf"], "gen area must be finite, got inf"),
             (
                 ["gen-trace", "--gen-speed-min", "20"],
                 "gen speeds must be finite with 0 < speed_min <= speed_max, got 20.0 and 14.0",
@@ -327,7 +357,8 @@ class TestRunConfig:
     def test_radio_message_reads_for_the_flag(self, tmp_path, capsys):
         # neither --radius nor a config key spells the field name range_r
         out = tmp_path / "out"
-        assert main(["run", "--gen-n", "5", "--radius", "0", "--algo", "rb", "--out", str(out)]) == 1
+        path = small_trace(tmp_path, n=5, duration=3.0)
+        assert main(["run", "--trace", str(path), "--radius", "0", "--algo", "rb", "--out", str(out)]) == 1
         assert capsys.readouterr().err == (
             "error: radio range must be positive with a finite normal square"
             " (about 1.5e-154 to 1.3e154), got 0.0\n"
@@ -371,8 +402,8 @@ SETTINGS = [
     pytest.param(lambda: AlgoSpec("centrality"), "k", 0, id="AlgoSpec"),
     pytest.param(lambda: RadioParams(), "range_r", math.nan, id="RadioParams"),
     pytest.param(lambda: GenParams(), "n", -1, id="GenParams"),
-    pytest.param(lambda: TraceConfig(gen=GenParams()), "period", 0.0, id="TraceConfig"),
-    pytest.param(lambda: RunConfig(algos=(AlgoSpec("rb"),), gen=GenParams()), "algos", (), id="RunConfig"),
+    pytest.param(lambda: TraceConfig(), "period", 0.0, id="TraceConfig"),
+    pytest.param(lambda: RunConfig(algos=(AlgoSpec("rb"),)), "algos", (), id="RunConfig"),
     pytest.param(lambda: TunerConfig(), "d_max", 0, id="TunerConfig"),
 ]
 
@@ -406,8 +437,7 @@ class TestSettingsAreFrozen:
 
     def test_spec_keys_its_rows_for_good(self, tmp_path):
         spec = AlgoSpec("centrality")
-        cfg = RunConfig(algos=(spec,), trace_path=str(small_trace(tmp_path, duration=3.0)))
-        runs = run_algorithms(load_trace_csv(cfg.trace_path), cfg)
+        runs = run_algorithms(load_trace_csv(small_trace(tmp_path, duration=3.0)), RunConfig(algos=(spec,)))
         with pytest.raises(AttributeError):
             spec.d = 3
         assert runs[spec] is runs[AlgoSpec("centrality")]
@@ -422,16 +452,19 @@ class TestSettingsAreFrozen:
 
     def test_fields_decide_equality_within_one_class_only(self):
         gen = GenParams()
-        trace, run = TraceConfig(gen=gen), RunConfig(algos=(AlgoSpec("rb"),), gen=gen)
+        trace, run = TraceConfig(), RunConfig(algos=(AlgoSpec("rb"),))
         assert trace != run and run != trace
-        assert TraceConfig(gen=gen, seed=1) != trace
+        assert TraceConfig(period=5.0) != trace and RunConfig(algos=run.algos, seed=1) != run
         assert GenParams(n=49) != gen and RadioParams(99.0) != RadioParams()
         assert AlgoSpec("exact", d=2) != AlgoSpec("exact")
-        assert repr(trace).startswith("TraceConfig(trace_path=None, gen=GenParams(n=50, area=1000.0,")
+        # the settings hold no trace source: no path, no generator
+        assert repr(trace) == (
+            "TraceConfig(radio=RadioParams(range_r=100.0), period=10.0, t_start=None, t_end=None)"
+        )
 
     def test_the_shared_default_radio_cannot_change(self):
         # every TraceConfig made without radio holds the one default RadioParams()
-        a, b = TraceConfig(gen=GenParams()), TraceConfig(trace_path="x.csv")
+        a, b = TraceConfig(), RunConfig(algos=(AlgoSpec("rb"),))
         assert a.radio is b.radio
         with pytest.raises(AttributeError):
             a.radio.range_r = 1.0
@@ -445,9 +478,24 @@ class TestRunCommand:
         monkeypatch.setattr("apsel.cli.run_algorithms", lambda *args: pytest.fail("selected"))
         out = tmp_path / "res"
         out.write_text("kept\n")
-        assert main([command, "--gen-n", "20", "--algo", "rb", "--out", str(out)]) == 1
+        path = small_trace(tmp_path, duration=3.0)
+        assert main([command, "--trace", str(path), "--algo", "rb", "--out", str(out)]) == 1
         assert capsys.readouterr().err == f"error: --out {out} is a file, not a directory\n"
         assert out.read_text() == "kept\n"
+
+    @pytest.mark.parametrize("command", ["run", "compare"])
+    def test_out_below_a_file_fails_before_any_selection(self, tmp_path, capsys, monkeypatch, command):
+        # every selection once ran before os.makedirs failed with NotADirectoryError
+        monkeypatch.setattr("apsel.cli.run_algorithms", lambda *args: pytest.fail("selected"))
+        afile = tmp_path / "afile"
+        afile.write_text("kept\n")
+        out = afile / "sub" / "res"
+        path = small_trace(tmp_path, duration=3.0)
+        assert main([command, "--trace", str(path), "--algo", "rb", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: --out {out} lies under {afile}, which is a file, not a directory\n"
+        )
+        assert afile.read_text() == "kept\n"
 
     def test_three_snapshot_trace_gives_three_rows(self, tmp_path):
         path = small_trace(tmp_path, duration=21.0)
@@ -462,7 +510,8 @@ class TestRunCommand:
         # every boundary in [0, 2e-6] read instant 0: run wrote 11 rows for
         # t=0.0 and tune scored that instant 11 times
         out = tmp_path / "out"
-        argv = [command, "--gen-n", "5", "--gen-duration", "3", "--period", "1e-7", "--t-end", "2e-6"]
+        path = small_trace(tmp_path, n=5, duration=3.0)
+        argv = [command, "--trace", str(path), "--period", "1e-7", "--t-end", "2e-6"]
         assert main(argv + (["--algo", "rb"] if command == "run" else []) + ["--out", str(out)]) == 1
         assert "below the trace's time resolution" in capsys.readouterr().err
         assert not out.exists()
@@ -483,9 +532,9 @@ class TestRunCommand:
         trace = load_trace_csv(path)
         spec, plain = AlgoSpec("rb", d=d), AlgoSpec("rb")
         calls = spy_on_assignment(monkeypatch)
-        rows = run_algorithms(trace, RunConfig(algos=(spec,), trace_path=str(path)))[spec]
+        rows = run_algorithms(trace, RunConfig(algos=(spec,)))[spec]
         assert {hops for _, hops in calls} == {1}
-        assert rows == run_algorithms(trace, RunConfig(algos=(plain,), trace_path=str(path)))[plain]
+        assert rows == run_algorithms(trace, RunConfig(algos=(plain,)))[plain]
 
     def test_exact_never_beaten(self, tmp_path):
         path = small_trace(tmp_path, n=24)
@@ -508,7 +557,7 @@ class TestRunCommand:
         main(["run", "--trace", str(path), "--algo", "centrality:d=2", "--out", str(out)])
         trace = load_trace_csv(path)
         spec = AlgoSpec("centrality", d=2)
-        cfg = RunConfig(algos=(spec,), trace_path=str(path), out_dir=str(out))
+        cfg = RunConfig(algos=(spec,), out_dir=str(out))
         rows = run_algorithms(trace, cfg)[spec]
         csv_rows = read_period_metrics_csv(out / "centrality_d2_k4.csv")
         assert [r.n_aps for r in rows] == [r.n_aps for r in csv_rows]
@@ -561,7 +610,7 @@ class TestRunCommand:
         # period times come from the trace's times, here given as numpy scalars
         pts = [TracePoint(np.float64(t), v, 30.0 * v, 0.0) for t in (0.0, 10.0) for v in range(3)]
         spec = AlgoSpec("centrality")
-        cfg = RunConfig(algos=(spec,), trace_path="unused.csv", out_dir=str(tmp_path))
+        cfg = RunConfig(algos=(spec,), out_dir=str(tmp_path))
         path = tmp_path / "centrality.csv"
         write_period_metrics_csv(run_algorithms(Trace(pts), cfg)[spec], path)
         rows = read_period_metrics_csv(path)
@@ -584,7 +633,7 @@ class TestRunCommand:
         loaded = load_trace_csv(path)
         assert loaded.times == trace.times
         specs = (AlgoSpec("centrality"), AlgoSpec("rb"))
-        cfg = RunConfig(algos=specs, trace_path=str(path), period=trace.sampling_period)
+        cfg = RunConfig(algos=specs, period=trace.sampling_period)
         written = []
         for source in (trace, loaded):
             for rows in run_algorithms(source, cfg).values():
@@ -784,7 +833,8 @@ class TestRunCommand:
     def test_reversed_window_fails(self, tmp_path, capsys, command):
         # both ends lie in the span [0.0, 9.0]
         out = tmp_path / "x"
-        argv = [command, "--gen-n", "5", "--gen-duration", "10", "--t-start", "3", "--t-end", "1"]
+        path = small_trace(tmp_path, n=5, duration=10.0)
+        argv = [command, "--trace", str(path), "--t-start", "3", "--t-end", "1"]
         assert main(argv + (["--algo", "rb"] if command != "tune" else []) + ["--out", str(out)]) == 1
         assert capsys.readouterr().err == "error: window start 3.0 is after its end 1.0\n"
         assert not out.exists()
@@ -808,7 +858,7 @@ class TestRunCommand:
         from apsel.mobility import generate_two_way_roadway
 
         specs = ["centrality", "centrality:d=3", "rb", "exact", "exact:d=2", "centrality:direction=true"]
-        cfg = RunConfig(algos=tuple(map(parse_algo_spec, specs)), gen=GenParams(), period=period)
+        cfg = RunConfig(algos=tuple(map(parse_algo_spec, specs)), period=period)
         trace = generate_two_way_roadway(40, 600.0, 40.0, seed=4)
         gc.collect()
         gc.disable()
@@ -873,18 +923,22 @@ class TestConfigFile:
     def test_value_the_flag_cannot_convert_reports_location(self, tmp_path, capsys):
         cfgfile = tmp_path / "bad.cfg"
         cfgfile.write_text("algo = rb\nperiod = soon\n")
-        assert main(["run", "--config", str(cfgfile), "--gen-n", "5", "--out", str(tmp_path / "x")]) == 1
+        path = small_trace(tmp_path, n=5, duration=3.0)
+        argv = ["run", "--config", str(cfgfile), "--trace", str(path), "--out", str(tmp_path / "x")]
+        assert main(argv) == 1
         err = capsys.readouterr().err
         assert err == f"error: {cfgfile}:2: period: could not convert string to float: 'soon'\n"
         assert not (tmp_path / "x").exists()
 
 
     # max-iterations was a tune flag; the tuner's budget is now a constant. run and
-    # compare take an algorithm's keys only in an algo spec
+    # compare take an algorithm's keys only in an algo spec, and the roadway
+    # generator's keys are gen-trace's, which takes no config file
     @pytest.mark.parametrize(
         "command,key",
         [("run", "perod"), ("tune", "k"), ("tune", "max-iterations"), ("run", "d"),
-         ("run", "direction"), ("compare", "k"), ("compare", "slots")],
+         ("run", "direction"), ("compare", "k"), ("compare", "slots"), ("run", "gen_n"),
+         ("compare", "gen-area"), ("tune", "gen-duration")],
     )
     def test_key_that_is_not_a_flag_fails(self, tmp_path, capsys, monkeypatch, command, key):
         monkeypatch.chdir(tmp_path)
@@ -1028,8 +1082,8 @@ class TestGenTraceCommand:
 class TestTuneCommand:
     def test_writes_bounded_trajectory(self, tmp_path, capsys):
         out = tmp_path / "traj.csv"
-        rc = main(["tune", "--gen-n", "25", "--gen-duration", "12", "--gen-area", "400",
-                   "--out", str(out)])
+        path = small_trace(tmp_path, n=25, duration=12.0, seed=0, area=400.0)
+        rc = main(["tune", "--trace", str(path), "--out", str(out)])
         assert rc == 0
         lines = out.read_text().splitlines()
         assert lines[0] == "iteration,d,k,objective"
@@ -1062,12 +1116,15 @@ class TestTuneCommand:
         assert set(TunerConfig.__slots__) == dests & {"d_max", "k_max"} == {"d_max", "k_max"}
         assert not any("iteration" in dest for dest in dests)
 
-    def test_missing_out_directory_fails_before_the_search(self, tmp_path, capsys, monkeypatch):
+    def test_missing_out_directory_fails_before_the_search(
+        self, tmp_path_factory, tmp_path, capsys, monkeypatch
+    ):
         # the whole search once ran before the write failed on the missing directory
         calls = []
         monkeypatch.setattr(apsel.tuner, "centrality_select", lambda *args: calls.append(args))
         out = tmp_path / "missing" / "t.csv"
-        assert main(["tune", "--gen-n", "20", "--gen-duration", "12", "--out", str(out)]) == 1
+        path = small_trace(tmp_path_factory.mktemp("trace"), duration=12.0)
+        assert main(["tune", "--trace", str(path), "--out", str(out)]) == 1
         assert calls == []
         assert str(out) in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
@@ -1077,19 +1134,23 @@ class TestTuneCommand:
         monkeypatch.setattr("apsel.cli.tune_parameters", lambda *args: pytest.fail("searched"))
         out = tmp_path / "dir"
         out.mkdir()
-        assert main(["tune", "--gen-n", "20", "--out", str(out)]) == 1
+        path = small_trace(tmp_path, duration=3.0)
+        assert main(["tune", "--trace", str(path), "--out", str(out)]) == 1
         assert capsys.readouterr().err == f"error: --out {out} must name a file in an existing directory\n"
         assert list(out.iterdir()) == []
 
     @pytest.mark.parametrize(
         "box, best, noted",
         [
-            (["--gen-n", "30", "--gen-area", "300", "--d-max", "3", "--k-max", "3"], "d=3 k=3 ", True),
-            (["--gen-n", "20", "--gen-area", "100", "--d-max", "4", "--k-max", "6"], "d=2 k=4 ", False),
+            # (the roadway gen-trace writes for --gen-n and --gen-area, the box flags)
+            ((dict(n=30, area=300.0), ["--d-max", "3", "--k-max", "3"]), "d=3 k=3 ", True),
+            ((dict(n=20, area=100.0), ["--d-max", "4", "--k-max", "6"]), "d=2 k=4 ", False),
         ],
     )
     def test_best_pair_on_the_box_edge_is_noted(self, tmp_path, capsys, box, best, noted):
-        assert main(["tune", *box, "--out", str(tmp_path / "t.csv")]) == 0
+        roadway, flags = box
+        path = small_trace(tmp_path, duration=60.0, seed=0, **roadway)
+        assert main(["tune", "--trace", str(path), *flags, "--out", str(tmp_path / "t.csv")]) == 0
         captured = capsys.readouterr()
         # stdout keeps its one parsed line; the note goes to stderr, without that line's fields
         assert captured.out.startswith(best) and len(captured.out.splitlines()) == 1
@@ -1097,13 +1158,29 @@ class TestTuneCommand:
         assert captured.err.startswith("note: ") if noted else captured.err == ""
         assert not re.search(r"d=\d+ k=\d+ rate=", captured.err)
 
+    def test_seed_is_noted_and_changes_nothing(self, tmp_path, capsys):
+        # tune takes --seed, as every subcommand does, and drew nothing from it silently
+        path = small_trace(tmp_path, duration=12.0)
+        cfgfile = tmp_path / "tune.cfg"
+        cfgfile.write_text("seed = 9\n")
+        written, notes = [], []
+        for extra in ([], ["--seed", "5"], ["--config", str(cfgfile)]):
+            out = tmp_path / f"tuning{len(written)}.csv"
+            assert main(["tune", "--trace", str(path), "--d-max", "4", *extra, "--out", str(out)]) == 0
+            written.append(out.read_bytes())
+            err = capsys.readouterr().err.splitlines()
+            notes.append([line for line in err if "seed" in line])
+        assert written[0] == written[1] == written[2]
+        assert notes == [[], ["note: tune draws nothing at random, so it reads no --seed"]] + notes[1:2]
+
     def test_boundaries_that_name_no_instant_are_noted(self, tmp_path, capsys):
         # sampled at 1 Hz on 0..5 s: the tuner once scored 6 of the 11 half-second
         # boundaries and said nothing of the other 5
         outs, notes = {}, {}
+        path = small_trace(tmp_path, n=10, duration=6.0, seed=0, area=1000.0)
         for period in ("0.5", "1"):
             outs[period] = tmp_path / f"tuning-{period}.csv"
-            argv = ["tune", "--gen-n", "10", "--gen-duration", "6", "--period", period]
+            argv = ["tune", "--trace", str(path), "--period", period]
             assert main([*argv, "--out", str(outs[period])]) == 0
             captured = capsys.readouterr()
             # stdout keeps its one parsed line; the note goes to stderr
@@ -1120,7 +1197,8 @@ class TestTuneCommand:
     @pytest.mark.parametrize("flag, value", [("--d-max", "0"), ("--k-max", "-2")])
     def test_box_error_names_the_flag(self, tmp_path, capsys, flag, value):
         # TunerConfig's fields are the flags' destinations, so its message names the flag
-        assert main(["tune", "--gen-n", "5", flag, value, "--out", str(tmp_path / "t.csv")]) == 1
+        path = small_trace(tmp_path, n=5, duration=3.0)
+        assert main(["tune", "--trace", str(path), flag, value, "--out", str(tmp_path / "t.csv")]) == 1
         assert capsys.readouterr().err == f"error: {flag[2]}_max must be >= 1, got {value}\n"
 
 
@@ -1165,7 +1243,8 @@ class TestExactCommand:
 
     def test_zero_d_names_only_d(self, tmp_path, capsys):
         # exact reads no k or slots
-        assert self.solve(tmp_path, ["--gen-n", "20"], "0", "exact:d=0")[0] == 1
+        path = small_trace(tmp_path, duration=3.0)
+        assert self.solve(tmp_path, ["--trace", str(path)], "0", "exact:d=0")[0] == 1
         assert capsys.readouterr().err == "error: exact d must be >= 1, got 0\n"
 
     @pytest.mark.parametrize("time", ["inf", "-inf"])

@@ -41,9 +41,9 @@ def test_readme_config_example_runs(tmp_path):
     section = text[text.index("Config file example:") :]
     cfgfile = tmp_path / "nightly.cfg"
     cfgfile.write_text(re.search(r"```\n(.*?)```", section, re.S).group(1))
-    out = tmp_path / "out"
-    assert main(["run", "--config", str(cfgfile), "--gen-n", "20", "--gen-duration", "12",
-                 "--out", str(out)]) == 0
+    out, trace = tmp_path / "out", str(tmp_path / "trace.csv")
+    assert main(["gen-trace", "--gen-n", "20", "--gen-duration", "12", "--out", trace]) == 0
+    assert main(["run", "--config", str(cfgfile), "--trace", trace, "--out", str(out)]) == 0
     [algos] = [line for line in cfgfile.read_text().splitlines() if line.startswith("algo")]
     specs = algos.partition("=")[2].replace(";", " ").split()
     written = sorted(p.name for p in out.iterdir())

@@ -97,9 +97,7 @@ def test_run_and_compare_write_the_reference_bytes(tmp_path_factory, data):
     for command in ("run", "compare"):
         with contextlib.redirect_stdout(io.StringIO()):
             assert main([command, *argv, "--out", str(tmp / command)]) == 0
-    cfg = RunConfig(
-        trace_path="trace.csv", seed=seed, algos=tuple(map(parse_algo_spec, specs)), **window
-    )
+    cfg = RunConfig(seed=seed, algos=tuple(map(parse_algo_spec, specs)), **window)
     expected = reference_run(trace, cfg)
     for tag, rows in expected.items():
         want = written(tmp, f"{tag}.expected", write_period_metrics_csv, rows)
@@ -125,7 +123,7 @@ def test_tune_reports_the_reference_mean(tmp_path_factory, data):
         assert main(argv) == 0
     d, k, rate = re.match(r"d=(\d+) k=(\d+) rate=(\S+) ", stdout.getvalue()).groups()
 
-    cfg = RunConfig(trace_path="trace.csv", algos=(parse_algo_spec("centrality"),), **window)
+    cfg = RunConfig(algos=(parse_algo_spec("centrality"),), **window)
     graphs = [g for _, g in reference_period_graphs(trace, cfg) if g is not None]
 
     def mean_rate(d, k):

@@ -65,8 +65,10 @@ def test_figures_are_the_compare_summary(tmp_path):
         tmp_path, "--n", "25", "--area", "400", "--duration", "21", "--period", "5", "--seeds", "1",
         *(f"--algo={spec}" for spec in specs),
     )
-    out = tmp_path / "cli"
-    argv = ["compare", "--gen-n", "25", "--gen-area", "400", "--gen-duration", "21", "--seed", "0",
+    out, trace = tmp_path / "cli", str(tmp_path / "trace.csv")
+    roadway = ["--gen-n", "25", "--gen-area", "400", "--gen-duration", "21", "--seed", "0"]
+    assert main(["gen-trace", *roadway, "--out", trace]) == 0
+    argv = ["compare", "--trace", trace, "--seed", "0",
             "--period", "5", "--out", str(out), *(f"--algo={spec}" for spec in specs)]
     assert main(argv) == 0
     with open(out / "summary.csv", newline="") as fh:
