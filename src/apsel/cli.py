@@ -368,9 +368,17 @@ def cmd_compare(trace_path: str, cfg: RunConfig) -> int:
     return 0
 
 
+def _check_out_file(out: str) -> None:
+    """Raise ConfigError unless --out names a file in an existing directory,
+    so that a command fails on it before it does any work."""
+    if os.path.isdir(out) or not os.path.isdir(os.path.dirname(out) or "."):
+        raise ConfigError(f"--out {out} must name a file in an existing directory")
+
+
 def cmd_gen_trace(s: dict) -> int:
     out = s.get("out", "trace.csv")
     g = GenParams(**_fields(s, GenParams, "gen_"))
+    _check_out_file(out)
     trace = generate_two_way_roadway(
         g.n, g.area, g.duration, (g.speed_min, g.speed_max), seed=s.get("seed", 0)
     )
@@ -385,8 +393,7 @@ def cmd_tune(s: dict) -> int:
     tuner_cfg = TunerConfig(**_fields(s, TunerConfig))
     trace_path = _trace_path(s)
     # the search comes before the write, so an --out it could not write fails first
-    if os.path.isdir(out) or not os.path.isdir(os.path.dirname(out) or "."):
-        raise ConfigError(f"--out {out} must name a file in an existing directory")
+    _check_out_file(out)
     trace = load_trace_csv(trace_path)
     boundaries = _period_boundaries(trace, cfg)
     # each graph is built as tune_parameters reads it, inside the tuner
@@ -407,7 +414,12 @@ def cmd_tune(s: dict) -> int:
 
 
 def _add_seed_flag(p):
-    p.add_argument("--seed", type=int, help="RNG seed (default 0)")
+    p.add_argument(
+        "--seed",
+        type=int,
+        help="RNG seed (default 0) of rb's reservation frames in run and compare"
+        " and of the roadway in gen-trace; tune reads none",
+    )
 
 
 def _add_source_flags(p):

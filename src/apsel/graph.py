@@ -12,9 +12,10 @@ numbering and the kernels (closeness, selection) read it, so no kernel
 maps ids to positions itself. It is the only adjacency a graph stores:
 ids appear only where a caller passes one in or gets one back, and
 ``position_of`` maps an id to its position. On large graphs closeness
-numbers the bits of its reach sets breadth-first and scores the vertices
-level by level, while the sets stay indexed by position, so the ball
-sizes come out by position.
+numbers the bits of its reach sets breadth-first, stores each set from
+the first BFS level its ball can reach and scores the vertices level by
+level, while the sets stay indexed by position, so the ball sizes come
+out by position.
 """
 
 from __future__ import annotations
@@ -285,51 +286,104 @@ def breadth_first_order(adjacency: Sequence[Sequence[int]]) -> tuple[list[int], 
     return order, starts, components
 
 
+# level_rounds groups each component's BFS levels into blocks of this many,
+# and the sets of one block share a bit offset. A wider block shifts fewer
+# edge levels but stores every set from further back: CPU of
+# level_rounds(k=4) on bench/workloads.city_rows (seed 0), median of 15
+# alternating calls (5 at 100k), and tracemalloc peak of the k=4 rounds at
+# 4000 (seed 504) and of centrality_select(d=1, k=4) at 20k
+# (tests/test_kernels.py; 2-vCPU VM, CPython 3.11):
+#
+#   block   4000       20k       100k      peak 4000  peak 20k
+#   1       16.4 ms    118 ms    1141 ms   1027 KB    6.13 MB
+#   2       15.8 ms    118 ms    1066 ms   1070 KB    6.39 MB
+#   3       15.4 ms    111 ms    1031 ms   1108 KB    6.66 MB
+#   4       15.2 ms    108 ms    1063 ms   1152 KB    6.92 MB
+#   8       15.7 ms    111 ms    1185 ms   1284 KB    7.95 MB
+#   sets from bit 0: 17.3 ms, 214 ms, 3598 ms, 1868 KB, 30.16 MB
+#
+# Two levels is within 4% of the fastest at every size and peaks below
+# every wider block; one level shifts every level twice a round.
+LEVEL_BLOCK = 2
+
+
 def level_rounds(adjacency: Sequence[Sequence[int]], k: int) -> Iterator[list[int]]:
     """The sizes ``reach_rounds`` yields, from one generation of reach sets.
 
     Yields ``sizes`` for h = 0, 1, ..., k, indexed like ``adjacency``,
     and stops where ``reach_rounds`` stops. The sets are indexed like
     ``adjacency`` too, but bit r of a set stands for the vertex of rank r
-    in ``breadth_first_order``. Python ints are dense, so a set costs its
-    highest bit to OR and its whole width to count. In this numbering an
-    h-hop ball about a vertex of BFS level j ends near the vertex's own
-    rank instead of near n, and it holds no bit below the start of level
-    j - h, so its size is counted from there. Each round scores the
-    vertices level by level. A vertex reads only the sets of its own
-    level and of the two next to it, so a level's new sets replace its
-    old ones once the level after it is scored: one generation and the
-    new sets of at most two levels are alive at a time.
+    in ``breadth_first_order``, less its block's offset. Python ints are
+    dense, so a set costs its highest bit to OR and count. An h-hop ball
+    about a vertex of BFS level j lies within levels j - h to j + h of its
+    component, so in round h the sets of a block whose first level is L
+    are read and written from the start of level L - h, or of the
+    component's first level if that is later: a set is O(h) levels wide,
+    not as wide as its rank. Each new set is stored shifted to the offset
+    of the next round, and the sets of a block's edge levels are shifted
+    once more, in place, as the scoring crosses into the next block, so
+    that every OR of the inner loop reads sets of one offset.
+
+    Each round scores the vertices level by level. A vertex reads only
+    the sets of its own level and of the two next to it, so a level's new
+    sets replace its old ones once the level after it is scored: one
+    generation and the new sets of at most two levels are alive at a
+    time. The last round keeps no sets, only their sizes.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    order, starts, _ = breadth_first_order(adjacency)
+    order, starts, components = breadth_first_order(adjacency)
+    block = LEVEL_BLOCK
+    # per level: its component's first level, its block's first level, and
+    # the first level of the block that reads it first, whose offset it is
+    # stored at; the empty level at the end writes back the last real one
+    firsts, leads, readers = [], [], []
+    component_starts = set(components)
+    first = 0
+    for j, lo in enumerate(starts):
+        if lo in component_starts:
+            first = j
+        lead = first + (j - first) // block * block
+        firsts.append(first)
+        leads.append(lead)
+        readers.append(lead - block if j == lead > first else lead)
+    levels = [order[lo:hi] for lo, hi in zip(starts, starts[1:])] + [[]]
     reach = [0] * len(order)
-    for rank, v in enumerate(order):
-        reach[v] = 1 << rank
+    for j, level in enumerate(levels):
+        base = starts[j] - starts[max(readers[j] - 1, firsts[j])]
+        for rank, v in enumerate(level, base):
+            reach[v] = 1 << rank
     sizes = [1] * len(order)
     yield sizes
-    # the empty level at the end writes back the last real one
-    levels = [order[lo:hi] for lo, hi in zip(starts, starts[1:])] + [[]]
     for h in range(1, k + 1):
         grown_sizes = [0] * len(order)
         held: list[int] = []
         held_sets: list[int] = []
-        low = 0
+        held_shift = 0
         for j, level in enumerate(levels):
+            lead, first = leads[j], firsts[j]
+            offset = starts[max(lead - h, first)]
+            if j == lead > first:
+                shift = offset - starts[max(lead - block - h, first)]
+                for v in levels[j - 1]:
+                    reach[v] >>= shift
+                for v in level:
+                    reach[v] >>= shift
             grown = []
             for v in level:
                 acc = reach[v]
                 for u in adjacency[v]:
                     acc |= reach[u]
                 grown.append(acc)
+            if h == k:
+                for v, acc in zip(level, grown):
+                    grown_sizes[v] = acc.bit_count()
+                continue
             for v, acc in zip(held, held_sets):
-                reach[v] = acc
-                # the shift takes level_rounds(k=4) from 17.0 to 15.7 ms at 4000
-                # vehicles and 268 to 241 ms at 20k (city_rows; 2-vCPU VM, CPython 3.11)
-                grown_sizes[v] = (acc >> low).bit_count()
+                reach[v] = acc << held_shift
+                grown_sizes[v] = acc.bit_count()
             held, held_sets = level, grown
-            low = starts[max(j - h, 0)]
+            held_shift = offset - starts[max(readers[j] - h - 1, first)]
         if grown_sizes == sizes:
             return
         sizes = grown_sizes
@@ -350,22 +404,22 @@ def edges_examined(g: SnapshotGraph, sizes: list[int]) -> int:
 # all_k_closeness takes level_rounds when n * min(k, 2) reaches this, and
 # reach_rounds in position order below it. Python ints are dense, so reach
 # set i costs about its highest bit / 30 digits to OR: in position order
-# that is n bits for nearly every vertex, in breadth-first order about i
-# plus the width of a few BFS levels. The O(n + E) search and the level
-# write-back pay for themselves only on larger graphs, and past k = 2 the
-# break-even barely moves. all_k_closeness time on a fresh graph, level
+# that is n bits for nearly every vertex, in level_rounds' offsets the
+# width of a few BFS levels. The O(n + E) search, the per-level bookkeeping
+# and the shifts pay for themselves only on larger graphs, and past k = 2
+# the break-even barely moves. all_k_closeness time on a fresh graph, level
 # kernel over position order, 2-D uniform snapshots at mean degree 10
 # (bench/workloads.city_rows, seed 0), median CPU of 15 alternating calls,
-# range over two to four passes (2-vCPU VM, CPython 3.11):
+# range over two or three passes (2-vCPU VM, CPython 3.11):
 #
-#   k = 1:  n = 2750 1.14       3000 0.99-1.03  3500 0.92-0.96  4000 0.94-0.95  5000 0.86
-#   k = 2:  n = 1500 1.08-1.14  1750 1.03-1.13  2000 1.02-1.04  2250 1.00-1.01  2500 0.89-0.90
-#   k = 3:  n = 1500 1.06-1.09  1750 1.04-1.05  2000 0.99-1.07  2250 0.95-0.96  2500 0.87-0.89
-#   k = 4:  n = 1500 1.05-1.07  1750 1.01-1.05  2000 0.95-0.99  2250 0.93-0.95  2500 0.82-0.87
-#   k = 8:  n = 1500 1.07-1.09  1750 1.02-1.23  2000 1.00-1.05  2250 0.91-0.99  2500 0.93-0.95
+#   k = 1:  n = 2750 1.08-1.09  3000 1.02-1.06  3500 1.01       4000 0.88-0.93  5000 0.69-0.82
+#   k = 2:  n = 1500 1.07-1.12  1750 1.04-1.07  2000 1.01-1.05  2250 0.97-1.00  2500 0.96-0.97
+#   k = 3:  n = 1500 1.07-1.08  1750 1.04       2000 1.00-1.01  2250 0.97-0.98  2500 0.91-0.94
+#   k = 4:  n = 1500 1.09-1.10  1750 1.03-1.04  2000 0.96-1.02  2250 0.94-1.00  2500 0.89-0.95
+#   k = 8:  n = 1500 1.16-1.19  1750 1.10-1.34  2000 1.04-1.10  2250 0.97-1.03  2500 0.93-1.01
 #
-# At 4000 every row on the level side reads at most 1.07, and every row
-# left in position order at least 0.92.
+# k = 1 drops below 1.00 only between 3500 and 4000, and for k >= 2 the
+# rows at 2000-2250 straddle 1.00 (0.94-1.10), so 4000 stays the threshold.
 RENUMBER_MIN_WORK = 4_000
 
 

@@ -224,21 +224,25 @@ class Trace:
         near = min(self._times[max(i - 1, 0) : i + 1], key=lambda s: abs(s - t))
         return near if abs(near - t) <= self.time_slack(t) else None
 
-    def positions_before(self, t: float) -> dict[int, tuple[float, float]]:
+    def positions_before(self, t: float) -> Snapshot:
         """Each vehicle's latest position among the sampled instants before
         t that lie no more than one sampling period (give or take
         time_slack(t)) before it; a vehicle sampled at none of them is
-        left out."""
+        left out. One such instant is handed out as its own ``Snapshot``;
+        only several are merged into new columns."""
         times = self._times
         i = j = bisect.bisect_left(times, t)
         reach = self._period + self.time_slack(t)
         while j and t - times[j - 1] <= reach:
             j -= 1
-        prev: dict[int, tuple[float, float]] = {}
+        if i - j < 2:
+            return self._instants[times[j]] if i > j else _EMPTY
+        latest: dict[int, tuple[float, float]] = {}
         for s in times[j:i]:
             at = self._instants[s]
-            prev.update(zip(at._ids, zip(at._xs, at._ys)))
-        return prev
+            latest.update(zip(at._ids, zip(at._xs, at._ys)))
+        ids, xs, ys = _columns(latest)
+        return Snapshot(array("q", ids), array("d", xs), array("d", ys))
 
     def __len__(self):
         return sum(map(len, self._instants.values()))
@@ -552,22 +556,30 @@ def build_direction_constrained_udg(
     axis-aligned and a diagonal heading come out at 45.0, not a hair
     above it. The filter runs on ``build_udg``'s position adjacency, and
     displacements are taken in float64, like its distances.
+    prev_snapshot is read as ``build_udg`` reads a snapshot, so its ids
+    too must be integers.
     Returns the filtered graph and the number of edges removed.
     """
     base = build_udg(snapshot, radio)
     ids, xs, ys = _columns(snapshot)
+    prev_ids, prev_xs, prev_ys = _columns(prev_snapshot)
+    # both columns ascend by id, so one pass pairs each vehicle with its
+    # previous sample
     moving = []
+    p, m = 0, len(prev_ids)
     for v, x, y in zip(ids, xs, ys):
+        while p < m and prev_ids[p] < v:
+            p += 1
         heading = None
-        prev = prev_snapshot.get(v)
-        if prev is not None:
-            dx, dy = x - float(prev[0]), y - float(prev[1])
+        if p < m and prev_ids[p] == v:
+            dx, dy = x - prev_xs[p], y - prev_ys[p]
             if dx or dy:
                 heading = (dx, dy)
         moving.append(heading)
+    del ids, xs, ys, prev_ids, prev_xs, prev_ys
     # each edge is judged from its lower end, in ascending order, so every
     # kept list stays ascending
-    kept: list[list[int]] = [[] for _ in moving]
+    kept: list = [[] for _ in moving]
     removed = 0
     for i, (nbrs, mi, out) in enumerate(zip(base.adjacency, moving, kept)):
         for j in nbrs:
@@ -584,8 +596,13 @@ def build_direction_constrained_udg(
                     continue
             out.append(j)
             kept[j].append(i)
-    adjacency = tuple([tuple(out) for out in kept])
-    return SnapshotGraph._from_sorted_adjacency(base.vertices, adjacency), removed
+    vertices = base.vertices
+    # the base graph and the headings go before the kept lists become
+    # tuples, each list as soon as its tuple is made
+    del base, moving
+    for i, out in enumerate(kept):
+        kept[i] = tuple(out)
+    return SnapshotGraph._from_sorted_adjacency(vertices, tuple(kept)), removed
 
 
 def check_roadway_params(n_vehicles, area_side, duration, speed_range) -> None:

@@ -244,6 +244,8 @@ class TestOneFlagPerSetting:
         assert all(flag in shown for flag in flags)
         assert ("--gen-n" in flags) == (command == "gen-trace")
         assert ("--trace" in flags) == (command != "gen-trace")
+        # one --seed help in every subcommand, saying which subcommands read it
+        assert "in gen-trace; tune reads none" in " ".join(shown.split())
 
 
 class TestRunConfig:
@@ -1070,6 +1072,20 @@ class TestGenTraceCommand:
         assert main(argv + ["--out", str(a)]) == 0
         assert main(argv + ["--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("where", ["directory", "missing parent"])
+    def test_unwritable_out_fails_before_the_roadway_is_generated(
+        self, tmp_path, capsys, monkeypatch, where
+    ):
+        # the whole roadway was once generated before the write failed with
+        # [Errno 21] (a directory) or [Errno 2] (a missing parent)
+        monkeypatch.setattr("apsel.cli.generate_two_way_roadway", lambda *a, **kw: pytest.fail("generated"))
+        out = tmp_path / "dir" if where == "directory" else tmp_path / "missing" / "t.csv"
+        if where == "directory":
+            out.mkdir()
+        assert main(["gen-trace", "--gen-n", "5", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: --out {out} must name a file in an existing directory\n"
+        assert [p.name for p in tmp_path.iterdir()] == (["dir"] if where == "directory" else [])
 
     def test_loadable(self, tmp_path):
         out = tmp_path / "t.csv"

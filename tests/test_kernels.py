@@ -509,11 +509,18 @@ def test_round_kernels_reject_k_below_one(kernel, k):
 
 @given(g=st.one_of(graphs(), disjoint_unions()), k=st.integers(1, 6))
 @example(g=SnapshotGraph(range(6), [(0, 1), (1, 2), (3, 4)]), k=6)
+@example(g=path_graph(12), k=5)
 def test_level_rounds_match_reach_rounds(g, k):
-    # several components, isolated vertices, and rounds that stop before k
-    sizes = list(level_rounds(g.adjacency, k))
-    assert sizes == [s for _, s in reach_rounds(g.adjacency, k)]
-    assert len({id(lst) for lst in sizes}) == len(sizes)
+    # several components, isolated vertices, and rounds that stop before k;
+    # with blocks of LEVEL_BLOCK levels, of one level (every level is a
+    # block's edge) and of more levels than any component has
+    expected = [s for _, s in reach_rounds(g.adjacency, k)]
+    for block in (apsel.graph.LEVEL_BLOCK, 1, g.n_vertices + 1):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(apsel.graph, "LEVEL_BLOCK", block)
+            sizes = list(level_rounds(g.adjacency, k))
+        assert sizes == expected
+        assert len({id(lst) for lst in sizes}) == len(sizes)
 
 
 class TestBreadthFirstOrder:
@@ -761,10 +768,11 @@ def test_20k_vehicle_snapshot_builds_in_bounded_memory():
 
 def test_20k_vehicle_centrality_in_bounded_memory(monkeypatch):
     """Centrality d=1, k=4 on 20k vehicles at mean degree 10. Scored level
-    by level in breadth-first numbering, the reach sets peak at about
-    30 MB under tracemalloc; with two generations alive they peaked at
-    about 60 MB, and in position order at about 102 MB. The ball sizes
-    equal those of position order."""
+    by level in breadth-first numbering, each reach set stored from its
+    block's offset, the rounds peak at about 6.4 MB under tracemalloc;
+    with every set stored from bit 0 they peaked at about 30 MB, with two
+    such generations alive at about 60 MB, and in position order at about
+    102 MB. The ball sizes equal those of position order."""
     n, r, mean_degree = 20_000, 100.0, 10.0
     side = math.sqrt(n * math.pi * r * r / mean_degree)
     g = build_udg(geometric_snapshot(n, side, seed=20), RadioParams(range_r=r))
@@ -774,7 +782,7 @@ def test_20k_vehicle_centrality_in_bounded_memory(monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 40 * 2**20
+    assert peak < 12 * 2**20
     monkeypatch.setattr(apsel.graph, "RENUMBER_MIN_WORK", math.inf)
     by_position = SnapshotGraph._from_sorted_adjacency(g.vertices, g.adjacency)
     assert all_k_closeness(by_position, 4) == all_k_closeness(g, 4)

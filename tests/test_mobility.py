@@ -132,6 +132,25 @@ class TestTrace:
         assert tr.positions_at(0.1 + 0.2) == tr.positions_at(0.3) == {0: (0.3, 0.0), 1: (1.3, 0.0)}
         assert tr.positions_at(0.15) == {}
 
+    def test_positions_before_hands_out_one_instant_and_merges_several(self):
+        # the period is the median gap, 1.0: both 0.0 and 0.5 lie within one
+        # period before 1.0, and only 2.0 within one before 3.0
+        tr = Trace(
+            [TracePoint(0.0, v, float(v), 0.0) for v in (1, 2, 3)]
+            + [TracePoint(0.5, v, 10.0 + v, 1.0) for v in (0, 2)]
+            + [TracePoint(t, 5, t, 5.0) for t in (1.0, 2.0, 3.0, 4.0)]
+        )
+        assert tr.sampling_period == 1.0
+        one = tr.positions_before(3.0)
+        assert isinstance(one, Snapshot)
+        assert one._ids is tr.positions_at(2.0)._ids and one._xs is tr.positions_at(2.0)._xs
+        merged = tr.positions_before(1.0)
+        assert isinstance(merged, Snapshot)
+        # vehicle 2 was sampled at both, and its latest sample wins
+        assert dict(merged.items()) == {0: (10.0, 1.0), 1: (1.0, 0.0), 2: (12.0, 1.0), 3: (3.0, 0.0)}
+        assert list(merged) == [0, 1, 2, 3]
+        assert tr.positions_at(0.0) == {1: (1.0, 0.0), 2: (2.0, 0.0), 3: (3.0, 0.0)}
+
     @pytest.mark.parametrize("t", [math.inf, -math.inf, math.nan])
     def test_non_finite_time_names_no_instant(self, t):
         # an infinite time has an infinite slack, which every instant lay within
@@ -719,6 +738,23 @@ class TestDirectionConstrainedUdg:
         base = build_udg(cur)
         assert list(g.edges()) == list(base.edges())
         assert removed == 0
+
+    def test_snapshot_predecessor_reads_as_the_equal_dict(self):
+        # the filter walks a Snapshot's columns beside the current ones; vehicle 0
+        # is only in the current snapshot and 9 only in the previous one
+        cur = {0: (0.0, 0.0), 2: (20.0, 0.0), 4: (40.0, 0.0), 6: (60.0, 5.0), 8: (80.0, 0.0)}
+        prev_rows = {2: (10.0, 0.0), 4: (50.0, 0.0), 6: (60.0, 0.0), 8: (80.0, 0.0), 9: (0.0, 0.0)}
+        prev = Trace([TracePoint(0.0, v, x, y) for v, (x, y) in prev_rows.items()]).positions_at(0.0)
+        assert isinstance(prev, Snapshot) and prev == prev_rows
+        view = Trace([TracePoint(1.0, v, x, y) for v, (x, y) in cur.items()]).positions_at(1.0)
+        for snap in (cur, view):
+            g, removed = build_direction_constrained_udg(snap, prev)
+            plain, removed_plain = build_direction_constrained_udg(snap, prev_rows)
+            assert adjacency(g) == adjacency(plain)
+            # 2 heads east, 4 west and 6 north; 0 and 8 are neutral
+            assert removed == removed_plain == 3
+            assert not (g.has_edge(2, 4) or g.has_edge(2, 6) or g.has_edge(4, 6))
+            assert g.has_edge(0, 2) and g.has_edge(6, 8)
 
     def test_filtered_edges_subset_of_udg(self):
         tr = generate_two_way_roadway(40, 800.0, 20.0, seed=9)
