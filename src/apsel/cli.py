@@ -39,6 +39,7 @@ from .metrics import (
 )
 from .mobility import (
     RadioParams,
+    Snapshot,
     Trace,
     build_direction_constrained_udg,
     build_udg,
@@ -236,23 +237,14 @@ def _period_boundaries(trace: Trace, cfg: TraceConfig) -> list[float]:
     return boundaries
 
 
-def _period_graphs(trace: Trace, cfg: TraceConfig, boundaries: list[float],
-                   direction: bool = False):
-    """Each period's index, its boundary (from _period_boundaries) and its
-    graph: the unit-disk graph of the vehicles sampled at the boundary,
-    direction-filtered when direction is set, or None for a period with
-    no vehicles."""
-    for index, t in enumerate(boundaries):
-        snapshot = trace.positions_at(t)
-        if not snapshot:
-            graph = None
-        elif direction:
-            graph, _ = build_direction_constrained_udg(
-                snapshot, trace.positions_before(t), cfg.radio
-            )
-        else:
-            graph = build_udg(snapshot, cfg.radio)
-        yield index, t, graph
+def _period_graph(trace: Trace, t: float, snapshot: Snapshot, radio: RadioParams,
+                  direction: bool = False) -> SnapshotGraph:
+    """The graph of the period at boundary t (from _period_boundaries):
+    the unit-disk graph of snapshot, the non-empty ``positions_at(t)``,
+    direction-filtered when direction is set."""
+    if direction:
+        return build_direction_constrained_udg(snapshot, trace.positions_before(t), radio)[0]
+    return build_udg(snapshot, radio)
 
 
 def run_algorithms(trace: Trace, cfg: RunConfig) -> dict[AlgoSpec, list[PeriodMetrics]]:
@@ -263,27 +255,38 @@ def run_algorithms(trace: Trace, cfg: RunConfig) -> dict[AlgoSpec, list[PeriodMe
     d an rb spec made in code holds. Period i draws rb's frame from the
     seed (cfg.seed * 1_000_003 + i) mod 2**63. Zero-vehicle periods emit a
     row with blank rate so the time series stays aligned across algorithms.
-    Each spec runs all periods in turn and builds its own graph for each.
-    The benchmark's self-test pins the per-name call counts, such as
-    len(cfg.algos) x periods graph builds, which any loop order gives as
-    long as no graph is shared.
+
+    The loop is period-major: it reads each period's snapshot once and
+    runs every spec on it in cfg.algos order; each spec keeps its own
+    points and assignment of the period before, for its churn counts.
+    Every spec calls build_udg (a direction spec inside the filter),
+    and build_udg's memo answers each call with the period's one sweep
+    while this loop holds the first plain spec's graph: the specs share
+    that graph and, through the graph's own memo, its closeness tables. A
+    direction spec placed before the first plain spec drops the base graph
+    it built, so the plain specs cost a second sweep. No graph outlives
+    its period.
     """
-    runs = {}
-    boundaries = _period_boundaries(trace, cfg)
-    for algo in cfg.algos:
-        rows = runs[algo] = []
-        prev_points: frozenset[int] = frozenset()
-        prev_assignment: dict[int, int] = {}
-        for index, t, graph in _period_graphs(trace, cfg, boundaries, algo.direction):
-            if graph is None:  # an empty period runs no selector
+    runs = {algo: [] for algo in cfg.algos}
+    # each spec's points and assignment in the period before
+    before = dict.fromkeys(cfg.algos, (frozenset(), {}))
+    for index, t in enumerate(_period_boundaries(trace, cfg)):
+        snapshot = trace.positions_at(t)
+        period_seed = (cfg.seed * 1_000_003 + index) % 2**63
+        base = None  # the period's unit-disk graph, held while the other specs run
+        for algo in cfg.algos:
+            if not snapshot:  # an empty period runs no selector
                 graph, result = SnapshotGraph(()), SelectionResult(frozenset())
             else:
-                period_seed = (cfg.seed * 1_000_003 + index) % 2**63
+                graph = _period_graph(trace, t, snapshot, cfg.radio, algo.direction)
+                if not algo.direction:
+                    base = graph
                 result = ALGORITHMS[algo.name].select(algo, graph, period_seed)
             points = result.aggregation_points
             n = graph.n_vertices
             assignment = assign_to_aggregation_points(graph, points, algo.hops)
-            rows.append(
+            prev_points, prev_assignment = before[algo]
+            runs[algo].append(
                 PeriodMetrics(
                     time=t,
                     n_vehicles=n,
@@ -297,16 +300,15 @@ def run_algorithms(trace: Trace, cfg: RunConfig) -> dict[AlgoSpec, list[PeriodMe
                     n_reelections=len(prev_points & points),
                 )
             )
-            prev_points, prev_assignment = points, assignment
-        del graph, assignment  # freed before the next spec builds its first graph
+            before[algo] = points, assignment
+        del base, graph  # freed before the next period's sweep
     return runs
 
 
-def _note_unsampled(trace: Trace, boundaries: list[float], consequence: str) -> None:
+def _note_unsampled(trace: Trace, missed: int, periods: int, consequence: str) -> None:
     """Say on stderr how many of the periods' boundaries name no sampled instant, if any."""
-    missed = len(set(boundaries).difference(trace.times))
     if missed:
-        print(f"note: {missed} of {len(boundaries)} period boundaries name no sampled instant"
+        print(f"note: {missed} of {periods} period boundaries name no sampled instant"
               f" (the trace is sampled every {trace.sampling_period} s); {consequence}",
               file=sys.stderr)
 
@@ -330,8 +332,11 @@ def _execute_algorithms(trace_path: str, cfg: RunConfig):
         raise ConfigError(f"--out {cfg.out_dir}{under} is a file, not a directory")
     trace = load_trace_csv(trace_path)
     runs = run_algorithms(trace, cfg)
+    # every sampled instant holds a sample, so a row with no vehicle is a
+    # boundary that names none
+    rows = next(iter(runs.values()))
     consequence = "their rows are blank and the churn counts restart after each"
-    _note_unsampled(trace, _period_boundaries(trace, cfg), consequence)
+    _note_unsampled(trace, sum(not row.n_vehicles for row in rows), len(rows), consequence)
     os.makedirs(cfg.out_dir, exist_ok=True)
     outputs = []
     for algo, rows in runs.items():
@@ -396,15 +401,17 @@ def cmd_tune(s: dict) -> int:
     _check_out_file(out)
     trace = load_trace_csv(trace_path)
     boundaries = _period_boundaries(trace, cfg)
+    snapshots = [(t, trace.positions_at(t)) for t in boundaries]
     # each graph is built as tune_parameters reads it, inside the tuner
-    graphs = (graph for _, _, graph in _period_graphs(trace, cfg, boundaries) if graph is not None)
+    graphs = (_period_graph(trace, t, snapshot, cfg.radio) for t, snapshot in snapshots if snapshot)
     result = tune_parameters(graphs, tuner_cfg)
     write_tuning_trajectory_csv(result, out)
     print(
         f"d={result.d} k={result.k} rate={result.value:.4f}"
         f" evaluations={result.n_evaluations} -> {out}"
     )
-    _note_unsampled(trace, boundaries, "their periods are left out of the mean")
+    missed = sum(not snapshot for _, snapshot in snapshots)
+    _note_unsampled(trace, missed, len(boundaries), "their periods are left out of the mean")
     if result.d == tuner_cfg.d_max or result.k == tuner_cfg.k_max:
         note = "the best pair lies on the box's edge; a larger --d-max or --k-max may score higher"
         print(f"note: {note}", file=sys.stderr)

@@ -120,7 +120,8 @@ class SnapshotGraph:
     memo dies with the graph.
     """
 
-    __slots__ = ("_adjacency", "_vertices", "_ball_sizes", "_balls_converged")
+    # __weakref__: build_udg's memo refers to the last graph it built weakly
+    __slots__ = ("_adjacency", "_vertices", "_ball_sizes", "_balls_converged", "__weakref__")
 
     def __init__(self, vertices: Iterable[int], edges: Iterable[tuple[int, int]] = ()):
         adj: dict[int, set[int]] = {v: set() for v in vertex_ids(vertices)}

@@ -19,8 +19,9 @@ import io
 import math
 import random
 import sys
+import weakref
 from array import array
-from collections.abc import Mapping
+from collections.abc import Mapping, Sequence
 from itertools import chain, groupby, islice
 from operator import ge, itemgetter
 
@@ -59,7 +60,9 @@ class Snapshot(Mapping):
     in two ``array('d')`` columns, so a sample costs 24 bytes and no
     object. Iteration and ``items()`` follow ascending id; a lookup is a
     binary search. It compares equal to the dict of its items.
-    ``Trace`` makes them and shares the columns, never copies them.
+    ``Trace`` makes them and shares the columns, never copies them. The
+    columns never change once a view holds them: no code writes to them,
+    which lets ``build_udg`` hand out one graph per view.
     """
 
     __slots__ = ("_ids", "_xs", "_ys")
@@ -427,14 +430,22 @@ _STRIP_SCALE = 1.01
 _MAX_CELLS = 2.0**52
 
 
-def _columns(snapshot: Mapping) -> tuple[list, list[float], list[float]]:
+def _columns(snapshot: Mapping) -> tuple[Sequence[int], Sequence[float], Sequence[float]]:
     """The snapshot's ids ascending, and their x and y as floats in the
-    same order: a Snapshot's columns as they are, a plain mapping sorted."""
+    same order: a Snapshot's own arrays, uncopied, or a plain mapping's
+    items sorted into lists."""
     if isinstance(snapshot, Snapshot):
-        return snapshot._ids.tolist(), snapshot._xs.tolist(), snapshot._ys.tolist()
+        return snapshot._ids, snapshot._xs, snapshot._ys
     ids = sorted(vertex_ids(snapshot))
     pos = [snapshot[v] for v in ids]
     return ids, [float(x) for x, _ in pos], [float(y) for _, y in pos]
+
+
+# build_udg's memo: (the last Snapshot it swept, its radio, a weak
+# reference to the graph). One tuple, replaced whole, so that no reader
+# pairs one call's key with another call's graph; the weak reference
+# never keeps a graph alive.
+_last_sweep: tuple[Snapshot, RadioParams, weakref.ref] | None = None
 
 
 def build_udg(snapshot: Mapping, radio: RadioParams = RadioParams()) -> SnapshotGraph:
@@ -472,7 +483,30 @@ def build_udg(snapshot: Mapping, radio: RadioParams = RadioParams()) -> Snapshot
     ``SnapshotGraph.adjacency``. Raises ValueError for an id that is not
     an integer (``vertex_ids``), a non-finite coordinate, or a snapshot
     spanning 2**52 strip heights or more along an axis.
+
+    The last sweep of a ``Snapshot`` is memoized: a call given that same
+    ``Snapshot`` object and an equal radio returns the sweep's graph, as
+    long as the graph is still alive elsewhere. So the specs of one
+    delivery period share one sweep while one of them holds its graph.
+    The memo keeps that Snapshot and a weak reference to the graph, so it
+    never keeps a graph alive. It never answers a plain mapping, whose
+    items may change between calls; a Snapshot's columns never change.
     """
+    global _last_sweep
+    last = _last_sweep
+    # `is` first: Frozen.__eq__ builds two key tuples
+    if last is not None and last[0] is snapshot and (last[1] is radio or last[1] == radio):
+        g = last[2]()
+        if g is not None:
+            return g
+    g = _sweep(snapshot, radio)
+    if isinstance(snapshot, Snapshot):
+        _last_sweep = (snapshot, radio, weakref.ref(g))
+    return g
+
+
+def _sweep(snapshot: Mapping, radio: RadioParams) -> SnapshotGraph:
+    """build_udg's row-strip sweep, run on every call the memo does not answer."""
     ids, xs, ys = _columns(snapshot)
     isfinite = math.isfinite
     for v, x, y in zip(ids, xs, ys):
@@ -554,7 +588,8 @@ def build_direction_constrained_udg(
     the two displacements is at most ANGLE_THRESHOLD. The angle is
     atan2(|cross|, dot), which keeps boundary cases exact: an
     axis-aligned and a diagonal heading come out at 45.0, not a hair
-    above it. The filter runs on ``build_udg``'s position adjacency, and
+    above it. The filter runs on ``build_udg``'s position adjacency (its
+    memo's graph while another holder keeps that alive), and
     displacements are taken in float64, like its distances.
     prev_snapshot is read as ``build_udg`` reads a snapshot, so its ids
     too must be integers.

@@ -871,6 +871,39 @@ class TestRunCommand:
             gc.enable()
         assert [len(rows) for rows in runs.values()] == [40 // period] * len(specs)
 
+    def test_no_graph_outlives_its_period(self, monkeypatch):
+        # each period's snapshot is read once, before its first graph is built:
+        # by then every graph of the periods before it is gone
+        import weakref
+
+        import apsel.mobility
+        from apsel.graph import SnapshotGraph
+        from apsel.mobility import generate_two_way_roadway
+
+        made, periods = [], []
+        store, positions_at = SnapshotGraph._store, Trace.positions_at
+
+        def recorded_store(g, vertices, adjacency):
+            made.append(weakref.ref(g))
+            store(g, vertices, adjacency)
+
+        def checked_positions_at(trace, t):
+            periods.append(sum(ref() is not None for ref in made))
+            return positions_at(trace, t)
+
+        monkeypatch.setattr(SnapshotGraph, "_store", recorded_store)
+        monkeypatch.setattr(Trace, "positions_at", checked_positions_at)
+        specs = ["centrality:direction=true", "centrality", "rb", "rb:direction=true", "centrality:d=3"]
+        cfg = RunConfig(algos=tuple(map(parse_algo_spec, specs)), period=5)
+        run_algorithms(generate_two_way_roadway(30, 500.0, 30.0, seed=2), cfg)
+        # each period: the first spec's base graph, which it drops, and its
+        # filtered one; the plain specs' one sweep; the second filtered graph
+        assert periods == [0] * 6 and len(made) == 6 * 4
+        assert [ref for ref in made if ref() is not None] == []
+        # the memo refers to the last graph weakly, so it is gone too
+        memo = apsel.mobility._last_sweep[-1]
+        assert isinstance(memo, weakref.ref) and memo() is None
+
     @pytest.mark.parametrize("command", ["run", "compare"])
     @pytest.mark.parametrize("period, missed", [("0.5", 5), ("1", 0), ("2", 0)])
     def test_boundaries_that_name_no_instant_are_noted(self, tmp_path, capsys, command, period, missed):
@@ -1032,9 +1065,57 @@ class TestCompareCommand:
         assert main(argv + [arg for a in algos for arg in ("--algo", a)]) == 0
         rows = read_period_metrics_csv(tmp_path / "res" / "rb_T256.csv")
         assert [r.n_vehicles for r in rows] == [12, 0, 12]
-        # no selector assigns; the run loop does, within each algorithm's d,
-        # and an empty period's assignment is the empty one
-        assert calls == [("apsel.cli", d) for d in (1, 1, 1, 3, 3, 3, 1, 1, 1, 1, 1, 1)]
+        # no selector assigns; the run loop does, period by period and within
+        # each algorithm's d, and an empty period's assignment is the empty one
+        assert calls == [("apsel.cli", d) for _ in rows for d in (1, 3, 1, 1)]
+
+    def test_each_period_is_swept_once_and_scored_once_per_graph_and_k(self, tmp_path, monkeypatch):
+        # the specs of a period share its sweep, and with it the k=4 closeness
+        # table of centrality and centrality:d=3; the direction spec, last,
+        # filters that same graph and scores the filtered one
+        import apsel.graph
+        import apsel.mobility
+
+        columns, sweeps = apsel.mobility._columns, []
+
+        def counted_columns(snapshot):
+            if sys._getframe(1).f_code.co_name in ("build_udg", "_sweep"):
+                sweeps.append(snapshot)
+            return columns(snapshot)
+
+        scored = []  # (adjacency, k) of each search, adjacency kept alive so its id stays unique
+        for name in ("reach_rounds", "level_rounds"):
+            def counted_rounds(adjacency, k, rounds=getattr(apsel.graph, name)):
+                scored.append((adjacency, k))
+                return rounds(adjacency, k)
+
+            monkeypatch.setattr(apsel.graph, name, counted_rounds)
+        monkeypatch.setattr(apsel.mobility, "_columns", counted_columns)
+        algos = ["centrality", "centrality:d=3", "rb", "centrality:direction=true"]
+        argv = ["compare", "--trace", str(small_trace(tmp_path)), "--out", str(tmp_path / "res")]
+        assert main(argv + [arg for a in algos for arg in ("--algo", a)]) == 0
+        periods = 4  # boundaries at 0, 10, 20 and 30 s, each with vehicles
+        assert len(sweeps) == periods and len(set(map(id, sweeps))) == periods
+        assert len(scored) == 2 * periods
+        assert len({(id(adjacency), k) for adjacency, k in scored}) == 2 * periods
+
+    def test_spec_order_leaves_each_spec_csv(self, tmp_path):
+        # a direction spec first drops its base graph, and two direction
+        # specs each filter the period's graph: no order changes a spec's rows
+        path = small_trace(tmp_path, n=30, duration=21.0)
+        algos = ["centrality", "centrality:d=3", "rb", "centrality:direction=true", "rb:direction=true",
+                 "exact:d=2"]
+        orders = [algos, algos[::-1], [algos[3], *algos[:3], *algos[4:]], [algos[4], algos[3], *algos[:3], algos[5]]]
+
+        def outputs(order, out):
+            argv = ["compare", "--trace", str(path), "--out", str(out)]
+            assert main(argv + [arg for a in order for arg in ("--algo", a)]) == 0
+            return {f.name: f.read_bytes() for f in out.iterdir() if f.name != "summary.csv"}
+
+        first = outputs(orders[0], tmp_path / "0")
+        assert len(first) == len(algos)
+        for i, order in enumerate(orders[1:], start=1):
+            assert outputs(order, tmp_path / str(i)) == first
 
     def test_rb_frame_seed_follows_the_documented_rule(self, tmp_path):
         # period i draws rb's frame from (seed * 1_000_003 + i) mod 2**63; at

@@ -661,6 +661,99 @@ class TestBuildUdg:
                 assert g.has_edge(i, j) == (euclid(snap[i], snap[j]) <= r)
 
 
+class TestBuildUdgMemo:
+    """build_udg answers the same live Snapshot and an equal radio from its last sweep."""
+
+    @pytest.fixture
+    def sweeps(self, monkeypatch):
+        swept = []
+        sweep = mobility._sweep
+
+        def counted(snapshot, radio):
+            swept.append(radio.range_r)
+            return sweep(snapshot, radio)
+
+        monkeypatch.setattr(mobility, "_sweep", counted)
+        return swept
+
+    @staticmethod
+    def view() -> Snapshot:
+        # 60 m and 90 m apart in a row: 2 links at 100 m, 3 at 200 m
+        rows = {0: (0.0, 0.0), 1: (60.0, 0.0), 2: (150.0, 0.0)}
+        return Trace([TracePoint(0.0, v, x, y) for v, (x, y) in rows.items()]).positions_at(0.0)
+
+    def test_same_live_snapshot_and_equal_radio_give_the_same_graph(self, sweeps):
+        snap = self.view()
+        g = build_udg(snap, RadioParams(100.0))
+        assert build_udg(snap, RadioParams(100.0)) is g  # equal, not the same radio
+        assert build_udg(snap) is g
+        assert sweeps == [100.0]
+
+    def test_another_radio_a_plain_mapping_or_a_dead_graph_is_swept_afresh(self, sweeps):
+        snap = self.view()
+        g = build_udg(snap)
+        wide = build_udg(snap, RadioParams(200.0))
+        assert (g.n_edges, wide.n_edges) == (2, 3)
+        rows = dict(snap)
+        kept = build_udg(rows)
+        assert build_udg(rows) is not kept
+        # a mapping may change between calls, and the next call sees the change
+        rows[3] = (250.0, 0.0)
+        assert build_udg(rows).vertices == (0, 1, 2, 3)
+        assert sweeps == [100.0, 200.0, 100.0, 100.0, 100.0]
+        g = build_udg(snap)
+        del g, wide  # the snapshot's last graph dies
+        assert build_udg(snap).n_edges == 2
+        assert sweeps == [100.0, 200.0, 100.0, 100.0, 100.0, 100.0, 100.0]
+
+    def test_the_memo_holds_the_graph_weakly(self):
+        g = build_udg(self.view())
+        ref = mobility._last_sweep[-1]
+        assert ref() is g
+        del g
+        assert ref() is None
+
+    def test_threads_never_get_another_calls_graph(self):
+        # more threads than cores share four snapshots and two ranges, each
+        # holding the graph of its last call, switching threads every few
+        # bytecodes; a fresh, equal radio per call runs the memo's radio
+        # comparison, a Python call at which the thread may be switched out
+        import sys
+        import threading
+
+        views = [
+            Trace([TracePoint(0.0, v, 60.0 * v, float(i)) for v in range(i + 2)]).positions_at(0.0)
+            for i in range(4)
+        ]
+        ranges = (100.0, 200.0)
+        want = {(i, r): (tuple(range(i + 2)), mobility._sweep(view, RadioParams(r)).n_edges)
+                for i, view in enumerate(views) for r in ranges}
+        wrong = []
+
+        def calls(first):
+            held = None
+            for j in range(1000):
+                i, r = (first + j // 7) % len(views), ranges[(first + j // 3) % 2]
+                g = build_udg(views[i], RadioParams(r))
+                if (g.vertices, g.n_edges) != want[i, r]:
+                    wrong.append((i, r, g.vertices, g.n_edges))
+                held = g
+            del held
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=calls, args=(i,)) for i in range(len(views))]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert wrong == []
+
+
 def linked_after(wi, wj) -> bool:
     """Whether the direction filter keeps the link between two vehicles at
     one spot whose displacements are exactly wi and wj."""
