@@ -23,6 +23,7 @@ from __future__ import annotations
 import argparse
 import math
 import os
+import re
 import sys
 from typing import Callable, NamedTuple
 
@@ -39,7 +40,6 @@ from .metrics import (
 )
 from .mobility import (
     RadioParams,
-    Snapshot,
     Trace,
     build_direction_constrained_udg,
     build_udg,
@@ -196,57 +196,6 @@ class RunConfig(TraceConfig):
         super().__init__(**window)
 
 
-def _period_boundaries(trace: Trace, cfg: TraceConfig) -> list[float]:
-    """The instants start + i * period up to the window end, each replaced
-    by the sampled instant it rounds to; one that rounds to none stays as
-    computed and reads as an empty snapshot. The window's ends round the
-    same way before they are checked, so an end that names the first or
-    last instant lies within the span. Raises ConfigError for a window
-    outside the trace's span or ending before it starts, when no
-    boundary rounds to a sampled instant, or when two read the same one."""
-
-    def rounded(t: float) -> float:
-        sampled = trace.instant_near(t)
-        return t if sampled is None else sampled  # the instant 0.0 is falsy
-
-    lo, hi = trace.span
-    start = rounded(lo if cfg.t_start is None else cfg.t_start)
-    end = rounded(hi if cfg.t_end is None else cfg.t_end)
-    if not (lo <= start <= hi and lo <= end <= hi):
-        raise ConfigError(f"window [{start}, {end}] not within trace span [{lo}, {hi}]")
-    if start > end:
-        raise ConfigError(f"window start {start} is after its end {end}")
-    boundaries = []
-    i = 0
-    while True:
-        t = rounded(start + i * cfg.period)
-        if t > end + trace.time_slack(end):
-            break
-        if boundaries and t <= boundaries[-1]:
-            raise ConfigError(
-                f"period {cfg.period} s is below the trace's time resolution:"
-                f" two boundaries read t={t}"
-            )
-        boundaries.append(t)
-        i += 1
-    # a boundary that rounds to no sampled instant equals none of them
-    if set(boundaries).isdisjoint(trace.times):
-        raise ConfigError(
-            f"no period boundary in [{start}, {end}] every {cfg.period} s is a sampled instant"
-        )
-    return boundaries
-
-
-def _period_graph(trace: Trace, t: float, snapshot: Snapshot, radio: RadioParams,
-                  direction: bool = False) -> SnapshotGraph:
-    """The graph of the period at boundary t (from _period_boundaries):
-    the unit-disk graph of snapshot, the non-empty ``positions_at(t)``,
-    direction-filtered when direction is set."""
-    if direction:
-        return build_direction_constrained_udg(snapshot, trace.positions_before(t), radio)[0]
-    return build_udg(snapshot, radio)
-
-
 def run_algorithms(trace: Trace, cfg: RunConfig) -> dict[AlgoSpec, list[PeriodMetrics]]:
     """Per-period pipeline of every spec in cfg.algos: graph, selection,
     assignment, metrics row. Returns each spec's rows, in cfg.algos order.
@@ -256,9 +205,12 @@ def run_algorithms(trace: Trace, cfg: RunConfig) -> dict[AlgoSpec, list[PeriodMe
     seed (cfg.seed * 1_000_003 + i) mod 2**63. Zero-vehicle periods emit a
     row with blank rate so the time series stays aligned across algorithms.
 
-    The loop is period-major: it reads each period's snapshot once and
-    runs every spec on it in cfg.algos order; each spec keeps its own
+    The loop is period-major: it walks ``trace.periods`` once, which
+    rounds the boundaries and rejects the window, and runs every spec on
+    each period's snapshot in cfg.algos order; each spec keeps its own
     points and assignment of the period before, for its churn counts.
+    Of the trace it reads nothing else but ``positions_before``, for a
+    direction spec's headings.
     Every spec calls build_udg (a direction spec inside the filter),
     and build_udg's memo answers each call with the period's one sweep
     while this loop holds the first plain spec's graph: the specs share
@@ -270,17 +222,18 @@ def run_algorithms(trace: Trace, cfg: RunConfig) -> dict[AlgoSpec, list[PeriodMe
     runs = {algo: [] for algo in cfg.algos}
     # each spec's points and assignment in the period before
     before = dict.fromkeys(cfg.algos, (frozenset(), {}))
-    for index, t in enumerate(_period_boundaries(trace, cfg)):
-        snapshot = trace.positions_at(t)
+    for index, (t, snapshot) in enumerate(trace.periods(cfg.period, cfg.t_start, cfg.t_end)):
         period_seed = (cfg.seed * 1_000_003 + index) % 2**63
         base = None  # the period's unit-disk graph, held while the other specs run
         for algo in cfg.algos:
             if not snapshot:  # an empty period runs no selector
                 graph, result = SnapshotGraph(()), SelectionResult(frozenset())
             else:
-                graph = _period_graph(trace, t, snapshot, cfg.radio, algo.direction)
-                if not algo.direction:
-                    base = graph
+                if algo.direction:
+                    prev = trace.positions_before(t)
+                    graph = build_direction_constrained_udg(snapshot, prev, cfg.radio)[0]
+                else:
+                    graph = base = build_udg(snapshot, cfg.radio)
                 result = ALGORITHMS[algo.name].select(algo, graph, period_seed)
             points = result.aggregation_points
             n = graph.n_vertices
@@ -400,18 +353,17 @@ def cmd_tune(s: dict) -> int:
     # the search comes before the write, so an --out it could not write fails first
     _check_out_file(out)
     trace = load_trace_csv(trace_path)
-    boundaries = _period_boundaries(trace, cfg)
-    snapshots = [(t, trace.positions_at(t)) for t in boundaries]
+    periods = list(trace.periods(cfg.period, cfg.t_start, cfg.t_end))
     # each graph is built as tune_parameters reads it, inside the tuner
-    graphs = (_period_graph(trace, t, snapshot, cfg.radio) for t, snapshot in snapshots if snapshot)
+    graphs = (build_udg(snapshot, cfg.radio) for _, snapshot in periods if snapshot)
     result = tune_parameters(graphs, tuner_cfg)
     write_tuning_trajectory_csv(result, out)
     print(
         f"d={result.d} k={result.k} rate={result.value:.4f}"
         f" evaluations={result.n_evaluations} -> {out}"
     )
-    missed = sum(not snapshot for _, snapshot in snapshots)
-    _note_unsampled(trace, missed, len(boundaries), "their periods are left out of the mean")
+    missed = sum(not snapshot for _, snapshot in periods)
+    _note_unsampled(trace, missed, len(periods), "their periods are left out of the mean")
     if result.d == tuner_cfg.d_max or result.k == tuner_cfg.k_max:
         note = "the best pair lies on the box's edge; a larger --d-max or --k-max may score higher"
         print(f"note: {note}", file=sys.stderr)
@@ -494,8 +446,9 @@ def _build_parser():
 
 def _flag_value(action: argparse.Action, text: str):
     """A config-file value, converted as its flag would convert it."""
-    if isinstance(action, argparse._AppendAction):  # algo: several names
-        return text.replace(";", " ").split()
+    if isinstance(action, argparse._AppendAction):  # algo: several specs
+        # a space next to a ',', ':' or '=' is inside a spec, as in its --algo flag
+        return re.sub(r"\s*([,:=])\s*", r"\1", text.replace(";", " ")).split()
     return action.type(text) if action.type else text
 
 

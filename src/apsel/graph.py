@@ -115,9 +115,10 @@ class SnapshotGraph:
     rejected; duplicate edges collapse to one.
 
     The vertices and edges never change. The graph only memoizes derived
-    hop-ball sizes for ``all_k_closeness``, so that scoring it again runs
-    no further search; the sizes are kept, never the reach sets, and the
-    memo dies with the graph.
+    hop-ball sizes for ``all_k_closeness``, so that scoring it again at a
+    k no larger than the memo's runs no search, while a larger k reruns
+    the rounds from round 0; the sizes are kept, never the reach sets,
+    and the memo dies with the graph.
     """
 
     # __weakref__: build_udg's memo refers to the last graph it built weakly

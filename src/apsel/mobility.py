@@ -227,6 +227,51 @@ class Trace:
         near = min(self._times[max(i - 1, 0) : i + 1], key=lambda s: abs(s - t))
         return near if abs(near - t) <= self.time_slack(t) else None
 
+    def periods(self, period: float, t_start: float | None = None,
+                t_end: float | None = None) -> list[tuple[float, Snapshot]]:
+        """Each delivery period's (boundary, snapshot), in time order.
+
+        The boundaries are start + i * period up to the window end, each
+        replaced by the sampled instant it names (``instant_near``); one
+        that names none stays as computed and reads the empty view. The
+        window, the whole span by default, has its ends rounded the same
+        way before they are checked, so an end that names the first or
+        last instant lies within the span. period must be positive and
+        finite. Raises ValueError for a window outside the span or ending
+        before it starts, when two boundaries name one instant (a check
+        run at each boundary, against the one before it), or when no
+        boundary is a sampled instant. The span check and that last one
+        read the whole trace, so the list is checked whole before any
+        period is handed out.
+        """
+
+        def rounded(t: float) -> float:
+            sampled = self.instant_near(t)
+            return t if sampled is None else sampled  # the instant 0.0 is falsy
+
+        lo, hi = self.span
+        start = rounded(lo if t_start is None else t_start)
+        end = rounded(hi if t_end is None else t_end)
+        if not (lo <= start <= hi and lo <= end <= hi):
+            raise ValueError(f"window [{start}, {end}] not within trace span [{lo}, {hi}]")
+        if start > end:
+            raise ValueError(f"window start {start} is after its end {end}")
+        periods = []
+        limit = end + self.time_slack(end)
+        while (t := rounded(start + len(periods) * period)) <= limit:
+            if periods and t <= periods[-1][0]:
+                raise ValueError(
+                    f"period {period} s is below the trace's time resolution:"
+                    f" two boundaries read t={t}"
+                )
+            # a boundary that names no sampled instant equals none of them
+            periods.append((t, self._instants.get(t, _EMPTY)))
+        if not any(snapshot for _, snapshot in periods):
+            raise ValueError(
+                f"no period boundary in [{start}, {end}] every {period} s is a sampled instant"
+            )
+        return periods
+
     def positions_before(self, t: float) -> Snapshot:
         """Each vehicle's latest position among the sampled instants before
         t that lie no more than one sampling period (give or take

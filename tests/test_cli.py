@@ -872,8 +872,8 @@ class TestRunCommand:
         assert [len(rows) for rows in runs.values()] == [40 // period] * len(specs)
 
     def test_no_graph_outlives_its_period(self, monkeypatch):
-        # each period's snapshot is read once, before its first graph is built:
-        # by then every graph of the periods before it is gone
+        # the loop takes each period from the walk before its first graph is
+        # built: by then every graph of the periods before it is gone
         import weakref
 
         import apsel.mobility
@@ -881,18 +881,19 @@ class TestRunCommand:
         from apsel.mobility import generate_two_way_roadway
 
         made, periods = [], []
-        store, positions_at = SnapshotGraph._store, Trace.positions_at
+        store, walk = SnapshotGraph._store, Trace.periods
 
         def recorded_store(g, vertices, adjacency):
             made.append(weakref.ref(g))
             store(g, vertices, adjacency)
 
-        def checked_positions_at(trace, t):
-            periods.append(sum(ref() is not None for ref in made))
-            return positions_at(trace, t)
+        def checked_periods(trace, *window):
+            for period in walk(trace, *window):
+                periods.append(sum(ref() is not None for ref in made))
+                yield period
 
         monkeypatch.setattr(SnapshotGraph, "_store", recorded_store)
-        monkeypatch.setattr(Trace, "positions_at", checked_positions_at)
+        monkeypatch.setattr(Trace, "periods", checked_periods)
         specs = ["centrality:direction=true", "centrality", "rb", "rb:direction=true", "centrality:d=3"]
         cfg = RunConfig(algos=tuple(map(parse_algo_spec, specs)), period=5)
         run_algorithms(generate_two_way_roadway(30, 500.0, 30.0, seed=2), cfg)
@@ -937,6 +938,24 @@ class TestConfigFile:
         assert rc == 0
         assert (tmp_path / "res" / "centrality_d2_k4.csv").exists()
         assert (tmp_path / "res" / "rb_T256.csv").exists()
+
+    def test_space_after_a_comma_stays_inside_the_spec(self, tmp_path):
+        # the value was once split at every space: 'centrality:d=2,' failed as a
+        # spec, while the --algo flag reads the same text
+        path = small_trace(tmp_path, duration=21.0)
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text(
+            f"trace = {path}\nalgo = centrality:d=2, k=3 ; rb: slots = 16 ,direction=true\n"
+            f"out = {tmp_path / 'file'}\n"
+        )
+        assert main(["run", "--config", str(cfgfile)]) == 0
+        argv = ["run", "--trace", str(path), "--algo", "centrality:d=2, k=3",
+                "--algo", "rb: slots = 16 ,direction=true", "--out", str(tmp_path / "flags")]
+        assert main(argv) == 0
+        names = ["centrality_d2_k3.csv", "rb_T16_dir.csv"]
+        assert sorted(p.name for p in (tmp_path / "file").iterdir()) == names
+        for name in names:
+            assert (tmp_path / "file" / name).read_bytes() == (tmp_path / "flags" / name).read_bytes()
 
     def test_flags_win_over_file(self, tmp_path):
         path = small_trace(tmp_path, duration=21.0)

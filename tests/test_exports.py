@@ -124,8 +124,8 @@ def test_no_export_is_used_only_by_tests():
 
 
 def test_tuner_scores_graphs_it_is_given():
-    # which instants a command reads is cli._period_boundaries' rule alone, and
-    # the graphs come from cli._period_graphs: the tuner reads no trace
+    # which instants a command reads is Trace.periods' rule alone, and cmd_tune
+    # builds the graphs of those periods: the tuner reads no trace
     tree = ast.parse((PACKAGE / "tuner.py").read_text())
     imported = set()
     for node in ast.walk(tree):

@@ -29,6 +29,7 @@ from helpers import (
     displacements_at,
     euclid,
     load_trace_csv_oracle,
+    reference_period_graphs,
     trace_samples,
     udg_oracle,
 )
@@ -157,6 +158,96 @@ class TestTrace:
         tr = Trace([TracePoint(s, 0, s, 0.0) for s in (0.0, 0.3)])
         assert tr.instant_near(t) is None
         assert tr.positions_at(t) == {}
+
+
+@st.composite
+def walked_traces(draw):
+    """A trace sampled at some of the instants base + i * step, with the
+    period and window of a walk over it, as keyword arguments of
+    ``Trace.periods``. The window starts at a sampled instant, on it or
+    nudged well within the slack, so no window is rejected. It ends at
+    one too, or at an unsampled i written as a decimal, which a sum of
+    float steps misses by an ulp or two. A period that is not a whole
+    number of steps puts boundaries on unsampled times."""
+    base = draw(st.sampled_from([0.0, -3.0, 1600636944.0]))
+    step = draw(st.sampled_from([0.1, 0.3, 1.0, 2.5]))
+    n = draw(st.integers(1, 8))
+    indices = [0] + [i for i in range(1, n) if draw(st.booleans())]
+    rows = [
+        TracePoint(base + i * step, v, draw(st.integers(-50, 50)) * 10.0, float(v))
+        for i in indices
+        for v in draw(st.sets(st.integers(0, 5), min_size=1, max_size=4))
+    ]
+    window = {"period": step * draw(st.sampled_from([0.5, 1, 1.5, 2, 3]))}
+    nudge = st.sampled_from([0.0, 1e-7 * step, -1e-7 * step])
+    first = draw(st.none() | st.sampled_from(indices))
+    if first is not None:
+        window["t_start"] = base + first * step + draw(nudge)
+    last = draw(st.none() | st.integers(first or 0, indices[-1]))
+    if last in indices:
+        window["t_end"] = base + last * step + draw(nudge)
+    elif last is not None:
+        window["t_end"] = round(base + last * step, 9)
+    return Trace(rows), window
+
+
+class TestPeriods:
+    """``Trace.periods``, the one walk of a window's delivery periods."""
+
+    @given(walked_traces())
+    def test_walk_matches_the_reference_boundaries_and_samples(self, walked):
+        from apsel.cli import TraceConfig
+
+        trace, window = walked
+        periods = trace.periods(**window)
+        expected = list(reference_period_graphs(trace, TraceConfig(**window)))
+        assert [t for t, _ in periods] == [t for t, _ in expected]
+        oracle = TraceOracle(trace_samples(trace))
+        for (t, snapshot), (_, graph) in zip(periods, expected):
+            assert type(t) is float
+            assert list(snapshot.items()) == sorted(oracle.positions_at(t).items())
+            assert (graph is None) == (not snapshot)
+
+    # sampled at 1 Hz on 0..4 s
+    TRACE = Trace([TracePoint(float(t), v, 10.0 * v, 0.0) for t in range(5) for v in range(3)])
+
+    @pytest.mark.parametrize(
+        "window, message",
+        [
+            ({"period": 1.0, "t_end": 99.0}, "window [0.0, 99.0] not within trace span [0.0, 4.0]"),
+            ({"period": 1.0, "t_start": -0.5}, "window [-0.5, 4.0] not within trace span [0.0, 4.0]"),
+            ({"period": 1.0, "t_start": 3.0, "t_end": 1.0}, "window start 3.0 is after its end 1.0"),
+            (
+                {"period": 1e-7},
+                "period 1e-07 s is below the trace's time resolution: two boundaries read t=0.0",
+            ),
+            (
+                {"period": 1.0, "t_start": 0.5, "t_end": 3.5},
+                "no period boundary in [0.5, 3.5] every 1.0 s is a sampled instant",
+            ),
+            # a period the walk cannot step by ends it at once, not never
+            ({"period": math.nan}, "no period boundary in [0.0, 4.0] every nan s is a sampled instant"),
+        ],
+    )
+    def test_rejection_names_its_reason(self, window, message):
+        with pytest.raises(ValueError) as info:
+            self.TRACE.periods(**window)
+        assert str(info.value) == message
+
+    def test_window_end_keeps_a_boundary_an_ulp_past_it(self):
+        # 3 * 0.1 is 0.30000000000000004: the window end 0.3 names no instant,
+        # and the boundary that misses it by an ulp is still the window's
+        trace = Trace([TracePoint(i * 0.1, 0, 0.0, 0.0) for i in (0, 1, 2, 4)])
+        periods = trace.periods(0.1, t_end=0.3)
+        assert [t for t, _ in periods] == [0.0, 0.1, 0.2, 3 * 0.1]
+        assert not periods[-1][1]
+
+    def test_unsampled_boundary_reads_the_empty_view(self):
+        periods = self.TRACE.periods(1.5)
+        assert [t for t, _ in periods] == [0.0, 1.5, 3.0]
+        assert [dict(snapshot) for _, snapshot in periods] == [
+            self.TRACE.positions_at(0.0), {}, self.TRACE.positions_at(3.0)
+        ]
 
 
 # a field one character longer than the csv module accepts

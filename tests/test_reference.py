@@ -4,17 +4,20 @@ Each case is a small trace on a two-way road: vehicles arrive and leave,
 some whole-second instants go unsampled, and periods of half a second or
 more put boundaries on unsampled times. The CLI's CSV bytes must equal
 those written from the reference rows, which come from the oracles
-alone. Run it long with ``--hypothesis-profile=deep``.
+alone. The loop must also give the same rows and bytes from a source
+that offers nothing but the period walk, ``positions_before`` and
+``sampling_period``. Run it long with ``--hypothesis-profile=deep``.
 """
 
 import contextlib
 import io
 import re
+from unittest import mock
 
 from hypothesis import given
 from hypothesis import strategies as st
 
-from apsel.cli import RunConfig, main, parse_algo_spec
+from apsel.cli import RunConfig, main, parse_algo_spec, run_algorithms
 from apsel.metrics import summarize_run, write_period_metrics_csv, write_run_summary_csv
 from apsel.mobility import RadioParams, Trace, write_trace_csv
 from helpers import TracePoint, centrality_select_oracle, reference_period_graphs, reference_run
@@ -138,3 +141,63 @@ def test_tune_reports_the_reference_mean(tmp_path_factory, data):
     for row in rows:
         _, d_row, k_row, objective = row.split(",")
         assert float(objective) == mean_rate(int(d_row), int(k_row)) <= best
+
+
+class PeriodSource:
+    """All the period loop may read of a trace: its walk, handed out one
+    period at a time, the positions a direction spec takes headings from,
+    and the sampling period a ``note:`` line names."""
+
+    def __init__(self, trace: Trace):
+        self._trace = trace
+        self.walks = 0
+
+    def periods(self, period, t_start=None, t_end=None):
+        self.walks += 1
+        yield from self._trace.periods(period, t_start, t_end)
+
+    def positions_before(self, t):
+        return self._trace.positions_before(t)
+
+    @property
+    def sampling_period(self):
+        return self._trace.sampling_period
+
+
+def outcome(argv, out):
+    """main(argv)'s exit code, stdout and stderr, and the bytes of each
+    file it wrote into the directory out, which is left empty."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        rc = main(argv)
+    files = {}
+    for path in sorted(out.iterdir()):
+        files[path.name] = path.read_bytes()
+        path.unlink()
+    return rc, stdout.getvalue(), stderr.getvalue(), files
+
+
+@given(data=st.data())
+def test_the_loop_reads_the_trace_only_through_its_walk(tmp_path_factory, data):
+    # a source with nothing but the walk, positions_before and sampling_period
+    # gives the rows, bytes and notes of the Trace it stands for
+    trace = data.draw(traces())
+    flags, window = data.draw(windows(trace))
+    specs = ("centrality", "rb", "exact:d=2", "centrality:d=2,direction=true")
+    cfg = RunConfig(algos=tuple(map(parse_algo_spec, specs)), **window)
+    source = PeriodSource(trace)
+    assert run_algorithms(source, cfg) == run_algorithms(trace, cfg)
+    assert source.walks == 1
+
+    tmp = tmp_path_factory.mktemp("seam")
+    write_trace_csv(trace, tmp / "trace.csv")
+    out = tmp / "out"
+    out.mkdir()
+    runs = [f"--algo={text}" for text in specs] + ["--out", str(out)]
+    for argv in (["run", *runs], ["compare", *runs],
+                 ["tune", "--d-max", "2", "--k-max", "3", "--out", str(out / "tuning.csv")]):
+        argv += ["--trace", str(tmp / "trace.csv"), *flags]
+        with_trace = outcome(argv, out)
+        assert with_trace[0] == 0 and with_trace[3]
+        with mock.patch("apsel.cli.load_trace_csv", return_value=PeriodSource(trace)):
+            assert outcome(argv, out) == with_trace, argv[0]
