@@ -27,7 +27,7 @@ import re
 import sys
 from typing import Callable, NamedTuple
 
-from .graph import Frozen, SnapshotGraph
+from .graph import Frozen, SnapshotGraph, check_count
 from .metrics import (
     PeriodMetrics,
     aggregation_rate,
@@ -91,25 +91,25 @@ ALGORITHMS = {
 
 
 class AlgoSpec(Frozen):
-    """One algorithm plus its parameters, e.g. centrality with d=3, k=4."""
+    """One algorithm plus its parameters, e.g. centrality with d=3, k=4, and
+    the one check of a spec, parsed or made in code. A field its algorithm
+    does not read keeps its default, so an rb spec's d is 1."""
 
     __slots__ = ("name", "d", "k", "slots", "direction")
+    DEFAULTS = {"d": 1, "k": 4, "slots": 256, "direction": False}
 
-    def __init__(self, name: str, d: int = 1, k: int = 4, slots: int = 256,
-                 direction: bool = False):
-        self._set(name=name, d=d, k=k, slots=slots, direction=direction)
+    def __init__(self, name: str, /, **params):
         if name not in ALGORITHMS:
-            known = ", ".join(ALGORITHMS)
-            raise ConfigError(f"unknown algorithm {name!r}, expected one of {known}")
-        for key in ALGORITHMS[name].keys:  # a field it does not read goes unchecked
-            if getattr(self, key) < 1:
-                raise ConfigError(f"{name} {key} must be >= 1, got {getattr(self, key)}")
-
-    @property
-    def hops(self) -> int:
-        """How far the selected points cover: d where the algorithm reads
-        it. rb, which reads none, elects a 1-hop cover."""
-        return self.d if "d" in ALGORITHMS[self.name].keys else 1
+            raise ConfigError(f"unknown algorithm {name!r}, expected one of {', '.join(ALGORITHMS)}")
+        readable = ALGORITHMS[name].keys + ("direction",)
+        for key, value in params.items():
+            if key not in readable:
+                raise ConfigError(f"{name} reads {', '.join(readable)}, not {key!r}")
+            if key != "direction":
+                check_count(f"{name} {key}", value, ConfigError)
+            elif not isinstance(value, bool):
+                raise ConfigError(f"{name} direction must be a boolean, got {value!r}")
+        self._set(name=name, **{**self.DEFAULTS, **params})
 
     @property
     def tag(self) -> str:
@@ -123,30 +123,24 @@ BOOLEANS = {"1": True, "true": True, "on": True, "yes": True,
 
 
 def parse_algo_spec(text: str) -> AlgoSpec:
-    """Parse 'name' or 'name:key=value,...'.
-
-    An inline key must be one the algorithm reads (its ALGORITHMS keys,
-    or direction); a key the text leaves unset keeps AlgoSpec's default.
-    """
+    """Parse 'name' or 'name:key=value,...' into an AlgoSpec, which checks
+    the keys and values. A value that is not an integer (for direction, a
+    BOOLEANS word) reaches it as text, for it to reject."""
     name, _, params = text.strip().partition(":")
     name = AlgoSpec(name.strip()).name  # raises for an unknown algorithm
-    readable = ALGORITHMS[name].keys + ("direction",)
     inline = {}
     if params:
         for item in params.split(","):
             key, sep, value = item.partition("=")
-            key = key.strip()
+            key, value = key.strip(), value.strip()
             if not sep:
                 raise ConfigError(f"bad algorithm parameter {item!r} in {text!r}")
-            if key not in readable:
-                raise ConfigError(f"{name} reads {', '.join(readable)}, not {key!r}")
             if key in inline:
                 raise ConfigError(f"{name} sets {key} twice in {text!r}")
             try:
-                inline[key] = BOOLEANS[value.strip().lower()] if key == "direction" else int(value)
+                inline[key] = BOOLEANS[value.lower()] if key == "direction" else int(value)
             except (KeyError, ValueError):
-                kind = "a boolean" if key == "direction" else "an integer"
-                raise ConfigError(f"{name} {key} must be {kind}, got {value.strip()!r}") from None
+                inline[key] = value
     return AlgoSpec(name, **inline)
 
 
@@ -186,10 +180,13 @@ class RunConfig(TraceConfig):
 
     def __init__(self, algos: tuple[AlgoSpec, ...] = (), out_dir: str = "results", seed: int = 0,
                  **window):
-        self._set(algos=algos, out_dir=out_dir, seed=seed)
-        if not algos:
+        self._set(algos=tuple(algos), out_dir=out_dir, seed=seed)
+        if not self.algos:
             raise ConfigError("at least one algorithm (--algo) is required")
-        tags = [algo.tag for algo in algos]
+        for algo in self.algos:
+            if not isinstance(algo, AlgoSpec):
+                raise ConfigError(f"algos holds {algo!r}, not an AlgoSpec")
+        tags = [algo.tag for algo in self.algos]
         for tag in tags:
             if tags.count(tag) > 1:
                 raise ConfigError(f"two --algo specs would both write {tag}.csv")
@@ -200,8 +197,8 @@ def run_algorithms(trace: Trace, cfg: RunConfig) -> dict[AlgoSpec, list[PeriodMe
     """Per-period pipeline of every spec in cfg.algos: graph, selection,
     assignment, metrics row. Returns each spec's rows, in cfg.algos order.
 
-    Vehicles report to their nearest point within algo.hops hops, whatever
-    d an rb spec made in code holds. Period i draws rb's frame from the
+    Vehicles report to their nearest point within algo.d hops, 1 for rb,
+    whose 1-hop cover reads no d. Period i draws rb's frame from the
     seed (cfg.seed * 1_000_003 + i) mod 2**63. Zero-vehicle periods emit a
     row with blank rate so the time series stays aligned across algorithms.
 
@@ -237,7 +234,7 @@ def run_algorithms(trace: Trace, cfg: RunConfig) -> dict[AlgoSpec, list[PeriodMe
                 result = ALGORITHMS[algo.name].select(algo, graph, period_seed)
             points = result.aggregation_points
             n = graph.n_vertices
-            assignment = assign_to_aggregation_points(graph, points, algo.hops)
+            assignment = assign_to_aggregation_points(graph, points, algo.d)
             prev_points, prev_assignment = before[algo]
             runs[algo].append(
                 PeriodMetrics(
@@ -401,10 +398,7 @@ def _add_run_flags(p):
         metavar="NAME[:k=v,...]",
         help=" | ".join(f"{n}[:{'=,'.join(a.keys)}=]" for n, a in ALGORITHMS.items())
         + ", each also direction=; an unset key takes its default ("
-        + ", ".join(
-            f"{n}={str(v).lower()}"
-            for n, v in zip(AlgoSpec.__slots__[1:], AlgoSpec.__init__.__defaults__)
-        )
+        + ", ".join(f"{n}={str(v).lower()}" for n, v in AlgoSpec.DEFAULTS.items())
         + "); repeatable",
     )
     p.add_argument("--out", dest="out_dir", metavar="DIR", help="output dir (default results)")

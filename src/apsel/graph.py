@@ -63,6 +63,13 @@ def vertex_ids(given: Iterable) -> list[int]:
     return ids
 
 
+def check_count(what: str, value, error: type[ValueError] = ValueError) -> None:
+    """Raise error, its message starting with what, unless value is an int >= 1 (a bool is not)."""
+    is_int = isinstance(value, int) and not isinstance(value, bool)
+    if not is_int or value < 1:
+        raise error(f"{what} must be {'>= 1' if is_int else 'an integer'}, got {value!r}")
+
+
 class Frozen:
     """Base of the package's validated settings (``RadioParams``,
     ``TunerConfig`` and the command line's configs). Each ``__init__``

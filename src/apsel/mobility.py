@@ -25,7 +25,7 @@ from collections.abc import Mapping, Sequence
 from itertools import chain, groupby, islice
 from operator import ge, itemgetter
 
-from .graph import Frozen, SnapshotGraph, position_of, vertex_ids
+from .graph import Frozen, SnapshotGraph, check_count, position_of, vertex_ids
 
 __all__ = [
     "RadioParams",
@@ -687,11 +687,11 @@ def build_direction_constrained_udg(
 
 def check_roadway_params(n_vehicles, area_side, duration, speed_range) -> None:
     """Raise ValueError unless ``generate_two_way_roadway`` accepts these:
-    at least one vehicle, a finite area, a finite duration of at least
-    1 s and finite speeds with 0 < speed_min <= speed_max. The messages
-    name no argument, so the command line can show them for its flags."""
-    if n_vehicles < 1:
-        raise ValueError(f"vehicle count must be >= 1, got {n_vehicles}")
+    an int count of at least one vehicle, a finite area, a finite
+    duration of at least 1 s and finite speeds with 0 < speed_min <=
+    speed_max. The messages name no argument, so the command line can
+    show them for its flags."""
+    check_count("vehicle count", n_vehicles)
     if not math.isfinite(area_side):
         raise ValueError(f"area must be finite, got {area_side}")
     if not (math.isfinite(duration) and duration >= 1):

@@ -148,7 +148,7 @@ def verify_domination(g: SnapshotGraph, points, d: int) -> bool:
     return len(seen) == g.n_vertices
 
 
-def centrality_select(g: SnapshotGraph, d: int = 1, k: int = 4) -> SelectionResult:
+def centrality_select(g: SnapshotGraph, d: int, k: int) -> SelectionResult:
     """Greedy selection by hop-limited closeness.
 
     Centrality is computed once on the full snapshot. Each round the
@@ -236,7 +236,7 @@ def rb_select_with_slots(
     return SelectionResult(chosen, slots_simulated=ticks)
 
 
-def rb_select(g: SnapshotGraph, slots: int = 256, seed: int = 0) -> SelectionResult:
+def rb_select(g: SnapshotGraph, slots: int, seed: int) -> SelectionResult:
     """Random-slot reservation selection over a frame of `slots` ticks.
 
     Every vehicle draws a slot uniformly at random; the draw order is
@@ -312,7 +312,7 @@ def _search(
     return best, nodes
 
 
-def exact_min_dominating_set(g: SnapshotGraph, d: int = 1) -> SelectionResult:
+def exact_min_dominating_set(g: SnapshotGraph, d: int) -> SelectionResult:
     """Minimum d-hop dominating set via set-cover branch and bound.
 
     Each connected component, as ``breadth_first_order`` finds it, is

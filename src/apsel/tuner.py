@@ -15,7 +15,7 @@ import csv
 import math
 from typing import NamedTuple
 
-from .graph import Frozen
+from .graph import Frozen, check_count
 from .metrics import aggregation_rate
 from .selection import centrality_select
 
@@ -54,9 +54,8 @@ class TunerConfig(Frozen):
 
     def __init__(self, d_max: int = 10, k_max: int = 10):
         self._set(d_max=d_max, k_max=k_max)
-        for name, value in (("d_max", d_max), ("k_max", k_max)):
-            if value < 1:
-                raise ValueError(f"{name} must be >= 1, got {value}")
+        check_count("d_max", d_max)
+        check_count("k_max", k_max)
 
 
 class NelderMeadResult(NamedTuple):

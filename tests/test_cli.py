@@ -119,6 +119,54 @@ class TestAlgoSpec:
         with pytest.raises(ConfigError, match="centrality sets d twice"):
             parse_algo_spec("centrality:d=2,d=3")
 
+    @pytest.mark.parametrize(
+        "name, params, message",
+        [
+            # each was accepted in code and only the parser rejected its text
+            ("rb", dict(direction="false"), "rb direction must be a boolean, got 'false'"),
+            ("centrality", dict(d=True), "centrality d must be an integer, got True"),
+            ("centrality", dict(d=2.5), "centrality d must be an integer, got 2.5"),
+            ("centrality", dict(k="4"), "centrality k must be an integer, got '4'"),
+            ("rb", dict(d=3), "rb reads slots, direction, not 'd'"),
+            ("exact", dict(name="exact"), "exact reads d, direction, not 'name'"),
+        ],
+    )
+    def test_spec_made_in_code_is_checked_as_parsed_text_is(self, name, params, message):
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            AlgoSpec(name, **params)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("centrality:d=x,d=2", "centrality sets d twice in 'centrality:d=x,d=2'"),
+            ("rb:d=1,bogus", "bad algorithm parameter 'bogus' in 'rb:d=1,bogus'"),
+        ],
+    )
+    def test_a_fault_of_the_text_comes_before_a_fault_of_a_value(self, text, message):
+        # the parser reads the whole text before AlgoSpec checks its keys and values in order
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            parse_algo_spec(text)
+
+    @given(
+        name=st.sampled_from([*READS, "pagerank"]),
+        keys=st.lists(st.sampled_from(["d", "k", "slots", "direction", "name", "frames"]), unique=True),
+        data=st.data(),
+    )
+    def test_parsed_text_and_spec_made_in_code_agree(self, name, keys, data):
+        # the parser converts text and AlgoSpec checks it: the same spec, or the same error
+        kinds = {key: st.booleans() if key == "direction" else st.integers(-2, 300) for key in keys}
+        params = {key: data.draw(kind, label=key) for key, kind in kinds.items()}
+        inline = ",".join(f"{key}={str(value).lower()}" for key, value in params.items())
+        text = f"{name}:{inline}" if inline else name
+        try:
+            parsed = parse_algo_spec(text)
+        except ConfigError as exc:
+            with pytest.raises(ConfigError) as made:
+                AlgoSpec(name, **params)
+            assert str(made.value) == str(exc)
+        else:
+            assert AlgoSpec(name, **params) == parsed
+
 
 def filled_field(dest: str) -> str:
     """The settings field a flag's destination fills: GenParams' fields
@@ -129,8 +177,8 @@ def filled_field(dest: str) -> str:
 def test_help_defaults_are_the_settings_defaults():
     # each "(default X)" a flag's help states is the default of the settings
     # field the flag fills, so the help cannot drift from the code
-    defaults = {}
-    for cls in (TraceConfig, RunConfig, RadioParams, GenParams, TunerConfig, AlgoSpec):
+    defaults = dict(AlgoSpec.DEFAULTS)  # a spec's defaults live in that one mapping
+    for cls in (TraceConfig, RunConfig, RadioParams, GenParams, TunerConfig):
         for name, p in inspect.signature(cls).parameters.items():
             if p.default is not p.empty:
                 assert defaults.setdefault(name, p.default) == p.default, name
@@ -252,6 +300,19 @@ class TestRunConfig:
     def test_requires_algorithm(self):
         with pytest.raises(ConfigError, match="at least one"):
             RunConfig(algos=())
+
+    def test_algos_are_kept_as_a_tuple(self):
+        # a list was kept as given, so hashing the settings raised TypeError
+        cfg = RunConfig(algos=[AlgoSpec("rb")])
+        assert cfg.algos == (AlgoSpec("rb"),)
+        twin = RunConfig(algos=(AlgoSpec("rb"),))
+        assert cfg == twin and hash(cfg) == hash(twin)
+
+    @pytest.mark.parametrize("algos, held", [(("rb",), "'rb'"), ((AlgoSpec("rb"), None), "None")])
+    def test_algos_hold_only_specs(self, algos, held):
+        # a spec's text raised AttributeError: 'str' object has no attribute 'tag'
+        with pytest.raises(ConfigError, match=f"^algos holds {held}, not an AlgoSpec$"):
+            RunConfig(algos=algos)
 
     def test_two_specs_with_one_tag_fail_before_writing(self, tmp_path, capsys):
         # both wrote centrality_d1_k4.csv, the second over the first
@@ -381,6 +442,13 @@ class TestRunConfig:
     def test_gen_params_validated(self, field, value):
         with pytest.raises(ConfigError, match="gen "):
             GenParams(**{field: value})
+
+    @pytest.mark.parametrize("n", [True, 5.0, "5"])
+    def test_gen_vehicle_count_must_be_an_int(self, n):
+        # True read as one vehicle
+        message = f"gen vehicle count must be an integer, got {n!r}"
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            GenParams(n=n)
 
     def test_gen_params_reject_what_the_generator_rejects(self):
         from apsel.mobility import generate_two_way_roadway
@@ -528,15 +596,15 @@ class TestRunCommand:
 
     @pytest.mark.parametrize("d", [0, 2])
     def test_rb_spec_made_in_code_assigns_at_one_hop(self, tmp_path, monkeypatch, d):
-        # rb's 1-hop cover puts every nearest point 1 hop away, so the d a
-        # spec made in code holds, even 0, changes nothing
-        path = small_trace(tmp_path, n=30)
-        trace = load_trace_csv(path)
-        spec, plain = AlgoSpec("rb", d=d), AlgoSpec("rb")
+        # rb reads no d, so a spec made in code cannot set one, even 0, and
+        # an rb spec's d is the one hop its cover reaches, where the loop assigns
+        with pytest.raises(ConfigError, match="^rb reads slots, direction, not 'd'$"):
+            AlgoSpec("rb", d=d)
+        spec = AlgoSpec("rb")
+        assert spec.d == 1
         calls = spy_on_assignment(monkeypatch)
-        rows = run_algorithms(trace, RunConfig(algos=(spec,)))[spec]
-        assert {hops for _, hops in calls} == {1}
-        assert rows == run_algorithms(trace, RunConfig(algos=(plain,)))[plain]
+        run_algorithms(load_trace_csv(small_trace(tmp_path, n=30)), RunConfig(algos=(spec,)))
+        assert calls and {hops for _, hops in calls} == {1}
 
     def test_exact_never_beaten(self, tmp_path):
         path = small_trace(tmp_path, n=24)
@@ -588,7 +656,8 @@ class TestRunCommand:
         prev: dict[int, int] = {}
         for r in rows:
             g = build_udg(trace.positions_at(r.time), RadioParams())
-            cur = assign_to_aggregation_points_oracle(g, select(g, d).aggregation_points, d)
+            result = select(g, d, 4) if select is centrality_select else select(g, d)
+            cur = assign_to_aggregation_points_oracle(g, result.aggregation_points, d)
             assert r.n_routing_updates == sum(prev.get(v) != p for v, p in cur.items())
             prev = cur
         assert sum(r.n_routing_updates for r in rows[1:]) > 0
@@ -1095,12 +1164,11 @@ class TestCompareCommand:
         import apsel.graph
         import apsel.mobility
 
-        columns, sweeps = apsel.mobility._columns, []
+        sweep, sweeps = apsel.mobility._sweep, []
 
-        def counted_columns(snapshot):
-            if sys._getframe(1).f_code.co_name in ("build_udg", "_sweep"):
-                sweeps.append(snapshot)
-            return columns(snapshot)
+        def counted_sweep(snapshot, radio):  # what a miss of build_udg's memo runs
+            sweeps.append(snapshot)
+            return sweep(snapshot, radio)
 
         scored = []  # (adjacency, k) of each search, adjacency kept alive so its id stays unique
         for name in ("reach_rounds", "level_rounds"):
@@ -1109,7 +1177,7 @@ class TestCompareCommand:
                 return rounds(adjacency, k)
 
             monkeypatch.setattr(apsel.graph, name, counted_rounds)
-        monkeypatch.setattr(apsel.mobility, "_columns", counted_columns)
+        monkeypatch.setattr(apsel.mobility, "_sweep", counted_sweep)
         algos = ["centrality", "centrality:d=3", "rb", "centrality:direction=true"]
         argv = ["compare", "--trace", str(small_trace(tmp_path)), "--out", str(tmp_path / "res")]
         assert main(argv + [arg for a in algos for arg in ("--algo", a)]) == 0

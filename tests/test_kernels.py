@@ -725,7 +725,7 @@ class TestBitsetExact:
         assert len(res.aggregation_points) == 3
         assert res.search_nodes > 1
         assert res == exact_min_dominating_set_oracle(cycle_graph(7), 1)
-        assert centrality_select(cycle_graph(7)).search_nodes == 0
+        assert centrality_select(cycle_graph(7), 1, 4).search_nodes == 0
 
     def test_search_nodes_on_a_roadway_snapshot(self):
         # the re-search of a component whose greedy cover is optimal is bounded

@@ -4,9 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from apsel.cli import AlgoSpec
 from apsel.graph import SnapshotGraph, UnknownVehicleError
-from apsel.mobility import build_udg, generate_two_way_roadway
 from apsel.selection import (
     MAX_EXACT_VERTICES,
     GraphSizeError,
@@ -235,17 +233,6 @@ class TestExactSolver:
         exact = exact_min_dominating_set(g, d)
         greedy = centrality_select(g, d, 4)
         assert len(greedy.aggregation_points) >= len(exact.aggregation_points)
-
-
-def test_optional_arguments_default_to_the_algo_spec_defaults():
-    # the README's Python API leans on these defaults. At seed 0, frames of 256
-    # and 257 slots draw alike up to the 656th vehicle, hence rb's larger roadway
-    spec = AlgoSpec("centrality")
-    g = build_udg(generate_two_way_roadway(60, 2500.0, 2.0, seed=0).positions_at(0.0))
-    assert centrality_select(g) == centrality_select(g, spec.d, spec.k)
-    assert exact_min_dominating_set(g) == exact_min_dominating_set(g, spec.d)
-    road = build_udg(generate_two_way_roadway(700, 7000.0, 1.0, seed=0).positions_at(0.0))
-    assert rb_select(road) == rb_select(road, spec.slots, 0)
 
 
 @pytest.mark.parametrize("d", [0, -1])

@@ -53,6 +53,13 @@ class TestConfig:
         with pytest.raises(ValueError, match=f"^{name} must be >= 1, got {value}$"):
             TunerConfig(**bad)
 
+    @pytest.mark.parametrize("bad", [dict(d_max=2.5), dict(k_max=2.5), dict(d_max=True), dict(k_max=3.0)])
+    def test_box_bounds_must_be_ints(self, bad):
+        # a box of 2.5 x 2.5 let the search evaluate (3, 3) and return it, and True read as 1
+        ((name, value),) = bad.items()
+        with pytest.raises(ValueError, match=f"^{name} must be an integer, got {value!r}$"):
+            TunerConfig(**bad)
+
 
 class TestNelderMead:
     def test_convex_quadratic(self):
